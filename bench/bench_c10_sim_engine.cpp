@@ -154,7 +154,8 @@ void BM_FairShareChannel(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) * state.iterations());
 }
-BENCHMARK(BM_FairShareChannel)->Arg(256)->Arg(1024);
+// 16 flows: the constant cost per event; 256 to 4096: growth with flow count.
+BENCHMARK(BM_FairShareChannel)->Arg(16)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_PfsModelEndToEnd(benchmark::State& state) {
   const auto ops = static_cast<std::uint64_t>(state.range(0));
@@ -182,4 +183,17 @@ BENCHMARK(BM_PfsModelEndToEnd)->Arg(256)->Arg(2048);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The context's library_build_type describes the installed libbenchmark;
+  // record how this binary's own code was compiled next to it.
+#if defined(NDEBUG)
+  benchmark::AddCustomContext("pio_build_type", "release");
+#else
+  benchmark::AddCustomContext("pio_build_type", "debug");
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

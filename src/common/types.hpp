@@ -118,6 +118,8 @@ class Bandwidth {
   [[nodiscard]] constexpr double bytes_per_sec() const { return bps_; }
   [[nodiscard]] constexpr double mib_per_sec() const { return bps_ / (1024.0 * 1024.0); }
   [[nodiscard]] constexpr double gib_per_sec() const { return bps_ / (1024.0 * 1024.0 * 1024.0); }
+  /// Nanoseconds one byte takes at this rate.
+  [[nodiscard]] constexpr double ns_per_byte() const { return 1e9 / bps_; }
 
   /// Time to move `size` at this rate. Throws if the rate is non-positive.
   [[nodiscard]] SimTime transfer_time(Bytes size) const {

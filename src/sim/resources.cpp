@@ -63,6 +63,17 @@ void FifoServer::start_next() {
 
 // --------------------------------------------------------- FairShareChannel
 
+namespace {
+
+constexpr int kFracBits = 32;  // clock units per ns = 2^kFracBits
+
+/// Heap order: the earliest (tag, seq) on top.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.tag != b.tag ? a.tag > b.tag : a.seq > b.seq;
+};
+
+}  // namespace
+
 FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
                                    std::string name)
     : engine_(engine), capacity_(capacity), latency_(latency), name_(std::move(name)) {
@@ -72,6 +83,7 @@ FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime l
   if (latency < SimTime::zero()) {
     throw std::invalid_argument("FairShareChannel: negative latency");
   }
+  units_per_byte_ = std::ldexp(capacity.ns_per_byte(), kFracBits);
 }
 
 void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
@@ -86,19 +98,30 @@ void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
 }
 
 void FairShareChannel::admit(Bytes size, std::function<void()> on_done) {
-  advance_progress();
-  flows_.push_back(Flow{size.as_double(), size, std::move(on_done)});
+  advance_clock();
+  // The one size-to-time conversion: full-capacity service in clock units,
+  // at least one unit so a tag always lies ahead of the clock.
+  const double service = size.as_double() * units_per_byte_;
+  const VirtualTime units = service < 0x1p64
+                                ? VirtualTime{static_cast<std::uint64_t>(service)}
+                                : static_cast<VirtualTime>(service);
+  flows_.push_back(Flow{clock_ + std::max(units, VirtualTime{1}), next_seq_++, size,
+                        std::move(on_done)});
+  ++live_;
+  std::push_heap(flows_.begin(), flows_.end(), kLater);
   reschedule_completion();
 }
 
-void FairShareChannel::advance_progress() {
+void FairShareChannel::advance_clock() {
   const SimTime now = engine_.now();
-  if (!flows_.empty() && now > last_progress_) {
-    const double rate = capacity_.bytes_per_sec() / static_cast<double>(flows_.size());
-    const double progressed = rate * (now - last_progress_).sec();
-    for (auto& flow : flows_) flow.remaining_bytes = std::max(0.0, flow.remaining_bytes - progressed);
+  if (live_ > 0 && now > last_advance_) {
+    const auto elapsed = static_cast<std::uint64_t>((now - last_advance_).ns());
+    // 64-bit fast path; the 128-bit divide only for gaps of 2^32 ns or more.
+    clock_ += elapsed < (std::uint64_t{1} << kFracBits)
+                  ? VirtualTime{(elapsed << kFracBits) / live_}
+                  : (VirtualTime{elapsed} << kFracBits) / live_;
   }
-  last_progress_ = now;
+  last_advance_ = now;
 }
 
 void FairShareChannel::reschedule_completion() {
@@ -106,38 +129,44 @@ void FairShareChannel::reschedule_completion() {
     engine_.cancel(pending_completion_);
     pending_completion_ = 0;
   }
-  if (flows_.empty()) return;
-  double min_remaining = std::numeric_limits<double>::max();
-  for (const auto& flow : flows_) min_remaining = std::min(min_remaining, flow.remaining_bytes);
-  const double rate = capacity_.bytes_per_sec() / static_cast<double>(flows_.size());
-  // Round up to the next nanosecond so remaining bytes are always fully
-  // drained by the time the completion fires.
-  const auto delay = SimTime::from_sec_ceil(min_remaining / rate);
-  check::that(delay >= SimTime::zero(), "non-negative service delay",
-              "delay=" + std::to_string(delay.ns()) + "ns");
-  pending_completion_ = engine_.schedule_after(delay, [this] {
-    pending_completion_ = 0;
-    complete_earliest();
-  });
+  if (live_ == 0) return;
+  // Round up to the next nanosecond: by then the clock has reached the tag.
+  // (An admission in the same nanosecond as a due completion can find the
+  // top tag already reached; the completion then fires at once.)
+  const VirtualTime tag = flows_.front().tag;
+  const VirtualTime ahead = tag > clock_ ? tag - clock_ : 0;
+  const VirtualTime delay_ns =
+      (ahead * live_ + ((VirtualTime{1} << kFracBits) - 1)) >> kFracBits;
+  check::that(delay_ns <= static_cast<VirtualTime>(SimTime::max().ns()),
+              "completion delay fits SimTime");
+  pending_completion_ =
+      engine_.schedule_after(SimTime::from_ns(static_cast<std::int64_t>(delay_ns)), [this] {
+        pending_completion_ = 0;
+        complete_due();
+      });
 }
 
-void FairShareChannel::complete_earliest() {
-  advance_progress();
-  // Complete every flow that has drained (ties complete together, in
-  // admission order for determinism).
-  std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->remaining_bytes <= 0.5) {  // < 1 byte left: drained
-      bytes_moved_ += it->size;
-      done.push_back(std::move(it->on_done));
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
+void FairShareChannel::complete_due() {
+  advance_clock();
+  // Park every flow whose tag has been reached in the vector's tail, then
+  // release them in admission order. Admissions arrive only through engine
+  // events, so the callbacks below cannot grow the heap under the tail.
+  while (live_ > 0 && flows_.front().tag <= clock_) {
+    std::pop_heap(flows_.begin(), flows_.begin() + static_cast<std::ptrdiff_t>(live_), kLater);
+    --live_;
   }
+  const auto drained = flows_.begin() + static_cast<std::ptrdiff_t>(live_);
+  std::sort(drained, flows_.end(), [](const Flow& a, const Flow& b) { return a.seq < b.seq; });
+  for (auto it = drained; it != flows_.end(); ++it) bytes_moved_ += it->size;
+  if (live_ == 0) clock_ = 0;  // idle: restart virtual time from zero
   reschedule_completion();
-  for (auto& fn : done) {
-    if (fn) fn();
+  for (std::size_t i = live_; i < flows_.size(); ++i) {
+    if (flows_[i].on_done) flows_[i].on_done();
+  }
+  if (live_ == 0) {
+    flows_ = std::vector<Flow>{};  // an idle channel holds no storage
+  } else {
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(live_), flows_.end());
   }
 }
 
@@ -155,8 +184,9 @@ void TokenPool::acquire(std::uint64_t n, std::function<void()> on_grant) {
 }
 
 void TokenPool::release(std::uint64_t n) {
+  // Check before mutating: a refused release leaves the pool as it was.
+  if (n > capacity_ - available_) throw std::logic_error("TokenPool::release: over-release");
   available_ += n;
-  if (available_ > capacity_) throw std::logic_error("TokenPool::release: over-release");
   drain();
 }
 

@@ -9,9 +9,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
-#include <list>
 #include <string>
+#include <vector>
 
 #include "common/histogram.hpp"
 #include "common/types.hpp"
@@ -81,41 +80,60 @@ class FifoServer {
 };
 
 /// Fluid-model fair-sharing channel: `n` concurrent flows each progress at
-/// capacity/n. On every membership change the remaining volumes are advanced
-/// and the next completion re-scheduled. Propagation latency is applied once
-/// at flow admission. This is the standard processor-sharing approximation
-/// used by CODES-class network models.
+/// capacity/n (processor sharing, the standard approximation of CODES-class
+/// network models). Propagation latency is applied once at flow admission.
+///
+/// Implemented with GPS virtual time (DESIGN.md §6): one virtual clock
+/// advances by elapsed ns / n, and each flow carries a finish tag — the clock
+/// at admission plus its service time at full capacity. Flows sit in a binary
+/// min-heap on (tag, admission seq), so an admission or a completion costs
+/// O(log n). The clock is integer fixed point, so completion times are exact
+/// integers; every flow whose tag has been reached is released together, in
+/// admission order.
 class FairShareChannel {
  public:
+  /// Virtual time in units of 2^-32 ns of full-capacity service. 64 bits
+  /// would overflow after a busy period of ~4.3 s.
+  __extension__ typedef unsigned __int128 VirtualTime;
+
   FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
                    std::string name = "link");
 
   /// Start a transfer of `size`; `on_done` fires when the last byte drains.
   void transfer(Bytes size, std::function<void()> on_done);
 
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const { return live_; }
   [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Bandwidth capacity() const { return capacity_; }
+  /// The virtual clock; zero whenever the channel is idle.
+  [[nodiscard]] VirtualTime virtual_clock() const { return clock_; }
 
  private:
   struct Flow {
-    double remaining_bytes;
+    VirtualTime tag;     ///< clock value at which the flow has drained
+    std::uint64_t seq;   ///< admission order, breaks tag ties
     Bytes size;
     std::function<void()> on_done;
   };
 
   void admit(Bytes size, std::function<void()> on_done);
-  void advance_progress();
+  void advance_clock();
   void reschedule_completion();
-  void complete_earliest();
+  void complete_due();
 
   Engine& engine_;
   Bandwidth capacity_;
   SimTime latency_;
   std::string name_;
-  std::list<Flow> flows_;
-  SimTime last_progress_ = SimTime::zero();
+  double units_per_byte_;  ///< full-capacity service per byte, in clock units
+  /// [0, live_) is the heap; while completions run, the drained flows are
+  /// parked in the tail [live_, size()).
+  std::vector<Flow> flows_;
+  std::size_t live_ = 0;
+  VirtualTime clock_ = 0;
+  std::uint64_t next_seq_ = 0;
+  SimTime last_advance_ = SimTime::zero();
   EventId pending_completion_ = 0;
   Bytes bytes_moved_ = Bytes::zero();
 };

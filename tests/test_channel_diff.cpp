@@ -1,0 +1,300 @@
+// Differential test: the virtual-time sim::FairShareChannel against the
+// list-scanning channel it replaced (tests/list_channel_oracle.hpp), and
+// against exact processor sharing.
+//
+// Both channels are driven with identical open-loop seeded flow storms. The
+// old channel releases a flow once less than 0.5 byte is left, so it can
+// finish near-ties early by up to 0.5 B x flows / capacity; the new one
+// releases a flow when its virtual finish tag is reached. The old channel
+// also finishes some flows a few ns late: it rounds double-precision times
+// up to whole ns, so a finish that falls exactly on a nanosecond can round
+// to the next one, and the delay carries on through the sharing. Small
+// storms are checked against an exact integer schedule, which the new
+// channel never beats and trails by at most 2 ns. The remaining tests
+// pin the exact-tie release order, the clock reset on idle, and a busy
+// period long enough to need the 128-bit arithmetic.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iostream>
+#include <limits>
+#include <numeric>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/types.hpp"
+#include "list_channel_oracle.hpp"
+#include "sim/engine.hpp"
+#include "sim/resources.hpp"
+
+namespace pio {
+namespace {
+
+using namespace pio::literals;
+using sim::Engine;
+using sim::FairShareChannel;
+using sim::oracle::ListFairShareChannel;
+
+struct Storm {
+  Bandwidth capacity;
+  SimTime latency;
+  std::vector<SimTime> arrival;
+  std::vector<Bytes> size;
+};
+
+/// An open-loop storm of `min_flows`-`max_flows` flows: sizes from 1 B to
+/// 4 MiB (half uniform, half log-uniform), mixed with a few recurring exact
+/// sizes and same-instant arrival batches so that exact tag ties occur.
+Storm make_storm(std::uint64_t seed, std::uint64_t min_flows, std::uint64_t max_flows) {
+  constexpr double kCapacityGiB[] = {1.0, 10.0, 80.0};
+  constexpr std::int64_t kLatencyNs[] = {0, 1'000, 10'000};
+  constexpr std::uint64_t kMaxSize = 4ULL << 20;
+  const Bytes recurring[] = {1_MiB, 4_KiB, 64_KiB + 1_B, 4_MiB};
+
+  Rng rng{seed};
+  Storm storm;
+  storm.capacity = Bandwidth::from_gib_per_sec(kCapacityGiB[seed % 3]);
+  storm.latency = SimTime::from_ns(kLatencyNs[(seed / 3) % 3]);
+  const auto flows =
+      static_cast<std::size_t>(min_flows + rng.next_below(max_flows - min_flows + 1));
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < flows; ++i) {
+    Bytes size;
+    if (rng.chance(0.3)) {
+      size = recurring[rng.next_below(std::size(recurring))];
+    } else if (rng.chance(0.5)) {
+      size = Bytes{1 + rng.next_below(kMaxSize)};
+    } else {
+      size = Bytes{std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(std::exp2(rng.uniform(0.0, 22.0))))};
+    }
+    storm.size.push_back(size);
+    total += size.count();
+  }
+  // Spread arrivals over 0.25-2x the time the whole storm takes at full
+  // capacity: from a standing queue of every flow to a lightly loaded link.
+  const double span_ns = static_cast<double>(total) * storm.capacity.ns_per_byte() *
+                         rng.uniform(0.25, 2.0);
+  for (std::size_t i = 0; i < flows; ++i) {
+    const bool batch = i > 0 && rng.chance(0.3);  // same instant as the previous flow
+    storm.arrival.push_back(batch ? storm.arrival.back()
+                                  : SimTime::from_ns(static_cast<std::int64_t>(
+                                        rng.uniform(0.0, span_ns))));
+  }
+  return storm;
+}
+
+struct StormRun {
+  std::vector<SimTime> done;  ///< completion time per flow
+  std::size_t completed = 0;
+  Bytes moved;
+};
+
+template <typename Channel>
+StormRun run_storm(const Storm& storm) {
+  Engine engine;
+  Channel link{engine, storm.capacity, storm.latency};
+  StormRun run;
+  run.done.assign(storm.size.size(), SimTime::max());
+  for (std::size_t i = 0; i < storm.size.size(); ++i) {
+    // piolint: allow(C2) — engine.run() drains before link and run leave scope.
+    engine.schedule_at(storm.arrival[i], [&link, &run, &engine, &storm, i] {
+      // piolint: allow(C2) — as above.
+      link.transfer(storm.size[i], [&run, &engine, i] {
+        EXPECT_EQ(run.done[i], SimTime::max()) << "flow " << i << " completed twice";
+        run.done[i] = engine.now();
+        ++run.completed;
+      });
+    });
+  }
+  engine.run();
+  engine.assert_drained();
+  EXPECT_EQ(link.active_flows(), 0u);
+  run.moved = link.bytes_moved();
+  return run;
+}
+
+__extension__ typedef unsigned __int128 Wide;
+
+/// Exact processor sharing for storms of at most 32 flows, with the same
+/// rule as the channels' completion events: a completion fires at the next
+/// whole nanosecond and releases every flow with nothing left. Volumes are
+/// integers in units of 1 / (1e9 x lcm(1..32)) byte, so every share
+/// capacity x dt / n is exact. Capacities must be whole bytes per second.
+std::vector<SimTime> exact_schedule(const Storm& storm) {
+  constexpr Wide kLcm = 144'403'552'893'600;  // lcm(1..32)
+  constexpr Wide kUnitsPerByte = kLcm * 1'000'000'000;
+  const auto bps = static_cast<Wide>(storm.capacity.bytes_per_sec());
+  std::vector<std::size_t> order(storm.size.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return storm.arrival[a] < storm.arrival[b];
+  });
+  std::vector<SimTime> done(storm.size.size(), SimTime::max());
+  std::vector<std::pair<std::size_t, Wide>> active;  // flow, units left
+  std::size_t next = 0;
+  std::int64_t now = 0;
+  while (next < order.size() || !active.empty()) {
+    std::int64_t at = std::numeric_limits<std::int64_t>::max();
+    if (next < order.size()) at = (storm.arrival[order[next]] + storm.latency).ns();
+    const Wide per_ns = active.empty() ? 0 : bps * kLcm / active.size();  // per flow
+    if (!active.empty()) {
+      Wide least = active.front().second;
+      for (const auto& flow : active) least = std::min(least, flow.second);
+      at = std::min(at, now + static_cast<std::int64_t>((least + per_ns - 1) / per_ns));
+    }
+    const Wide share = per_ns * static_cast<Wide>(at - now);
+    for (auto& flow : active) flow.second -= std::min(flow.second, share);
+    now = at;
+    std::erase_if(active, [&](const auto& flow) {
+      if (flow.second != 0) return false;
+      done[flow.first] = SimTime::from_ns(now);
+      return true;
+    });
+    while (next < order.size() && (storm.arrival[order[next]] + storm.latency).ns() == now) {
+      active.emplace_back(order[next], storm.size[order[next]].count() * kUnitsPerByte);
+      ++next;
+    }
+  }
+  return done;
+}
+
+TEST(FairShareChannelDiff, SmallStormsMatchExactSharing) {
+  // The channel never finishes a flow before exact processor sharing does.
+  // Its clock advances by a floor division, so it can trail the exact
+  // schedule by part of a nanosecond, which a completion rounds up to one;
+  // the largest trail seen over these storms is 2 ns.
+  constexpr std::int64_t kMaxTrailNs = 2;
+  std::int64_t latest = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const Storm storm = make_storm(seed, 2, 32);
+    const StormRun fresh = run_storm<FairShareChannel>(storm);
+    const std::vector<SimTime> exact = exact_schedule(storm);
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      const std::int64_t delta = (fresh.done[i] - exact[i]).ns();
+      ASSERT_GE(delta, 0) << "storm " << seed << " flow " << i << " finished early";
+      ASSERT_LE(delta, kMaxTrailNs) << "storm " << seed << " flow " << i << " finished late";
+      latest = std::max(latest, delta);
+    }
+  }
+  std::cout << "small storms: latest vs exact = " << latest << " ns\n";
+}
+
+TEST(FairShareChannelDiff, SeededStormsStayWithinTheSlackWindow) {
+  constexpr std::uint64_t kStorms = 300;
+  // How much later than the new channel the old one may finish a flow (see
+  // the header); the largest gap over these storms is 5 ns.
+  constexpr std::int64_t kOldLateNs = 8;
+  std::size_t total_flows = 0;
+  double worst_fraction = 0.0;  // largest t_new - t_old over its bound
+  for (std::uint64_t seed = 1; seed <= kStorms; ++seed) {
+    const Storm storm = make_storm(seed, 64, 2048);
+    const StormRun fresh = run_storm<FairShareChannel>(storm);
+    const StormRun old = run_storm<ListFairShareChannel>(storm);
+    const std::size_t flows = storm.size.size();
+    total_flows += flows;
+    ASSERT_EQ(fresh.completed, flows) << "storm " << seed;
+    ASSERT_EQ(old.completed, flows) << "storm " << seed;
+    ASSERT_EQ(fresh.moved, old.moved) << "storm " << seed;
+    const Bytes expected = std::accumulate(storm.size.begin(), storm.size.end(), Bytes::zero());
+    ASSERT_EQ(fresh.moved, expected) << "storm " << seed;
+
+    // Late: 0.5 B per concurrent flow at capacity / flows, plus 1 ns
+    // rounding. Early: the old channel's own late rounding.
+    const double slack_ns = 0.5 * static_cast<double>(flows) * storm.capacity.ns_per_byte();
+    for (std::size_t i = 0; i < flows; ++i) {
+      const std::int64_t delta = (fresh.done[i] - old.done[i]).ns();
+      ASSERT_GE(delta, -kOldLateNs) << "storm " << seed << " flow " << i << " finished early";
+      ASSERT_LE(static_cast<double>(delta), slack_ns + 1.0)
+          << "storm " << seed << " flow " << i << " (" << storm.size[i].count() << " B, "
+          << flows << " flows, " << storm.capacity.gib_per_sec() << " GiB/s) finished late";
+      worst_fraction = std::max(worst_fraction, static_cast<double>(delta) / (slack_ns + 1.0));
+    }
+  }
+  EXPECT_GE(total_flows, 300u * 64u);
+  std::cout << "storms=" << kStorms << " flows=" << total_flows
+            << " worst delta / bound=" << worst_fraction << "\n";
+}
+
+TEST(FairShareChannelDiff, ExactTieBatchReleasesInAdmissionOrder) {
+  Engine engine;
+  FairShareChannel link{engine, Bandwidth::from_gib_per_sec(1.0), 0_us};
+  std::vector<int> order;
+  std::vector<SimTime> when;
+  SimTime background_done = SimTime::zero();
+  link.transfer(8_MiB, [&] { background_done = engine.now(); });
+  // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+  engine.schedule_at(SimTime::from_us(3.0), [&] {
+    for (int i = 0; i < 64; ++i) {
+      // piolint: allow(C2) — as above.
+      link.transfer(64_KiB, [&, i] {
+        order.push_back(i);
+        when.push_back(engine.now());
+      });
+    }
+  });
+  engine.run();
+  std::vector<int> admission(64);
+  std::iota(admission.begin(), admission.end(), 0);
+  EXPECT_EQ(order, admission);
+  ASSERT_EQ(when.size(), 64u);
+  EXPECT_TRUE(std::all_of(when.begin(), when.end(), [&](SimTime t) { return t == when[0]; }))
+      << "an exact-tie batch must be released in one instant";
+  EXPECT_GT(background_done, when[0]);
+}
+
+TEST(FairShareChannelDiff, ClockResetsWhenIdle) {
+  Engine engine;
+  FairShareChannel link{engine, Bandwidth::from_gib_per_sec(1.0), 0_us};
+  FairShareChannel::VirtualTime busy_clock = 0;
+  std::vector<SimTime> first;
+  std::vector<SimTime> second;
+  link.transfer(2_MiB, [&] { first.push_back(engine.now()); });
+  link.transfer(1_KiB, [&] {
+    busy_clock = link.virtual_clock();
+    first.push_back(engine.now());
+  });
+  engine.run();
+  EXPECT_GT(busy_clock, 0u);
+  EXPECT_EQ(link.virtual_clock(), 0u);
+  EXPECT_EQ(link.active_flows(), 0u);
+
+  // A second busy period after an idle gap runs exactly like the first.
+  const SimTime restart = engine.now() + SimTime::from_ms(5.0);
+  // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+  engine.schedule_at(restart, [&] {
+    const auto record = [&] { second.push_back(engine.now() - restart); };
+    link.transfer(2_MiB, record);
+    link.transfer(1_KiB, record);
+  });
+  engine.run();
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(link.virtual_clock(), 0u);
+}
+
+TEST(FairShareChannelDiff, LongBusyPeriodUsesWideArithmetic) {
+  // A 10 s busy period: the clock passes 2^64 units (~4.3 s), and the second
+  // admission comes after a gap of more than 2^32 ns.
+  const Storm storm{Bandwidth::from_mib_per_sec(100.0), SimTime::zero(),
+                    {SimTime::zero(), SimTime::from_sec(5.0)},
+                    {1_GiB, 256_MiB}};
+  const StormRun fresh = run_storm<FairShareChannel>(storm);
+  const StormRun old = run_storm<ListFairShareChannel>(storm);
+  // A runs alone for 5 s (500 MiB), then both share 50 MiB/s: B needs
+  // 5.12 s more; A's last 268 MiB then take 2.68 s at full rate.
+  EXPECT_NEAR(static_cast<double>(fresh.done[1].ns()), 10.12e9, 2.0);
+  EXPECT_NEAR(static_cast<double>(fresh.done[0].ns()), 12.80e9, 2.0);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_GE((fresh.done[i] - old.done[i]).ns(), -1) << "flow " << i;
+    EXPECT_LE((fresh.done[i] - old.done[i]).ns(), 2) << "flow " << i;
+  }
+  EXPECT_EQ(fresh.moved, old.moved);
+}
+
+}  // namespace
+}  // namespace pio

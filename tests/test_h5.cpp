@@ -241,6 +241,28 @@ struct SlabCase {
   std::uint32_t elem;
 };
 
+// Names each case by its geometry, e.g. "d16x16_c5x7_s3x2_n10x13_e8". Without
+// this, gtest prints the raw bytes of the struct, whose vector pointers make
+// the test names differ from one process to the next.
+void PrintTo(const SlabCase& c, std::ostream* os) {
+  const auto dims = [os](char tag, const std::vector<std::uint64_t>& v) {
+    *os << tag;
+    for (std::size_t i = 0; i < v.size(); ++i) *os << (i ? "x" : "") << v[i];
+  };
+  dims('d', c.dims);
+  *os << '_';
+  if (c.chunks.empty()) {
+    *os << "contig";
+  } else {
+    dims('c', c.chunks);
+  }
+  *os << '_';
+  dims('s', c.start);
+  *os << '_';
+  dims('n', c.count);
+  *os << "_e" << c.elem;
+}
+
 class HyperslabPropertyTest : public ::testing::TestWithParam<SlabCase> {};
 
 TEST_P(HyperslabPropertyTest, ExtentsExactlyTileTheSlab) {

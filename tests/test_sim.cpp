@@ -237,6 +237,24 @@ TEST(TokenPoolTest, OverReleaseThrows) {
   EXPECT_THROW(pool.release(1), std::logic_error);
 }
 
+TEST(TokenPoolTest, RefusedOverReleaseLeavesPoolUnchanged) {
+  Engine e;
+  TokenPool pool{e, 2};
+  pool.acquire(1, [] {});
+  EXPECT_EQ(pool.available(), 1u);
+  EXPECT_THROW(pool.release(2), std::logic_error);
+  EXPECT_EQ(pool.available(), 1u);
+  // The refused release granted nothing: a request for the whole pool
+  // still waits for the outstanding token.
+  int granted = 0;
+  pool.acquire(2, [&] { ++granted; });
+  EXPECT_EQ(granted, 0);
+  EXPECT_EQ(pool.waiters(), 1u);
+  pool.release(1);
+  EXPECT_EQ(granted, 1);
+  EXPECT_EQ(pool.available(), 0u);
+}
+
 TEST(EngineDeterminismTest, IdenticalRunsProduceIdenticalHistories) {
   auto run_once = [] {
     Engine e{77};
