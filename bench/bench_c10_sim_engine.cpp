@@ -3,9 +3,8 @@
 // Paper: simulation is the stand-in for testbeds researchers do not have;
 // that is only viable if the engine sustains millions of events per second.
 // This is the one google-benchmark microbenchmark binary: engine event
-// throughput, scheduler-queue comparisons (4-ary heap vs calendar queue),
-// payload allocation (slab vs arena), fluid-channel transfers, and
-// end-to-end PFS model ops.
+// throughput, oversized-payload scheduling through the slab, fluid-channel
+// transfers, and end-to-end PFS model ops.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -13,7 +12,6 @@
 
 #include "net/fabric.hpp"
 #include "pfs/pfs.hpp"
-#include "sim/arena.hpp"
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
 
@@ -55,73 +53,12 @@ void BM_EngineSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSelfScheduling)->Arg(1 << 14)->Arg(1 << 17);
 
-// ---- BM_SchedulerQueue: heap vs calendar head-to-head (DESIGN.md §16) ----
-// Both produce the identical fire order (tests/test_parsim.cpp); these rows
-// measure the constant-factor question the QueueKind knob exists to answer.
-// arg0 selects the queue (0 = 4-ary heap, 1 = calendar), arg1 the volume.
-
-sim::EngineOptions queue_options(std::int64_t kind) {
-  return sim::EngineOptions{kind == 0 ? sim::QueueKind::kQuadHeap : sim::QueueKind::kCalendar};
-}
-
-void BM_SchedulerQueueStorm(benchmark::State& state) {
-  // Uniform storm: the distribution calendar queues were built for — a large
-  // standing population with uniform-ish times, pushed up front, drained flat.
-  const auto events = static_cast<std::uint64_t>(state.range(1));
-  for (auto _ : state) {
-    sim::Engine engine{1, queue_options(state.range(0))};
-    Rng rng = engine.rng_stream(1);
-    for (std::uint64_t i = 0; i < events; ++i) {
-      engine.schedule_at(SimTime::from_ns(static_cast<std::int64_t>(rng.next_below(1u << 20))),
-                         [] {});
-    }
-    const auto executed = engine.run();
-    benchmark::DoNotOptimize(executed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events) * state.iterations());
-}
-BENCHMARK(BM_SchedulerQueueStorm)
-    ->Args({0, 1 << 15})
-    ->Args({1, 1 << 15})
-    ->Args({0, 1 << 18})
-    ->Args({1, 1 << 18});
-
-void BM_SchedulerQueueSelfScheduling(benchmark::State& state) {
-  // Steady-state self-scheduling: a standing population of handlers that
-  // each reschedule themselves at a random future offset (server-loop
-  // shape) — pops and pushes interleave, walking the calendar cursor.
-  const auto events = static_cast<std::uint64_t>(state.range(1));
-  constexpr std::uint64_t kPopulation = 4096;
-  for (auto _ : state) {
-    sim::Engine engine{1, queue_options(state.range(0))};
-    Rng rng = engine.rng_stream(1);
-    std::uint64_t budget = events;
-    std::function<void()> tick = [&] {
-      if (budget == 0) return;
-      --budget;
-      engine.schedule_after(
-          SimTime::from_ns(static_cast<std::int64_t>(rng.next_below(1u << 14) + 1)), tick);
-    };
-    for (std::uint64_t p = 0; p < kPopulation; ++p) {
-      engine.schedule_after(SimTime::from_ns(static_cast<std::int64_t>(rng.next_below(1u << 14))),
-                            tick);
-    }
-    const auto executed = engine.run();
-    benchmark::DoNotOptimize(executed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events) * state.iterations());
-}
-BENCHMARK(BM_SchedulerQueueSelfScheduling)->Args({0, 1 << 15})->Args({1, 1 << 15});
-
 void BM_EngineOversizePayloads(benchmark::State& state) {
-  // Fat captures (> Task::kInlineBytes) force the oversized-payload path:
-  // arg0 = 0 routes them through the engine's size-class slab, 1 through a
-  // bump-allocating PayloadArena (the sharded engine's per-domain setup).
+  // Fat captures (> Task::kInlineBytes) force the oversized-payload path
+  // through the engine's size-class slab.
   constexpr std::uint64_t kEvents = 1 << 15;
   for (auto _ : state) {
-    sim::PayloadArena arena;
     sim::Engine engine;
-    if (state.range(0) == 1) engine.use_arena(&arena);
     Rng rng = engine.rng_stream(1);
     std::uint64_t sink = 0;
     for (std::uint64_t i = 0; i < kEvents; ++i) {
@@ -136,7 +73,7 @@ void BM_EngineOversizePayloads(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(kEvents) * state.iterations());
 }
-BENCHMARK(BM_EngineOversizePayloads)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineOversizePayloads);
 
 void BM_FairShareChannel(benchmark::State& state) {
   const auto flows = static_cast<std::uint64_t>(state.range(0));

@@ -3,13 +3,14 @@
 #
 #   BENCH_engine.json           — google-benchmark JSON for the C-10 DES
 #                                 engine microbenchmarks (event storm,
-#                                 self-scheduling cascade, scheduler-queue
-#                                 heap-vs-calendar rows, payload slab vs
-#                                 arena)
+#                                 self-scheduling cascade, oversized
+#                                 payloads through the slab, fair-share
+#                                 channel, end-to-end PFS model ops)
 #   BENCH_campaign_scaling.json — C-12 campaign thread-scaling curve with
 #                                 the cross-thread determinism digest
-#   BENCH_parsim.json           — C-13 sharded facility shard-count scaling
-#                                 with the cross-shard determinism digest
+#   BENCH_parsim.json           — C-13 facility pool-width scaling (cells
+#                                 as pool tasks) with the cross-thread
+#                                 determinism digest
 #   BENCH_membership.json       — C-F3 cluster-membership curves: detection
 #                                 latency vs heartbeat grace, migration
 #                                 volume by placement mode, drain window vs
@@ -68,8 +69,8 @@ echo "== C-12 campaign scaling -> BENCH_campaign_scaling.json"
 "$build_dir/bench/bench_c12_campaign_scaling" \
   --json-out "$repo_root/BENCH_campaign_scaling.json"
 
-echo "== C-13 sharded facility -> BENCH_parsim.json"
-"$build_dir/bench/bench_c13_sharded_engine" \
+echo "== C-13 facility -> BENCH_parsim.json"
+"$build_dir/bench/bench_c13_facility" \
   --json-out "$repo_root/BENCH_parsim.json"
 
 echo "== C-F3 cluster membership -> BENCH_membership.json"

@@ -71,7 +71,7 @@ inline constexpr std::uint64_t kSvcArrivalJitterStream = 0xFA017007ULL;
 
 /// pio::eval facility runs — per-cell campaign arrival jitter (facility.hpp).
 /// Each cell forks substream(cell index), so adding a cell never shifts
-/// another cell's start time; sharded execution itself draws no randomness.
+/// another cell's start time; running cells as pool tasks draws no randomness.
 inline constexpr std::uint64_t kFacilityArrivalStream = 0xFA017008ULL;
 
 namespace detail {

@@ -125,8 +125,8 @@ class ExecutionDrivenSimulator {
   /// closed loop observes the simulated testbed.
   SimRunResult run(const workload::Workload& workload, trace::Sink* sink = nullptr);
 
-  /// External-drive mode, for composing many simulators into one facility
-  /// run (eval::run_facility / sim::ShardedEngine): `begin` installs the
+  /// External-drive mode, for launching a simulator from an event the caller
+  /// schedules (eval::run_facility's cells): `begin` installs the
   /// workload and schedules every rank's first step on the engine but does
   /// not run it — the caller owns engine advancement. When the last rank
   /// finishes, the cache tier (if any) starts its quiescence flush and the

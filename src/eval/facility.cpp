@@ -1,6 +1,7 @@
 #include "eval/facility.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -8,16 +9,22 @@
 #include "common/rng.hpp"
 #include "common/seed_streams.hpp"
 #include "exec/pool.hpp"
-#include "sim/shard.hpp"
+#include "sim/engine.hpp"
 
 namespace pio::eval {
 
 namespace {
 
-/// Seed-derivation phase for facility domain engines. Phases 1–2 belong to
+/// Seed-derivation phase for facility cell engines. Phases 1–2 belong to
 /// the campaign loop (campaign.cpp SeedPhase); this claims the next value so
-/// facility domains never share engine seeds with campaign runs.
-constexpr std::uint64_t kFacilityDomainPhase = 3;
+/// facility cells never share engine seeds with campaign runs.
+constexpr std::uint64_t kFacilityCellPhase = 3;
+
+/// One cell task's output: the outcome plus its engine's event count.
+struct CellRun {
+  FacilityCellOutcome outcome;
+  std::uint64_t events = 0;
+};
 
 void mix_result(Fnv64& fnv, const driver::SimRunResult& r) {
   fnv.mix(static_cast<std::uint64_t>(r.makespan.ns()));
@@ -79,9 +86,7 @@ std::uint64_t FacilityResult::digest() const {
   fnv.mix(completion_order.size());
   for (const std::uint32_t c : completion_order) fnv.mix(c);
   fnv.mix(static_cast<std::uint64_t>(makespan.ns()));
-  fnv.mix(windows);
   fnv.mix(events);
-  fnv.mix(messages);
   return fnv.digest();
 }
 
@@ -93,73 +98,49 @@ FacilityResult run_facility(const FacilityConfig& config,
       throw std::invalid_argument("run_facility: cell without a workload");
     }
   }
-  const auto n_cells = static_cast<std::uint32_t>(cells.size());
-  const std::uint32_t coordinator = n_cells;  // domain index past the cells
 
-  std::vector<std::uint64_t> domain_seeds;
-  domain_seeds.reserve(n_cells + 1);
-  for (std::uint32_t d = 0; d <= n_cells; ++d) {
-    domain_seeds.push_back(derive_seed(config.seed, kFacilityDomainPhase, 0, d));
-  }
-  sim::ShardedConfig shard_config;
-  shard_config.shards = config.shards;
-  shard_config.lookahead = config.lookahead;
-  shard_config.time_limit = config.time_limit;
-  shard_config.queue = config.queue;
-  shard_config.payload_arenas = config.payload_arenas;
-  sim::ShardedEngine se{std::move(domain_seeds), shard_config};
-
-  // Build each cell against its own domain engine. Models are heap-held:
-  // PfsModel and the simulator pin their engine by reference.
-  std::vector<std::unique_ptr<pfs::PfsModel>> models;
-  std::vector<std::unique_ptr<driver::ExecutionDrivenSimulator>> sims;
-  models.reserve(n_cells);
-  sims.reserve(n_cells);
-  FacilityResult out;
-  out.cells.resize(n_cells);
-  for (std::uint32_t i = 0; i < n_cells; ++i) {
-    pfs::PfsConfig system = cells[i].system;
-    system.domain_tag = i;
-    models.push_back(std::make_unique<pfs::PfsModel>(se.domain(i), system));
-    sims.push_back(std::make_unique<driver::ExecutionDrivenSimulator>(
-        se.domain(i), *models[i], cells[i].run));
-    // Completion notice rides the inter-cell fabric back to the coordinator,
-    // which stamps the facility-observed completion time and order.
-    sims[i]->set_on_complete([&se, &out, coordinator, i, la = config.lookahead] {
-      se.send(i, coordinator, la, [&se, &out, coordinator, i] {
-        out.cells[i].completed = se.domain(coordinator).now();
-        out.completion_order.push_back(i);
-      });
-    });
-  }
-
-  // Dispatch: the coordinator launches every cell's campaign across the
-  // fabric, jittered per cell from a registry stream substream so adding a
-  // cell never moves another cell's arrival.
-  Rng arrivals{config.seed, seeds::kFacilityArrivalStream};
-  for (std::uint32_t i = 0; i < n_cells; ++i) {
-    const std::uint64_t spread_ns =
-        static_cast<std::uint64_t>(config.arrival_spread.ns()) + 1;
+  // Each cell is a whole simulation on its own engine: the coordinator's
+  // launch lands one fabric hop plus the cell's arrival jitter after time 0,
+  // and its completion notice takes one hop back. Jitter comes from a
+  // registry stream substream so adding a cell never moves another's arrival.
+  const Rng arrivals{config.seed, seeds::kFacilityArrivalStream};
+  const std::uint64_t spread_ns = static_cast<std::uint64_t>(config.arrival_spread.ns()) + 1;
+  exec::Pool pool{config.threads};
+  std::vector<CellRun> runs = pool.map_ordered(cells.size(), [&](std::size_t i) {
+    sim::Engine engine{derive_seed(config.seed, kFacilityCellPhase, 0, i)};
+    pfs::PfsModel model{engine, cells[i].system};
+    driver::ExecutionDrivenSimulator sim{engine, model, cells[i].run};
+    CellRun run;
+    sim.set_on_complete(
+        [&] { run.outcome.completed = engine.now() + config.fabric_latency; });
     const auto jitter = SimTime::from_ns(
         static_cast<std::int64_t>(arrivals.substream(i).next_below(spread_ns)));
-    se.send(coordinator, i, config.lookahead + jitter, [&se, &sims, &cells, &out, i] {
-      out.cells[i].started = se.domain(i).now();
-      sims[i]->begin(*cells[i].workload, nullptr);
+    // piolint: allow(C2) — engine.run() below drains this engine in-frame.
+    engine.schedule_at(config.fabric_latency + jitter, [&] {
+      run.outcome.started = engine.now();
+      sim.begin(*cells[i].workload, nullptr);
     });
-  }
+    engine.run(config.time_limit);
+    run.outcome.result = sim.collect();  // throws on a stalled cell
+    model.assert_quiescent();
+    engine.assert_drained();
+    run.events = engine.events_executed();
+    return run;
+  });
 
-  exec::Pool pool{config.threads};
-  se.run(pool);
-
-  for (std::uint32_t i = 0; i < n_cells; ++i) {
-    out.cells[i].result = sims[i]->collect();  // throws on a stalled cell
-    models[i]->assert_quiescent();
-    if (out.cells[i].completed > out.makespan) out.makespan = out.cells[i].completed;
+  FacilityResult out;
+  out.cells.reserve(runs.size());
+  for (CellRun& run : runs) {
+    out.makespan = std::max(out.makespan, run.outcome.completed);
+    out.events += run.events;
+    out.cells.push_back(std::move(run.outcome));
   }
-  se.assert_drained();
-  out.windows = se.windows();
-  out.events = se.events_executed();
-  out.messages = se.messages_delivered();
+  out.completion_order.resize(out.cells.size());
+  std::iota(out.completion_order.begin(), out.completion_order.end(), 0U);
+  std::stable_sort(out.completion_order.begin(), out.completion_order.end(),
+                   [&out](std::uint32_t a, std::uint32_t b) {
+                     return out.cells[a].completed < out.cells[b].completed;
+                   });
   return out;
 }
 

@@ -1,20 +1,23 @@
 // PIOEval eval: facility-scale composition — many cells, one parallel run.
 //
-// The campaign layer (campaign.hpp) parallelises *across* independent
-// simulation runs; this layer parallelises *within* one: a facility is a set
-// of simulation cells — each a full PFS model plus an execution-driven
-// workload on its own engine — coupled through a coordinator domain over a
-// simulated inter-cell fabric, all advancing in lockstep under
-// sim::ShardedEngine (DESIGN.md §16). That is the shape of ROADMAP item 1
-// (multi-tenant facility, paper §V) on the parallel core of ROADMAP item 2:
-// what-if questions like "what does tenant B's burst do to tenant A's
-// checkpoint?" become one deterministic run instead of a hand-stitched
-// sequence of independent ones.
+// The campaign layer (campaign.hpp) parallelises across independent
+// simulation runs; this layer runs one facility: a set of simulation cells —
+// each a full PFS model plus an execution-driven workload on its own engine —
+// launched by a coordinator over a simulated inter-cell fabric. That is the
+// shape of a multi-tenant facility (paper §V): what-if questions like "what
+// does tenant B's burst do to tenant A's checkpoint?" become one
+// deterministic run instead of a hand-stitched sequence of independent ones.
 //
-// The determinism contract carries over whole: FacilityResult::digest() is
-// byte-identical at every shard count (1/2/4/8 proven by test_parsim) and
-// for both queue kinds, with randomness confined to the per-cell arrival
-// jitter drawn from seeds::kFacilityArrivalStream substreams.
+// Cells touch the coordinator only twice — the launch and the completion
+// notice, each one fabric hop — so they run as independent exec::Pool tasks
+// (DESIGN.md §16). Each task owns its engine and models; the coordinator's
+// view (arrival and completion stamps, completion order, makespan) is
+// computed from the cell results once every task has finished.
+//
+// Determinism: FacilityResult::digest() is byte-identical at any pool width
+// (1/2/4/8 proven by test_parsim), with randomness confined to per-cell
+// engine seeds and the arrival jitter drawn from seeds::kFacilityArrivalStream
+// substreams.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +26,6 @@
 #include "common/types.hpp"
 #include "driver/sim_driver.hpp"
 #include "pfs/pfs.hpp"
-#include "sim/calendar_queue.hpp"
 #include "workload/op.hpp"
 
 namespace pio::eval {
@@ -38,23 +40,16 @@ struct FacilityCell {
 
 struct FacilityConfig {
   std::uint64_t seed = 1;
-  /// Logical engine shards (clamped to the domain count). 1 is the serial
-  /// baseline — same protocol, same digest.
-  std::uint32_t shards = 1;
   /// exec::Pool worker threads; 0 resolves via PIO_THREADS (else serial).
   int threads = 0;
-  /// Inter-cell fabric latency: the conservative lookahead. Cells interact
-  /// no faster than this, so it bounds how far domains run unsynchronised.
-  SimTime lookahead = SimTime::from_us(100.0);
+  /// One-way cell <-> coordinator fabric delay: a cell starts this long after
+  /// its launch, and the coordinator sees its completion this long after it.
+  SimTime fabric_latency = SimTime::from_us(100.0);
   /// Cell campaign arrivals are jittered uniformly over [0, spread] —
   /// facilities do not start every tenant on the same nanosecond.
   SimTime arrival_spread = SimTime::from_ms(1.0);
-  /// Simulated-time abort guard for the whole facility run.
+  /// Simulated-time abort guard for every cell.
   SimTime time_limit = SimTime::from_sec(86'400.0);
-  /// Scheduler queue for every domain engine (perf knob, digest-neutral).
-  sim::QueueKind queue = sim::QueueKind::kQuadHeap;
-  /// Per-domain event-payload bump arenas recycled at window barriers.
-  bool payload_arenas = true;
 };
 
 /// Per-cell outcome, timestamped on the facility clock.
@@ -66,19 +61,18 @@ struct FacilityCellOutcome {
 
 struct FacilityResult {
   std::vector<FacilityCellOutcome> cells;
-  /// Cell indices in the order the coordinator observed their completions.
+  /// Cell indices in the order the coordinator observed their completions
+  /// (ties broken by cell index).
   std::vector<std::uint32_t> completion_order;
   SimTime makespan = SimTime::zero();  ///< last coordinator-observed completion
-  std::uint64_t windows = 0;           ///< safe windows (shard-count-invariant)
-  std::uint64_t events = 0;            ///< events executed across all domains
-  std::uint64_t messages = 0;          ///< cross-domain messages delivered
-  /// FNV-1a fold over every field above in canonical order — the sharded
+  std::uint64_t events = 0;            ///< events executed across all cell engines
+  /// FNV-1a fold over every field above in canonical order — the facility
   /// determinism oracle (field order frozen: append, never reorder).
   [[nodiscard]] std::uint64_t digest() const;
 };
 
 /// Run `cells` to completion as one facility. Throws on a stalled cell
-/// (mismatched barriers or time limit), and asserts every domain drained.
+/// (mismatched barriers or time limit), and asserts every cell engine drained.
 [[nodiscard]] FacilityResult run_facility(const FacilityConfig& config,
                                           const std::vector<FacilityCell>& cells);
 

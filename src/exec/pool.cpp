@@ -158,8 +158,7 @@ void Pool::for_all(std::size_t n, const std::function<void(std::size_t)>& body) 
     // Targeted wake: a job with fewer tasks than workers needs at most n - 1
     // helpers (the submitter drains too). Waking the surplus workers would
     // only make them contend for the mutex, find nothing to claim, and go
-    // back to sleep — measurable on the sharded engine's per-window
-    // barriers, where n is the shard count and windows are short.
+    // back to sleep.
     const std::size_t helpers = std::min(n - 1, impl_->workers.size());
     if (helpers == impl_->workers.size()) {
       impl_->wake.notify_all();

@@ -101,12 +101,6 @@ struct PfsConfig {
   /// seed at construction) merge with the scripted plan. `osts` is filled in
   /// from this config automatically.
   std::optional<fault::InjectorConfig> fault_injector;
-  /// Facility-domain tag (DESIGN.md §16): the sharded-execution domain this
-  /// model's handlers run on. A label only — every handler the model
-  /// schedules stays on its own engine regardless (the engine's confinement
-  /// guard enforces that in checked builds); the tag identifies the cell in
-  /// facility digests and diagnostics. 0 for standalone single-engine runs.
-  std::uint32_t domain_tag = 0;
 };
 
 /// Result of a data-path operation.

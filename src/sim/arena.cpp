@@ -1,8 +1,6 @@
 #include "sim/arena.hpp"
 
-namespace pio::sim {
-
-namespace detail {
+namespace pio::sim::detail {
 
 namespace {
 
@@ -24,13 +22,12 @@ void* payload_of(PayloadHeader* header) noexcept {
   return reinterpret_cast<unsigned char*>(header) + kPayloadHeaderBytes;
 }
 
-/// Header + payload from the plain heap, tagged so release_payload frees it
-/// with operator delete.
+/// Header + payload from the plain heap, ownerless so release_payload frees
+/// it with operator delete.
 void* plain_heap_allocate(std::size_t bytes) {
   auto* raw = static_cast<unsigned char*>(::operator new(kPayloadHeaderBytes + bytes));
   auto* header = reinterpret_cast<PayloadHeader*>(raw);
   header->owner = nullptr;
-  header->source = PayloadSource::kPlainHeap;
   header->size_class = 0;
   header->next_free = nullptr;
   return payload_of(header);
@@ -60,138 +57,20 @@ void* OversizeSlab::allocate(std::size_t bytes) {
       ::operator new(kPayloadHeaderBytes + class_payload_bytes(size_class)));
   auto* header = reinterpret_cast<PayloadHeader*>(raw);
   header->owner = this;
-  header->source = PayloadSource::kSlabClass;
   header->size_class = static_cast<std::uint32_t>(size_class);
   header->next_free = nullptr;
   return payload_of(header);
 }
 
-void* PayloadAlloc::allocate(std::size_t bytes) {
-  if (arena != nullptr) return arena->allocate(bytes);
-  return slab->allocate(bytes);
-}
-
 void release_payload(void* payload) noexcept {
   PayloadHeader* header = header_of(payload);
-  switch (header->source) {
-    case PayloadSource::kSlabClass: {
-      auto* slab = static_cast<OversizeSlab*>(header->owner);
-      header->next_free = slab->free_lists_[header->size_class];
-      slab->free_lists_[header->size_class] = header;
-      break;
-    }
-    case PayloadSource::kPlainHeap:
-      ::operator delete(static_cast<void*>(header));
-      break;
-    case PayloadSource::kArena: {
-      auto* block = static_cast<PayloadArena::ArenaBlock*>(header->owner);
-      block->arena->release_one(block);
-      break;
-    }
+  OversizeSlab* slab = header->owner;
+  if (slab == nullptr) {
+    ::operator delete(static_cast<void*>(header));
+    return;
   }
+  header->next_free = slab->free_lists_[header->size_class];
+  slab->free_lists_[header->size_class] = header;
 }
 
-}  // namespace detail
-
-PayloadArena::PayloadArena(std::size_t block_bytes)
-    : block_bytes_(block_bytes < detail::kPayloadHeaderBytes + alignof(std::max_align_t)
-                       ? detail::kPayloadHeaderBytes + alignof(std::max_align_t)
-                       : block_bytes) {}
-
-PayloadArena::~PayloadArena() {
-  // By contract every payload has been released (the owning engine destroys
-  // queued tasks first). current_ and the free list cover all live blocks:
-  // a retired block with live payloads would be a contract violation, and in
-  // that case we leak it rather than free storage in use.
-  if (current_ != nullptr && current_->live == 0) {
-    ::operator delete(static_cast<void*>(current_));
-  }
-  ArenaBlock* block = free_;
-  while (block != nullptr) {
-    ArenaBlock* next = block->next_free;
-    ::operator delete(static_cast<void*>(block));
-    block = next;
-  }
-}
-
-PayloadArena::ArenaBlock* PayloadArena::acquire_block() {
-  if (ArenaBlock* block = free_; block != nullptr) {
-    free_ = block->next_free;
-    block->next_free = nullptr;
-    block->retired = 0;
-    block->offset = 0;
-    ++blocks_recycled_;
-    return block;
-  }
-  auto* raw =
-      static_cast<unsigned char*>(::operator new(kBlockHeaderBytes + block_bytes_));
-  auto* block = reinterpret_cast<ArenaBlock*>(raw);
-  block->arena = this;
-  block->next_free = nullptr;
-  block->live = 0;
-  block->retired = 0;
-  block->offset = 0;
-  ++blocks_;
-  return block;
-}
-
-void* PayloadArena::allocate(std::size_t bytes) {
-  const std::size_t need =
-      detail::kPayloadHeaderBytes +
-      (bytes + alignof(std::max_align_t) - 1) / alignof(std::max_align_t) *
-          alignof(std::max_align_t);
-  if (need > block_bytes_) {
-    // A payload that cannot fit in any block bypasses the arena entirely
-    // (plain-heap tagged, so it is not counted in live_payloads_).
-    return detail::plain_heap_allocate(bytes);
-  }
-  if (current_ == nullptr || current_->offset + need > block_bytes_) {
-    if (current_ != nullptr) {
-      current_->retired = 1;
-      if (current_->live == 0) {
-        // Drained while still the bump target: recycle in place.
-        current_->next_free = free_;
-        free_ = current_;
-      }
-    }
-    current_ = acquire_block();
-  }
-  auto* base = reinterpret_cast<unsigned char*>(current_) + kBlockHeaderBytes;
-  auto* header = reinterpret_cast<detail::PayloadHeader*>(base + current_->offset);
-  header->owner = current_;
-  header->source = detail::PayloadSource::kArena;
-  header->size_class = 0;
-  header->next_free = nullptr;
-  current_->offset += need;
-  ++current_->live;
-  ++live_payloads_;
-  return reinterpret_cast<unsigned char*>(header) + detail::kPayloadHeaderBytes;
-}
-
-void PayloadArena::release_one(ArenaBlock* block) noexcept {
-  --block->live;
-  --live_payloads_;
-  if (block->live == 0 && block->retired != 0 && block != current_) {
-    block->next_free = free_;
-    free_ = block;
-  }
-}
-
-void PayloadArena::trim() noexcept {
-  ArenaBlock* kept = nullptr;
-  ArenaBlock* block = free_;
-  while (block != nullptr) {
-    ArenaBlock* next = block->next_free;
-    if (kept == nullptr) {
-      kept = block;
-      kept->next_free = nullptr;
-    } else {
-      ::operator delete(static_cast<void*>(block));
-      --blocks_;
-    }
-    block = next;
-  }
-  free_ = kept;
-}
-
-}  // namespace pio::sim
+}  // namespace pio::sim::detail

@@ -1,25 +1,21 @@
-// PIOEval sim: event-payload allocation — recycling slab and bump arenas.
+// PIOEval sim: event-payload storage — the Task callable and its slab.
 //
-// Every event's callable lives in a per-slot `Task` beside the queue
-// (48-byte small-buffer; the queue itself moves 24-byte POD keys, see
+// Every event's callable lives in a per-slot `Task` beside the heap
+// (48-byte small-buffer; the heap itself moves 24-byte POD keys, see
 // engine.hpp). Callables that do not fit the buffer go behind a pointer,
 // and this header owns everything about that oversized path:
 //
-//   - `PayloadHeader` — the one header format preceding every oversized
-//     payload, whatever allocated it. `release_payload` dispatches on the
-//     header's source tag, so a payload can be freed without knowing (or
-//     keeping alive a reference to) its allocator of origin.
+//   - `PayloadHeader` — the header preceding every oversized payload.
+//     `release_payload` reads its owner, so a payload can be freed without
+//     a reference to the slab that allocated it.
 //   - `OversizeSlab` — per-engine size-class free lists (64 B … 8 KiB);
 //     a model that repeatedly schedules the same fat closure pays one
-//     allocation, not one per event. The default oversized allocator.
-//   - `PayloadArena` — per-shard bump allocator for the sharded engine
-//     (DESIGN.md §16): payloads are bump-allocated from fixed blocks,
-//     blocks track live-payload counts, and a fully drained block recycles
-//     whole — no per-payload free list at all. Safe-window barriers call
-//     `trim()` to return surplus drained blocks. Strictly single-threaded:
-//     one arena belongs to one logical engine shard.
+//     allocation, not one per event. Payloads beyond the largest class go to
+//     the plain heap. The slab is the engine's only oversized allocator: real
+//     runs schedule few oversized payloads, but it recycles most of them
+//     (DESIGN.md §16).
 //
-// Both allocators guarantee std::max_align_t alignment and nothing more —
+// The slab guarantees std::max_align_t alignment and nothing more —
 // over-aligned callables are rejected at compile time by `Task`.
 #pragma once
 
@@ -29,26 +25,16 @@
 #include <type_traits>
 #include <utility>
 
-namespace pio::sim {
+namespace pio::sim::detail {
 
-class PayloadArena;
-
-namespace detail {
-
-/// Where an oversized payload's storage came from (drives `release_payload`).
-enum class PayloadSource : std::uint32_t {
-  kSlabClass = 0,  ///< OversizeSlab size-class free list
-  kPlainHeap = 1,  ///< plain new/delete (beyond every class / block size)
-  kArena = 2,      ///< PayloadArena block (bump-allocated)
-};
+class OversizeSlab;
 
 /// Header preceding every oversized payload at the next max_align_t
-/// boundary. One format for every allocator, so release needs no context.
+/// boundary, so release needs no context.
 struct PayloadHeader {
-  void* owner;               ///< kSlabClass: OversizeSlab*; kArena: ArenaBlock*
-  PayloadSource source;
-  std::uint32_t size_class;  ///< kSlabClass only
-  PayloadHeader* next_free;  ///< kSlabClass free-list linkage
+  OversizeSlab* owner;       ///< size-class slab, or nullptr for the plain heap
+  std::uint32_t size_class;  ///< slab payloads only
+  PayloadHeader* next_free;  ///< slab free-list linkage
 };
 
 /// Header-to-payload offset: the next max_align_t boundary.
@@ -56,8 +42,8 @@ inline constexpr std::size_t kPayloadHeaderBytes =
     (sizeof(PayloadHeader) + alignof(std::max_align_t) - 1) / alignof(std::max_align_t) *
     alignof(std::max_align_t);
 
-/// Return an oversized payload (from any slab, arena, or the plain heap) to
-/// its allocator of origin. O(1), noexcept; defined in arena.cpp.
+/// Return an oversized payload (from any slab or the plain heap) to its
+/// allocator of origin. O(1), noexcept; defined in arena.cpp.
 void release_payload(void* payload) noexcept;
 
 /// Recycling allocator for event callables too large for the inline buffer
@@ -85,15 +71,6 @@ class OversizeSlab {
   PayloadHeader* free_lists_[kClasses] = {};
 };
 
-/// The oversized-payload allocation policy of one engine: an arena when one
-/// is attached, the engine's slab otherwise. Cheap to copy; not an owner.
-struct PayloadAlloc {
-  OversizeSlab* slab = nullptr;
-  PayloadArena* arena = nullptr;
-
-  [[nodiscard]] void* allocate(std::size_t bytes);
-};
-
 /// Move-only type-erased `void()` callable with inline small-buffer storage.
 /// The dispatch table is a plain struct of function pointers (no virtual
 /// call, no RTTI); relocation is noexcept so queue sifts never throw.
@@ -105,18 +82,12 @@ class Task {
 
   Task() noexcept = default;
 
-  template <typename F, typename Fn = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<Fn, Task>>>
-  Task(F&& fn, PayloadAlloc alloc) {
-    emplace(std::forward<F>(fn), alloc);
-  }
-
   /// Construct a callable directly into this task (the engine's hot path:
   /// no temporary Task, no relocate call). Resets any current callable
   /// first; if construction throws, the task is left empty.
   template <typename F, typename Fn = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<Fn, Task>>>
-  void emplace(F&& fn, PayloadAlloc alloc) {
+  void emplace(F&& fn, OversizeSlab& slab) {
     static_assert(std::is_invocable_r_v<void, Fn&>, "Task requires a void() callable");
     reset();
     if constexpr (fits_inline<Fn>()) {
@@ -125,10 +96,10 @@ class Task {
     } else {
       static_assert(alignof(Fn) <= alignof(std::max_align_t),
                     "Task: over-aligned callables are not supported — payload "
-                    "allocators guarantee only max_align_t alignment; store the "
+                    "slab guarantees only max_align_t alignment; store the "
                     "over-aligned state behind a pointer (e.g. unique_ptr) in the "
                     "capture");
-      void* payload = alloc.allocate(sizeof(Fn));
+      void* payload = slab.allocate(sizeof(Fn));
       try {
         ::new (payload) Fn(std::forward<F>(fn));
       } catch (...) {
@@ -220,70 +191,4 @@ class Task {
   const Ops* ops_ = nullptr;
 };
 
-}  // namespace detail
-
-/// Bump allocator for oversized event payloads (DESIGN.md §16).
-///
-/// Allocation is a pointer bump inside a fixed-size block; each block counts
-/// its live payloads, and a block whose count drains to zero after it was
-/// retired from bump duty recycles onto a free list whole. This trades the
-/// slab's per-payload free lists for window-granular recycling: in the
-/// sharded engine, payloads allocated during one safe window are released by
-/// that window's (or the next's) fires, so blocks cycle continuously and the
-/// arena's footprint tracks the high-water in-flight payload volume.
-///
-/// Single-threaded by contract: one arena is owned by one engine shard, and
-/// every allocate/release happens on the thread currently running that
-/// shard (safe-window barriers order the handoffs).
-class PayloadArena {
- public:
-  /// `block_bytes` is the payload capacity of one block. Payloads larger
-  /// than one block fall back to the plain heap (header-tagged, so release
-  /// still needs no context).
-  explicit PayloadArena(std::size_t block_bytes = 256 * 1024);
-  PayloadArena(const PayloadArena&) = delete;
-  PayloadArena& operator=(const PayloadArena&) = delete;
-  ~PayloadArena();
-
-  /// Storage for `bytes`, aligned for std::max_align_t.
-  [[nodiscard]] void* allocate(std::size_t bytes);
-
-  /// Return surplus drained blocks to the process heap, keeping at most one
-  /// spare. Barrier hook: bounds the footprint after a payload burst.
-  void trim() noexcept;
-
-  /// Payloads allocated and not yet released.
-  [[nodiscard]] std::uint64_t live_payloads() const { return live_payloads_; }
-  /// Blocks currently owned (bump target + free list + retired-not-drained).
-  [[nodiscard]] std::uint64_t blocks() const { return blocks_; }
-  /// Times a drained block was reused instead of allocating a fresh one.
-  [[nodiscard]] std::uint64_t blocks_recycled() const { return blocks_recycled_; }
-
- private:
-  friend void detail::release_payload(void* payload) noexcept;
-
-  struct ArenaBlock {
-    PayloadArena* arena;
-    ArenaBlock* next_free;
-    std::uint32_t live;     ///< payloads allocated from this block, not yet released
-    std::uint32_t retired;  ///< no longer the bump target (recycles when live hits 0)
-    std::size_t offset;     ///< bump cursor into the payload area
-  };
-  /// Payload area begins at the next max_align_t boundary after the block
-  /// header.
-  static constexpr std::size_t kBlockHeaderBytes =
-      (sizeof(ArenaBlock) + alignof(std::max_align_t) - 1) / alignof(std::max_align_t) *
-      alignof(std::max_align_t);
-
-  [[nodiscard]] ArenaBlock* acquire_block();
-  void release_one(ArenaBlock* block) noexcept;
-
-  std::size_t block_bytes_;
-  ArenaBlock* current_ = nullptr;
-  ArenaBlock* free_ = nullptr;
-  std::uint64_t live_payloads_ = 0;
-  std::uint64_t blocks_ = 0;
-  std::uint64_t blocks_recycled_ = 0;
-};
-
-}  // namespace pio::sim
+}  // namespace pio::sim::detail

@@ -7,41 +7,6 @@
 
 namespace pio::sim {
 
-namespace detail {
-
-namespace {
-/// The engine whose events the current thread is executing (shard windows).
-thread_local const Engine* tl_active_engine = nullptr;
-}  // namespace
-
-ActiveEngineScope::ActiveEngineScope(const Engine* engine) noexcept
-    : prev_(tl_active_engine) {
-  tl_active_engine = engine;
-}
-
-ActiveEngineScope::~ActiveEngineScope() { tl_active_engine = prev_; }
-
-const Engine* active_engine() noexcept { return tl_active_engine; }
-
-}  // namespace detail
-
-Engine::Engine(std::uint64_t seed, EngineOptions options)
-    : seed_(seed), kind_(options.queue) {}
-
-void Engine::guard_domain() const {
-  if constexpr (check::kEnabled) {
-    // A null active engine means setup/drain code between windows (the
-    // coordinator thread), which is sanctioned; a *different* active engine
-    // means a handler reached across domains instead of using send().
-    const Engine* active = detail::tl_active_engine;
-    if (active != nullptr && active != this) {
-      check::fail("domain confinement",
-                  "handler scheduled directly into a foreign domain engine; "
-                  "cross-domain events must go through ShardedEngine::send");
-    }
-  }
-}
-
 void Engine::grow_slots() {
   // Mint slots a whole task chunk at a time: a storm that schedules N fresh
   // events would otherwise take this cold path N times, and the capacity
@@ -100,11 +65,6 @@ detail::Entry Engine::pop_top() {
 }
 
 void Engine::compact() {
-  if (kind_ == QueueKind::kCalendar) {
-    calq_.remove_if([this](const detail::Entry& entry) { return !armed(entry.id); });
-    dead_ = 0;
-    return;
-  }
   const auto first_dead = std::remove_if(
       heap_.begin(), heap_.end(),
       [this](const detail::Entry& entry) { return !armed(entry.id); });
@@ -125,13 +85,13 @@ bool Engine::cancel(EventId id) {
   task_at(slot_of(id)).reset();  // the callable (and its captures) dies now
   retire(id);
   ++dead_;
-  // The orphaned queue key is normally dropped lazily when it surfaces; once
-  // dead keys outnumber live ones, compact so the queue cannot grow without
+  // The orphaned heap key is normally dropped lazily when it surfaces; once
+  // dead keys outnumber live ones, compact so the heap cannot grow without
   // bound under schedule-far-future-then-cancel. The threshold keeps small
   // queues on the strict O(1) path, and the trigger depends only on the
   // event sequence, so it is deterministic across runs and thread counts.
   constexpr std::uint64_t kCompactMinDead = 64;
-  if (dead_ >= kCompactMinDead && dead_ * 2 > queue_size()) compact();
+  if (dead_ >= kCompactMinDead && dead_ * 2 > heap_.size()) compact();
   return true;
 }
 
@@ -152,9 +112,9 @@ void Engine::fire(const detail::Entry& top) {
                                                   " pending=" + std::to_string(pending_) +
                                                   " executing=" + std::to_string(executing_));
       }
-      if (queue_size() != pending_ + dead_) {
+      if (heap_.size() != pending_ + dead_) {
         check::fail("queue covers pending + dead events",
-                    "queue=" + std::to_string(queue_size()) + " pending=" +
+                    "queue=" + std::to_string(heap_.size()) + " pending=" +
                         std::to_string(pending_) + " dead=" + std::to_string(dead_));
       }
     }
@@ -187,41 +147,8 @@ void Engine::execute_popped(const detail::Entry& top) {
   free_slots_.push_back(slot);
 }
 
-bool Engine::step() {
-  while (!queue_empty()) {
-    if (dead_ != 0 && !armed(queue_top().id)) {
-      queue_pop();  // cancelled: drop the key (its callable died at cancel)
-      --dead_;
-      continue;
-    }
-    const detail::Entry top = queue_pop();
-    execute_popped(top);
-    return true;
-  }
-  return false;
-}
-
 std::uint64_t Engine::run(SimTime until) {
-  // Specialised per queue kind: the heap loop is the engine's hottest code,
-  // and hoisting the dispatch out of it drops several per-event branches.
   std::uint64_t n = 0;
-  if (kind_ == QueueKind::kCalendar) {
-    while (!calq_.empty()) {
-      // dead_ == 0 means every key in the queue is armed (queue covers
-      // pending + dead): skip the per-event generation probe entirely.
-      if (dead_ != 0 && !armed(calq_.peek_min().id)) {
-        calq_.pop_min();  // cancelled key; its callable died at cancel
-        --dead_;
-        continue;
-      }
-      if (calq_.peek_min().time > until) break;
-      __builtin_prefetch(&task_at(slot_of(calq_.peek_min().id)));
-      const detail::Entry top = calq_.pop_min();
-      execute_popped(top);
-      ++n;
-    }
-    return n;
-  }
   while (!heap_.empty()) {
     // Skip over cancelled keys to find the true next time (none exist while
     // dead_ == 0, so the common case is one predictable register test).
@@ -238,19 +165,6 @@ std::uint64_t Engine::run(SimTime until) {
     ++n;
   }
   return n;
-}
-
-std::optional<SimTime> Engine::peek_next_time() {
-  while (!queue_empty()) {
-    detail::Entry& top = queue_top();
-    if (dead_ != 0 && !armed(top.id)) {
-      queue_pop();
-      --dead_;
-      continue;
-    }
-    return top.time;
-  }
-  return std::nullopt;
 }
 
 void Engine::assert_drained() const {

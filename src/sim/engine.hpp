@@ -7,32 +7,27 @@
 // randomness flows through per-purpose `Rng` substreams of one campaign seed,
 // so two runs with equal inputs produce byte-identical outputs. Determinism
 // is load-bearing for the replay-fidelity and extrapolation experiments.
-// (Facility-scale runs parallelise by composing many engines, one per
-// domain, under sim::ShardedEngine — see shard.hpp and DESIGN.md §16; each
-// domain engine remains single-threaded.)
+// (Parallelism composes whole engines: campaign points and facility cells
+// each run on their own engine as exec::Pool tasks — DESIGN.md §11, §16.)
 //
-// Hot-path layout (DESIGN.md §11): an event is one queue entry ordered on
-// (time, insertion seq), in either a 4-ary min-heap or a calendar queue
-// (`QueueKind`, see calendar_queue.hpp — both produce the identical pop
-// order). The entry itself is a 24-byte trivially-copyable key, so heap
-// sifts and calendar bucket inserts move raw PODs; the callable lives in a
-// per-slot side array indexed by the event's slot — small callables
+// Hot-path layout (DESIGN.md §11): an event is one entry of a 4-ary min-heap
+// ordered on (time, insertion seq). The entry itself is a 24-byte
+// trivially-copyable key, so heap sifts move raw PODs; the callable lives in
+// a per-slot side array indexed by the event's slot — small callables
 // (<= Task::kInlineBytes after decay) in the Task's inline buffer, oversized
-// ones in a per-engine free-list slab or, when `use_arena` attaches one, a
-// bump-allocating PayloadArena (arena.hpp) — so scheduling an event performs
-// no per-event heap allocation in the common case and the callable is
-// written (and later moved out) exactly once, never dragged through queue
+// ones in a per-engine size-class slab (arena.hpp) — so scheduling an event
+// performs no per-event heap allocation in the common case and the callable
+// is written (and later moved out) exactly once, never dragged through heap
 // reorderings. Cancellation is amortised O(1) through the generation-tagged
 // slot array: `cancel` bumps the slot's generation and destroys the callable
 // eagerly (its slot is known); the orphaned key is dropped lazily when it
 // surfaces at the top — or via compaction once dead keys outnumber live
-// ones, which bounds queue growth under schedule-then-cancel churn.
+// ones, which bounds heap growth under schedule-then-cancel churn.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -41,52 +36,43 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/arena.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/check.hpp"
 
 namespace pio::sim {
 
-class Engine;
+/// Event handle used to cancel a scheduled event. Cancellation is lazy: the
+/// slot is marked dead and the entry skipped when popped. Never zero, so 0
+/// can serve as a "no event scheduled" sentinel in models.
+using EventId = std::uint64_t;
 
 namespace detail {
 
-/// RAII marker: "the current thread is executing events of this engine".
-/// The sharded runner wraps each domain's window execution in one; the
-/// engine's confinement guard (checks builds only) uses it to fail loudly
-/// when a handler schedules directly into a foreign domain instead of going
-/// through the mailbox protocol (shard.hpp).
-class ActiveEngineScope {
- public:
-  explicit ActiveEngineScope(const Engine* engine) noexcept;
-  ~ActiveEngineScope();
-  ActiveEngineScope(const ActiveEngineScope&) = delete;
-  ActiveEngineScope& operator=(const ActiveEngineScope&) = delete;
-
- private:
-  const Engine* prev_;
+/// One queued event: a 24-byte trivially-copyable ordering key. The callable
+/// lives in the engine's per-slot side array, not in the entry, so heap
+/// sifts move plain PODs (DESIGN.md §11).
+struct Entry {
+  SimTime time;
+  std::uint64_t seq;  // tie-break: insertion order at equal time
+  EventId id;
 };
 
-/// The engine whose events the current thread is executing, or nullptr
-/// outside any ActiveEngineScope (setup code, coordinator between windows).
-[[nodiscard]] const Engine* active_engine() noexcept;
+/// The engine's total event order.
+inline bool earlier(const Entry& a, const Entry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
 
 }  // namespace detail
-
-/// Engine construction knobs. Queue choice is pure performance — digests
-/// never depend on it (tests/test_parsim.cpp holds that line).
-struct EngineOptions {
-  QueueKind queue = QueueKind::kQuadHeap;
-};
 
 /// Deterministic discrete-event scheduler.
 class Engine {
  public:
-  explicit Engine(std::uint64_t seed = 1, EngineOptions options = {});
+  explicit Engine(std::uint64_t seed = 1) : seed_(seed) {}
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time. Monotonically non-decreasing across `step`.
+  /// Current simulated time. Monotonically non-decreasing.
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule a `void()` callable at absolute time `t` (>= now). Throws on
@@ -98,18 +84,13 @@ class Engine {
     if constexpr (std::is_constructible_v<bool, const std::decay_t<F>&>) {
       if (!fn) throw std::invalid_argument("Engine::schedule_at: empty handler");
     }
-    if (confined_) guard_domain();
     // Capacity first: every mutation after the callable lands in its slot is
-    // noexcept, or pending_/live_slots() would diverge from the queue.
-    if (kind_ == QueueKind::kCalendar) {
-      calq_.prepare(t);
-    } else {
-      reserve_entry();
-    }
+    // noexcept, or pending_/live_slots() would diverge from the heap.
+    reserve_entry();
     ensure_free_slot();
     const std::uint32_t slot = free_slots_.back();
     // Construct the callable in place; on throw the slot is still free.
-    task_at(slot).emplace(std::forward<F>(fn), detail::PayloadAlloc{&slab_, arena_});
+    task_at(slot).emplace(std::forward<F>(fn), slab_);
     free_slots_.pop_back();  // arm: nothing below throws
     ++pending_;
     if constexpr (check::kEnabled) {
@@ -120,11 +101,7 @@ class Engine {
       }
     }
     const EventId id = (static_cast<EventId>(gens_[slot]) << 32) | slot;
-    if (kind_ == QueueKind::kCalendar) {
-      calq_.push_prepared(t, next_seq_++, id);
-    } else {
-      push_entry(t, id);
-    }
+    push_entry(t, id);
     return id;
   }
 
@@ -140,22 +117,14 @@ class Engine {
   /// Cancel a pending event. Returns false if it already fired or was
   /// cancelled. Amortised O(1). The callable (and anything it captures) is
   /// destroyed immediately — its slot is known — while the orphaned 24-byte
-  /// queue key is dropped lazily when it surfaces at the top, or via
+  /// heap key is dropped lazily when it surfaces at the top, or via
   /// compaction once dead keys outnumber live ones, so
-  /// schedule-far-future-then-cancel cannot grow the queue without bound.
+  /// schedule-far-future-then-cancel cannot grow the heap without bound.
   bool cancel(EventId id);
-
-  /// Execute the single earliest pending event. Returns false if none.
-  bool step();
 
   /// Run until the queue drains or simulated time would exceed `until`.
   /// Returns the number of events executed.
   std::uint64_t run(SimTime until = SimTime::max());
-
-  /// Time of the earliest pending event, or nullopt when drained. Skims any
-  /// cancelled entries off the top (hence non-const); does not advance time.
-  /// The sharded runner's safe-window computation is built on this.
-  [[nodiscard]] std::optional<SimTime> peek_next_time();
 
   /// Events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
@@ -174,17 +143,7 @@ class Engine {
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// Route oversized event payloads through `arena` instead of the built-in
-  /// slab (nullptr restores the slab). Payloads already allocated are
-  /// unaffected — each one is released to its allocator of origin.
-  void use_arena(PayloadArena* arena) { arena_ = arena; }
-
-  /// Which queue implementation this engine schedules on.
-  [[nodiscard]] QueueKind queue_kind() const { return kind_; }
-
  private:
-  friend class ShardedEngine;  // sets confined_ when adopting a domain
-
   static constexpr std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>(id & 0xffffffffULL);
   }
@@ -209,10 +168,6 @@ class Engine {
     return slot < gens_.size() && gens_[slot] == gen_of(id);
   }
   [[nodiscard]] std::uint64_t live_slots() const { return gens_.size() - free_slots_.size(); }
-
-  /// Confinement check (checks builds): scheduling while a *different*
-  /// domain engine is active on this thread is a cross-domain race.
-  void guard_domain() const;
 
   /// Grow heap_ (amortised doubling) so the next push cannot throw.
   void reserve_entry() {
@@ -249,29 +204,13 @@ class Engine {
   /// callable; it recycles when the handler returns (or throws).
   void execute_popped(const detail::Entry& top);
 
-  // Queue dispatch (kind_ is fixed at construction).
-  [[nodiscard]] bool queue_empty() const {
-    return kind_ == QueueKind::kCalendar ? calq_.empty() : heap_.empty();
-  }
-  [[nodiscard]] std::size_t queue_size() const {
-    return kind_ == QueueKind::kCalendar ? calq_.size() : heap_.size();
-  }
-  [[nodiscard]] detail::Entry& queue_top() {
-    return kind_ == QueueKind::kCalendar ? calq_.peek_min() : heap_.front();
-  }
-  detail::Entry queue_pop() {
-    return kind_ == QueueKind::kCalendar ? calq_.pop_min() : pop_top();
-  }
-
   SimTime now_ = SimTime::zero();
   std::uint64_t seed_;
-  QueueKind kind_;
-  bool confined_ = false;  // domain of a ShardedEngine: guard cross-domain use
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t pending_ = 0;
   std::uint64_t executing_ = 0;  // slots held by in-place-running callables
-  std::uint64_t dead_ = 0;  // cancelled entries still sitting in the queue
+  std::uint64_t dead_ = 0;  // cancelled entries still sitting in the heap
   /// Per-slot callables live in fixed 512-task chunks (32 KiB): stable
   /// addresses, and minting a chunk never relocates live tasks — a plain
   /// vector<Task> would move every task (an indirect call each) on regrowth.
@@ -281,12 +220,10 @@ class Engine {
     return task_chunks_[slot >> kTaskChunkShift][slot & (kTaskChunkSize - 1)];
   }
 
-  PayloadArena* arena_ = nullptr;  // optional; not owned (see shard.hpp)
   // Slab before task_chunks_: teardown destroys still-pending callables
   // (releasing oversized ones into the slab) before the slab itself is freed.
   detail::OversizeSlab slab_;
-  std::vector<detail::Entry> heap_;    // kQuadHeap: 4-ary min-heap on (time, seq)
-  detail::CalendarQueue calq_;         // kCalendar
+  std::vector<detail::Entry> heap_;    // 4-ary min-heap on (time, seq)
   std::vector<std::unique_ptr<detail::Task[]>> task_chunks_;  // slot -> callable
   std::vector<std::uint32_t> gens_;    // per-slot generation; ids embed theirs
   std::vector<std::uint32_t> free_slots_;

@@ -1,7 +1,7 @@
 // Golden digest pins: the science of the model, frozen.
 //
 // The determinism tests (test_determinism, test_exec, test_parsim) prove
-// that equal inputs give equal outputs at any thread or shard count; they
+// that equal inputs give equal outputs at any thread count; they
 // pass just as well after a change that moves every simulated number. This
 // file pins the numbers themselves: a plain SimRunResult fold, the C-12
 // CampaignResult digest, the C-13 FacilityResult digest, and one run each
@@ -43,7 +43,7 @@ struct Golden {
 constexpr Golden kGolden[] = {
     {"plain", 0xc8f2783f6948ea49ULL},
     {"c12_campaign", 0xeb3561665dd9d953ULL},
-    {"c13_facility", 0x7750b4e3bc78e390ULL},
+    {"c13_facility", 0xd3c2dda09840a54eULL},
     {"fault_plan", 0xf619307cc2bd968eULL},
     {"durability_r2_rebuild", 0xac1a0c3a19910a2dULL},
     {"cluster_churn", 0x5c7b3b4975fb90beULL},
@@ -373,7 +373,6 @@ TEST(GoldenDigest, C13Facility) {
   }
   eval::FacilityConfig config;
   config.seed = 11;
-  config.shards = 1;
   config.threads = 1;
   expect_golden("c13_facility", eval::run_facility(config, cells).digest());
 }

@@ -1,404 +1,25 @@
-// pio::sim sharded parallel core (DESIGN.md §16): payload arenas, the
-// calendar queue, and conservative lookahead-sharded execution.
-//
-// Three families of guarantees under test. First, allocation plumbing:
-// PayloadArena recycles drained blocks whole, oversize payloads fall back to
-// the plain heap, and every payload is released by engine teardown or fire.
-// Second, queue equivalence: the calendar queue pops the identical
-// (time, insertion-seq) order as the 4-ary heap on random storms with
-// cancellations, across grows, shrinks, and far-future saturation. Third,
-// the sharded determinism contract the whole layer exists to preserve: a
-// facility's FNV digest — across plain, faulted, durability, overloaded and
-// cached cell configurations — must be byte-identical at 1, 2, 4 and 8
-// shards, for both queue kinds, with arenas on or off.
+// eval::run_facility's determinism contract (DESIGN.md §16): facility cells
+// run as independent exec::Pool tasks, and the FacilityResult digest — across
+// plain, faulted, durability, overloaded and cached cell configurations —
+// must be byte-identical at 1, 2, 4 and 8 pool threads.
 //
 // piolint: allow-file(C2) — every capture-by-reference handler below is
-// drained by an engine or facility run inside the same scope.
+// drained by a facility run inside the same scope.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <random>
-#include <set>
-#include <stdexcept>
-#include <utility>
 #include <vector>
 
-#include "common/fnv.hpp"
-#include "common/rng.hpp"
 #include "eval/facility.hpp"
-#include "exec/pool.hpp"
 #include "fault/injector.hpp"
 #include "pfs/pfs.hpp"
-#include "sim/arena.hpp"
-#include "sim/calendar_queue.hpp"
-#include "sim/check.hpp"
-#include "sim/engine.hpp"
-#include "sim/shard.hpp"
 #include "workload/dlio.hpp"
 #include "workload/kernels.hpp"
 #include "workload/workflow.hpp"
 
 namespace pio {
 namespace {
-
-// ------------------------------------------------------------ payload arena
-
-TEST(PayloadArena, RecyclesDrainedBlocksInsteadOfGrowing) {
-  // Small blocks so a handful of allocations spans several of them.
-  constexpr std::size_t kBlockBytes = 1024;
-  constexpr std::size_t kPayloadBytes = 64;  // already max_align_t-rounded
-  const std::size_t need = sim::detail::kPayloadHeaderBytes + kPayloadBytes;
-  const std::size_t per_block = kBlockBytes / need;
-  ASSERT_GE(per_block, 2u);
-
-  sim::PayloadArena arena{kBlockBytes};
-  std::vector<void*> live;
-  // Three full blocks plus one payload into a fourth.
-  for (std::size_t i = 0; i < 3 * per_block + 1; ++i) live.push_back(arena.allocate(kPayloadBytes));
-  EXPECT_EQ(arena.live_payloads(), 3 * per_block + 1);
-  EXPECT_EQ(arena.blocks(), 4u);
-
-  for (void* p : live) sim::detail::release_payload(p);
-  live.clear();
-  EXPECT_EQ(arena.live_payloads(), 0u);
-  EXPECT_EQ(arena.blocks(), 4u) << "drained blocks are retained for reuse, not freed";
-
-  // A second wave must cycle through the drained blocks, not allocate new ones.
-  for (std::size_t i = 0; i < 2 * per_block; ++i) live.push_back(arena.allocate(kPayloadBytes));
-  EXPECT_GE(arena.blocks_recycled(), 1u);
-  EXPECT_EQ(arena.blocks(), 4u) << "recycling must satisfy the second wave without growth";
-  for (void* p : live) sim::detail::release_payload(p);
-  EXPECT_EQ(arena.live_payloads(), 0u);
-}
-
-TEST(PayloadArena, OversizePayloadBypassesBlocksViaPlainHeap) {
-  sim::PayloadArena arena{512};
-  void* p = arena.allocate(2048);  // cannot fit in any block
-  ASSERT_NE(p, nullptr);
-  // Plain-heap payloads are not arena-tracked: no block, no live count.
-  EXPECT_EQ(arena.live_payloads(), 0u);
-  EXPECT_EQ(arena.blocks(), 0u);
-  std::fill_n(static_cast<unsigned char*>(p), 2048, 0xab);  // the storage is real
-  sim::detail::release_payload(p);
-}
-
-TEST(PayloadArena, TrimKeepsAtMostOneSpareBlock) {
-  constexpr std::size_t kBlockBytes = 1024;
-  const std::size_t need = sim::detail::kPayloadHeaderBytes + 64;
-  const std::size_t per_block = kBlockBytes / need;
-
-  sim::PayloadArena arena{kBlockBytes};
-  std::vector<void*> live;
-  for (std::size_t i = 0; i < 3 * per_block + 1; ++i) live.push_back(arena.allocate(64));
-  ASSERT_EQ(arena.blocks(), 4u);
-  for (void* p : live) sim::detail::release_payload(p);
-
-  arena.trim();  // three retired blocks drained: keep one spare, free two
-  EXPECT_EQ(arena.blocks(), 2u) << "bump target plus exactly one spare after trim";
-  arena.trim();  // idempotent
-  EXPECT_EQ(arena.blocks(), 2u);
-}
-
-TEST(PayloadArena, EngineReleasesEveryArenaPayloadByRunEnd) {
-  for (const auto kind : {sim::QueueKind::kQuadHeap, sim::QueueKind::kCalendar}) {
-    sim::PayloadArena arena{4096};
-    sim::Engine engine{1, sim::EngineOptions{kind}};
-    engine.use_arena(&arena);
-    std::uint64_t fired = 0;
-    std::vector<sim::EventId> ids;
-    for (std::uint64_t i = 0; i < 200; ++i) {
-      // Fat capture (> Task::kInlineBytes) forces the oversize/arena path.
-      std::array<std::uint64_t, 16> fat{};
-      fat[0] = i;
-      ids.push_back(engine.schedule_at(SimTime::from_ns(static_cast<std::int64_t>(i * 7)),
-                                       [&fired, fat] { fired += fat[0] != 0 || true; }));
-    }
-    EXPECT_GT(arena.live_payloads(), 0u) << "fat captures must land in the arena";
-    for (std::uint64_t i = 0; i < 200; i += 4) engine.cancel(ids[i]);
-    engine.run();
-    engine.assert_drained();
-    EXPECT_EQ(fired, 150u);
-    EXPECT_EQ(arena.live_payloads(), 0u)
-        << "every payload — fired or cancelled — must be released by run end";
-    EXPECT_GE(arena.blocks(), 1u);
-    arena.trim();
-    EXPECT_LE(arena.blocks(), 2u);
-  }
-}
-
-// ----------------------------------------------------------- calendar queue
-
-TEST(CalendarQueue, PopsTrueMinimumAcrossGrowsAndShrinks) {
-  sim::detail::CalendarQueue q;
-  std::mt19937_64 rng{7};
-  // Mirror multiset: every pop_min must match the true (time, seq) minimum,
-  // through interleaved push/pop bursts that force both grow and shrink
-  // rebuilds with re-estimated bucket widths.
-  std::multiset<std::pair<std::int64_t, std::uint64_t>> mirror;
-  std::uint64_t seq = 0;
-  auto push_random = [&] {
-    const auto ns = static_cast<std::int64_t>(rng() % 5'000'000u);
-    const SimTime t = SimTime::from_ns(ns);
-    q.prepare(t);
-    q.push_prepared(t, seq, seq + 1);
-    mirror.insert({ns, seq});
-    ++seq;
-  };
-  auto pop_checked = [&] {
-    const sim::detail::Entry e = q.pop_min();
-    ASSERT_FALSE(mirror.empty());
-    EXPECT_EQ(std::make_pair(e.time.ns(), e.seq), *mirror.begin());
-    mirror.erase(mirror.begin());
-  };
-  for (int i = 0; i < 3000; ++i) push_random();
-  EXPECT_GT(q.bucket_count(), 8u) << "3000 entries must have grown the calendar";
-  for (int i = 0; i < 2900; ++i) pop_checked();
-  for (int i = 0; i < 40; ++i) push_random();  // prepare() shrinks the drained calendar
-  while (!q.empty()) pop_checked();
-  EXPECT_TRUE(mirror.empty());
-  EXPECT_GE(q.resizes(), 2u) << "expected at least one grow and one shrink rebuild";
-}
-
-TEST(CalendarQueue, EqualTimesPopInInsertionOrder) {
-  sim::detail::CalendarQueue q;
-  const SimTime t = SimTime::from_ns(777);
-  for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    q.prepare(t);
-    q.push_prepared(t, seq, seq + 1);
-  }
-  for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    const sim::detail::Entry e = q.pop_min();
-    EXPECT_EQ(e.time.ns(), 777);
-    EXPECT_EQ(e.seq, seq) << "equal-time entries must pop in insertion order";
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, FarFutureEntriesFallBackToDirectScan) {
-  // Events near SimTime::max() saturate the lap scan's slice arithmetic; the
-  // queue must fall back to the direct bucket-minima scan, not wedge or
-  // mis-order.
-  sim::detail::CalendarQueue q;
-  const std::int64_t far = SimTime::max().ns();
-  std::uint64_t seq = 0;
-  auto push = [&](std::int64_t ns) {
-    const SimTime t = SimTime::from_ns(ns);
-    q.prepare(t);
-    q.push_prepared(t, seq, seq + 1);
-    ++seq;
-  };
-  push(far);
-  push(far - 1);
-  push(1000);
-  push(10);
-  push(far);  // equal far times: seq tie-break must still hold
-  std::vector<std::pair<std::int64_t, std::uint64_t>> popped;
-  while (!q.empty()) {
-    const sim::detail::Entry e = q.pop_min();
-    popped.emplace_back(e.time.ns(), e.seq);
-  }
-  const std::vector<std::pair<std::int64_t, std::uint64_t>> want{
-      {10, 3}, {1000, 2}, {far - 1, 1}, {far, 0}, {far, 4}};
-  EXPECT_EQ(popped, want);
-}
-
-/// Fire order of a dense random storm with cancellations and
-/// self-rescheduling cascades, as (now, marker) pairs.
-std::vector<std::pair<std::int64_t, std::uint64_t>> storm_fire_log(sim::QueueKind kind) {
-  sim::Engine engine{1, sim::EngineOptions{kind}};
-  std::vector<std::pair<std::int64_t, std::uint64_t>> log;
-  std::mt19937_64 rng{12345};
-  std::vector<sim::EventId> ids;
-  ids.reserve(4000);
-  // Dense range: ~20ns mean gap over 4000 events guarantees many exact ties.
-  for (std::uint64_t i = 0; i < 4000; ++i) {
-    const auto t = SimTime::from_ns(static_cast<std::int64_t>(rng() % 200'000u));
-    ids.push_back(
-        engine.schedule_at(t, [&log, &engine, i] { log.emplace_back(engine.now().ns(), i); }));
-  }
-  // Cancel a random quarter (duplicates hit the already-cancelled path);
-  // enough dead entries to trigger eager compaction on both queue kinds.
-  std::mt19937_64 crng{777};
-  for (int k = 0; k < 1000; ++k) engine.cancel(ids[crng() % ids.size()]);
-  // Self-rescheduling cascades walk the cursor forward bucket by bucket and
-  // push beyond the initial time range.
-  auto chain = std::make_shared<std::function<void(std::uint64_t, int)>>();
-  *chain = [&engine, &log, chain](std::uint64_t marker, int hops) {
-    log.emplace_back(engine.now().ns(), marker);
-    if (hops > 0) {
-      engine.schedule_after(SimTime::from_ns(static_cast<std::int64_t>(marker % 977 + 1)),
-                            [chain, marker, hops] { (*chain)(marker + 1, hops - 1); });
-    }
-  };
-  for (std::uint64_t c = 0; c < 32; ++c) {
-    engine.schedule_at(SimTime::from_ns(static_cast<std::int64_t>(c * 6151)),
-                       [chain, c] { (*chain)(100'000 + c * 1000, 40); });
-  }
-  engine.run();
-  engine.assert_drained();
-  *chain = {};  // break the self-capturing shared_ptr cycle
-  return log;
-}
-
-TEST(QueueEquivalence, CalendarMatchesHeapFireOrderOnRandomStorm) {
-  // The engine's total order is (time, insertion seq) — the queue choice is
-  // a pure performance knob and must never leak into the fire sequence.
-  EXPECT_EQ(storm_fire_log(sim::QueueKind::kQuadHeap), storm_fire_log(sim::QueueKind::kCalendar));
-}
-
-TEST(QueueEquivalence, PeekNextTimeSkimsCancelledEntries) {
-  for (const auto kind : {sim::QueueKind::kQuadHeap, sim::QueueKind::kCalendar}) {
-    sim::Engine engine{1, sim::EngineOptions{kind}};
-    EXPECT_FALSE(engine.peek_next_time().has_value());
-    const sim::EventId a = engine.schedule_at(SimTime::from_us(10.0), [] {});
-    engine.schedule_at(SimTime::from_us(20.0), [] {});
-    ASSERT_TRUE(engine.peek_next_time().has_value());
-    EXPECT_EQ(engine.peek_next_time()->ns(), SimTime::from_us(10.0).ns());
-    EXPECT_TRUE(engine.cancel(a));
-    EXPECT_EQ(engine.peek_next_time()->ns(), SimTime::from_us(20.0).ns())
-        << "peek must skim the cancelled head, not report it";
-    engine.schedule_at(SimTime::from_us(5.0), [] {});
-    EXPECT_EQ(engine.peek_next_time()->ns(), SimTime::from_us(5.0).ns());
-    EXPECT_EQ(engine.run(), 2u);
-    engine.assert_drained();
-  }
-}
-
-// ----------------------------------------------------------- sharded engine
-
-TEST(ShardedEngine, SendContractViolationsThrow) {
-  sim::ShardedConfig config;
-  config.lookahead = SimTime::from_us(10.0);
-  sim::ShardedEngine se{{1, 2}, config};
-  EXPECT_THROW(se.send(0, 1, SimTime::from_us(1.0), [] {}), std::logic_error)
-      << "delay below lookahead breaks conservative correctness";
-  EXPECT_THROW(se.send(0, 2, SimTime::from_us(10.0), [] {}), std::out_of_range);
-  EXPECT_THROW(se.send(2, 0, SimTime::from_us(10.0), [] {}), std::out_of_range);
-  se.send(0, 1, SimTime::from_us(10.0), [] {});  // exactly lookahead is legal
-}
-
-TEST(ShardedEngine, MailboxCapacityOverflows) {
-  sim::ShardedConfig config;
-  config.mailbox_capacity = 4;
-  sim::ShardedEngine se{{1, 2}, config};
-  for (int k = 0; k < 4; ++k) se.send(0, 1, config.lookahead, [] {});
-  EXPECT_THROW(se.send(0, 1, config.lookahead, [] {}), std::overflow_error);
-}
-
-TEST(ShardedEngine, CrossDomainScheduleFailsLoudly) {
-  if (!sim::check::kEnabled) GTEST_SKIP() << "confinement guard compiled out";
-  sim::ShardedEngine se{{1, 2}, sim::ShardedConfig{}};
-  se.domain(0).schedule_at(SimTime::from_us(1.0), [&se] {
-    // A handler must never schedule directly into a foreign domain — that is
-    // exactly the cross-shard race the mailbox protocol exists to prevent.
-    se.domain(1).schedule_after(SimTime::from_us(1.0), [] {});
-  });
-  exec::Pool pool{1};
-  EXPECT_THROW(se.run(pool), std::logic_error);
-}
-
-TEST(ShardedEngine, SendFromForeignDomainHandlerFailsLoudly) {
-  if (!sim::check::kEnabled) GTEST_SKIP() << "confinement guard compiled out";
-  sim::ShardedConfig config;
-  sim::ShardedEngine se{{1, 2}, config};
-  se.domain(0).schedule_at(SimTime::from_us(1.0), [&se, &config] {
-    se.send(1, 0, config.lookahead, [] {});  // claims domain 1 while running domain 0
-  });
-  exec::Pool pool{1};
-  EXPECT_THROW(se.run(pool), std::logic_error);
-}
-
-TEST(ShardedEngine, MailboxDrainOrderIsDeliverSrcSeq) {
-  sim::ShardedConfig config;
-  config.lookahead = SimTime::from_us(10.0);
-  sim::ShardedEngine se{{1, 2, 3}, config};
-  std::vector<std::uint64_t> order;
-  // Enqueue src 1 before src 0, all at the same deliver time: the drain must
-  // sort by (deliver, src, per-src seq), not enqueue order.
-  for (std::uint64_t k = 0; k < 3; ++k) {
-    se.send(1, 2, config.lookahead, [&order, k] { order.push_back(100 + k); });
-  }
-  for (std::uint64_t k = 0; k < 3; ++k) {
-    se.send(0, 2, config.lookahead, [&order, k] { order.push_back(k); });
-  }
-  exec::Pool pool{1};
-  se.run(pool);
-  se.assert_drained();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 100, 101, 102}));
-  EXPECT_EQ(se.messages_delivered(), 6u);
-}
-
-constexpr std::uint32_t kSynthDomains = 4;
-
-/// A synthetic multi-domain workload: local tick trains per domain plus
-/// cross-domain relay cascades. Returns an FNV digest over every domain's
-/// (time, marker) fire log and the window/message/event counters.
-std::uint64_t synthetic_sharded_digest(std::uint32_t shards) {
-  sim::ShardedConfig config;
-  config.shards = shards;
-  config.lookahead = SimTime::from_us(5.0);
-  std::vector<std::uint64_t> seeds;
-  for (std::uint32_t d = 0; d < kSynthDomains; ++d) seeds.push_back(derive_seed(99, 3, 0, d));
-  sim::ShardedEngine se{std::move(seeds), config};
-  std::vector<std::vector<std::pair<std::int64_t, std::uint64_t>>> logs(kSynthDomains);
-
-  // Relay: record on arrival, forward to the next domain while hops remain.
-  // Each domain's log is written only by that domain's events, so the logs
-  // need no synchronisation at any shard count.
-  auto relay = std::make_shared<std::function<void(std::uint32_t, std::uint64_t, int)>>();
-  *relay = [&se, &logs, relay](std::uint32_t dom, std::uint64_t marker, int hops) {
-    logs[dom].emplace_back(se.domain(dom).now().ns(), marker);
-    if (hops > 0) {
-      const std::uint32_t next = (dom + 1) % kSynthDomains;
-      const SimTime delay =
-          SimTime::from_us(5.0) + SimTime::from_ns(static_cast<std::int64_t>(marker % 3));
-      se.send(dom, next, delay, [relay, next, marker, hops] { (*relay)(next, marker + 1, hops - 1); });
-    }
-  };
-  for (std::uint32_t d = 0; d < kSynthDomains; ++d) {
-    for (std::uint64_t i = 0; i < 50; ++i) {
-      se.domain(d).schedule_at(SimTime::from_us(static_cast<double>(i * 3 + d)),
-                               [&logs, &se, d, i] {
-                                 logs[d].emplace_back(se.domain(d).now().ns(), 1000 + i);
-                               });
-    }
-    se.send(d, (d + 1) % kSynthDomains, config.lookahead,
-            [relay, d] { (*relay)((d + 1) % kSynthDomains, d * 10'000, 20); });
-  }
-  exec::Pool pool{static_cast<int>(shards)};
-  se.run(pool);
-  se.assert_drained();
-  *relay = {};  // break the self-capturing shared_ptr cycle
-
-  Fnv64 fnv;
-  for (std::uint32_t d = 0; d < kSynthDomains; ++d) {
-    fnv.mix(logs[d].size());
-    for (const auto& [ns, marker] : logs[d]) {
-      fnv.mix(static_cast<std::uint64_t>(ns));
-      fnv.mix(marker);
-    }
-  }
-  fnv.mix(se.windows());
-  fnv.mix(se.messages_delivered());
-  fnv.mix(se.events_executed());
-  return fnv.digest();
-}
-
-TEST(ShardedEngine, SyntheticDigestIdenticalAt1_2_4_8Shards) {
-  // Windows, message order and every domain's fire log must be a pure
-  // function of the event structure — never of the shard count (8 clamps to
-  // the 4 domains and must still match).
-  const auto serial = synthetic_sharded_digest(1);
-  EXPECT_EQ(serial, synthetic_sharded_digest(2));
-  EXPECT_EQ(serial, synthetic_sharded_digest(4));
-  EXPECT_EQ(serial, synthetic_sharded_digest(8));
-}
-
-// --------------------------------------------- facility digests vs shards
 
 pfs::PfsConfig small_pfs() {
   pfs::PfsConfig config;
@@ -411,12 +32,10 @@ pfs::PfsConfig small_pfs() {
 
 /// Build an `n_cells`-tenant facility cycling three small workload shapes
 /// (IOR, shuffled DLIO, a DAG workflow), apply `shape` to every cell, run it
-/// and return the facility digest.
-std::uint64_t facility_digest(std::uint32_t shards, std::uint64_t seed,
+/// on a `threads`-wide pool and return the facility digest.
+std::uint64_t facility_digest(int threads, std::uint64_t seed,
                               const std::function<void(eval::FacilityCell&)>& shape,
-                              std::size_t n_cells = 3,
-                              sim::QueueKind queue = sim::QueueKind::kQuadHeap,
-                              bool arenas = true) {
+                              std::size_t n_cells = 3) {
   workload::IorConfig ior;
   ior.ranks = 2;
   ior.block_size = Bytes::from_mib(1);
@@ -449,10 +68,7 @@ std::uint64_t facility_digest(std::uint32_t shards, std::uint64_t seed,
 
   eval::FacilityConfig config;
   config.seed = seed;
-  config.shards = shards;
-  config.threads = static_cast<int>(shards);
-  config.queue = queue;
-  config.payload_arenas = arenas;
+  config.threads = threads;
   return eval::run_facility(config, cells).digest();
 }
 
@@ -508,55 +124,42 @@ void shape_cached(eval::FacilityCell& cell) {
   cell.run.cache.max_dirty_pages = 32;
 }
 
-TEST(FacilityShardDeterminism, PlainDigestIdenticalAt1_2_4_8Shards) {
-  // Seven cells plus the coordinator make eight domains, so shards=8 is a
-  // real partition, not a clamp.
-  const auto serial = facility_digest(1, 11, shape_plain, 7);
-  EXPECT_EQ(serial, facility_digest(2, 11, shape_plain, 7));
-  EXPECT_EQ(serial, facility_digest(4, 11, shape_plain, 7));
-  EXPECT_EQ(serial, facility_digest(8, 11, shape_plain, 7));
+/// The digest at 1 thread, after checking that 2, 4 and 8 threads match it.
+std::uint64_t digest_at_every_width(std::uint64_t seed,
+                                    void (*shape)(eval::FacilityCell&),
+                                    std::size_t n_cells = 3) {
+  const auto serial = facility_digest(1, seed, shape, n_cells);
+  for (const int threads : {2, 4, 8}) {
+    EXPECT_EQ(serial, facility_digest(threads, seed, shape, n_cells))
+        << "facility digest moved at " << threads << " pool threads";
+  }
+  return serial;
 }
 
-TEST(FacilityShardDeterminism, FaultDigestIdenticalAt1_2_4_8Shards) {
-  const auto serial = facility_digest(1, 13, shape_fault);
-  EXPECT_EQ(serial, facility_digest(2, 13, shape_fault));
-  EXPECT_EQ(serial, facility_digest(4, 13, shape_fault));
-  EXPECT_EQ(serial, facility_digest(8, 13, shape_fault));
+TEST(FacilityThreadDeterminism, PlainDigestIdenticalAt1_2_4_8Threads) {
+  // Seven cells: more tasks than the 2- and 4-thread pools have workers.
+  digest_at_every_width(11, shape_plain, 7);
 }
 
-TEST(FacilityShardDeterminism, DurabilityDigestIdenticalAt1_2_4_8Shards) {
-  const auto serial = facility_digest(1, 21, shape_durability);
-  EXPECT_EQ(serial, facility_digest(2, 21, shape_durability));
-  EXPECT_EQ(serial, facility_digest(4, 21, shape_durability));
-  EXPECT_EQ(serial, facility_digest(8, 21, shape_durability));
+TEST(FacilityThreadDeterminism, FaultDigestIdenticalAt1_2_4_8Threads) {
+  digest_at_every_width(13, shape_fault);
 }
 
-TEST(FacilityShardDeterminism, OverloadDigestIdenticalAt1_2_4_8Shards) {
-  const auto serial = facility_digest(1, 17, shape_overload);
-  EXPECT_EQ(serial, facility_digest(2, 17, shape_overload));
-  EXPECT_EQ(serial, facility_digest(4, 17, shape_overload));
-  EXPECT_EQ(serial, facility_digest(8, 17, shape_overload));
+TEST(FacilityThreadDeterminism, DurabilityDigestIdenticalAt1_2_4_8Threads) {
+  digest_at_every_width(21, shape_durability);
 }
 
-TEST(FacilityShardDeterminism, CachedDigestIdenticalAt1_2_4_8Shards) {
-  const auto serial = facility_digest(1, 31, shape_cached);
-  EXPECT_EQ(serial, facility_digest(2, 31, shape_cached));
-  EXPECT_EQ(serial, facility_digest(4, 31, shape_cached));
-  EXPECT_EQ(serial, facility_digest(8, 31, shape_cached));
+TEST(FacilityThreadDeterminism, OverloadDigestIdenticalAt1_2_4_8Threads) {
+  digest_at_every_width(17, shape_overload);
 }
 
-TEST(FacilityShardDeterminism, QueueKindAndArenasAreDigestNeutral) {
-  // The scheduler queue and the payload allocator are performance knobs;
-  // neither may move a digest by a single bit.
-  const auto baseline = facility_digest(2, 11, shape_plain);
-  EXPECT_EQ(baseline, facility_digest(2, 11, shape_plain, 3, sim::QueueKind::kCalendar, true));
-  EXPECT_EQ(baseline, facility_digest(2, 11, shape_plain, 3, sim::QueueKind::kQuadHeap, false));
-  EXPECT_EQ(baseline, facility_digest(2, 11, shape_plain, 3, sim::QueueKind::kCalendar, false));
+TEST(FacilityThreadDeterminism, CachedDigestIdenticalAt1_2_4_8Threads) {
+  digest_at_every_width(31, shape_cached);
 }
 
-TEST(FacilityShardDeterminism, DifferentSeedsStillDiverge) {
+TEST(FacilityThreadDeterminism, DifferentSeedsStillDiverge) {
   // A seed-sensitive (injector-driven) config: a digest that fails to move
-  // with the seed means dead seed plumbing into the domain engines.
+  // with the seed means dead seed plumbing into the cell engines.
   EXPECT_NE(facility_digest(2, 13, shape_fault), facility_digest(2, 14, shape_fault));
 }
 

@@ -5,7 +5,13 @@
 // cannot outlive their frame; library code gets no such exemption.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -80,14 +86,18 @@ TEST(EngineTest, MassCancellationCompactsAndReleasesCaptures) {
 
 TEST(EngineTest, CancellationInterleavedWithExecutionKeepsOrder) {
   // Compaction re-heapifies; the (time, seq) total order must make the pop
-  // sequence identical to the purely lazy path.
+  // sequence identical to the purely lazy path. The padded capture is larger
+  // than a Task's inline buffer, so every callable lives in the engine's
+  // oversize slab: sanitizer builds check that fired and cancelled payloads
+  // alike go back to it.
   Engine e;
   std::vector<int> order;
   std::vector<EventId> cancelled;
   for (int i = 0; i < 300; ++i) {
-    const EventId id = e.schedule_at(SimTime::from_us(10.0 + i), [&order, i] {
-      order.push_back(i);
-    });
+    const std::array<std::uint64_t, 8> pad{static_cast<std::uint64_t>(i)};
+    auto handler = [&order, i, pad] { order.push_back(i + static_cast<int>(pad[1])); };
+    static_assert(sizeof(handler) > detail::Task::kInlineBytes);
+    const EventId id = e.schedule_at(SimTime::from_us(10.0 + i), handler);
     if (i % 3 != 0) cancelled.push_back(id);
   }
   for (const EventId id : cancelled) EXPECT_TRUE(e.cancel(id));
@@ -96,6 +106,57 @@ TEST(EngineTest, CancellationInterleavedWithExecutionKeepsOrder) {
   ASSERT_EQ(order.size(), 100u);
   for (std::size_t k = 0; k < order.size(); ++k) {
     EXPECT_EQ(order[k], static_cast<int>(k) * 3);
+  }
+}
+
+TEST(EngineTest, RandomStormFiresInTimeThenScheduleOrder) {
+  // A dense random storm (~50 ns mean gap over 4000 events, so many exact
+  // ties), over half of it cancelled — dead keys then outnumber live ones,
+  // which forces compaction — plus self-rescheduling cascades that push past
+  // the initial time range. Every event logs (now, scheduling order).
+  Engine e;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> log;
+  std::set<std::uint64_t> expected;  // scheduling orders that must fire
+  std::uint64_t scheduled = 0;
+  std::function<EventId(SimTime, int)> schedule = [&](SimTime t, int hops) {
+    const std::uint64_t order = scheduled++;
+    expected.insert(order);
+    return e.schedule_at(t, [&, order, hops] {
+      log.emplace_back(e.now().ns(), order);
+      if (hops > 0) {
+        schedule(e.now() + SimTime::from_ns(static_cast<std::int64_t>(order % 977 + 1)), hops - 1);
+      }
+    });
+  };
+  std::mt19937_64 rng{12345};
+  std::vector<EventId> ids;
+  for (int i = 0; i < 4000; ++i) {
+    ids.push_back(schedule(SimTime::from_ns(static_cast<std::int64_t>(rng() % 200'000u)), 0));
+  }
+  // Duplicates hit the already-cancelled path; only a first cancel counts.
+  std::mt19937_64 crng{777};
+  std::size_t cancelled = 0;
+  for (int k = 0; k < 3000; ++k) {
+    const std::size_t victim = crng() % ids.size();
+    if (e.cancel(ids[victim])) {
+      expected.erase(victim);  // the first 4000 scheduling orders are the indices
+      ++cancelled;
+    }
+  }
+  ASSERT_GT(cancelled * 2, ids.size()) << "too few cancels to force compaction";
+  for (int c = 0; c < 32; ++c) schedule(SimTime::from_ns(c * 6151), 40);
+  e.run();
+  e.assert_drained();
+
+  ASSERT_EQ(log.size(), expected.size()) << "fired = scheduled - cancelled";
+  std::set<std::uint64_t> fired;
+  for (const auto& entry : log) fired.insert(entry.second);
+  EXPECT_EQ(fired, expected);
+  for (std::size_t k = 1; k < log.size(); ++k) {
+    ASSERT_LE(log[k - 1].first, log[k].first) << "time went backwards at fire " << k;
+    if (log[k - 1].first == log[k].first) {
+      ASSERT_LT(log[k - 1].second, log[k].second) << "equal-time events out of schedule order";
+    }
   }
 }
 
