@@ -6,7 +6,7 @@
 // own engine with seeds split via derive_seed, and the outcomes merge in
 // submission order. This bench runs the same 4-workload x 3-iteration
 // campaign at 1/2/4/8 threads, times each run against the sanctioned wall
-// clock, and FNV-hashes the full CampaignResult: any digest mismatch means
+// clock, and takes eval::digest of the CampaignResult: any mismatch means
 // the parallel path leaked scheduling order into the science, which is a
 // hard failure here (and in tests/test_exec.cpp).
 //
@@ -28,54 +28,6 @@
 using namespace pio;
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffULL;
-      hash_ *= kFnvPrime;
-    }
-  }
-  void mix(const std::string& s) {
-    for (const char c : s) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= kFnvPrime;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t digest() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = kFnvOffset;
-};
-
-std::uint64_t hash_campaign(const eval::CampaignResult& result) {
-  Fnv1a h;
-  for (const auto& iteration : result.iterations) {
-    h.mix(iteration.index);
-    h.mix(static_cast<std::uint64_t>(iteration.calibration_in_use * 1e12));
-    for (const auto& p : iteration.points) {
-      h.mix(p.workload);
-      h.mix(static_cast<std::uint64_t>(p.measured.ns()));
-      h.mix(static_cast<std::uint64_t>(p.simulated_raw.ns()));
-      h.mix(static_cast<std::uint64_t>(p.predicted.ns()));
-    }
-  }
-  h.mix(static_cast<std::uint64_t>(result.final_calibration * 1e12));
-  for (const auto& record : result.profile.records()) {
-    h.mix(static_cast<std::uint64_t>(record.rank));
-    h.mix(record.path);
-    h.mix(record.reads);
-    h.mix(record.writes);
-    h.mix(record.bytes_read.count());
-    h.mix(record.bytes_written.count());
-  }
-  return h.digest();
-}
 
 /// The C-12 sweep: two IOR geometries, a shuffled DLIO epoch, and a DAG
 /// workflow — four independent chains per iteration for the pool to spread.
@@ -152,7 +104,7 @@ int main(int argc, char** argv) {
     const SimTime start = wall.now();
     const auto result = campaign.run(sweep.view());
     const SimTime elapsed = wall.now() - start;
-    points.push_back(ScalingPoint{threads, elapsed.ms(), hash_campaign(result)});
+    points.push_back(ScalingPoint{threads, elapsed.ms(), eval::digest(config, result)});
   }
 
   bool identical = true;

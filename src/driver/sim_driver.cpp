@@ -1,6 +1,9 @@
 #include "driver/sim_driver.hpp"
 
 #include <stdexcept>
+#include <string_view>
+
+#include "common/fnv.hpp"
 
 namespace pio::driver {
 
@@ -27,6 +30,27 @@ trace::OpKind to_trace_op(workload::OpKind kind) {
 }
 
 }  // namespace
+
+std::uint64_t digest(const SimRunResult& r) {
+  Fnv64 h;
+  h.mix(static_cast<std::uint64_t>(r.makespan.ns()));
+  for (const std::uint64_t v : {r.ops, r.data_ops, r.meta_ops}) h.mix(v);
+  for_each_counter(r, [&](std::string_view name, auto v) {
+    // The pinned order keeps cache_writeback_failures, which is not a
+    // RunCounters field, in its old slot before cache_absorbed_writes.
+    if (name == "cache_absorbed_writes") h.mix(r.cache_writeback_failures);
+    h.mix(counter_value(v));
+  });
+  for (const Bytes b : {r.cache_hit_bytes, r.cache_miss_bytes, r.cache_writeback_bytes,
+                        r.bytes_read, r.bytes_written}) {
+    h.mix(b.count());
+  }
+  for (const SimTime t : {r.read_time, r.write_time, r.meta_time}) {
+    h.mix(static_cast<std::uint64_t>(t.ns()));
+  }
+  for (const SimTime t : r.rank_finish) h.mix(static_cast<std::uint64_t>(t.ns()));
+  return h.digest();
+}
 
 ExecutionDrivenSimulator::ExecutionDrivenSimulator(sim::Engine& engine, pfs::PfsModel& model,
                                                    SimRunConfig config)
@@ -59,8 +83,7 @@ void ExecutionDrivenSimulator::begin_impl(const workload::Workload& workload,
   ranks_.resize(n);
   result_.rank_finish.assign(n, SimTime::zero());
   active_ranks_ = n;
-  res_before_ = model_.resilience_stats();
-  srv_before_ = model_.server_overload_totals();
+  counters_before_ = model_counters();
   start_time_ = engine_.now();
   for (std::size_t r = 0; r < n; ++r) {
     ranks_[r].stream = workload.stream(static_cast<std::int32_t>(r));
@@ -129,29 +152,37 @@ SimRunResult ExecutionDrivenSimulator::collect_impl() {
   for (std::size_t r = 0; r < n; ++r) {
     result_.rank_finish[r] = ranks_[r].finish - start_time_;
   }
-  const pfs::ResilienceStats& res_after = model_.resilience_stats();
-  result_.retries = res_after.retries - res_before_.retries;
-  result_.timeouts = res_after.timeouts - res_before_.timeouts;
-  result_.giveups = res_after.giveups - res_before_.giveups;
-  result_.failovers = res_after.failovers - res_before_.failovers;
-  result_.degraded_reads = res_after.degraded_reads - res_before_.degraded_reads;
-  result_.data_lost_ops = res_after.data_lost_ops - res_before_.data_lost_ops;
-  result_.rebuilds_completed = res_after.rebuilds_completed - res_before_.rebuilds_completed;
-  result_.rebuilt_bytes = res_after.rebuilt_bytes - res_before_.rebuilt_bytes;
-  result_.stale_map_retries = res_after.stale_map_retries - res_before_.stale_map_retries;
-  result_.map_refreshes = res_after.map_refreshes - res_before_.map_refreshes;
-  result_.down_detections = res_after.down_detections - res_before_.down_detections;
-  result_.migration_marked_bytes =
-      res_after.migration_marked_bytes - res_before_.migration_marked_bytes;
-  result_.overload_rejections = res_after.overload_rejections - res_before_.overload_rejections;
-  result_.budget_denied = res_after.budget_denied - res_before_.budget_denied;
-  result_.breaker_opens = res_after.breaker_opens - res_before_.breaker_opens;
-  result_.breaker_fast_fails = res_after.breaker_fast_fails - res_before_.breaker_fast_fails;
-  result_.deadline_giveups = res_after.deadline_giveups - res_before_.deadline_giveups;
-  const pfs::PfsModel::ServerOverloadTotals srv_after = model_.server_overload_totals();
-  result_.server_overload_rejected = srv_after.rejected - srv_before_.rejected;
-  result_.server_shed = srv_after.shed - srv_before_.shed;
+  // The model's counters span every run on it; this run reports its deltas.
+  // The snapshots leave failed_ops and the cache counters at zero, so the
+  // values this run already holds for those stay as they are.
+  result_ += model_counters() - counters_before_;
   return result_;
+}
+
+RunCounters ExecutionDrivenSimulator::model_counters() const {
+  const pfs::ResilienceStats& s = model_.resilience_stats();
+  const pfs::PfsModel::ServerOverloadTotals srv = model_.server_overload_totals();
+  RunCounters c;
+  c.retries = s.retries;
+  c.timeouts = s.timeouts;
+  c.giveups = s.giveups;
+  c.failovers = s.failovers;
+  c.degraded_reads = s.degraded_reads;
+  c.data_lost_ops = s.data_lost_ops;
+  c.rebuilds_completed = s.rebuilds_completed;
+  c.rebuilt_bytes = s.rebuilt_bytes;
+  c.stale_map_retries = s.stale_map_retries;
+  c.map_refreshes = s.map_refreshes;
+  c.down_detections = s.down_detections;
+  c.migration_marked_bytes = s.migration_marked_bytes;
+  c.overload_rejections = s.overload_rejections;
+  c.budget_denied = s.budget_denied;
+  c.breaker_opens = s.breaker_opens;
+  c.breaker_fast_fails = s.breaker_fast_fails;
+  c.deadline_giveups = s.deadline_giveups;
+  c.server_overload_rejected = srv.rejected;
+  c.server_shed = srv.shed;
+  return c;
 }
 
 void ExecutionDrivenSimulator::advance(std::int32_t rank) {

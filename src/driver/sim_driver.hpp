@@ -20,6 +20,7 @@
 #include "cache/cache.hpp"
 #include "cache/client_tier.hpp"
 #include "common/types.hpp"
+#include "driver/run_counters.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/engine.hpp"
 #include "trace/event.hpp"
@@ -41,48 +42,15 @@ struct SimRunConfig {
   cache::CacheConfig cache{};
 };
 
-/// Aggregate result of one simulated run.
-struct SimRunResult {
+/// Aggregate result of one simulated run: the layer counters of the
+/// RunCounters base (deltas over this run) plus the run's own totals.
+struct SimRunResult : RunCounters {
   SimTime makespan = SimTime::zero();      ///< first issue to last completion
   std::uint64_t ops = 0;
   std::uint64_t data_ops = 0;
   std::uint64_t meta_ops = 0;
-  std::uint64_t failed_ops = 0;
-  // Client-side resilience activity during this run (deltas of the model's
-  // ResilienceStats; all zero on fault-free runs with the default policy).
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t giveups = 0;
-  std::uint64_t failovers = 0;
-  // Durability layer activity (zero unless durability tracking is enabled).
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t data_lost_ops = 0;
-  std::uint64_t rebuilds_completed = 0;
-  Bytes rebuilt_bytes = Bytes::zero();
-  // Cluster-membership activity (all zero when the cluster map is disabled).
-  std::uint64_t stale_map_retries = 0;
-  std::uint64_t map_refreshes = 0;
-  std::uint64_t down_detections = 0;
-  Bytes migration_marked_bytes = Bytes::zero();
-  // Overload-control activity (all zero with the admission / budget /
-  // breaker / deadline knobs at their off defaults; DESIGN.md §14).
-  std::uint64_t overload_rejections = 0;     ///< attempts failed with kOverloaded
-  std::uint64_t budget_denied = 0;           ///< retries denied by the token bucket
-  std::uint64_t breaker_opens = 0;           ///< circuit-breaker open transitions
-  std::uint64_t breaker_fast_fails = 0;      ///< chunks fast-failed client-side
-  std::uint64_t deadline_giveups = 0;        ///< ops settled kDeadlineExceeded
-  std::uint64_t server_overload_rejected = 0; ///< door bounces across MDS + OSTs
-  std::uint64_t server_shed = 0;              ///< CoDel sheds across MDS + OSTs
-  // Client cache tier activity (all zero when the cache is disabled).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_prefetch_issued = 0;
-  std::uint64_t cache_prefetch_used = 0;
-  std::uint64_t cache_prefetch_wasted = 0;
-  std::uint64_t cache_writebacks = 0;
+  // Client cache tier totals beyond the RunCounters (zero when disabled).
   std::uint64_t cache_writeback_failures = 0;
-  std::uint64_t cache_absorbed_writes = 0;
   Bytes cache_hit_bytes = Bytes::zero();
   Bytes cache_miss_bytes = Bytes::zero();
   Bytes cache_writeback_bytes = Bytes::zero();
@@ -102,12 +70,14 @@ struct SimRunResult {
   [[nodiscard]] Bandwidth aggregate_bandwidth() const {
     return observed_bandwidth(bytes_read + bytes_written, makespan);
   }
-  /// Page-granular cache hit rate in [0, 1]; 0 when the cache saw nothing.
-  [[nodiscard]] double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
-  }
 };
+
+/// FNV-1a fold of every SimRunResult field — the run-level determinism
+/// oracle the model goldens pin. The order is frozen: makespan, ops,
+/// data_ops, meta_ops, the RunCounters (with cache_writeback_failures
+/// before cache_absorbed_writes), the byte totals, the latency sums, then
+/// rank_finish.
+[[nodiscard]] std::uint64_t digest(const SimRunResult& result);
 
 /// Runs a workload against a PFS model inside its DES engine.
 ///
@@ -170,6 +140,9 @@ class ExecutionDrivenSimulator {
   void begin_impl(const workload::Workload& workload, trace::Sink* sink);
   /// Shared teardown: cache finalize + stats, makespan, model stat deltas.
   [[nodiscard]] SimRunResult collect_impl();
+  /// The model's cumulative resilience and server overload counters, as the
+  /// RunCounters a run reports the deltas of.
+  [[nodiscard]] RunCounters model_counters() const;
 
   void advance(std::int32_t rank);
   void issue(std::int32_t rank, workload::Op op);
@@ -194,8 +167,7 @@ class ExecutionDrivenSimulator {
   // so its event sequence is untouched by the split.
   bool external_drive_ = false;
   std::function<void()> on_complete_;
-  pfs::ResilienceStats res_before_{};
-  pfs::PfsModel::ServerOverloadTotals srv_before_{};
+  RunCounters counters_before_{};
   SimTime start_time_ = SimTime::zero();
 };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/fnv.hpp"
 #include "common/format.hpp"
@@ -36,82 +37,40 @@ std::string CampaignResult::to_string() const {
   }
   out << table.to_string();
   out << "final calibration factor: " << format_double(final_calibration, 4) << "\n";
-  std::uint64_t failed = 0, retries = 0, timeouts = 0, giveups = 0, failovers = 0;
-  std::uint64_t degraded = 0, lost = 0, rebuilds = 0;
-  std::uint64_t stale = 0, refreshes = 0, detections = 0;
-  Bytes rebuilt = Bytes::zero();
-  Bytes migrated = Bytes::zero();
+  driver::RunCounters t;
   for (const auto& it : iterations) {
-    for (const auto& p : it.points) {
-      failed += p.failed_ops;
-      retries += p.retries;
-      timeouts += p.timeouts;
-      giveups += p.giveups;
-      failovers += p.failovers;
-      degraded += p.degraded_reads;
-      lost += p.data_lost_ops;
-      rebuilds += p.rebuilds_completed;
-      rebuilt += p.rebuilt_bytes;
-      stale += p.stale_map_retries;
-      refreshes += p.map_refreshes;
-      detections += p.down_detections;
-      migrated += p.migration_marked_bytes;
-    }
+    for (const auto& p : it.points) t += p;
   }
-  if (failed + retries + timeouts + giveups + failovers > 0) {
-    out << "resilience (measured runs): failed_ops=" << failed << " retries=" << retries
-        << " timeouts=" << timeouts << " giveups=" << giveups << " failovers=" << failovers
+  if (t.failed_ops + t.retries + t.timeouts + t.giveups + t.failovers > 0) {
+    out << "resilience (measured runs): failed_ops=" << t.failed_ops << " retries=" << t.retries
+        << " timeouts=" << t.timeouts << " giveups=" << t.giveups << " failovers=" << t.failovers
         << "\n";
   }
-  if (degraded + lost + rebuilds + rebuilt.count() > 0) {
-    out << "durability (measured runs): degraded_reads=" << degraded
-        << " data_lost_ops=" << lost << " rebuilds_completed=" << rebuilds
-        << " rebuilt=" << format_bytes(rebuilt) << "\n";
+  if (t.degraded_reads + t.data_lost_ops + t.rebuilds_completed + t.rebuilt_bytes.count() > 0) {
+    out << "durability (measured runs): degraded_reads=" << t.degraded_reads
+        << " data_lost_ops=" << t.data_lost_ops << " rebuilds_completed=" << t.rebuilds_completed
+        << " rebuilt=" << format_bytes(t.rebuilt_bytes) << "\n";
   }
-  if (stale + refreshes + detections + migrated.count() > 0) {
-    out << "membership (measured runs): stale_map_retries=" << stale
-        << " map_refreshes=" << refreshes << " down_detections=" << detections
-        << " migration_marked=" << format_bytes(migrated) << "\n";
+  if (t.stale_map_retries + t.map_refreshes + t.down_detections +
+          t.migration_marked_bytes.count() > 0) {
+    out << "membership (measured runs): stale_map_retries=" << t.stale_map_retries
+        << " map_refreshes=" << t.map_refreshes << " down_detections=" << t.down_detections
+        << " migration_marked=" << format_bytes(t.migration_marked_bytes) << "\n";
   }
-  std::uint64_t orej = 0, odenied = 0, oopens = 0, ofast = 0, odeadline = 0;
-  std::uint64_t osrv_rej = 0, osrv_shed = 0;
-  for (const auto& it : iterations) {
-    for (const auto& p : it.points) {
-      orej += p.overload_rejections;
-      odenied += p.budget_denied;
-      oopens += p.breaker_opens;
-      ofast += p.breaker_fast_fails;
-      odeadline += p.deadline_giveups;
-      osrv_rej += p.server_overload_rejected;
-      osrv_shed += p.server_shed;
-    }
+  if (t.overload_rejections + t.budget_denied + t.breaker_opens + t.breaker_fast_fails +
+          t.deadline_giveups + t.server_overload_rejected + t.server_shed > 0) {
+    out << "overload (measured runs): rejected=" << t.overload_rejections
+        << " budget_denied=" << t.budget_denied << " breaker_opens=" << t.breaker_opens
+        << " fast_fails=" << t.breaker_fast_fails << " deadline_giveups=" << t.deadline_giveups
+        << " server_rejected=" << t.server_overload_rejected
+        << " server_shed=" << t.server_shed << "\n";
   }
-  if (orej + odenied + oopens + ofast + odeadline + osrv_rej + osrv_shed > 0) {
-    out << "overload (measured runs): rejected=" << orej << " budget_denied=" << odenied
-        << " breaker_opens=" << oopens << " fast_fails=" << ofast
-        << " deadline_giveups=" << odeadline << " server_rejected=" << osrv_rej
-        << " server_shed=" << osrv_shed << "\n";
-  }
-  std::uint64_t chits = 0, cmisses = 0, cpf_issued = 0, cpf_used = 0, cpf_wasted = 0;
-  std::uint64_t cwritebacks = 0, cabsorbed = 0;
-  for (const auto& it : iterations) {
-    for (const auto& p : it.points) {
-      chits += p.cache_hits;
-      cmisses += p.cache_misses;
-      cpf_issued += p.cache_prefetch_issued;
-      cpf_used += p.cache_prefetch_used;
-      cpf_wasted += p.cache_prefetch_wasted;
-      cwritebacks += p.cache_writebacks;
-      cabsorbed += p.cache_absorbed_writes;
-    }
-  }
-  if (chits + cmisses > 0) {
-    out << "cache (measured runs): hits=" << chits << " misses=" << cmisses
-        << " hit_rate=" << format_percent(static_cast<double>(chits) /
-                                          static_cast<double>(chits + cmisses))
-        << " prefetch=" << cpf_issued << "/" << cpf_used << "/" << cpf_wasted
-        << " (issued/used/wasted) writebacks=" << cwritebacks
-        << " absorbed_writes=" << cabsorbed << "\n";
+  if (t.cache_hits + t.cache_misses > 0) {
+    out << "cache (measured runs): hits=" << t.cache_hits << " misses=" << t.cache_misses
+        << " hit_rate=" << format_percent(t.cache_hit_rate()) << " prefetch="
+        << t.cache_prefetch_issued << "/" << t.cache_prefetch_used << "/"
+        << t.cache_prefetch_wasted << " (issued/used/wasted) writebacks=" << t.cache_writebacks
+        << " absorbed_writes=" << t.cache_absorbed_writes << "\n";
   }
   return out.str();
 }
@@ -170,34 +129,7 @@ CampaignPoint evaluate_point(const CampaignConfig& config, const workload::Workl
   point.workload = workload.name();
   point.measured = measured.makespan;
   point.simulated_raw = simulated.makespan;
-  point.failed_ops = measured.failed_ops;
-  point.retries = measured.retries;
-  point.timeouts = measured.timeouts;
-  point.giveups = measured.giveups;
-  point.failovers = measured.failovers;
-  point.degraded_reads = measured.degraded_reads;
-  point.data_lost_ops = measured.data_lost_ops;
-  point.rebuilds_completed = measured.rebuilds_completed;
-  point.rebuilt_bytes = measured.rebuilt_bytes;
-  point.stale_map_retries = measured.stale_map_retries;
-  point.map_refreshes = measured.map_refreshes;
-  point.down_detections = measured.down_detections;
-  point.migration_marked_bytes = measured.migration_marked_bytes;
-  point.overload_rejections = measured.overload_rejections;
-  point.budget_denied = measured.budget_denied;
-  point.breaker_opens = measured.breaker_opens;
-  point.breaker_fast_fails = measured.breaker_fast_fails;
-  point.deadline_giveups = measured.deadline_giveups;
-  point.server_overload_rejected = measured.server_overload_rejected;
-  point.server_shed = measured.server_shed;
-  point.cache_hits = measured.cache_hits;
-  point.cache_misses = measured.cache_misses;
-  point.cache_evictions = measured.cache_evictions;
-  point.cache_prefetch_issued = measured.cache_prefetch_issued;
-  point.cache_prefetch_used = measured.cache_prefetch_used;
-  point.cache_prefetch_wasted = measured.cache_prefetch_wasted;
-  point.cache_writebacks = measured.cache_writebacks;
-  point.cache_absorbed_writes = measured.cache_absorbed_writes;
+  static_cast<driver::RunCounters&>(point) = measured;
   point.predicted = SimTime::from_ns(
       static_cast<std::int64_t>(static_cast<double>(simulated.makespan.ns()) * calibration));
   return point;
@@ -210,34 +142,29 @@ std::uint64_t point_digest(const CampaignConfig& config, const CampaignPoint& po
   h.mix(static_cast<std::uint64_t>(point.measured.ns()));
   h.mix(static_cast<std::uint64_t>(point.simulated_raw.ns()));
   h.mix(static_cast<std::uint64_t>(point.predicted.ns()));
-  h.mix(point.failed_ops);
-  h.mix(point.retries);
-  h.mix(point.timeouts);
-  h.mix(point.giveups);
-  h.mix(point.failovers);
-  h.mix(point.degraded_reads);
-  h.mix(point.data_lost_ops);
-  h.mix(point.rebuilds_completed);
-  h.mix(point.rebuilt_bytes.count());
-  h.mix(point.stale_map_retries);
-  h.mix(point.map_refreshes);
-  h.mix(point.down_detections);
-  h.mix(point.migration_marked_bytes.count());
-  h.mix(point.overload_rejections);
-  h.mix(point.budget_denied);
-  h.mix(point.breaker_opens);
-  h.mix(point.breaker_fast_fails);
-  h.mix(point.deadline_giveups);
-  h.mix(point.server_overload_rejected);
-  h.mix(point.server_shed);
-  h.mix(point.cache_hits);
-  h.mix(point.cache_misses);
-  h.mix(point.cache_evictions);
-  h.mix(point.cache_prefetch_issued);
-  h.mix(point.cache_prefetch_used);
-  h.mix(point.cache_prefetch_wasted);
-  h.mix(point.cache_writebacks);
-  h.mix(point.cache_absorbed_writes);
+  driver::for_each_counter(point, [&h](std::string_view, auto v) {
+    h.mix(driver::counter_value(v));
+  });
+  return h.digest();
+}
+
+std::uint64_t digest(const CampaignConfig& config, const CampaignResult& result) {
+  Fnv64 h;
+  for (const auto& iteration : result.iterations) {
+    h.mix(iteration.index);
+    h.mix(static_cast<std::uint64_t>(iteration.calibration_in_use * 1e12));
+    for (const auto& p : iteration.points) h.mix(point_digest(config, p));
+  }
+  h.mix(static_cast<std::uint64_t>(result.final_calibration * 1e12));
+  for (const auto& record : result.profile.records()) {
+    h.mix(static_cast<std::uint64_t>(record.rank));
+    h.mix(record.path);
+    for (const std::uint64_t v : {record.opens, record.reads, record.writes, record.metadata_ops,
+                                  record.bytes_read.count(), record.bytes_written.count(),
+                                  record.sequential_reads, record.sequential_writes}) {
+      h.mix(v);
+    }
+  }
   return h.digest();
 }
 

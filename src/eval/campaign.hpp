@@ -59,51 +59,13 @@ struct CampaignConfig {
   std::uint32_t threads = 0;
 };
 
-/// One sweep point in one iteration.
-struct CampaignPoint {
+/// One sweep point in one iteration. The RunCounters base holds the
+/// counters of the measurement (testbed) run.
+struct CampaignPoint : driver::RunCounters {
   std::string workload;
   SimTime measured = SimTime::zero();
   SimTime simulated_raw = SimTime::zero();   ///< model output before calibration
   SimTime predicted = SimTime::zero();       ///< calibrated prediction
-  // Fault/resilience activity on the measurement (testbed) run. All zero on
-  // fault-free campaigns.
-  std::uint64_t failed_ops = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t giveups = 0;
-  std::uint64_t failovers = 0;
-  // Durability-layer activity (zero unless durability tracking is enabled).
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t data_lost_ops = 0;
-  std::uint64_t rebuilds_completed = 0;
-  Bytes rebuilt_bytes = Bytes::zero();
-  // Cluster-membership activity (zero when the cluster map is disabled).
-  std::uint64_t stale_map_retries = 0;
-  std::uint64_t map_refreshes = 0;
-  std::uint64_t down_detections = 0;
-  Bytes migration_marked_bytes = Bytes::zero();
-  // Overload-control activity on the measurement run (zero with the
-  // admission / budget / breaker / deadline knobs off; DESIGN.md §14).
-  std::uint64_t overload_rejections = 0;
-  std::uint64_t budget_denied = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_fast_fails = 0;
-  std::uint64_t deadline_giveups = 0;
-  std::uint64_t server_overload_rejected = 0;
-  std::uint64_t server_shed = 0;
-  // Client cache activity on the measurement run (zero with the cache off).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_prefetch_issued = 0;
-  std::uint64_t cache_prefetch_used = 0;
-  std::uint64_t cache_prefetch_wasted = 0;
-  std::uint64_t cache_writebacks = 0;
-  std::uint64_t cache_absorbed_writes = 0;
-  [[nodiscard]] double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
-  }
   [[nodiscard]] double abs_pct_error() const {
     if (measured <= SimTime::zero()) return 0.0;
     return std::abs(predicted.sec() - measured.sec()) / measured.sec();
@@ -142,15 +104,19 @@ struct CampaignResult {
                                            std::uint64_t index,
                                            trace::Profiler* profiler = nullptr);
 
-/// The per-point determinism digest: an FNV-1a fold of the campaign seed
-/// and every field a computed CampaignPoint carries, in the canonical
-/// order the whole-campaign hash uses (tests/test_exec.cpp folds one of
-/// these per point). Two equal digests mean byte-identical points — this
-/// is the service result cache's byte-identity oracle, and its value is
-/// pinned by golden tests, so treat the field order as frozen: new
-/// CampaignPoint fields append, never reorder.
+/// The per-point determinism digest: an FNV-1a fold of the campaign seed,
+/// the workload name, the three times and the RunCounters in field order.
+/// Two equal digests mean byte-identical points — this is the service
+/// result cache's byte-identity oracle, and its value is pinned by tests, so
+/// the order is frozen: new counters append to RunCounters, never reorder.
 [[nodiscard]] std::uint64_t point_digest(const CampaignConfig& config,
                                          const CampaignPoint& point);
+
+/// The whole-campaign determinism digest: per iteration its index, the
+/// calibration in use and one point_digest per point, then the final
+/// calibration and every field of every final-profile record. Equal at any
+/// thread count (tests/test_exec.cpp) and pinned by the C-12 golden.
+[[nodiscard]] std::uint64_t digest(const CampaignConfig& config, const CampaignResult& result);
 
 class Campaign {
  public:

@@ -26,52 +26,6 @@ struct CellRun {
   std::uint64_t events = 0;
 };
 
-void mix_result(Fnv64& fnv, const driver::SimRunResult& r) {
-  fnv.mix(static_cast<std::uint64_t>(r.makespan.ns()));
-  fnv.mix(r.ops);
-  fnv.mix(r.data_ops);
-  fnv.mix(r.meta_ops);
-  fnv.mix(r.failed_ops);
-  fnv.mix(r.retries);
-  fnv.mix(r.timeouts);
-  fnv.mix(r.giveups);
-  fnv.mix(r.failovers);
-  fnv.mix(r.degraded_reads);
-  fnv.mix(r.data_lost_ops);
-  fnv.mix(r.rebuilds_completed);
-  fnv.mix(static_cast<std::uint64_t>(r.rebuilt_bytes.count()));
-  fnv.mix(r.stale_map_retries);
-  fnv.mix(r.map_refreshes);
-  fnv.mix(r.down_detections);
-  fnv.mix(static_cast<std::uint64_t>(r.migration_marked_bytes.count()));
-  fnv.mix(r.overload_rejections);
-  fnv.mix(r.budget_denied);
-  fnv.mix(r.breaker_opens);
-  fnv.mix(r.breaker_fast_fails);
-  fnv.mix(r.deadline_giveups);
-  fnv.mix(r.server_overload_rejected);
-  fnv.mix(r.server_shed);
-  fnv.mix(r.cache_hits);
-  fnv.mix(r.cache_misses);
-  fnv.mix(r.cache_evictions);
-  fnv.mix(r.cache_prefetch_issued);
-  fnv.mix(r.cache_prefetch_used);
-  fnv.mix(r.cache_prefetch_wasted);
-  fnv.mix(r.cache_writebacks);
-  fnv.mix(r.cache_writeback_failures);
-  fnv.mix(r.cache_absorbed_writes);
-  fnv.mix(static_cast<std::uint64_t>(r.cache_hit_bytes.count()));
-  fnv.mix(static_cast<std::uint64_t>(r.cache_miss_bytes.count()));
-  fnv.mix(static_cast<std::uint64_t>(r.cache_writeback_bytes.count()));
-  fnv.mix(static_cast<std::uint64_t>(r.bytes_read.count()));
-  fnv.mix(static_cast<std::uint64_t>(r.bytes_written.count()));
-  fnv.mix(static_cast<std::uint64_t>(r.read_time.ns()));
-  fnv.mix(static_cast<std::uint64_t>(r.write_time.ns()));
-  fnv.mix(static_cast<std::uint64_t>(r.meta_time.ns()));
-  fnv.mix(r.rank_finish.size());
-  for (const SimTime t : r.rank_finish) fnv.mix(static_cast<std::uint64_t>(t.ns()));
-}
-
 }  // namespace
 
 std::uint64_t FacilityResult::digest() const {
@@ -81,7 +35,7 @@ std::uint64_t FacilityResult::digest() const {
     fnv.mix(i);
     fnv.mix(static_cast<std::uint64_t>(cells[i].started.ns()));
     fnv.mix(static_cast<std::uint64_t>(cells[i].completed.ns()));
-    mix_result(fnv, cells[i].result);
+    fnv.mix(driver::digest(cells[i].result));
   }
   fnv.mix(completion_order.size());
   for (const std::uint32_t c : completion_order) fnv.mix(c);

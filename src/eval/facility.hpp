@@ -66,8 +66,9 @@ struct FacilityResult {
   std::vector<std::uint32_t> completion_order;
   SimTime makespan = SimTime::zero();  ///< last coordinator-observed completion
   std::uint64_t events = 0;            ///< events executed across all cell engines
-  /// FNV-1a fold over every field above in canonical order — the facility
-  /// determinism oracle (field order frozen: append, never reorder).
+  /// FNV-1a fold over every field above in canonical order, each cell's
+  /// result as its driver::digest — the facility determinism oracle (field
+  /// order frozen: append, never reorder).
   [[nodiscard]] std::uint64_t digest() const;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/fnv.hpp"
+
 namespace pio::pfs {
 
 const char* to_string(OstState state) {
@@ -40,14 +42,7 @@ std::vector<OstIndex> ClusterMap::placeable_osts() const {
   return pool;
 }
 
-std::uint64_t file_placement_key(std::string_view path) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  for (const char c : path) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
+std::uint64_t file_placement_key(std::string_view path) { return fnv1a64(path); }
 
 namespace {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/codec.hpp"
 #include "common/fnv.hpp"
@@ -472,40 +473,15 @@ bool decode(const std::vector<std::uint8_t>& payload, Error* out) {
 // ---------------------------------------------------------------- points
 
 std::vector<std::uint8_t> encode_point(const eval::CampaignPoint& p) {
-  // Same canonical field order as eval::point_digest — frozen; append only.
+  // Same canonical field order as eval::point_digest.
   codec::Writer w;
   w.str(p.workload);
   w.i64(p.measured.ns());
   w.i64(p.simulated_raw.ns());
   w.i64(p.predicted.ns());
-  w.u64(p.failed_ops);
-  w.u64(p.retries);
-  w.u64(p.timeouts);
-  w.u64(p.giveups);
-  w.u64(p.failovers);
-  w.u64(p.degraded_reads);
-  w.u64(p.data_lost_ops);
-  w.u64(p.rebuilds_completed);
-  w.u64(p.rebuilt_bytes.count());
-  w.u64(p.stale_map_retries);
-  w.u64(p.map_refreshes);
-  w.u64(p.down_detections);
-  w.u64(p.migration_marked_bytes.count());
-  w.u64(p.overload_rejections);
-  w.u64(p.budget_denied);
-  w.u64(p.breaker_opens);
-  w.u64(p.breaker_fast_fails);
-  w.u64(p.deadline_giveups);
-  w.u64(p.server_overload_rejected);
-  w.u64(p.server_shed);
-  w.u64(p.cache_hits);
-  w.u64(p.cache_misses);
-  w.u64(p.cache_evictions);
-  w.u64(p.cache_prefetch_issued);
-  w.u64(p.cache_prefetch_used);
-  w.u64(p.cache_prefetch_wasted);
-  w.u64(p.cache_writebacks);
-  w.u64(p.cache_absorbed_writes);
+  driver::for_each_counter(p, [&w](std::string_view, auto v) {
+    w.u64(driver::counter_value(v));
+  });
   return take(w);
 }
 
@@ -516,34 +492,9 @@ bool decode_point(const std::vector<std::uint8_t>& blob, eval::CampaignPoint* ou
   p.measured = SimTime::from_ns(r.i64());
   p.simulated_raw = SimTime::from_ns(r.i64());
   p.predicted = SimTime::from_ns(r.i64());
-  p.failed_ops = r.u64();
-  p.retries = r.u64();
-  p.timeouts = r.u64();
-  p.giveups = r.u64();
-  p.failovers = r.u64();
-  p.degraded_reads = r.u64();
-  p.data_lost_ops = r.u64();
-  p.rebuilds_completed = r.u64();
-  p.rebuilt_bytes = Bytes(r.u64());
-  p.stale_map_retries = r.u64();
-  p.map_refreshes = r.u64();
-  p.down_detections = r.u64();
-  p.migration_marked_bytes = Bytes(r.u64());
-  p.overload_rejections = r.u64();
-  p.budget_denied = r.u64();
-  p.breaker_opens = r.u64();
-  p.breaker_fast_fails = r.u64();
-  p.deadline_giveups = r.u64();
-  p.server_overload_rejected = r.u64();
-  p.server_shed = r.u64();
-  p.cache_hits = r.u64();
-  p.cache_misses = r.u64();
-  p.cache_evictions = r.u64();
-  p.cache_prefetch_issued = r.u64();
-  p.cache_prefetch_used = r.u64();
-  p.cache_prefetch_wasted = r.u64();
-  p.cache_writebacks = r.u64();
-  p.cache_absorbed_writes = r.u64();
+  driver::for_each_counter(p, [&r](std::string_view, auto& v) {
+    driver::set_counter(v, r.u64());
+  });
   if (!r.done()) return false;
   *out = std::move(p);
   return true;

@@ -273,8 +273,9 @@ void append_frame(MsgType type, const std::vector<std::uint8_t>& payload,
 [[nodiscard]] bool decode(const std::vector<std::uint8_t>& payload, Error* out);
 
 /// Canonical encoding of a computed CampaignPoint — the bytes the result
-/// cache stores and PointResult carries. Field order is frozen (it is the
-/// byte-identity contract); new fields append.
+/// cache stores and PointResult carries: the workload name, the three
+/// times, then the RunCounters in their frozen field order (the
+/// byte-identity contract; new counters append).
 [[nodiscard]] std::vector<std::uint8_t> encode_point(const eval::CampaignPoint& point);
 [[nodiscard]] bool decode_point(const std::vector<std::uint8_t>& blob, eval::CampaignPoint* out);
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 
+#include "common/fnv.hpp"
 #include "driver/sim_driver.hpp"
 #include "eval/campaign.hpp"
 #include "fault/injector.hpp"
@@ -21,33 +22,8 @@
 namespace pio {
 namespace {
 
-// -------------------------------------------------------------- FNV-1a 64
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffULL;
-      hash_ *= kFnvPrime;
-    }
-  }
-  void mix(const std::string& s) {
-    for (const char c : s) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= kFnvPrime;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t digest() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = kFnvOffset;
-};
-
 std::uint64_t hash_trace(const trace::Trace& trace) {
-  Fnv1a h;
+  Fnv64 h;
   for (const auto& e : trace.events()) {
     h.mix(static_cast<std::uint64_t>(e.layer));
     h.mix(static_cast<std::uint64_t>(e.op));
@@ -60,6 +36,16 @@ std::uint64_t hash_trace(const trace::Trace& trace) {
     h.mix(e.ok ? 1u : 0u);
   }
   return h.digest();
+}
+
+/// One traced run: its trace, its result digest and its event count.
+Fnv64 fold_run(const trace::Tracer& tracer, const driver::SimRunResult& result,
+               const sim::Engine& engine) {
+  Fnv64 h;
+  h.mix(hash_trace(tracer.snapshot()));
+  h.mix(driver::digest(result));
+  h.mix(engine.events_executed());
+  return h;
 }
 
 pfs::PfsConfig small_pfs() {
@@ -87,12 +73,7 @@ std::uint64_t run_campaign(std::uint64_t engine_seed, std::uint64_t workload_see
   trace::Tracer tracer;
   const auto result = sim.run(*workload::dlio_like(config), &tracer);
   engine.assert_drained();
-  Fnv1a h;
-  h.mix(hash_trace(tracer.snapshot()));
-  h.mix(static_cast<std::uint64_t>(result.makespan.ns()));
-  h.mix(result.ops);
-  h.mix(engine.events_executed());
-  return h.digest();
+  return fold_run(tracer, result, engine).digest();
 }
 
 TEST(DeterminismRegression, SameSeedCampaignsHashIdentical) {
@@ -111,7 +92,7 @@ TEST(DeterminismRegression, EngineEventOrderIsReproducible) {
   auto run_engine = [](std::uint64_t seed) {
     sim::Engine engine{seed};
     Rng jitter = engine.rng_stream(1);
-    Fnv1a h;
+    Fnv64 h;
     // A self-rescheduling cascade with random delays plus same-time events:
     // ties must fire in insertion order, draws must replay exactly.
     for (int i = 0; i < 8; ++i) {
@@ -169,16 +150,7 @@ std::uint64_t run_fault_campaign(std::uint64_t engine_seed) {
   const auto result = sim.run(*workload::ior_like(ior), &tracer);
   engine.assert_drained();
   model.assert_quiescent();
-  Fnv1a h;
-  h.mix(hash_trace(tracer.snapshot()));
-  h.mix(static_cast<std::uint64_t>(result.makespan.ns()));
-  h.mix(result.failed_ops);
-  h.mix(result.retries);
-  h.mix(result.timeouts);
-  h.mix(result.giveups);
-  h.mix(result.failovers);
-  h.mix(engine.events_executed());
-  return h.digest();
+  return fold_run(tracer, result, engine).digest();
 }
 
 /// An overload campaign: the fault weather of run_fault_campaign with the
@@ -220,23 +192,9 @@ std::uint64_t run_overload_campaign(std::uint64_t engine_seed) {
   const auto result = sim.run(*workload::ior_like(ior), &tracer);
   engine.assert_drained();
   model.assert_quiescent();
-  const auto& res = model.resilience_stats();
-  const auto server = model.server_overload_totals();
-  Fnv1a h;
-  h.mix(hash_trace(tracer.snapshot()));
-  h.mix(static_cast<std::uint64_t>(result.makespan.ns()));
-  h.mix(result.failed_ops);
-  h.mix(result.retries);
-  h.mix(res.overload_rejections);
-  h.mix(res.budget_spent);
-  h.mix(res.budget_denied);
-  h.mix(res.breaker_opens);
-  h.mix(res.breaker_probes);
-  h.mix(res.breaker_fast_fails);
-  h.mix(res.deadline_giveups);
-  h.mix(server.rejected);
-  h.mix(server.shed);
-  h.mix(engine.events_executed());
+  Fnv64 h = fold_run(tracer, result, engine);
+  h.mix(model.resilience_stats().budget_spent);
+  h.mix(model.resilience_stats().breaker_probes);
   return h.digest();
 }
 
@@ -271,7 +229,7 @@ std::uint64_t run_durability_campaign(std::uint64_t engine_seed) {
   // Resilience/durability events carry the jitter-paced rebuild timestamps,
   // so the digest is sensitive to the resync planner even when the rebuild
   // never contends with foreground traffic.
-  Fnv1a h;
+  Fnv64 h;
   model.set_resilience_observer([&h](const pfs::ResilienceRecord& r) {
     h.mix(static_cast<std::uint64_t>(r.kind));
     h.mix(static_cast<std::uint64_t>(r.at.ns()));
@@ -291,7 +249,7 @@ std::uint64_t run_durability_campaign(std::uint64_t engine_seed) {
   engine.assert_drained();
   model.assert_quiescent();
   h.mix(hash_trace(tracer.snapshot()));
-  h.mix(static_cast<std::uint64_t>(result.makespan.ns()));
+  h.mix(driver::digest(result));
   h.mix(model.resilience_stats().degraded_reads);
   h.mix(model.resilience_stats().rebuilds_completed);
   h.mix(model.resilience_stats().rebuilt_bytes.count());
@@ -337,7 +295,7 @@ std::uint64_t run_membership_campaign(std::uint64_t engine_seed) {
   // Detection, stale-map and migration events carry heartbeat-jittered
   // timestamps; mixing them makes the digest sensitive to the whole
   // membership machinery, not just the foreground traffic.
-  Fnv1a h;
+  Fnv64 h;
   model.set_resilience_observer([&h](const pfs::ResilienceRecord& r) {
     h.mix(static_cast<std::uint64_t>(r.kind));
     h.mix(static_cast<std::uint64_t>(r.at.ns()));
@@ -357,7 +315,7 @@ std::uint64_t run_membership_campaign(std::uint64_t engine_seed) {
   engine.assert_drained();
   model.assert_quiescent();
   h.mix(hash_trace(tracer.snapshot()));
-  h.mix(static_cast<std::uint64_t>(result.makespan.ns()));
+  h.mix(driver::digest(result));
   h.mix(model.resilience_stats().stale_map_retries);
   h.mix(model.resilience_stats().map_refreshes);
   h.mix(model.resilience_stats().down_detections);
@@ -408,22 +366,7 @@ std::uint64_t run_cached_campaign(std::uint64_t engine_seed, std::uint64_t workl
   trace::Tracer tracer;
   const auto result = sim.run(*workload::dlio_like(config), &tracer);
   engine.assert_drained();
-  Fnv1a h;
-  h.mix(hash_trace(tracer.snapshot()));
-  h.mix(static_cast<std::uint64_t>(result.makespan.ns()));
-  h.mix(result.cache_hits);
-  h.mix(result.cache_misses);
-  h.mix(result.cache_evictions);
-  h.mix(result.cache_prefetch_issued);
-  h.mix(result.cache_prefetch_used);
-  h.mix(result.cache_prefetch_wasted);
-  h.mix(result.cache_writebacks);
-  h.mix(result.cache_absorbed_writes);
-  h.mix(result.cache_hit_bytes.count());
-  h.mix(result.cache_miss_bytes.count());
-  h.mix(result.cache_writeback_bytes.count());
-  h.mix(engine.events_executed());
-  return h.digest();
+  return fold_run(tracer, result, engine).digest();
 }
 
 TEST(DeterminismRegression, SameSeedCachedCampaignsHashIdentical) {
@@ -462,17 +405,7 @@ TEST(DeterminismRegression, FullEvaluationLoopIsReproducible) {
     ior.transfer_size = Bytes::from_mib(1);
     const auto workload = workload::ior_like(ior);
     eval::Campaign campaign{config};
-    const auto result = campaign.run({workload.get()});
-    Fnv1a h;
-    for (const auto& iter : result.iterations) {
-      for (const auto& point : iter.points) {
-        h.mix(point.workload);
-        h.mix(static_cast<std::uint64_t>(point.measured.ns()));
-        h.mix(static_cast<std::uint64_t>(point.simulated_raw.ns()));
-        h.mix(static_cast<std::uint64_t>(point.predicted.ns()));
-      }
-    }
-    return h.digest();
+    return eval::digest(config, campaign.run({workload.get()}));
   };
   EXPECT_EQ(run_loop(), run_loop());
 }

@@ -4,7 +4,7 @@
 // results merge in submission order, exceptions propagate lowest-index
 // first after every task has run, and nested submission is rejected at any
 // thread count. Second, the campaign-level determinism requirement the
-// whole layer exists to preserve: a Campaign's FNV digest — across plain,
+// whole layer exists to preserve: a Campaign's eval::digest — across plain,
 // faulted, durability, and cached configurations — must be byte-identical
 // at 1, 2, and 8 threads.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,31 +27,6 @@
 
 namespace pio {
 namespace {
-
-// -------------------------------------------------------------- FNV-1a 64
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffULL;
-      hash_ *= kFnvPrime;
-    }
-  }
-  void mix(const std::string& s) {
-    for (const char c : s) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= kFnvPrime;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t digest() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = kFnvOffset;
-};
 
 // ----------------------------------------------------------- pool contract
 
@@ -195,36 +169,6 @@ pfs::PfsConfig small_pfs() {
   return config;
 }
 
-/// Hash everything a CampaignResult carries: one eval::point_digest per
-/// point (the public per-point determinism digest the service cache keys
-/// byte-identity on), plus the calibration trajectory and the merged final
-/// profile.
-std::uint64_t hash_campaign(const eval::CampaignConfig& config,
-                            const eval::CampaignResult& result) {
-  Fnv1a h;
-  for (const auto& iteration : result.iterations) {
-    h.mix(iteration.index);
-    h.mix(static_cast<std::uint64_t>(iteration.calibration_in_use * 1e12));
-    for (const auto& p : iteration.points) {
-      h.mix(eval::point_digest(config, p));
-    }
-  }
-  h.mix(static_cast<std::uint64_t>(result.final_calibration * 1e12));
-  for (const auto& record : result.profile.records()) {
-    h.mix(static_cast<std::uint64_t>(record.rank));
-    h.mix(record.path);
-    h.mix(record.opens);
-    h.mix(record.reads);
-    h.mix(record.writes);
-    h.mix(record.metadata_ops);
-    h.mix(record.bytes_read.count());
-    h.mix(record.bytes_written.count());
-    h.mix(record.sequential_reads);
-    h.mix(record.sequential_writes);
-  }
-  return h.digest();
-}
-
 /// Build a 4-workload sweep (two IOR geometries, shuffled DLIO, a DAG
 /// workflow) and run the closed loop at the given thread count.
 std::uint64_t run_campaign_at(std::uint32_t threads, eval::CampaignConfig config) {
@@ -257,7 +201,7 @@ std::uint64_t run_campaign_at(std::uint32_t threads, eval::CampaignConfig config
   const auto wd = workload::workflow_dag(wf);
 
   eval::Campaign campaign{config};
-  return hash_campaign(config, campaign.run({wa.get(), wb.get(), wc.get(), wd.get()}));
+  return eval::digest(config, campaign.run({wa.get(), wb.get(), wc.get(), wd.get()}));
 }
 
 TEST(CampaignThreadDeterminism, PlainCampaignHashesIdenticalAt1_2_8Threads) {

@@ -3,11 +3,12 @@
 // The determinism tests (test_determinism, test_exec, test_parsim) prove
 // that equal inputs give equal outputs at any thread count; they
 // pass just as well after a change that moves every simulated number. This
-// file pins the numbers themselves: a plain SimRunResult fold, the C-12
-// CampaignResult digest, the C-13 FacilityResult digest, and one run each
-// with a fault plan, durability R=2 with rebuild, cluster churn, overload
-// control, the client cache and burst buffers. Any model change that moves
-// a simulated result fails here, and the failure names the config.
+// file pins the numbers themselves through the library digests: a plain
+// driver::digest(SimRunResult), the C-12 eval::digest(CampaignResult), the
+// C-13 FacilityResult::digest, and one run each with a fault plan,
+// durability R=2 with rebuild, cluster churn, overload control, the client
+// cache and burst buffers. Any model change that moves a simulated result
+// fails here, and the failure names the config.
 //
 // A golden changes only on purpose, in a change whose CHANGES.md entry
 // lists every old -> new value and says why. Rebaseline recipe:
@@ -21,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "driver/sim_driver.hpp"
 #include "eval/campaign.hpp"
 #include "eval/facility.hpp"
@@ -42,8 +44,8 @@ struct Golden {
 // One row per pinned config; the test of the same name computes it.
 constexpr Golden kGolden[] = {
     {"plain", 0xc8f2783f6948ea49ULL},
-    {"c12_campaign", 0xeb3561665dd9d953ULL},
-    {"c13_facility", 0xd3c2dda09840a54eULL},
+    {"c12_campaign", 0xb1aa205c23ed031cULL},
+    {"c13_facility", 0x5f32b2eadbc38a5aULL},
     {"fault_plan", 0xf619307cc2bd968eULL},
     {"durability_r2_rebuild", 0xac1a0c3a19910a2dULL},
     {"cluster_churn", 0x5c7b3b4975fb90beULL},
@@ -68,66 +70,6 @@ void expect_golden(std::string_view config, std::uint64_t got) {
   ADD_FAILURE() << "golden[" << config << "]: no pinned value";
 }
 
-// -------------------------------------------------------------- FNV-1a 64
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffULL;
-      hash_ *= kFnvPrime;
-    }
-  }
-  void mix(SimTime t) { mix(static_cast<std::uint64_t>(t.ns())); }
-  void mix(Bytes b) { mix(b.count()); }
-  void mix(const std::string& s) {
-    for (const char c : s) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= kFnvPrime;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t digest() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = kFnvOffset;
-};
-
-/// Every field of a SimRunResult, in declaration order.
-std::uint64_t fold(const driver::SimRunResult& r) {
-  Fnv1a h;
-  h.mix(r.makespan);
-  for (const std::uint64_t v :
-       {r.ops, r.data_ops, r.meta_ops, r.failed_ops, r.retries, r.timeouts, r.giveups,
-        r.failovers, r.degraded_reads, r.data_lost_ops, r.rebuilds_completed}) {
-    h.mix(v);
-  }
-  h.mix(r.rebuilt_bytes);
-  h.mix(r.stale_map_retries);
-  h.mix(r.map_refreshes);
-  h.mix(r.down_detections);
-  h.mix(r.migration_marked_bytes);
-  for (const std::uint64_t v :
-       {r.overload_rejections, r.budget_denied, r.breaker_opens, r.breaker_fast_fails,
-        r.deadline_giveups, r.server_overload_rejected, r.server_shed, r.cache_hits,
-        r.cache_misses, r.cache_evictions, r.cache_prefetch_issued, r.cache_prefetch_used,
-        r.cache_prefetch_wasted, r.cache_writebacks, r.cache_writeback_failures,
-        r.cache_absorbed_writes}) {
-    h.mix(v);
-  }
-  for (const Bytes b : {r.cache_hit_bytes, r.cache_miss_bytes, r.cache_writeback_bytes,
-                        r.bytes_read, r.bytes_written}) {
-    h.mix(b);
-  }
-  h.mix(r.read_time);
-  h.mix(r.write_time);
-  h.mix(r.meta_time);
-  for (const SimTime t : r.rank_finish) h.mix(t);
-  return h.digest();
-}
-
 pfs::PfsConfig small_pfs() {
   pfs::PfsConfig config;
   config.clients = 8;
@@ -147,7 +89,7 @@ std::unique_ptr<workload::Workload> small_ior() {
 
 /// One execution-driven run, drained past the workload (rebuild, migration
 /// and write-back passes), with the end-of-run audits. Returns the fold of
-/// the result plus the engine's event count.
+/// the result's digest plus the engine's event count.
 std::uint64_t run_folded(const pfs::PfsConfig& system, const workload::Workload& workload,
                          driver::SimRunConfig run_config = {}, std::uint64_t seed = 7) {
   sim::Engine engine{seed};
@@ -157,8 +99,8 @@ std::uint64_t run_folded(const pfs::PfsConfig& system, const workload::Workload&
   engine.run();
   engine.assert_drained();
   model.assert_quiescent();
-  Fnv1a h;
-  h.mix(fold(result));
+  Fnv64 h;
+  h.mix(driver::digest(result));
   h.mix(engine.events_executed());
   return h.digest();
 }
@@ -268,32 +210,6 @@ TEST(GoldenDigest, BurstBuffer) {
 
 // ------------------------------------------------------------------- C-12
 
-/// The C-12 CampaignResult hash (bench_c12_campaign_scaling): per-point
-/// times, the calibration trajectory and the merged profile.
-std::uint64_t hash_campaign(const eval::CampaignResult& result) {
-  Fnv1a h;
-  for (const auto& iteration : result.iterations) {
-    h.mix(iteration.index);
-    h.mix(static_cast<std::uint64_t>(iteration.calibration_in_use * 1e12));
-    for (const auto& p : iteration.points) {
-      h.mix(p.workload);
-      h.mix(p.measured);
-      h.mix(p.simulated_raw);
-      h.mix(p.predicted);
-    }
-  }
-  h.mix(static_cast<std::uint64_t>(result.final_calibration * 1e12));
-  for (const auto& record : result.profile.records()) {
-    h.mix(static_cast<std::uint64_t>(record.rank));
-    h.mix(record.path);
-    h.mix(record.reads);
-    h.mix(record.writes);
-    h.mix(record.bytes_read);
-    h.mix(record.bytes_written);
-  }
-  return h.digest();
-}
-
 pfs::PfsConfig reference_testbed(pfs::DiskKind disk) {
   pfs::PfsConfig config;
   config.clients = 16;
@@ -334,7 +250,8 @@ TEST(GoldenDigest, C12Campaign) {
   config.seed = 11;
   config.threads = 1;
   eval::Campaign campaign{config};
-  expect_golden("c12_campaign", hash_campaign(campaign.run({a.get(), b.get(), c.get(), d.get()})));
+  expect_golden("c12_campaign",
+                eval::digest(config, campaign.run({a.get(), b.get(), c.get(), d.get()})));
 }
 
 // ------------------------------------------------------------------- C-13

@@ -603,15 +603,12 @@ TEST(OverloadFoldTest, CampaignFoldsOverloadCountersIntoPointsAndReport) {
   const auto w = workload::ior_like(ior);
   eval::Campaign campaign{config};
   const auto result = campaign.run({w.get()});
-  std::uint64_t rejections = 0, server_rejected = 0;
+  driver::RunCounters total;
   for (const auto& it : result.iterations) {
-    for (const auto& p : it.points) {
-      rejections += p.overload_rejections;
-      server_rejected += p.server_overload_rejected;
-    }
+    for (const auto& p : it.points) total += p;
   }
-  EXPECT_GT(rejections, 0u);
-  EXPECT_GT(server_rejected, 0u);
+  EXPECT_GT(total.overload_rejections, 0u);
+  EXPECT_GT(total.server_overload_rejected, 0u);
   EXPECT_NE(result.to_string().find("overload (measured runs):"), std::string::npos);
 }
 

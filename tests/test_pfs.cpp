@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "pfs/burst_buffer.hpp"
 #include "pfs/disk.hpp"
@@ -72,6 +73,15 @@ struct StripeCase {
   std::uint64_t offset;
   std::uint64_t size;
 };
+
+// Names each case by stripe size x count, first OST of total, and the
+// request, e.g. "64x4_ost0of4_off0_len1000". Without this, gtest prints the
+// raw bytes of the struct, padding included, and those can differ between
+// builds.
+void PrintTo(const StripeCase& c, std::ostream* os) {
+  *os << c.stripe_size << 'x' << c.stripe_count << "_ost" << c.first_ost << "of"
+      << c.total_osts << "_off" << c.offset << "_len" << c.size;
+}
 
 class StripePropertyTest : public ::testing::TestWithParam<StripeCase> {};
 

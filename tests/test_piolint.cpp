@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "piolint/index.hpp"
 #include "piolint/lint.hpp"
 
@@ -135,6 +137,28 @@ TEST(PiolintRules, H1FlagsUsingNamespaceInHeader) {
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "H1");
   EXPECT_EQ(diags[0].line, 6);
+}
+
+TEST(PiolintRules, H2FlagsHandRolledFnvConstant) {
+  const auto diags = lint_file(fixture("h2_fnv_copy.cpp"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "H2");
+  EXPECT_EQ(diags[0].line, 5);
+}
+
+TEST(PiolintRules, H2ComparesByValueAndExemptsFnvHeader) {
+  // Built from the constants themselves so this file spells none of them.
+  std::ostringstream hex;
+  hex << std::hex << std::uppercase << "0X" << kFnv1a64Basis;
+  std::string separated = std::to_string(kFnv64Prime);
+  separated.insert(separated.size() - 3, "'");
+  const std::string src = "#pragma once\nconstexpr auto a = " + std::to_string(kFnv64Offset) +
+                          "ULL;\nconstexpr auto b = " + hex.str() +
+                          "u;\nconstexpr auto c = " + separated + ";\n";
+  const auto diags = lint_source("bench/fold.hpp", src);
+  ASSERT_EQ(rules_of(diags), (std::vector<std::string>{"H2", "H2", "H2"}));
+  EXPECT_EQ(diags[2].line, 4);
+  EXPECT_TRUE(lint_source("src/common/fnv.hpp", src).empty());
 }
 
 TEST(PiolintRules, CleanHeaderHasNoFindings) {

@@ -15,11 +15,13 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/codec.hpp"
+#include "common/fnv.hpp"
 #include "eval/campaign.hpp"
 #include "svc/evald.hpp"
 #include "svc/messages.hpp"
@@ -27,6 +29,45 @@
 using namespace pio;
 
 namespace {
+
+/// The point of ServiceDigest.PointDigestGoldenValues: every counter holds a
+/// distinct value, so a codec row that moves the wrong field shows.
+eval::CampaignPoint distinct_point() {
+  eval::CampaignPoint p;
+  p.workload = "golden[r=4]";
+  p.measured = SimTime::from_ns(1'000'000'001);
+  p.simulated_raw = SimTime::from_ns(900'000'000);
+  p.predicted = SimTime::from_ns(810'000'000);
+  p.failed_ops = 1;
+  p.retries = 2;
+  p.timeouts = 3;
+  p.giveups = 4;
+  p.failovers = 5;
+  p.degraded_reads = 6;
+  p.data_lost_ops = 7;
+  p.rebuilds_completed = 8;
+  p.rebuilt_bytes = Bytes::from_kib(9);
+  p.stale_map_retries = 10;
+  p.map_refreshes = 11;
+  p.down_detections = 12;
+  p.migration_marked_bytes = Bytes::from_kib(13);
+  p.overload_rejections = 14;
+  p.budget_denied = 15;
+  p.breaker_opens = 16;
+  p.breaker_fast_fails = 17;
+  p.deadline_giveups = 18;
+  p.server_overload_rejected = 19;
+  p.server_shed = 20;
+  p.cache_hits = 21;
+  p.cache_misses = 22;
+  p.cache_evictions = 23;
+  p.cache_prefetch_issued = 24;
+  p.cache_prefetch_used = 25;
+  p.cache_prefetch_wasted = 26;
+  p.cache_writebacks = 27;
+  p.cache_absorbed_writes = 28;
+  return p;
+}
 
 /// A cheap deterministic spec: `points` IOR-like workloads distinguished by
 /// (j, salt), so specs with different salts request disjoint cache keys and
@@ -195,15 +236,12 @@ TEST(ServiceCodec, StrictDecodeRejectsTruncationAndTrailingBytes) {
   EXPECT_FALSE(svc::decode(hostile, &out));
 }
 
+// Every RunCounters field is eight bytes; a field added without its
+// for_each_counter_field row also fails run_counters.hpp's own check.
+static_assert(sizeof(driver::RunCounters) == 28 * sizeof(std::uint64_t));
+
 TEST(ServiceCodec, PointBlobRoundTrip) {
-  eval::CampaignPoint p;
-  p.workload = "ior[r=2]";
-  p.measured = SimTime::from_ms(12.5);
-  p.simulated_raw = SimTime::from_ms(11.0);
-  p.predicted = SimTime::from_ms(9.9);
-  p.retries = 3;
-  p.cache_hits = 17;
-  p.rebuilt_bytes = Bytes::from_kib(64);
+  const eval::CampaignPoint p = distinct_point();
   const auto blob = svc::encode_point(p);
   eval::CampaignPoint q;
   ASSERT_TRUE(svc::decode_point(blob, &q));
@@ -211,9 +249,9 @@ TEST(ServiceCodec, PointBlobRoundTrip) {
   EXPECT_EQ(q.measured, p.measured);
   EXPECT_EQ(q.simulated_raw, p.simulated_raw);
   EXPECT_EQ(q.predicted, p.predicted);
-  EXPECT_EQ(q.retries, 3u);
-  EXPECT_EQ(q.cache_hits, 17u);
-  EXPECT_EQ(q.rebuilt_bytes, Bytes::from_kib(64));
+  driver::for_each_counter_field([&](std::string_view name, auto field) {
+    EXPECT_EQ(q.*field, p.*field) << name;
+  });
   // A truncated blob is rejected, not misparsed.
   const std::vector<std::uint8_t> cut(blob.begin(), blob.end() - 1);
   EXPECT_FALSE(svc::decode_point(cut, &q));
@@ -384,6 +422,21 @@ TEST(ServiceDigest, PointDigestGoldenValues) {
   // The seed is part of the digest: same point, different campaign seed.
   config.seed = 8;
   EXPECT_NE(eval::point_digest(config, p), 10869046104899268794ULL);
+}
+
+TEST(ServiceDigest, PointBlobIsFrozen) {
+  // Differential pin for svc::encode_point: the byte length and Fnv64 of the
+  // blob of PointDigestGoldenValues' 28-distinct-value point. A codec row
+  // that writes the wrong field, or in the wrong order, moves the digest.
+  eval::CampaignConfig config;
+  config.seed = 7;
+  const eval::CampaignPoint p = distinct_point();
+  ASSERT_EQ(eval::point_digest(config, p), 10869046104899268794ULL);
+  const auto blob = svc::encode_point(p);
+  Fnv64 h;
+  h.mix_bytes(blob.data(), blob.size());
+  EXPECT_EQ(blob.size(), 263u);
+  EXPECT_EQ(h.digest(), 3133890158991746153ULL);
 }
 
 TEST(ServiceDigest, CarriedDigestMatchesDecodedBlob) {

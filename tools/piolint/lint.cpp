@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <regex>
 #include <set>
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "piolint/lex.hpp"
 
 namespace pio::lint {
@@ -195,6 +198,25 @@ void rule_h1(const std::string& path, const std::string& code,
   }
 }
 
+// H2: an FNV-1a offset basis or the prime outside common/fnv.hpp. A local
+// copy is a second digest definition that can drift from the one the
+// goldens pin; fold through pio::Fnv64 or the library digests instead.
+// Literals are compared by value, so hex, digit separators and suffixes
+// are caught too.
+void rule_h2(const std::string& path, const std::string& code, const Sink& sink) {
+  if (path.size() >= 14 && path.rfind("common/fnv.hpp") == path.size() - 14) return;
+  static const std::regex kInteger(R"(\b(?:0[xX][0-9a-fA-F']+|[1-9][0-9']*)[uUlL]*\b)");
+  for (std::sregex_iterator it(code.begin(), code.end(), kInteger), end; it != end; ++it) {
+    std::string digits = it->str();
+    digits.erase(std::remove(digits.begin(), digits.end(), '\''), digits.end());
+    const std::uint64_t value = std::strtoull(digits.c_str(), nullptr, 0);
+    if (value != kFnv64Offset && value != kFnv64Prime && value != kFnv1a64Basis) continue;
+    sink.report(line_of(code, static_cast<std::size_t>(it->position())), "H2",
+                "FNV-1a constant outside common/fnv.hpp: fold through pio::Fnv64 or a "
+                "library digest instead of a local copy");
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rules() {
@@ -205,6 +227,7 @@ const std::vector<RuleInfo>& rules() {
       {"R1", "pio::Result-returning function missing [[nodiscard]]"},
       {"P1", "raw std::thread/std::jthread/std::async outside exec::Pool internals"},
       {"H1", "header hygiene (#pragma once, no using-namespace)"},
+      {"H2", "FNV-1a offset or prime spelled outside common/fnv.hpp"},
       {"S1", "seed-stream registry: collisions / stream ids outside seed_streams.hpp"},
       {"D3", "iteration over an unordered container declared in another file"},
       {"R2", "discarded pio::Result from a function declared in another TU"},
@@ -227,6 +250,7 @@ std::vector<Diagnostic> lint_source(const std::string& path, const std::string& 
   rule_r1(stripped.code, sink);
   rule_p1(stripped.code, sink);
   rule_h1(path, stripped.code, lines, sink);
+  rule_h2(path, stripped.code, sink);
 
   std::sort(diags.begin(), diags.end(), [](const Diagnostic& a, const Diagnostic& b) {
     if (a.line != b.line) return a.line < b.line;

@@ -18,6 +18,7 @@
 //   R1  function declaration returning pio::Result<T> without [[nodiscard]]
 //   H1  header hygiene: missing #pragma once, or using-namespace at header
 //       scope
+//   H2  the FNV-1a offset basis or prime spelled outside common/fnv.hpp
 //
 // Cross-TU rules (S1, D3, R2, C2, L1) run over the merged project index —
 // see piolint/index.hpp.
