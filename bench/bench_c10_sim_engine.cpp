@@ -4,7 +4,7 @@
 // that is only viable if the engine sustains millions of events per second.
 // This is the one google-benchmark microbenchmark binary: engine event
 // throughput, oversized-payload scheduling through the slab, fluid-channel
-// transfers, and end-to-end PFS model ops.
+// transfers, fabric messages, and end-to-end PFS model ops.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -93,6 +93,28 @@ void BM_FairShareChannel(benchmark::State& state) {
 }
 // 16 flows: the constant cost per event; 256 to 4096: growth with flow count.
 BENCHMARK(BM_FairShareChannel)->Arg(16)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_Fabric(benchmark::State& state) {
+  // Bursts of N concurrent 1 MiB messages across a 64-endpoint fabric, one
+  // burst per iteration on the same (warm) fabric. Each message is one
+  // pooled record crossing the inject, core and eject channels, so the row
+  // reads the steady-state per-message cost of the three-stage path.
+  const auto messages = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint32_t kEndpoints = 64;
+  sim::Engine engine;
+  net::Fabric fabric{engine, net::FabricConfig{}, kEndpoints};
+  for (auto _ : state) {
+    for (std::uint64_t m = 0; m < messages; ++m) {
+      fabric.send(static_cast<net::EndpointId>(m % kEndpoints),
+                  static_cast<net::EndpointId>((m * 7 + 1) % kEndpoints), 1_MiB, [] {});
+    }
+    engine.run();
+    benchmark::DoNotOptimize(fabric.stats().bytes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages) * state.iterations());
+}
+// 16 messages: the constant cost per message; 256 and 2048: growth with load.
+BENCHMARK(BM_Fabric)->Arg(16)->Arg(256)->Arg(2048);
 
 void BM_PfsModelEndToEnd(benchmark::State& state) {
   const auto ops = static_cast<std::uint64_t>(state.range(0));

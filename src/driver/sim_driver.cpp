@@ -205,25 +205,23 @@ void ExecutionDrivenSimulator::advance(std::int32_t rank) {
     }
     return;
   }
-  issue(rank, std::move(*op));
+  state.op = std::move(*op);
+  issue(rank);
 }
 
-void ExecutionDrivenSimulator::issue(std::int32_t rank, workload::Op op) {
+void ExecutionDrivenSimulator::issue(std::int32_t rank) {
   using K = workload::OpKind;
-  const SimTime start = engine_.now();
-  const pfs::ClientId client = client_of(rank);
+  RankState& state = ranks_[static_cast<std::size_t>(rank)];
+  const workload::Op& op = state.op;
+  state.start = engine_.now();
   switch (op.kind) {
     case K::kCompute: {
-      engine_.schedule_after(op.think_time, [this, rank, op, start] {
-        complete_op(rank, op, start, true);
-      });
+      engine_.schedule_after(op.think_time, [this, rank] { complete_op(rank, true); });
       return;
     }
     case K::kBarrier: {
       ++barrier_waiting_;
-      auto& state = ranks_[static_cast<std::size_t>(rank)];
       state.at_barrier = true;
-      state.barrier_arrival = start;
       if (barrier_waiting_ == active_ranks_) release_barrier();
       return;
     }
@@ -231,24 +229,8 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank, workload::Op op) {
     case K::kWrite: {
       const bool is_write = op.kind == K::kWrite;
       if (tier_ != nullptr) {
-        auto done = [this, rank, op, start, is_write](bool ok, Bytes hit_bytes) {
-          if (sink_ != nullptr) {
-            // One kCache annotation per data op: size = bytes the cache
-            // served (read hits) or absorbed (write-back). Replay and
-            // profiling filter on kPosix, so these are purely additive.
-            trace::TraceEvent e;
-            e.layer = trace::Layer::kCache;
-            e.op = is_write ? trace::OpKind::kWrite : trace::OpKind::kRead;
-            e.rank = rank;
-            e.path = op.path;
-            e.offset = op.offset;
-            e.size = hit_bytes.count();
-            e.start = start;
-            e.end = engine_.now();
-            e.ok = ok;
-            sink_->record(e);
-          }
-          complete_op(rank, op, start, ok);
+        const auto done = [this, rank](bool ok, Bytes hit_bytes) {
+          cached_done(rank, ok, hit_bytes);
         };
         if (is_write) {
           tier_->write(rank, op.path, layout_of(op.path), op.offset, op.size, done);
@@ -257,10 +239,8 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank, workload::Op op) {
         }
         return;
       }
-      model_.io(client, op.path, layout_of(op.path), op.offset, op.size, is_write,
-                [this, rank, op, start](pfs::IoResult result) {
-                  complete_op(rank, op, start, result.ok);
-                });
+      model_.io(client_of(rank), op.path, layout_of(op.path), op.offset, op.size, is_write,
+                [this, rank](pfs::IoResult result) { complete_op(rank, result.ok); });
       return;
     }
     case K::kCreate:
@@ -271,55 +251,80 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank, workload::Op op) {
     case K::kReaddir:
     case K::kClose:
     case K::kFsync: {
-      pfs::MetaOp meta_op;
-      switch (op.kind) {
-        case K::kCreate: meta_op = pfs::MetaOp::kCreate; break;
-        case K::kOpen: meta_op = pfs::MetaOp::kOpen; break;
-        case K::kStat: meta_op = pfs::MetaOp::kStat; break;
-        case K::kMkdir: meta_op = pfs::MetaOp::kMkdir; break;
-        case K::kUnlink: meta_op = pfs::MetaOp::kUnlink; break;
-        case K::kReaddir: meta_op = pfs::MetaOp::kReaddir; break;
-        // fsync has no MDS meaning in this model; charge it as a close-cost
-        // round trip (the commit RPC).
-        case K::kFsync:
-        case K::kClose: meta_op = pfs::MetaOp::kClose; break;
-        default: meta_op = pfs::MetaOp::kStat; break;
-      }
-      const std::optional<pfs::StripeLayout> layout =
-          op.kind == K::kCreate ? std::optional<pfs::StripeLayout>(config_.layout)
-                                : std::nullopt;
       if (tier_ != nullptr && op.kind == K::kUnlink) tier_->invalidate_path(op.path);
-      auto issue_meta = [this, client, meta_op, rank, op, start, layout] {
-        model_.meta(client, meta_op, op.path,
-                    [this, rank, op, start](pfs::MetaResult result) {
-                      // Re-creating an existing file behaves like O_CREAT
-                      // without O_EXCL, and mkdir like mkdir -p: success.
-                      // (The measured path applies the same tolerance.)
-                      const bool ok =
-                          result.ok() ||
-                          ((op.kind == K::kCreate || op.kind == K::kMkdir) &&
-                           result.status == pfs::MetaStatus::kExists);
-                      if (result.inode.has_value()) {
-                        layouts_[op.path] = result.inode->layout;
-                      }
-                      complete_op(rank, op, start, ok);
-                    },
-                    layout);
-      };
       if (tier_ != nullptr && (op.kind == K::kFsync || op.kind == K::kClose)) {
         // Write-back barrier: the commit RPC is issued only once every dirty
         // page of the file has landed (C1: flush-on-close/fsync).
-        tier_->flush_path(rank, op.path, std::move(issue_meta));
+        tier_->flush_path(rank, op.path, [this, rank] { issue_meta(rank); });
         return;
       }
-      issue_meta();
+      issue_meta(rank);
       return;
     }
   }
 }
 
-void ExecutionDrivenSimulator::complete_op(std::int32_t rank, const workload::Op& op,
-                                           SimTime start, bool ok) {
+void ExecutionDrivenSimulator::issue_meta(std::int32_t rank) {
+  using K = workload::OpKind;
+  const workload::Op& op = ranks_[static_cast<std::size_t>(rank)].op;
+  pfs::MetaOp meta_op;
+  switch (op.kind) {
+    case K::kCreate: meta_op = pfs::MetaOp::kCreate; break;
+    case K::kOpen: meta_op = pfs::MetaOp::kOpen; break;
+    case K::kStat: meta_op = pfs::MetaOp::kStat; break;
+    case K::kMkdir: meta_op = pfs::MetaOp::kMkdir; break;
+    case K::kUnlink: meta_op = pfs::MetaOp::kUnlink; break;
+    case K::kReaddir: meta_op = pfs::MetaOp::kReaddir; break;
+    // fsync has no MDS meaning in this model; charge it as a close-cost
+    // round trip (the commit RPC).
+    case K::kFsync:
+    case K::kClose: meta_op = pfs::MetaOp::kClose; break;
+    default: meta_op = pfs::MetaOp::kStat; break;
+  }
+  const std::optional<pfs::StripeLayout> layout =
+      op.kind == K::kCreate ? std::optional<pfs::StripeLayout>(config_.layout) : std::nullopt;
+  model_.meta(client_of(rank), meta_op, op.path,
+              [this, rank](pfs::MetaResult result) { meta_done(rank, result); }, layout);
+}
+
+void ExecutionDrivenSimulator::meta_done(std::int32_t rank, const pfs::MetaResult& result) {
+  using K = workload::OpKind;
+  const workload::Op& op = ranks_[static_cast<std::size_t>(rank)].op;
+  // Re-creating an existing file behaves like O_CREAT without O_EXCL, and
+  // mkdir like mkdir -p: success. (The measured path applies the same
+  // tolerance.)
+  const bool ok = result.ok() || ((op.kind == K::kCreate || op.kind == K::kMkdir) &&
+                                  result.status == pfs::MetaStatus::kExists);
+  if (result.inode.has_value()) layouts_[op.path] = result.inode->layout;
+  complete_op(rank, ok);
+}
+
+void ExecutionDrivenSimulator::cached_done(std::int32_t rank, bool ok, Bytes hit_bytes) {
+  const RankState& state = ranks_[static_cast<std::size_t>(rank)];
+  if (sink_ != nullptr) {
+    // One kCache annotation per data op: size = bytes the cache served
+    // (read hits) or absorbed (write-back). Replay and profiling filter on
+    // kPosix, so these are purely additive.
+    trace::TraceEvent e;
+    e.layer = trace::Layer::kCache;
+    e.op = state.op.kind == workload::OpKind::kWrite ? trace::OpKind::kWrite
+                                                     : trace::OpKind::kRead;
+    e.rank = rank;
+    e.path = state.op.path;
+    e.offset = state.op.offset;
+    e.size = hit_bytes.count();
+    e.start = state.start;
+    e.end = engine_.now();
+    e.ok = ok;
+    sink_->record(e);
+  }
+  complete_op(rank, ok);
+}
+
+void ExecutionDrivenSimulator::complete_op(std::int32_t rank, bool ok) {
+  const RankState& state = ranks_[static_cast<std::size_t>(rank)];
+  const workload::Op& op = state.op;
+  const SimTime start = state.start;
   const SimTime end = engine_.now();
   ++result_.ops;
   if (!ok) ++result_.failed_ops;
@@ -365,13 +370,13 @@ void ExecutionDrivenSimulator::release_barrier() {
   // every epoch): rotate the learned access set and start warming.
   if (tier_ != nullptr) tier_->epoch_mark();
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    if (!ranks_[r].at_barrier) continue;
-    ranks_[r].at_barrier = false;
-    const SimTime arrival = ranks_[r].barrier_arrival;
-    const workload::Op barrier = workload::Op::barrier();
-    engine_.schedule_after(SimTime::zero(), [this, r, barrier, arrival] {
-      complete_op(static_cast<std::int32_t>(r), barrier, arrival, true);
-    });
+    RankState& state = ranks_[r];
+    if (!state.at_barrier) continue;
+    state.at_barrier = false;
+    // The barrier completes as a plain barrier op, timed from its arrival.
+    state.op = workload::Op::barrier();
+    const auto rank = static_cast<std::int32_t>(r);
+    engine_.schedule_after(SimTime::zero(), [this, rank] { complete_op(rank, true); });
   }
 }
 

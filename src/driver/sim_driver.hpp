@@ -127,11 +127,14 @@ class ExecutionDrivenSimulator {
   [[nodiscard]] const cache::ClientCacheTier* cache_tier() const { return tier_.get(); }
 
  private:
+  /// A rank has at most one op in flight: the op and its issue time live
+  /// here, so the stage callbacks capture only the rank.
   struct RankState {
     std::unique_ptr<workload::RankStream> stream;
+    workload::Op op;                ///< the op in flight (or the barrier waited on)
+    SimTime start = SimTime::zero();  ///< when `op` was issued
     bool done = false;
     bool at_barrier = false;
-    SimTime barrier_arrival = SimTime::zero();
     SimTime finish = SimTime::zero();
   };
 
@@ -145,8 +148,13 @@ class ExecutionDrivenSimulator {
   [[nodiscard]] RunCounters model_counters() const;
 
   void advance(std::int32_t rank);
-  void issue(std::int32_t rank, workload::Op op);
-  void complete_op(std::int32_t rank, const workload::Op& op, SimTime start, bool ok);
+  /// Issue the rank's op; it completes through complete_op.
+  void issue(std::int32_t rank);
+  void issue_meta(std::int32_t rank);
+  void meta_done(std::int32_t rank, const pfs::MetaResult& result);
+  /// A data op served through the cache tier: `hit_bytes` came from it.
+  void cached_done(std::int32_t rank, bool ok, Bytes hit_bytes);
+  void complete_op(std::int32_t rank, bool ok);
   void release_barrier();
   [[nodiscard]] pfs::ClientId client_of(std::int32_t rank) const;
   /// Layout for a path: cached from create/open, else the default.

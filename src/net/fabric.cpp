@@ -44,11 +44,28 @@ void Fabric::send(EndpointId src, EndpointId dst, Bytes size,
   }
   // Store-and-forward through the three stages. Each stage is itself a
   // fair-shared fluid channel, so concurrent senders contend realistically.
-  inject_[src]->transfer(wire, [this, dst, wire, done = std::move(on_delivered)]() mutable {
-    core_->transfer(wire, [this, dst, wire, done = std::move(done)]() mutable {
-      eject_[dst]->transfer(wire, std::move(done));
-    });
-  });
+  const sim::Handle h = messages_.acquire();
+  Message& msg = messages_[h];
+  msg.dst = dst;
+  msg.wire = wire;
+  msg.on_delivered = std::move(on_delivered);
+  inject_[src]->transfer(wire, [this, h] { to_core(h); });
+}
+
+void Fabric::to_core(sim::Handle h) {
+  core_->transfer(messages_[h].wire, [this, h] { to_eject(h); });
+}
+
+void Fabric::to_eject(sim::Handle h) {
+  const Message& msg = messages_[h];
+  eject_[msg.dst]->transfer(msg.wire, [this, h] { deliver(h); });
+}
+
+void Fabric::deliver(sim::Handle h) {
+  const std::function<void()> done = std::move(messages_[h].on_delivered);
+  messages_[h].on_delivered = nullptr;
+  messages_.release(h);
+  if (done) done();
 }
 
 SimTime Fabric::base_latency() const {

@@ -7,6 +7,10 @@
 // shared (possibly oversubscribed) core → per-endpoint ejection link. The
 // model reproduces the first-order phenomena the evaluation tools must see:
 // endpoint serialization, core saturation, and latency floors for small ops.
+//
+// A message is one pooled record (sim/records.hpp) that advances through the
+// three stages; each stage's callback captures only the fabric and the
+// record's handle, so a send costs no heap allocation in steady state.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,7 @@
 #include "common/types.hpp"
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "sim/records.hpp"
 #include "sim/resources.hpp"
 
 namespace pio::net {
@@ -60,6 +65,8 @@ class Fabric {
   [[nodiscard]] std::uint32_t endpoints() const { return static_cast<std::uint32_t>(inject_.size()); }
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
   [[nodiscard]] const FabricConfig& config() const { return config_; }
+  /// Messages sent and not yet delivered.
+  [[nodiscard]] std::size_t messages_in_flight() const { return messages_.live(); }
 
   /// One-way zero-load latency (three hops); used by models for cost floors.
   [[nodiscard]] SimTime base_latency() const;
@@ -74,12 +81,24 @@ class Fabric {
   }
 
  private:
+  /// One message in flight between its send and its delivery.
+  struct Message {
+    EndpointId dst = 0;
+    Bytes wire = Bytes::zero();  ///< size on the wire (inflated in a brownout)
+    std::function<void()> on_delivered;
+  };
+
+  void to_core(sim::Handle h);
+  void to_eject(sim::Handle h);
+  void deliver(sim::Handle h);
+
   sim::Engine& engine_;
   FabricConfig config_;
   std::vector<std::unique_ptr<sim::FairShareChannel>> inject_;
   std::vector<std::unique_ptr<sim::FairShareChannel>> eject_;
   std::unique_ptr<sim::FairShareChannel> core_;
   FabricStats stats_;
+  sim::RecordPool<Message> messages_;
   const fault::Timeline* timeline_ = nullptr;
   fault::ComponentId fault_id_{fault::ComponentKind::kComputeFabric, 0};
 };

@@ -47,20 +47,27 @@ bool MetadataServer::standby_active(SimTime t) const {
          timeline_->down(component_id(), t) && t >= standby_ready(t);
 }
 
-void MetadataServer::respond_error(MetaOp op, const std::string& path, SimTime enqueued,
-                                   MetaStatus status, std::function<void(MetaResult)> done) {
-  engine_.schedule_after(SimTime::zero(),
-                         [this, op, path, enqueued, status, done = std::move(done)]() mutable {
-                           ++stats_.ops_total;
-                           ++stats_.ops_by_type[op];
-                           ++stats_.errors;
-                           if (observer_) {
-                             observer_(MdsOpRecord{op, enqueued, engine_.now(), status, path});
-                           }
-                           MetaResult result;
-                           result.status = status;
-                           if (done) done(std::move(result));
-                         });
+void MetadataServer::reply(sim::Handle h, MetaResult result) {
+  const std::function<void(MetaResult)> done = std::move(requests_[h].on_done);
+  requests_[h].on_done = nullptr;
+  requests_.release(h);
+  if (done) done(std::move(result));
+}
+
+void MetadataServer::respond_error(sim::Handle h, MetaStatus status) {
+  requests_[h].status = status;
+  engine_.schedule_after(SimTime::zero(), [this, h] {
+    const Request& req = requests_[h];
+    ++stats_.ops_total;
+    ++stats_.ops_by_type[req.op];
+    ++stats_.errors;
+    if (observer_) {
+      observer_(MdsOpRecord{req.op, req.enqueued, engine_.now(), req.status, req.path});
+    }
+    MetaResult result;
+    result.status = req.status;
+    reply(h, std::move(result));
+  });
 }
 
 void MetadataServer::request(MetaOp op, const std::string& path,
@@ -71,6 +78,14 @@ void MetadataServer::request(MetaOp op, const std::string& path,
   }
   const SimTime enqueued = engine_.now();
   ++stats_.requests;
+  const sim::Handle h = requests_.acquire();
+  Request& req = requests_[h];
+  req.op = op;
+  req.path.assign(path);
+  req.layout = layout;
+  req.enqueued = enqueued;
+  req.cost = SimTime::zero();
+  req.on_done = std::move(on_done);
 
   // A request that arrives while the MDS is down either bounces at the door
   // (no standby: no thread consumed, no namespace mutation) or stalls until
@@ -81,17 +96,14 @@ void MetadataServer::request(MetaOp op, const std::string& path,
       stats_.standby_takeovers = standby_ready_.size();
       if (enqueued >= ready) {
         // Standby already serving: proceed as a normal request.
-        enqueue(op, path, layout, enqueued, std::move(on_done));
+        enqueue(h);
         return;
       }
       ++stats_.failover_stalls;
-      engine_.schedule_at(ready, [this, op, path, layout, enqueued,
-                                  done = std::move(on_done)]() mutable {
-        enqueue(op, path, layout, enqueued, std::move(done));
-      });
+      engine_.schedule_at(ready, [this, h] { enqueue(h); });
       return;
     }
-    respond_error(op, path, enqueued, MetaStatus::kUnavailable, std::move(on_done));
+    respond_error(h, MetaStatus::kUnavailable);
     return;
   }
 
@@ -102,96 +114,96 @@ void MetadataServer::request(MetaOp op, const std::string& path,
   if (admission_.policy == AdmissionPolicy::kRejectAtDoor &&
       threads_.waiters() >= admission_.max_queue_depth) {
     ++stats_.overload_rejected;
-    respond_error(op, path, enqueued, MetaStatus::kOverloaded, std::move(on_done));
+    respond_error(h, MetaStatus::kOverloaded);
     return;
   }
 
-  enqueue(op, path, layout, enqueued, std::move(on_done));
+  enqueue(h);
 }
 
-void MetadataServer::enqueue(MetaOp op, const std::string& path,
-                             const std::optional<StripeLayout>& layout, SimTime enqueued,
-                             std::function<void(MetaResult)> done) {
-  threads_.acquire(1, [this, op, path, layout, enqueued, done = std::move(done)]() mutable {
-    // CoDel-style shed at grant: a request that waited past the sojourn
-    // target is dropped before consuming service — its issuer has long
-    // since concluded the MDS is overloaded. The sojourn histogram records
-    // the queueing delay of served and shed requests alike.
-    const SimTime waited = engine_.now() - enqueued;
-    stats_.sojourn_us.add(static_cast<std::uint64_t>(waited.ns() / 1000));
-    if (admission_.policy == AdmissionPolicy::kCodelShed && waited > admission_.shed_target) {
-      threads_.release(1);
-      ++stats_.shed_ops;
-      respond_error(op, path, enqueued, MetaStatus::kOverloaded, std::move(done));
+void MetadataServer::enqueue(sim::Handle h) {
+  threads_.acquire(1, [this, h] { granted(h); });
+}
+
+void MetadataServer::granted(sim::Handle h) {
+  // CoDel-style shed at grant: a request that waited past the sojourn
+  // target is dropped before consuming service — its issuer has long
+  // since concluded the MDS is overloaded. The sojourn histogram records
+  // the queueing delay of served and shed requests alike.
+  const SimTime waited = engine_.now() - requests_[h].enqueued;
+  stats_.sojourn_us.add(static_cast<std::uint64_t>(waited.ns() / 1000));
+  if (admission_.policy == AdmissionPolicy::kCodelShed && waited > admission_.shed_target) {
+    threads_.release(1);
+    ++stats_.shed_ops;
+    respond_error(h, MetaStatus::kOverloaded);
+    return;
+  }
+  // A slowdown (e.g. lock-contention storm) in effect at service start
+  // stretches this op's cost by the active factor.
+  Request& req = requests_[h];
+  SimTime cost = cost_of(req.op, req.path);
+  if (timeline_ != nullptr) cost = timeline_->scaled(component_id(), engine_.now(), cost);
+  req.cost = cost;
+  engine_.schedule_after(cost, [this, h] { serviced(h); });
+}
+
+void MetadataServer::serviced(sim::Handle h) {
+  const SimTime now = engine_.now();
+  if (timeline_ != nullptr && timeline_->down(component_id(), now) && !standby_active(now)) {
+    if (config_.standby_failover) {
+      // Primary died mid-service. The client's RPC is replayed by the
+      // standby once its journal replay finishes: a stall, not an error.
+      const SimTime ready = standby_ready(now);
+      stats_.standby_takeovers = standby_ready_.size();
+      ++stats_.failover_stalls;
+      engine_.schedule_at(ready, [this, h] { complete(h); });
       return;
     }
-    // A slowdown (e.g. lock-contention storm) in effect at service start
-    // stretches this op's cost by the active factor.
-    SimTime cost = cost_of(op, path);
-    if (timeline_ != nullptr) cost = timeline_->scaled(component_id(), engine_.now(), cost);
-    engine_.schedule_after(cost, [this, op, path, layout, enqueued, cost,
-                                  done = std::move(done)]() mutable {
-      const SimTime now = engine_.now();
-      if (timeline_ != nullptr && timeline_->down(component_id(), now) &&
-          !standby_active(now)) {
-        if (config_.standby_failover) {
-          // Primary died mid-service. The client's RPC is replayed by the
-          // standby once its journal replay finishes: a stall, not an error.
-          const SimTime ready = standby_ready(now);
-          stats_.standby_takeovers = standby_ready_.size();
-          ++stats_.failover_stalls;
-          engine_.schedule_at(ready, [this, op, path, layout, enqueued, cost,
-                                      done = std::move(done)]() mutable {
-            complete(op, path, layout, enqueued, cost, std::move(done));
-          });
-          return;
-        }
-        // A crash that hit mid-service loses the op: its failure (and the
-        // service thread it held) surfaces at recovery, never inside the
-        // down interval (invariant F1), and the mutation is NOT applied.
-        const SimTime recovery = timeline_->down_until(component_id(), now);
-        engine_.schedule_at(recovery,
-                            [this, op, path, enqueued, cost, done = std::move(done)]() mutable {
-                              timeline_->check_handler_allowed(component_id(), engine_.now());
-                              ++stats_.ops_total;
-                              ++stats_.ops_by_type[op];
-                              stats_.busy_time += cost;
-                              ++stats_.errors;
-                              if (observer_) {
-                                observer_(MdsOpRecord{op, enqueued, engine_.now(),
-                                                      MetaStatus::kUnavailable, path});
-                              }
-                              threads_.release(1);
-                              MetaResult result;
-                              result.status = MetaStatus::kUnavailable;
-                              if (done) done(std::move(result));
-                            });
-        return;
-      }
-      complete(op, path, layout, enqueued, cost, std::move(done));
-    });
-  });
+    // A crash that hit mid-service loses the op: its failure (and the
+    // service thread it held) surfaces at recovery, never inside the down
+    // interval (invariant F1), and the mutation is NOT applied.
+    const SimTime recovery = timeline_->down_until(component_id(), now);
+    engine_.schedule_at(recovery, [this, h] { lost(h); });
+    return;
+  }
+  complete(h);
 }
 
-void MetadataServer::complete(MetaOp op, const std::string& path,
-                              const std::optional<StripeLayout>& layout, SimTime enqueued,
-                              SimTime cost, std::function<void(MetaResult)> done) {
+void MetadataServer::lost(sim::Handle h) {
+  timeline_->check_handler_allowed(component_id(), engine_.now());
+  const Request& req = requests_[h];
+  ++stats_.ops_total;
+  ++stats_.ops_by_type[req.op];
+  stats_.busy_time += req.cost;
+  ++stats_.errors;
+  if (observer_) {
+    observer_(MdsOpRecord{req.op, req.enqueued, engine_.now(), MetaStatus::kUnavailable,
+                          req.path});
+  }
+  threads_.release(1);
+  MetaResult result;
+  result.status = MetaStatus::kUnavailable;
+  reply(h, std::move(result));
+}
+
+void MetadataServer::complete(sim::Handle h) {
   const SimTime now = engine_.now();
   // F1 is judged per *service*: a handler inside a down interval is fine
   // when the standby has taken over and is the one serving.
   if (timeline_ != nullptr && !standby_active(now)) {
     timeline_->check_handler_allowed(component_id(), now);
   }
-  MetaResult result = apply(op, path, layout);
+  const Request& req = requests_[h];
+  MetaResult result = apply(req.op, req.path, req.layout);
   ++stats_.ops_total;
-  ++stats_.ops_by_type[op];
-  stats_.busy_time += cost;
+  ++stats_.ops_by_type[req.op];
+  stats_.busy_time += req.cost;
   if (!result.ok()) ++stats_.errors;
   if (observer_) {
-    observer_(MdsOpRecord{op, enqueued, now, result.status, path});
+    observer_(MdsOpRecord{req.op, req.enqueued, now, result.status, req.path});
   }
   threads_.release(1);
-  if (done) done(std::move(result));
+  reply(h, std::move(result));
 }
 
 Inode* MetadataServer::find_inode(const std::string& path) {

@@ -20,6 +20,7 @@
 #include "pfs/resilience.hpp"
 #include "pfs/stripe.hpp"
 #include "sim/engine.hpp"
+#include "sim/records.hpp"
 #include "sim/resources.hpp"
 
 namespace pio::pfs {
@@ -154,6 +155,8 @@ class MetadataServer {
   [[nodiscard]] const MdsStats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t namespace_size() const { return namespace_.size(); }
   [[nodiscard]] std::uint64_t queued_requests() const { return threads_.waiters(); }
+  /// Requests accepted and not yet answered.
+  [[nodiscard]] std::size_t requests_in_flight() const { return requests_.live(); }
   [[nodiscard]] const MdsConfig& config() const { return config_; }
   /// Mutations journaled so far (drives the standby's replay cost).
   [[nodiscard]] std::uint64_t journal_entries() const { return journal_entries_; }
@@ -165,6 +168,18 @@ class MetadataServer {
   [[nodiscard]] SimTime standby_ready(SimTime now) const;
 
  private:
+  /// One request, from request() to its reply. The path is copied in once;
+  /// a reused record's string keeps its capacity.
+  struct Request {
+    MetaOp op = MetaOp::kStat;
+    std::string path;
+    std::optional<StripeLayout> layout;
+    SimTime enqueued = SimTime::zero();
+    SimTime cost = SimTime::zero();           ///< service cost, once granted
+    MetaStatus status = MetaStatus::kOk;      ///< error to deliver (respond_error)
+    std::function<void(MetaResult)> on_done;
+  };
+
   [[nodiscard]] SimTime cost_of(MetaOp op, const std::string& path) const;
   [[nodiscard]] MetaResult apply(MetaOp op, const std::string& path,
                                  const std::optional<StripeLayout>& layout);
@@ -173,15 +188,21 @@ class MetadataServer {
   /// finished its takeover and is serving (F1 is judged per-service, so a
   /// successful handler in this state is legitimate).
   [[nodiscard]] bool standby_active(SimTime t) const;
-  void enqueue(MetaOp op, const std::string& path, const std::optional<StripeLayout>& layout,
-               SimTime enqueued, std::function<void(MetaResult)> done);
+  /// Queue request `h` for a service thread.
+  void enqueue(sim::Handle h);
+  /// Thread granted: shed, or start the service.
+  void granted(sim::Handle h);
+  /// Service time elapsed: complete, or defer past a crash.
+  void serviced(sim::Handle h);
   /// Terminal non-served response (door bounce / shed): account, observe,
   /// and deliver `status` on the next delta.
-  void respond_error(MetaOp op, const std::string& path, SimTime enqueued, MetaStatus status,
-                     std::function<void(MetaResult)> done);
+  void respond_error(sim::Handle h, MetaStatus status);
   /// Apply + account + release the service thread + deliver the result.
-  void complete(MetaOp op, const std::string& path, const std::optional<StripeLayout>& layout,
-                SimTime enqueued, SimTime cost, std::function<void(MetaResult)> done);
+  void complete(sim::Handle h);
+  /// A crash hit mid-service: the op fails at recovery, unapplied.
+  void lost(sim::Handle h);
+  /// Release request `h`, then deliver `result` to its issuer.
+  void reply(sim::Handle h, MetaResult result);
 
   sim::Engine& engine_;
   MdsConfig config_;
@@ -189,6 +210,7 @@ class MetadataServer {
   sim::TokenPool threads_;
   // Sorted map so Readdir can range-scan children of a directory prefix.
   std::map<std::string, Inode> namespace_;
+  sim::RecordPool<Request> requests_;
   MdsStats stats_;
   const fault::Timeline* timeline_ = nullptr;
   std::function<void(const MdsOpRecord&)> observer_;

@@ -48,8 +48,8 @@ SimTime OstServer::reject_retry_after() const {
   return hint;
 }
 
-void OstServer::finish(OstOpRecord record, OstCompletion completion,
-                       std::function<void(OstCompletion)> done) {
+void OstServer::finish(sim::Handle h, OstCompletion completion) {
+  OstOpRecord record = ops_[h].record;
   record.completed = engine_.now();
   record.ok = completion.ok();
   record.outcome = completion.outcome;
@@ -59,6 +59,9 @@ void OstServer::finish(OstOpRecord record, OstCompletion completion,
     timeline_->check_handler_allowed(component_id(), engine_.now());
   }
   if (completion.ok()) ++stats_.completed_ops;
+  const std::function<void(OstCompletion)> done = std::move(ops_[h].on_done);
+  ops_[h].on_done = nullptr;
+  ops_.release(h);
   if (observer_) observer_(record);
   if (done) done(completion);
 }
@@ -67,21 +70,23 @@ void OstServer::submit(std::uint64_t object_offset, Bytes size, bool is_write,
                        std::function<void(OstCompletion)> on_done) {
   const SimTime now = engine_.now();
   ++stats_.submitted_ops;
-  OstOpRecord record;
+  const sim::Handle h = ops_.acquire();
+  OstOpRecord& record = ops_[h].record;
+  record = OstOpRecord{};
   record.ost = index_;
   record.enqueued = now;
   record.offset = object_offset;
   record.size = size;
   record.is_write = is_write;
   record.queue_depth_at_enqueue = queue_.queue_depth();
+  ops_[h].on_done = std::move(on_done);
 
   // A request that arrives while the OST is down bounces at the door: no
   // device work, no byte accounting, an immediate (next-delta) failure.
   if (timeline_ && timeline_->down(component_id(), now)) {
     ++stats_.rejected_ops;
-    engine_.schedule_after(SimTime::zero(), [this, record, done = std::move(on_done)]() mutable {
-      finish(record, OstCompletion{OstOutcome::kRejectedDown, SimTime::zero()},
-             std::move(done));
+    engine_.schedule_after(SimTime::zero(), [this, h] {
+      finish(h, OstCompletion{OstOutcome::kRejectedDown, SimTime::zero()});
     });
     return;
   }
@@ -92,13 +97,10 @@ void OstServer::submit(std::uint64_t object_offset, Bytes size, bool is_write,
   if (admission_.policy == AdmissionPolicy::kRejectAtDoor &&
       queue_.queue_depth() >= admission_.max_queue_depth) {
     ++stats_.overload_rejected_ops;
-    const SimTime retry_after = reject_retry_after();
-    engine_.schedule_after(SimTime::zero(),
-                           [this, record, retry_after, done = std::move(on_done)]() mutable {
-                             finish(record,
-                                    OstCompletion{OstOutcome::kRejectedOverload, retry_after},
-                                    std::move(done));
-                           });
+    ops_[h].retry_after = reject_retry_after();
+    engine_.schedule_after(SimTime::zero(), [this, h] {
+      finish(h, OstCompletion{OstOutcome::kRejectedOverload, ops_[h].retry_after});
+    });
     return;
   }
 
@@ -117,35 +119,31 @@ void OstServer::submit(std::uint64_t object_offset, Bytes size, bool is_write,
     ++stats_.read_ops;
     stats_.bytes_read += size;
   }
-  auto serve = [this, record, done = std::move(on_done)](bool shed) mutable {
-    if (shed) {
-      ++stats_.shed_ops;
-      finish(record,
-             OstCompletion{OstOutcome::kShed, std::max(admission_.retry_after_floor,
-                                                       admission_.shed_target)},
-             std::move(done));
-      return;
-    }
-    // If a crash hit while this op was queued or in service, the op is lost:
-    // its failure surfaces at recovery, never inside the down interval (F1).
-    if (timeline_ && timeline_->down(component_id(), engine_.now())) {
-      ++stats_.interrupted_ops;
-      const SimTime recovery = timeline_->down_until(component_id(), engine_.now());
-      engine_.schedule_at(recovery, [this, record, done = std::move(done)]() mutable {
-        finish(record, OstCompletion{OstOutcome::kInterrupted, SimTime::zero()},
-               std::move(done));
-      });
-      return;
-    }
-    finish(record, OstCompletion{OstOutcome::kOk, SimTime::zero()}, std::move(done));
-  };
   if (admission_.policy == AdmissionPolicy::kCodelShed) {
-    auto shared = std::make_shared<decltype(serve)>(std::move(serve));
-    queue_.submit(service, [shared]() mutable { (*shared)(false); },
-                  [shared]() mutable { (*shared)(true); });
+    queue_.submit(service, [this, h] { serve(h, false); }, [this, h] { serve(h, true); });
   } else {
-    queue_.submit(service, [serve = std::move(serve)]() mutable { serve(false); });
+    queue_.submit(service, [this, h] { serve(h, false); });
   }
+}
+
+void OstServer::serve(sim::Handle h, bool shed) {
+  if (shed) {
+    ++stats_.shed_ops;
+    finish(h, OstCompletion{OstOutcome::kShed, std::max(admission_.retry_after_floor,
+                                                        admission_.shed_target)});
+    return;
+  }
+  // If a crash hit while this op was queued or in service, the op is lost:
+  // its failure surfaces at recovery, never inside the down interval (F1).
+  if (timeline_ && timeline_->down(component_id(), engine_.now())) {
+    ++stats_.interrupted_ops;
+    const SimTime recovery = timeline_->down_until(component_id(), engine_.now());
+    engine_.schedule_at(recovery, [this, h] {
+      finish(h, OstCompletion{OstOutcome::kInterrupted, SimTime::zero()});
+    });
+    return;
+  }
+  finish(h, OstCompletion{OstOutcome::kOk, SimTime::zero()});
 }
 
 }  // namespace pio::pfs

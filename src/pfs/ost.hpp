@@ -18,6 +18,7 @@
 #include "pfs/disk.hpp"
 #include "pfs/resilience.hpp"
 #include "sim/engine.hpp"
+#include "sim/records.hpp"
 #include "sim/resources.hpp"
 
 namespace pio::pfs {
@@ -106,6 +107,8 @@ class OstServer {
   [[nodiscard]] const OstStats& stats() const { return stats_; }
   [[nodiscard]] const sim::ServerStats& queue_stats() const { return queue_.stats(); }
   [[nodiscard]] std::uint64_t queue_depth() const { return queue_.queue_depth(); }
+  /// Submitted ops whose completion has not yet been delivered.
+  [[nodiscard]] std::size_t ops_in_flight() const { return ops_.live(); }
   [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] const DiskModel& disk() const { return *disk_; }
   [[nodiscard]] fault::ComponentId component_id() const {
@@ -113,8 +116,17 @@ class OstServer {
   }
 
  private:
-  void finish(OstOpRecord record, OstCompletion completion,
-              std::function<void(OstCompletion)> done);
+  /// One submitted op, from submit() to its completion.
+  struct Op {
+    OstOpRecord record;
+    SimTime retry_after = SimTime::zero();  ///< door-rejection hint
+    std::function<void(OstCompletion)> on_done;
+  };
+
+  /// Queue exit: serve op `h`, or deliver its shed.
+  void serve(sim::Handle h, bool shed);
+  /// Stamp, audit and observe op `h`, release it, then deliver `completion`.
+  void finish(sim::Handle h, OstCompletion completion);
   /// Retry-after hint for a door rejection: roughly the time for the queue
   /// to drain back under the bound, floored by the configured minimum.
   [[nodiscard]] SimTime reject_retry_after() const;
@@ -123,6 +135,7 @@ class OstServer {
   std::uint32_t index_;
   std::unique_ptr<DiskModel> disk_;
   sim::FifoServer queue_;
+  sim::RecordPool<Op> ops_;
   OstStats stats_;
   AdmissionConfig admission_{};
   const fault::Timeline* timeline_ = nullptr;

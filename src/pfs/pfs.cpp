@@ -22,16 +22,20 @@ std::unique_ptr<DiskModel> make_disk(const PfsConfig& config, sim::Engine& engin
 
 }  // namespace
 
-/// One logical io() op across its (possibly many) attempts.
-struct PfsModel::IoOpState {
+/// One logical io() op across its (possibly many) attempts. It stays live
+/// until it has settled *and* every attempt it started has completed, so an
+/// orphan draining after a timeout still finds it: `refs` counts the op's
+/// own reference (dropped at settle) plus one per attempt in flight.
+struct PfsModel::IoOp {
   ClientId client = 0;
-  std::string path;
+  std::uint64_t file_token = 0;  ///< token_info_ key: path and placement key
   StripeLayout layout{};
   std::uint64_t offset = 0;
   Bytes size = Bytes::zero();
   bool is_write = false;
   SimTime issued = SimTime::zero();
   std::uint32_t attempt = 0;  ///< attempts started so far
+  std::uint32_t refs = 0;
   std::uint64_t file = 0;     ///< durability file token (0 = untracked)
   WriteToken token = 0;       ///< payload identity for tracked writes
   std::uint64_t key = 0;      ///< placement key (cluster map mode)
@@ -43,12 +47,16 @@ struct PfsModel::IoOpState {
   std::function<void(IoResult)> done;
 };
 
-/// Settle latch shared between an attempt's completion path and its timeout
-/// event: whichever fires first wins; the loser becomes a no-op (completion)
+/// One attempt of an io() op, live from its start to its completion. Its
+/// settle latch is raced by the completion and the timeout event: whichever
+/// fires first wins; the loser becomes a no-op (completion, then an orphan)
 /// or is cancelled (timeout).
-struct PfsModel::AttemptState {
+struct PfsModel::Attempt {
+  sim::Handle op = 0;
   bool settled = false;
   sim::EventId timeout_event = 0;
+  bool ok = false;                 ///< the backend's verdict, on its way back
+  IoError error = IoError::kNone;
 };
 
 /// Fan-out latch for one backend_io call: completes when the last shipment
@@ -72,16 +80,12 @@ struct PfsModel::BackendFanout {
   void hint(SimTime t) {
     if (t > retry_after) retry_after = t;
   }
-  void finish_one(bool ok, IoError e) {
-    if (!ok) fail(e);
-    if (--remaining == 0 && done) {
-      done(all_ok, all_ok ? IoError::kNone : error, retry_after);
-    }
-  }
 };
 
 /// One chunk-to-OST shipment of a backend_io call. file_lo/file_hi are the
 /// chunk's range in *file offsets* — the durability ledger's coordinates.
+/// backend_io plans the first six fields; a shipment in flight also carries
+/// its call's context and the OST's verdict.
 struct PfsModel::Shipment {
   OstIndex target = 0;
   std::uint64_t object_offset = 0;
@@ -91,6 +95,26 @@ struct PfsModel::Shipment {
   /// Stale-map bounce: the OST rejects the addressing epoch with kStaleMap
   /// (header out, error header back) without touching the device.
   bool stale = false;
+  sim::Handle fan = 0;
+  std::uint32_t ion = 0;
+  bool is_write = false;
+  bool tracked = false;
+  std::uint64_t file = 0;
+  WriteToken wtoken = 0;
+  bool ok = false;
+  bool content_ok = true;  ///< a tracked read found the acknowledged data
+  IoError fail_error = IoError::kNone;
+};
+
+/// One meta() call, from the client's request to the reply's return. The
+/// path is copied in once; a reused record's string keeps its capacity.
+struct PfsModel::MetaCall {
+  ClientId client = 0;
+  MetaOp op = MetaOp::kStat;
+  std::string path;
+  std::optional<StripeLayout> layout;
+  MetaResult result;
+  std::function<void(MetaResult)> done;
 };
 
 /// One recovering OST's resync pass over the ranges it missed while down.
@@ -307,31 +331,38 @@ void PfsModel::meta(ClientId client, MetaOp op, const std::string& path,
                     std::function<void(MetaResult)> on_done,
                     std::optional<StripeLayout> layout) {
   if (client >= config_.clients) throw std::out_of_range("PfsModel::meta: bad client");
-  const std::uint32_t ion = ion_of(client);
+  const sim::Handle m = metas_.acquire();
+  MetaCall& call = metas_[m];
+  call.client = client;
+  call.op = op;
+  call.path.assign(path);
+  call.layout = layout;
+  call.done = std::move(on_done);
   // Request header: client -> ION (compute fabric) -> MDS (storage fabric).
   // An MDS down interval surfaces as MetaStatus::kUnavailable from the
   // server itself; the response header still travels back normally.
-  compute_fabric_->send(client, compute_ep_of_ion(ion), kHeader, [this, client, ion, op, path,
-                                                                  layout,
-                                                                  done = std::move(on_done)]() mutable {
-    storage_fabric_->send(ion, storage_ep_of_mds(), kHeader, [this, client, ion, op, path, layout,
-                                                              done = std::move(done)]() mutable {
+  compute_fabric_->send(client, compute_ep_of_ion(ion_of(client)), kHeader, [this, m] {
+    storage_fabric_->send(ion_of(metas_[m].client), storage_ep_of_mds(), kHeader, [this, m] {
+      const MetaCall& sent = metas_[m];
       mds_->request(
-          op, path,
-          [this, client, ion, done = std::move(done)](MetaResult result) mutable {
-            // Response header back down the same path.
-            storage_fabric_->send(storage_ep_of_mds(), ion, kHeader,
-                                  [this, client, ion, result = std::move(result),
-                                   done = std::move(done)]() mutable {
-                                    compute_fabric_->send(
-                                        compute_ep_of_ion(ion), client, kHeader,
-                                        [result = std::move(result),
-                                         done = std::move(done)]() mutable {
-                                          if (done) done(std::move(result));
-                                        });
-                                  });
-          },
-          layout);
+          sent.op, sent.path,
+          [this, m](MetaResult result) { meta_replied(m, std::move(result)); }, sent.layout);
+    });
+  });
+}
+
+void PfsModel::meta_replied(sim::Handle m, MetaResult result) {
+  metas_[m].result = std::move(result);
+  // Response header back down the same path.
+  storage_fabric_->send(storage_ep_of_mds(), ion_of(metas_[m].client), kHeader, [this, m] {
+    const ClientId client = metas_[m].client;
+    compute_fabric_->send(compute_ep_of_ion(ion_of(client)), client, kHeader, [this, m] {
+      MetaCall& call = metas_[m];
+      MetaResult reply = std::move(call.result);
+      const std::function<void(MetaResult)> done = std::move(call.done);
+      call.done = nullptr;
+      metas_.release(m);
+      if (done) done(std::move(reply));
     });
   });
 }
@@ -496,23 +527,20 @@ void PfsModel::plan_migration() {
   }
 }
 
-void PfsModel::refresh_map(ClientId client, std::function<void()> done) {
+void PfsModel::refresh_map(sim::Handle op) {
   ++res_stats_.map_refreshes;
-  const std::uint32_t ion = ion_of(client);
+  const ClientId client = ops_[op].client;
   // Header round trip: client -> ION (compute) -> MDS monitor (storage) and
   // back. The epoch is snapshotted when the reply *arrives*, so a refresh
   // can itself race another publication — exactly like a real monitor.
-  compute_fabric_->send(client, compute_ep_of_ion(ion), kHeader, [this, client, ion,
-                                                                 done = std::move(done)]() mutable {
-    storage_fabric_->send(ion, storage_ep_of_mds(), kHeader, [this, client, ion,
-                                                              done = std::move(done)]() mutable {
-      storage_fabric_->send(storage_ep_of_mds(), ion, kHeader, [this, client, ion,
-                                                                done = std::move(done)]() mutable {
-        compute_fabric_->send(compute_ep_of_ion(ion), client, kHeader,
-                              [this, client, done = std::move(done)]() mutable {
-                                client_epoch_[client] = map_.epoch();
-                                if (done) done();
-                              });
+  compute_fabric_->send(client, compute_ep_of_ion(ion_of(client)), kHeader, [this, op] {
+    storage_fabric_->send(ion_of(ops_[op].client), storage_ep_of_mds(), kHeader, [this, op] {
+      storage_fabric_->send(storage_ep_of_mds(), ion_of(ops_[op].client), kHeader, [this, op] {
+        const ClientId back = ops_[op].client;
+        compute_fabric_->send(compute_ep_of_ion(ion_of(back)), back, kHeader, [this, op] {
+          client_epoch_[ops_[op].client] = map_.epoch();
+          start_attempt(op);
+        });
       });
     });
   });
@@ -537,19 +565,19 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
                           std::uint64_t offset, Bytes size, bool is_write, WriteToken wtoken,
                           std::uint64_t key, std::uint64_t epoch,
                           std::function<void(bool ok, IoError error, SimTime retry_after)> on_done) {
-  const auto chunks = decompose(layout, config_.osts, offset, size);
+  decompose(layout, config_.osts, offset, size, chunks_);
   const bool tracked = tracking() && file != 0;
   const std::uint32_t replicas = tracked ? layout.replicas : 1;
   const SimTime dispatched = engine_.now();
 
-  auto fan = std::make_shared<BackendFanout>();
-  fan->done = std::move(on_done);
+  const sim::Handle f = fanouts_.acquire();
+  fanouts_[f] = BackendFanout{};
+  fanouts_[f].done = std::move(on_done);
 
   // Plan every shipment first so the fan-out count is fixed before any
   // completion can fire.
-  std::vector<Shipment> ships;
-  ships.reserve(chunks.size() * replicas);
-  for (const auto& chunk : chunks) {
+  plan_.clear();
+  for (const auto& chunk : chunks_) {
     const std::uint64_t flo = chunk.file_offset;
     const std::uint64_t fhi = chunk.file_offset + chunk.length.count();
     if (cluster_enabled()) {
@@ -568,11 +596,11 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
         // addressed OST rejects the epoch instead of serving (Ceph's
         // stale-OSDMap discipline). Bounce the whole chunk.
         const OstIndex bounce = !targets.empty() ? targets.front() : chunk.ost;
-        ships.push_back(Shipment{bounce, flo, chunk.length, flo, fhi, /*stale=*/true});
+        plan_.push_back(Shipment{bounce, flo, chunk.length, flo, fhi, /*stale=*/true});
         continue;
       }
       if (targets.empty()) {
-        fan->fail(IoError::kOstDown);  // no placeable OST in the cached map
+        fanouts_[f].fail(IoError::kOstDown);  // no placeable OST in the cached map
         continue;
       }
       if (is_write) {
@@ -582,7 +610,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
         // mark_missed here: migration planning at the next epoch settles
         // the debts detection reveals.)
         for (const OstIndex target : targets) {
-          ships.push_back(Shipment{target, flo, chunk.length, flo, fhi});
+          plan_.push_back(Shipment{target, flo, chunk.length, flo, fhi});
         }
         continue;
       }
@@ -606,15 +634,15 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
           emit_resilience(ResilienceEventKind::kDegradedRead, 0, IoError::kNone, serve,
                           chunk.length);
         }
-        ships.push_back(Shipment{serve, flo, chunk.length, flo, fhi});
+        plan_.push_back(Shipment{serve, flo, chunk.length, flo, fhi});
       } else if (first_serving != kNoOst) {
         // Somebody serving, nobody holding: the read completes and the
         // content check reports kDataLost.
-        ships.push_back(Shipment{first_serving, flo, chunk.length, flo, fhi});
+        plan_.push_back(Shipment{first_serving, flo, chunk.length, flo, fhi});
       } else {
         // Nobody the client believes serving: address the primary and let
         // reality answer (a door rejection is retryable).
-        ships.push_back(Shipment{targets.front(), flo, chunk.length, flo, fhi});
+        plan_.push_back(Shipment{targets.front(), flo, chunk.length, flo, fhi});
       }
       continue;
     }
@@ -624,7 +652,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
       // outside the read set, the classic R=1 durability hole that F3 and
       // kDataLost make visible under tracking.
       const OstIndex target = route_chunk(chunk.ost, dispatched);
-      ships.push_back(Shipment{target, chunk.object_offset, chunk.length, flo, fhi});
+      plan_.push_back(Shipment{target, chunk.object_offset, chunk.length, flo, fhi});
       continue;
     }
     if (is_write) {
@@ -636,11 +664,11 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
         if (ost_down(target, dispatched)) {
           ledger_.mark_missed(target, file, flo, fhi);
         } else {
-          ships.push_back(Shipment{target, chunk.object_offset, chunk.length, flo, fhi});
+          plan_.push_back(Shipment{target, chunk.object_offset, chunk.length, flo, fhi});
           ++live;
         }
       }
-      if (live == 0) fan->fail(IoError::kOstDown);  // whole replica set down
+      if (live == 0) fanouts_[f].fail(IoError::kOstDown);  // whole replica set down
       continue;
     }
     // Replicated read: serve from the first replica that is up AND holds
@@ -665,108 +693,132 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
         emit_resilience(ResilienceEventKind::kDegradedRead, 0, IoError::kNone, serve,
                         chunk.length);
       }
-      ships.push_back(Shipment{serve, chunk.object_offset, chunk.length, flo, fhi});
+      plan_.push_back(Shipment{serve, chunk.object_offset, chunk.length, flo, fhi});
     } else if (first_up != kNone) {
       // Some replica is up but none holds current data: the device read
       // completes, the content check at completion reports kDataLost.
-      ships.push_back(Shipment{first_up, chunk.object_offset, chunk.length, flo, fhi});
+      plan_.push_back(Shipment{first_up, chunk.object_offset, chunk.length, flo, fhi});
     } else {
       // Whole replica set down: let the primary reject it (retryable).
-      ships.push_back(Shipment{chunk.ost, chunk.object_offset, chunk.length, flo, fhi});
+      plan_.push_back(Shipment{chunk.ost, chunk.object_offset, chunk.length, flo, fhi});
     }
   }
 
-  if (ships.empty()) {
-    engine_.schedule_after(SimTime::zero(), [fan]() mutable {
-      if (fan->done) {
-        fan->done(fan->all_ok, fan->all_ok ? IoError::kNone : fan->error, fan->retry_after);
-      }
-    });
+  if (plan_.empty()) {
+    engine_.schedule_after(SimTime::zero(), [this, f] { fanout_deliver(f); });
     return;
   }
-  fan->remaining = ships.size();
+  fanouts_[f].remaining = plan_.size();
 
-  for (const auto& ship : ships) {
-    const net::EndpointId ost_ep = storage_ep_of_ost(ship.target);
-    if (ship.stale) {
+  // A shipment in flight: the planned chunk plus its call's context.
+  const auto launch = [&](const Shipment& planned) {
+    const sim::Handle s = shipments_.acquire();
+    Shipment& ship = shipments_[s];
+    ship = planned;
+    ship.fan = f;
+    ship.ion = ion;
+    ship.is_write = is_write;
+    ship.tracked = tracked;
+    ship.file = file;
+    ship.wtoken = wtoken;
+    ship.ok = false;
+    ship.content_ok = true;
+    ship.fail_error = IoError::kNone;
+    return s;
+  };
+  for (const Shipment& planned : plan_) {
+    const net::EndpointId ost_ep = storage_ep_of_ost(planned.target);
+    if (planned.stale) {
       // Epoch check happens at the door, before any device work: request
       // header out, kStaleMap error header straight back. (No breaker gate:
       // a stale bounce is protocol, not server health.)
-      storage_fabric_->send(ion, ost_ep, kHeader, [this, ion, ost_ep, fan]() mutable {
-        storage_fabric_->send(ost_ep, ion, kHeader, [fan]() mutable {
-          fan->finish_one(false, IoError::kStaleMap);
-        });
+      const sim::Handle s = launch(planned);
+      shipments_[s].fail_error = IoError::kStaleMap;
+      storage_fabric_->send(ion, ost_ep, kHeader, [this, s] {
+        const Shipment& ship = shipments_[s];
+        storage_fabric_->send(storage_ep_of_ost(ship.target), ship.ion, kHeader,
+                              [this, s] { shipment_done(s); });
       });
       continue;
     }
     // Circuit breaker gate: chunks addressed to a server whose breaker is
     // open fast-fail on the client without touching the fabric or the OST.
     if (config_.retry.breaker) {
-      const CircuitBreaker::Gate gate = breakers_[ship.target].admit(engine_.now());
+      const CircuitBreaker::Gate gate = breakers_[planned.target].admit(engine_.now());
       if (!gate.allowed) {
         ++res_stats_.breaker_fast_fails;
-        engine_.schedule_after(SimTime::zero(), [fan]() mutable {
-          fan->finish_one(false, IoError::kCircuitOpen);
+        engine_.schedule_after(SimTime::zero(), [this, f] {
+          fanout_finish_one(f, false, IoError::kCircuitOpen);
         });
         continue;
       }
       if (gate.probe) {
         ++res_stats_.breaker_probes;
-        emit_resilience(ResilienceEventKind::kBreakerProbe, 0, IoError::kNone, ship.target);
+        emit_resilience(ResilienceEventKind::kBreakerProbe, 0, IoError::kNone, planned.target);
       }
     }
-    if (is_write) {
-      // Ship data to the OST, write it, then a small ack (or error) returns.
-      storage_fabric_->send(ion, ost_ep, ship.length, [this, ship, ion, ost_ep, fan, file,
-                                                       tracked, wtoken]() mutable {
-        osts_[ship.target]->submit(
-            ship.object_offset, ship.length, true,
-            [this, ship, ion, ost_ep, fan, file, tracked, wtoken](OstCompletion c) mutable {
-              breaker_note(ship.target, c.ok());
-              fan->hint(c.retry_after);
-              if (c.ok() && tracked) {
-                ledger_.apply(file, ship.target, ship.file_lo, ship.file_hi, wtoken);
-              }
-              const IoError fail_error =
-                  c.overloaded() ? IoError::kOverloaded : IoError::kOstDown;
-              storage_fabric_->send(ost_ep, ion, kHeader,
-                                    [fan, ok = c.ok(), fail_error]() mutable {
-                                      fan->finish_one(ok, ok ? IoError::kNone : fail_error);
-                                    });
-            });
-      });
-    } else {
-      // Small request travels to the OST; data (or a short error) returns.
-      storage_fabric_->send(ion, ost_ep, kHeader, [this, ship, ion, ost_ep, fan, file,
-                                                   tracked]() mutable {
-        osts_[ship.target]->submit(
-            ship.object_offset, ship.length, false,
-            [this, ship, ion, ost_ep, fan, file, tracked](OstCompletion c) mutable {
-              breaker_note(ship.target, c.ok());
-              fan->hint(c.retry_after);
-              const bool ok = c.ok();
-              // Re-check content at completion: a resync finishing between
-              // dispatch and completion legitimately saves the read.
-              const bool content_ok =
-                  !ok || !tracked ||
-                  ledger_.read_ok(file, ship.target, ship.file_lo, ship.file_hi);
-              const Bytes payload = ok ? ship.length : kHeader;
-              const IoError fail_error =
-                  c.overloaded() ? IoError::kOverloaded : IoError::kOstDown;
-              storage_fabric_->send(ost_ep, ion, payload,
-                                    [fan, ok, content_ok, fail_error]() mutable {
-                                      if (!ok) {
-                                        fan->finish_one(false, fail_error);
-                                      } else if (!content_ok) {
-                                        fan->finish_one(false, IoError::kDataLost);
-                                      } else {
-                                        fan->finish_one(true, IoError::kNone);
-                                      }
-                                    });
-            });
-      });
-    }
+    // A write ships its data to the OST and a small ack (or error) returns;
+    // a read sends a small request and the data (or a short error) returns.
+    const sim::Handle s = launch(planned);
+    storage_fabric_->send(ion, ost_ep, is_write ? planned.length : kHeader,
+                          [this, s] { shipment_at_ost(s); });
   }
+}
+
+void PfsModel::shipment_at_ost(sim::Handle s) {
+  const Shipment& ship = shipments_[s];
+  osts_[ship.target]->submit(ship.object_offset, ship.length, ship.is_write,
+                             [this, s](OstCompletion c) { shipment_served(s, c); });
+}
+
+void PfsModel::shipment_served(sim::Handle s, OstCompletion c) {
+  breaker_note(shipments_[s].target, c.ok());
+  Shipment& ship = shipments_[s];
+  fanouts_[ship.fan].hint(c.retry_after);
+  ship.ok = c.ok();
+  ship.fail_error = c.overloaded() ? IoError::kOverloaded : IoError::kOstDown;
+  Bytes payload = kHeader;
+  if (ship.is_write) {
+    if (ship.ok && ship.tracked) {
+      ledger_.apply(ship.file, ship.target, ship.file_lo, ship.file_hi, ship.wtoken);
+    }
+  } else {
+    // Re-check content at completion: a resync finishing between dispatch
+    // and completion legitimately saves the read.
+    ship.content_ok = !ship.ok || !ship.tracked ||
+                      ledger_.read_ok(ship.file, ship.target, ship.file_lo, ship.file_hi);
+    if (ship.ok) payload = ship.length;
+  }
+  storage_fabric_->send(storage_ep_of_ost(ship.target), ship.ion, payload,
+                        [this, s] { shipment_done(s); });
+}
+
+void PfsModel::shipment_done(sim::Handle s) {
+  const Shipment& ship = shipments_[s];
+  const sim::Handle f = ship.fan;
+  const bool ok = ship.ok && ship.content_ok;
+  const IoError error = !ship.ok          ? ship.fail_error
+                        : ship.content_ok ? IoError::kNone
+                                          : IoError::kDataLost;
+  shipments_.release(s);
+  fanout_finish_one(f, ok, error);
+}
+
+void PfsModel::fanout_finish_one(sim::Handle f, bool ok, IoError error) {
+  BackendFanout& fan = fanouts_[f];
+  if (!ok) fan.fail(error);
+  if (--fan.remaining == 0) fanout_deliver(f);
+}
+
+void PfsModel::fanout_deliver(sim::Handle f) {
+  BackendFanout& fan = fanouts_[f];
+  const bool ok = fan.all_ok;
+  const IoError error = ok ? IoError::kNone : fan.error;
+  const SimTime retry_after = fan.retry_after;
+  const std::function<void(bool, IoError, SimTime)> done = std::move(fan.done);
+  fan.done = nullptr;
+  fanouts_.release(f);
+  if (done) done(ok, error, retry_after);
 }
 
 void PfsModel::emit_resilience(ResilienceEventKind kind, std::uint32_t attempt, IoError error,
@@ -792,34 +844,42 @@ void PfsModel::breaker_note(OstIndex ost, bool ok) {
   }
 }
 
-void PfsModel::settle(const std::shared_ptr<IoOpState>& op, bool ok, IoError error) {
+void PfsModel::unref_op(sim::Handle op) {
+  if (--ops_[op].refs == 0) ops_.release(op);
+}
+
+void PfsModel::settle(sim::Handle op, bool ok, IoError error) {
+  IoOp& o = ops_[op];
   IoResult result;
   result.ok = ok;
   result.error = ok ? IoError::kNone : error;
-  result.attempts = op->attempt;
-  result.issued = op->issued;
+  result.attempts = o.attempt;
+  result.issued = o.issued;
   result.completed = engine_.now();
-  result.size = op->size;
-  if (ok && op->is_write) {
-    mds_->grow_file(op->path, Bytes{op->offset} + op->size, engine_.now());
-    if (op->token != 0) {
+  result.size = o.size;
+  if (ok && o.is_write) {
+    mds_->grow_file(token_info_.at(o.file_token).path, Bytes{o.offset} + o.size, engine_.now());
+    if (o.token != 0) {
       // The ack IS the durability promise: from here on F3 holds the model
       // to keeping this payload readable from at least one replica.
-      ledger_.ack(op->file, op->offset, op->offset + op->size.count(), op->token);
+      ledger_.ack(o.file, o.offset, o.offset + o.size.count(), o.token);
     }
   }
   if (!ok) {
     ++res_stats_.failed_ops;
     if (error == IoError::kDataLost) ++res_stats_.data_lost_ops;
   }
-  if (op->done) op->done(result);
+  const std::function<void(IoResult)> done = std::move(o.done);
+  o.done = nullptr;
+  unref_op(op);
+  if (done) done(result);
 }
 
-void PfsModel::attempt_finished(const std::shared_ptr<IoOpState>& op, bool ok, IoError error) {
+void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
   const RetryPolicy& retry = config_.retry;
   if (ok) {
     if (retry.adaptive_timeout) {
-      latency_.observe(engine_.now() - op->attempt_started);
+      latency_.observe(engine_.now() - ops_[op].attempt_started);
     }
     if (retry.retry_budget) {
       budget_.deposit();
@@ -834,11 +894,13 @@ void PfsModel::attempt_finished(const std::shared_ptr<IoOpState>& op, bool ok, I
     settle(op, false, error);
     return;
   }
+  const std::uint32_t attempt = ops_[op].attempt;
+  const SimTime deadline = ops_[op].deadline;
   // End-to-end deadline: once the op's budget is spent, retrying is work
   // nobody is waiting for — settle now whatever the per-attempt error was.
-  if (op->deadline > SimTime::zero() && engine_.now() >= op->deadline) {
+  if (deadline > SimTime::zero() && engine_.now() >= deadline) {
     ++res_stats_.deadline_giveups;
-    emit_resilience(ResilienceEventKind::kDeadlineGiveUp, op->attempt, error);
+    emit_resilience(ResilienceEventKind::kDeadlineGiveUp, attempt, error);
     settle(op, false, IoError::kDeadlineExceeded);
     return;
   }
@@ -846,28 +908,28 @@ void PfsModel::attempt_finished(const std::shared_ptr<IoOpState>& op, bool ok, I
     // A stale map is not weather — backing off would just retry through the
     // same outdated epoch. Refresh the client's map (a real round trip to
     // the monitor) and retry immediately once the new epoch lands.
-    if (op->attempt < retry.max_attempts) {
+    if (attempt < retry.max_attempts) {
       ++res_stats_.stale_map_retries;
-      emit_resilience(ResilienceEventKind::kStaleMapRetry, op->attempt, error);
-      refresh_map(op->client, [this, op] { start_attempt(op); });
+      emit_resilience(ResilienceEventKind::kStaleMapRetry, attempt, error);
+      refresh_map(op);
       return;
     }
     if (retry.retries_enabled()) {
       ++res_stats_.giveups;
-      emit_resilience(ResilienceEventKind::kGiveUp, op->attempt, error);
+      emit_resilience(ResilienceEventKind::kGiveUp, attempt, error);
     }
     settle(op, false, error);
     return;
   }
-  if (op->attempt < retry.max_attempts) {
+  if (attempt < retry.max_attempts) {
     // Pace to the server's retry-after hint when it exceeds the backoff
     // (the jitter draw happens regardless, keeping the stream aligned).
-    SimTime delay = backoff_delay(retry, op->attempt, retry_rng_);
-    if (op->retry_after > delay) delay = op->retry_after;
+    SimTime delay = backoff_delay(retry, attempt, retry_rng_);
+    if (ops_[op].retry_after > delay) delay = ops_[op].retry_after;
     // A retry that cannot even start before the deadline gives up now.
-    if (op->deadline > SimTime::zero() && engine_.now() + delay >= op->deadline) {
+    if (deadline > SimTime::zero() && engine_.now() + delay >= deadline) {
       ++res_stats_.deadline_giveups;
-      emit_resilience(ResilienceEventKind::kDeadlineGiveUp, op->attempt, error);
+      emit_resilience(ResilienceEventKind::kDeadlineGiveUp, attempt, error);
       settle(op, false, IoError::kDeadlineExceeded);
       return;
     }
@@ -876,140 +938,145 @@ void PfsModel::attempt_finished(const std::shared_ptr<IoOpState>& op, bool ok, I
     if (retry.retry_budget) {
       if (!budget_.try_spend()) {
         ++res_stats_.budget_denied;
-        emit_resilience(ResilienceEventKind::kBudgetExhausted, op->attempt, error);
+        emit_resilience(ResilienceEventKind::kBudgetExhausted, attempt, error);
         settle(op, false, error);
         return;
       }
       ++res_stats_.budget_spent;
     }
     ++res_stats_.retries;
-    emit_resilience(ResilienceEventKind::kRetry, op->attempt, error);
+    emit_resilience(ResilienceEventKind::kRetry, attempt, error);
     engine_.schedule_after(delay, [this, op] { start_attempt(op); });
     return;
   }
   if (retry.retries_enabled()) {
     ++res_stats_.giveups;
-    emit_resilience(ResilienceEventKind::kGiveUp, op->attempt, error);
+    emit_resilience(ResilienceEventKind::kGiveUp, attempt, error);
   }
   settle(op, false, error);
 }
 
-void PfsModel::start_attempt(const std::shared_ptr<IoOpState>& op) {
+void PfsModel::start_attempt(sim::Handle op) {
+  IoOp& o = ops_[op];
   // A retry can land here past the deadline without crossing the backoff
   // path's check (stale-map refresh round trips take real time).
-  if (op->deadline > SimTime::zero() && op->attempt > 0 && engine_.now() >= op->deadline) {
+  if (o.deadline > SimTime::zero() && o.attempt > 0 && engine_.now() >= o.deadline) {
     ++res_stats_.deadline_giveups;
-    emit_resilience(ResilienceEventKind::kDeadlineGiveUp, op->attempt,
+    emit_resilience(ResilienceEventKind::kDeadlineGiveUp, o.attempt,
                     IoError::kDeadlineExceeded);
     settle(op, false, IoError::kDeadlineExceeded);
     return;
   }
-  ++op->attempt;
+  ++o.attempt;
   ++res_stats_.attempts;
-  op->attempt_started = engine_.now();
-  op->retry_after = SimTime::zero();
+  o.attempt_started = engine_.now();
+  o.retry_after = SimTime::zero();
   // Each attempt addresses through the epoch the client holds *now* — a
   // refresh between attempts is what makes stale-map retries converge.
-  if (cluster_enabled()) op->map_epoch = client_epoch_[op->client];
-  auto attempt = std::make_shared<AttemptState>();
+  if (cluster_enabled()) o.map_epoch = client_epoch_[o.client];
+  ++o.refs;
+  const sim::Handle a = attempts_.acquire();
+  attempts_[a] = Attempt{op};
   // Per-attempt timeout: the adaptive estimator's RTO when enabled, else the
   // fixed op_timeout; either way capped to what remains of the deadline.
   SimTime timeout =
       config_.retry.adaptive_timeout ? latency_.timeout() : config_.retry.op_timeout;
-  if (op->deadline > SimTime::zero()) {
-    const SimTime remaining = op->deadline - engine_.now();
+  if (o.deadline > SimTime::zero()) {
+    const SimTime remaining = o.deadline - engine_.now();
     if (timeout <= SimTime::zero() || timeout > remaining) timeout = remaining;
   }
   if (timeout > SimTime::zero()) {
-    attempt->timeout_event =
-        engine_.schedule_after(timeout, [this, op, attempt] {
-          if (attempt->settled) return;
-          // Abandon the attempt: whatever it still has in flight will drain
-          // through the model as counted orphans (invariant F2).
-          attempt->settled = true;
-          ++res_stats_.timeouts;
-          ++abandoned_in_flight_;
-          emit_resilience(ResilienceEventKind::kTimeout, op->attempt, IoError::kTimeout);
-          attempt_finished(op, false, IoError::kTimeout);
-        });
+    attempts_[a].timeout_event =
+        engine_.schedule_after(timeout, [this, a] { attempt_timeout(a); });
   }
-  run_attempt(op, attempt);
+  // A write's data (or a read's small request) travels client -> ION over
+  // the compute fabric.
+  compute_fabric_->send(o.client, compute_ep_of_ion(ion_of(o.client)),
+                        o.is_write ? o.size : kHeader, [this, a] { attempt_at_ion(a); });
 }
 
-void PfsModel::run_attempt(const std::shared_ptr<IoOpState>& op,
-                           const std::shared_ptr<AttemptState>& attempt) {
-  const std::uint32_t ion = ion_of(op->client);
+void PfsModel::attempt_timeout(sim::Handle a) {
+  Attempt& at = attempts_[a];
+  if (at.settled) return;
+  // Abandon the attempt: whatever it still has in flight will drain
+  // through the model as counted orphans (invariant F2).
+  at.settled = true;
+  ++res_stats_.timeouts;
+  ++abandoned_in_flight_;
+  const sim::Handle op = at.op;
+  emit_resilience(ResilienceEventKind::kTimeout, ops_[op].attempt, IoError::kTimeout);
+  attempt_finished(op, false, IoError::kTimeout);
+}
 
+void PfsModel::attempt_at_ion(sim::Handle a) {
+  const IoOp& o = ops_[attempts_[a].op];
+  const std::uint32_t ion = ion_of(o.client);
+  // Copies: the backend's resilience observer may start other ops.
+  const StripeLayout layout = o.layout;
+  const bool is_write = o.is_write;
+  const std::uint64_t file_token = o.file_token;
+  const std::uint64_t file = o.file;
+  const std::uint64_t offset = o.offset;
+  const Bytes size = o.size;
+  const WriteToken token = o.token;
+  const std::uint64_t key = o.key;
+  const std::uint64_t epoch = o.map_epoch;
+  const auto backend_done = [this, a](bool ok, IoError error, SimTime retry_after) {
+    attempt_backend_done(a, ok, error, retry_after);
+  };
+  const auto staged = [this, a] {
+    attempt_backend_done(a, true, IoError::kNone, SimTime::zero());
+  };
+  BurstBuffer* bb = buffer_for_ion(ion);
+  const bool bb_stalled = bb != nullptr && timeline_.down(bb_id_for_ion(ion), engine_.now());
+  if (is_write) {
+    if (bb != nullptr && !bb_stalled && bb->can_absorb(size)) {
+      bb->write(file_token, offset, size, staged);
+      return;  // absorbed; drain happens in the background
+    }
+    // No buffer (or full, or stalled): write through to the OSTs.
+    if (bb != nullptr) bb->note_bypass(size);
+    backend_io(ion, file, layout, offset, size, true, token, key, epoch, backend_done);
+    return;
+  }
+  if (bb != nullptr && !bb_stalled && bb->resident(file_token, offset, size)) {
+    bb->read(file_token, offset, size, staged);
+    return;  // served from the staging tier
+  }
+  if (bb != nullptr) bb->note_miss(size);
+  backend_io(ion, file, layout, offset, size, false, 0, key, epoch, backend_done);
+}
+
+void PfsModel::attempt_backend_done(sim::Handle a, bool ok, IoError error,
+                                    SimTime retry_after) {
+  Attempt& at = attempts_[a];
+  at.ok = ok;
+  at.error = ok ? IoError::kNone : error;
+  // The server pacing hint for the retry path (written by an orphan too).
+  IoOp& o = ops_[at.op];
+  o.retry_after = retry_after;
+  // Ack (or error) header back to the client; a successful read's data
+  // returns instead.
+  const Bytes payload = ok && !o.is_write ? o.size : kHeader;
+  compute_fabric_->send(compute_ep_of_ion(ion_of(o.client)), o.client, payload,
+                        [this, a] { attempt_done(a); });
+}
+
+void PfsModel::attempt_done(sim::Handle a) {
   // Exactly-once completion funnel for this attempt. A completion arriving
   // after the timeout settled the attempt is an orphan draining out.
-  auto complete = [this, op, attempt](bool ok, IoError error) {
-    if (attempt->settled) {
-      sim::check::that(abandoned_in_flight_ > 0, "fault.abandoned-op-leak",
-                       "orphan completion without a matching abandonment");
-      --abandoned_in_flight_;
-      return;
-    }
-    attempt->settled = true;
-    if (attempt->timeout_event != 0) engine_.cancel(attempt->timeout_event);
-    attempt_finished(op, ok, error);
-  };
-
-  if (op->is_write) {
-    // Data travels client -> ION over the compute fabric.
-    compute_fabric_->send(op->client, compute_ep_of_ion(ion), op->size,
-                          [this, op, ion, complete]() mutable {
-      auto backend_done = [this, op, ion, complete](bool ok, IoError error,
-                                                    SimTime retry_after) mutable {
-        op->retry_after = retry_after;  // server pacing hint for the retry path
-        // Ack (or error) header back to the client.
-        compute_fabric_->send(compute_ep_of_ion(ion), op->client, kHeader,
-                              [complete, ok, error]() mutable {
-                                complete(ok, ok ? IoError::kNone : error);
-                              });
-      };
-      BurstBuffer* bb = buffer_for_ion(ion);
-      const bool bb_stalled =
-          bb != nullptr && timeline_.down(bb_id_for_ion(ion), engine_.now());
-      if (bb != nullptr && !bb_stalled && bb->can_absorb(op->size)) {
-        const std::uint64_t token = file_token(op->path);
-        bb->write(token, op->offset, op->size, [backend_done]() mutable {
-          backend_done(true, IoError::kNone, SimTime::zero());
-        });
-        return;  // absorbed; drain happens in the background
-      }
-      // No buffer (or full, or stalled): write through to the OSTs.
-      if (bb != nullptr) bb->note_bypass(op->size);
-      backend_io(ion, op->file, op->layout, op->offset, op->size, true, op->token,
-                 op->key, op->map_epoch, std::move(backend_done));
-    });
-  } else {
-    // Small read request to the ION; data returns over the compute fabric.
-    compute_fabric_->send(op->client, compute_ep_of_ion(ion), kHeader,
-                          [this, op, ion, complete]() mutable {
-      auto backend_done = [this, op, ion, complete](bool ok, IoError error,
-                                                    SimTime retry_after) mutable {
-        op->retry_after = retry_after;  // server pacing hint for the retry path
-        const Bytes payload = ok ? op->size : kHeader;  // errors return small
-        compute_fabric_->send(compute_ep_of_ion(ion), op->client, payload,
-                              [complete, ok, error]() mutable {
-                                complete(ok, ok ? IoError::kNone : error);
-                              });
-      };
-      BurstBuffer* bb = buffer_for_ion(ion);
-      const bool bb_stalled =
-          bb != nullptr && timeline_.down(bb_id_for_ion(ion), engine_.now());
-      const std::uint64_t token = file_token(op->path);
-      if (bb != nullptr && !bb_stalled && bb->resident(token, op->offset, op->size)) {
-        bb->read(token, op->offset, op->size, [backend_done]() mutable {
-          backend_done(true, IoError::kNone, SimTime::zero());
-        });
-        return;  // served from the staging tier
-      }
-      if (bb != nullptr) bb->note_miss(op->size);
-      backend_io(ion, op->file, op->layout, op->offset, op->size, false, 0,
-                 op->key, op->map_epoch, std::move(backend_done));
-    });
+  const Attempt at = attempts_[a];
+  attempts_.release(a);
+  if (at.settled) {
+    sim::check::that(abandoned_in_flight_ > 0, "fault.abandoned-op-leak",
+                     "orphan completion without a matching abandonment");
+    --abandoned_in_flight_;
+    unref_op(at.op);
+    return;
   }
+  if (at.timeout_event != 0) engine_.cancel(at.timeout_event);
+  unref_op(at.op);  // the op's own reference keeps it live until it settles
+  attempt_finished(at.op, at.ok, at.error);
 }
 
 void PfsModel::io(ClientId client, const std::string& path, const StripeLayout& layout,
@@ -1021,45 +1088,57 @@ void PfsModel::io(ClientId client, const std::string& path, const StripeLayout& 
         "PfsModel::io: replicated layouts require durability.track_contents");
   }
   const SimTime issued = engine_.now();
+  const sim::Handle op = ops_.acquire();
+  IoOp& o = ops_[op];
+  o = IoOp{};
+  o.issued = issued;
+  o.size = size;
+  o.refs = 1;
+  o.done = std::move(on_done);
 
   // Data ops against a path that was never created (or names a directory)
   // fail fast with a distinct error: there is no layout to ship chunks with.
   // No retries — the namespace will not change by waiting.
   const Inode* inode = mds_->find_inode(path);
   if (inode == nullptr || inode->is_dir) {
-    engine_.schedule_after(SimTime::zero(),
-                           [this, issued, size, done = std::move(on_done)]() mutable {
-                             ++res_stats_.failed_ops;
-                             if (done) {
-                               done(IoResult{false, IoError::kNoEntry, 1, issued,
-                                             engine_.now(), size});
-                             }
-                           });
+    engine_.schedule_after(SimTime::zero(), [this, op] {
+      ++res_stats_.failed_ops;
+      IoOp& failed = ops_[op];
+      const IoResult result{false, IoError::kNoEntry, 1, failed.issued, engine_.now(),
+                            failed.size};
+      const std::function<void(IoResult)> done = std::move(failed.done);
+      failed.done = nullptr;
+      unref_op(op);
+      if (done) done(result);
+    });
     return;
   }
 
+  // A token names exactly one path: its placement key is hashed on first
+  // sight, and later calls refresh only the layout.
   const std::uint64_t token = file_token(path);
-  token_info_[token] = FileInfo{path, layout, file_placement_key(path)};
+  const auto [info, fresh] = token_info_.try_emplace(token);
+  if (fresh) {
+    info->second.path = path;
+    info->second.key = file_placement_key(path);
+  }
+  info->second.layout = layout;
 
-  auto op = std::make_shared<IoOpState>();
-  op->client = client;
-  op->path = path;
-  op->layout = layout;
-  op->offset = offset;
-  op->size = size;
-  op->is_write = is_write;
-  op->issued = issued;
-  op->key = file_placement_key(path);
+  o.client = client;
+  o.file_token = token;
+  o.layout = layout;
+  o.offset = offset;
+  o.is_write = is_write;
+  o.key = info->second.key;
   if (config_.retry.op_deadline > SimTime::zero()) {
-    op->deadline = issued + config_.retry.op_deadline;
+    o.deadline = issued + config_.retry.op_deadline;
   }
   if (tracking()) {
-    op->file = token;
+    o.file = token;
     // One token per logical op: every attempt and chunk of this write
     // carries the same payload identity.
-    if (is_write) op->token = ledger_.next_token();
+    if (is_write) o.token = ledger_.next_token();
   }
-  op->done = std::move(on_done);
   start_attempt(op);
 }
 
@@ -1280,6 +1359,16 @@ PfsModel::RebuildStatus PfsModel::rebuild_status(OstIndex ost) const {
 
 void PfsModel::assert_quiescent() const {
   sim::check::abandoned_ops_drained(abandoned_in_flight_);
+  // Every stage released its pooled record: nothing is left in flight.
+  sim::check::records_released(compute_fabric_->messages_in_flight(), "compute fabric");
+  sim::check::records_released(storage_fabric_->messages_in_flight(), "storage fabric");
+  sim::check::records_released(mds_->requests_in_flight(), "mds");
+  for (const auto& ost : osts_) sim::check::records_released(ost->ops_in_flight(), "ost");
+  sim::check::records_released(ops_.live(), "pfs io ops");
+  sim::check::records_released(attempts_.live(), "pfs attempts");
+  sim::check::records_released(fanouts_.live(), "pfs fan-outs");
+  sim::check::records_released(shipments_.live(), "pfs shipments");
+  sim::check::records_released(metas_.live(), "pfs meta calls");
   if (tracking()) {
     sim::check::acked_writes_durable(durability_report().lost.count());
   }

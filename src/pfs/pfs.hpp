@@ -39,6 +39,7 @@
 #include "pfs/stripe.hpp"
 #include "sim/check.hpp"
 #include "sim/engine.hpp"
+#include "sim/records.hpp"
 
 namespace pio::pfs {
 
@@ -228,6 +229,8 @@ class PfsModel {
   /// exact on every server (submitted == completed + rejected + shed).
   /// F5b (retry budget only): retries spent never exceed the burst cap plus
   /// ratio * deposits — retry amplification is bounded by construction.
+  /// Pools: no pooled in-flight record is left live in the fabrics, the
+  /// MDS, the OSTs or the model itself.
   void assert_quiescent() const;
 
   /// Server-side overload totals summed across the MDS and every OST.
@@ -283,22 +286,42 @@ class PfsModel {
                   std::uint64_t key, std::uint64_t epoch,
                   std::function<void(bool ok, IoError error, SimTime retry_after)> on_done);
 
+  // In-flight records (sim/records.hpp): stage closures capture `this` and
+  // a handle into one of these pools.
   // One logical io() op across its (possibly many) attempts.
-  struct IoOpState;
-  // One attempt's shared settle latch (attempt completion vs. timeout race).
-  struct AttemptState;
+  struct IoOp;
+  // One attempt of an io() op (attempt completion vs. timeout race).
+  struct Attempt;
   // Fan-out latch for one backend_io call's shipments.
   struct BackendFanout;
   // One chunk-to-OST shipment of a backend_io call.
   struct Shipment;
+  // One meta() call.
+  struct MetaCall;
   // One recovering OST's resync pass.
   struct RebuildState;
 
-  void start_attempt(const std::shared_ptr<IoOpState>& op);
-  void run_attempt(const std::shared_ptr<IoOpState>& op,
-                   const std::shared_ptr<AttemptState>& attempt);
-  void attempt_finished(const std::shared_ptr<IoOpState>& op, bool ok, IoError error);
-  void settle(const std::shared_ptr<IoOpState>& op, bool ok, IoError error);
+  void start_attempt(sim::Handle op);
+  /// Attempt stages: at the I/O node, back from the backend, back at the
+  /// client (its completion, possibly an orphan after a timeout).
+  void attempt_at_ion(sim::Handle a);
+  void attempt_backend_done(sim::Handle a, bool ok, IoError error, SimTime retry_after);
+  void attempt_done(sim::Handle a);
+  void attempt_timeout(sim::Handle a);
+  void attempt_finished(sim::Handle op, bool ok, IoError error);
+  void settle(sim::Handle op, bool ok, IoError error);
+  /// Drop one reference to op `op` (its own until settled, one per attempt
+  /// in flight); the last one releases the record.
+  void unref_op(sim::Handle op);
+  /// Shipment stages: at the OST, the OST's completion, back at the I/O node.
+  void shipment_at_ost(sim::Handle s);
+  void shipment_served(sim::Handle s, OstCompletion c);
+  void shipment_done(sim::Handle s);
+  /// One shipment of fan-out `f` resolved; the last one delivers.
+  void fanout_finish_one(sim::Handle f, bool ok, IoError error);
+  void fanout_deliver(sim::Handle f);
+  /// Meta-call stages after the MDS replied.
+  void meta_replied(sim::Handle m, MetaResult result);
   void emit_resilience(ResilienceEventKind kind, std::uint32_t attempt, IoError error,
                        std::uint32_t ost = 0, Bytes bytes = Bytes::zero());
   /// Feed one shipment outcome to `ost`'s circuit breaker (no-op unless
@@ -335,9 +358,10 @@ class PfsModel {
   /// placement target that lacks the data (drains, joins, and post-crash
   /// resync all reduce to this).
   void plan_migration();
-  /// Model a client map-refresh round trip (client -> ION -> MDS and back);
-  /// the client's cached epoch becomes current on completion.
-  void refresh_map(ClientId client, std::function<void()> done);
+  /// Model a client map-refresh round trip (client -> ION -> MDS and back)
+  /// for io op `op`; the client's cached epoch becomes current on
+  /// completion, and the op starts its next attempt.
+  void refresh_map(sim::Handle op);
   /// Read-path fallback chain for one stripe: placement targets of every
   /// epoch from `from_epoch` back to 1, deduplicated, newest first. Shared
   /// by foreground reads, rebuild source selection, and the F4 audit so the
@@ -370,6 +394,14 @@ class PfsModel {
   std::function<void(const ResilienceRecord&)> res_observer_;
   /// Ops abandoned by a timeout whose in-flight events have not yet drained.
   std::uint64_t abandoned_in_flight_ = 0;
+  sim::RecordPool<IoOp> ops_;
+  sim::RecordPool<Attempt> attempts_;
+  sim::RecordPool<BackendFanout> fanouts_;
+  sim::RecordPool<Shipment> shipments_;
+  sim::RecordPool<MetaCall> metas_;
+  // backend_io scratch, reused across calls (planning never re-enters it).
+  std::vector<StripeChunk> chunks_;
+  std::vector<Shipment> plan_;
   std::uint64_t next_file_token_ = 1;
   std::unordered_map<std::string, std::uint64_t> file_tokens_;  // path -> BB file id
   std::uint64_t file_token(const std::string& path);

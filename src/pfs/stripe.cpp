@@ -24,8 +24,15 @@ void validate(const StripeLayout& layout, std::uint32_t total_osts) {
 
 std::vector<StripeChunk> decompose(const StripeLayout& layout, std::uint32_t total_osts,
                                    std::uint64_t offset, Bytes size) {
-  validate(layout, total_osts);
   std::vector<StripeChunk> chunks;
+  decompose(layout, total_osts, offset, size, chunks);
+  return chunks;
+}
+
+void decompose(const StripeLayout& layout, std::uint32_t total_osts, std::uint64_t offset,
+               Bytes size, std::vector<StripeChunk>& chunks) {
+  validate(layout, total_osts);
+  chunks.clear();
   const std::uint64_t ss = layout.stripe_size.count();
   std::uint64_t cur = offset;
   std::uint64_t remaining = size.count();
@@ -43,7 +50,6 @@ std::vector<StripeChunk> decompose(const StripeLayout& layout, std::uint32_t tot
     cur += run;
     remaining -= run;
   }
-  return chunks;
 }
 
 OstIndex ost_for_offset(const StripeLayout& layout, std::uint32_t total_osts,

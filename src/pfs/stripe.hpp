@@ -40,6 +40,11 @@ struct StripeChunk {
                                                  std::uint32_t total_osts,
                                                  std::uint64_t offset, Bytes size);
 
+/// The same decomposition into `out`, which is cleared first (a caller that
+/// reuses one vector allocates only when it grows).
+void decompose(const StripeLayout& layout, std::uint32_t total_osts, std::uint64_t offset,
+               Bytes size, std::vector<StripeChunk>& out);
+
 /// The OST that holds file byte `offset` under `layout`.
 [[nodiscard]] OstIndex ost_for_offset(const StripeLayout& layout, std::uint32_t total_osts,
                                       std::uint64_t offset);

@@ -12,6 +12,7 @@
 // for maximum-throughput production sweeps.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -81,6 +82,16 @@ inline void cache_writeback_drained(std::uint64_t dirty_pages) {
 inline void acked_writes_durable(std::uint64_t lost_bytes) {
   that(lost_bytes == 0, "fault.acked-write-lost",
        kEnabled ? std::to_string(lost_bytes) + " acknowledged bytes held by no replica"
+                : std::string{});
+}
+
+/// Pooled in-flight records (sim/records.hpp) are released exactly when the
+/// request they carry resolves. At quiescence `live` records of `pool` are
+/// still held; it must be zero — a live record is a request that never
+/// resolved, or a stage that forgot to release it.
+inline void records_released(std::size_t live, const char* pool) {
+  that(live == 0, "sim.records-leak",
+       kEnabled ? std::string(pool) + ": " + std::to_string(live) + " records still live"
                 : std::string{});
 }
 

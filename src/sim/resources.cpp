@@ -23,23 +23,38 @@ void FifoServer::submit(SimTime service_time, std::function<void()> on_done,
   if (service_time < SimTime::zero()) {
     throw std::invalid_argument("FifoServer::submit: negative service time");
   }
-  queue_.push_back(Job{service_time, engine_.now(), std::move(on_done), std::move(on_shed)});
+  const Handle h = jobs_.acquire();
+  Job& job = jobs_[h];
+  job.service = service_time;
+  job.enqueued = engine_.now();
+  job.on_done = std::move(on_done);
+  job.on_shed = std::move(on_shed);
+  queue_.push(h);
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   if (!busy_) start_next();
+}
+
+std::function<void()> FifoServer::retire(Handle h, bool shed) {
+  Job& job = jobs_[h];
+  std::function<void()> notify = std::move(shed ? job.on_shed : job.on_done);
+  job.on_done = nullptr;
+  job.on_shed = nullptr;
+  jobs_.release(h);
+  return notify;
 }
 
 void FifoServer::start_next() {
   // CoDel-style head drop: a sheddable job whose queueing delay already
   // exceeds the target is not worth serving — by the time it completes the
   // client has timed out and retried, so serving it is pure goodput loss.
-  while (!queue_.empty() && shed_target_ > SimTime::zero() && queue_.front().on_shed &&
-         engine_.now() - queue_.front().enqueued > shed_target_) {
-    Job shed = std::move(queue_.front());
-    queue_.pop_front();
-    const SimTime sojourn = engine_.now() - shed.enqueued;
+  while (!queue_.empty() && shed_target_ > SimTime::zero() && jobs_[queue_.front()].on_shed &&
+         engine_.now() - jobs_[queue_.front()].enqueued > shed_target_) {
+    const Handle h = queue_.pop();
+    const SimTime sojourn = engine_.now() - jobs_[h].enqueued;
     ++stats_.shed_jobs;
     stats_.sojourn_us.add(static_cast<std::uint64_t>(sojourn.ns() / 1000));
-    engine_.schedule_after(SimTime::zero(), [notify = std::move(shed.on_shed)]() mutable {
+    engine_.schedule_after(SimTime::zero(), [this, h] {
+      const std::function<void()> notify = retire(h, /*shed=*/true);
       if (notify) notify();
     });
   }
@@ -48,14 +63,15 @@ void FifoServer::start_next() {
     return;
   }
   busy_ = true;
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+  const Handle h = queue_.pop();
+  const Job& job = jobs_[h];
   const SimTime wait = engine_.now() - job.enqueued;
   stats_.total_wait += wait;
   stats_.sojourn_us.add(static_cast<std::uint64_t>(wait.ns() / 1000));
   stats_.busy_time += job.service;
-  engine_.schedule_after(job.service, [this, done = std::move(job.on_done)]() mutable {
+  engine_.schedule_after(job.service, [this, h] {
     ++stats_.jobs_completed;
+    const std::function<void()> done = retire(h, /*shed=*/false);
     if (done) done();
     start_next();
   });
@@ -66,6 +82,9 @@ void FifoServer::start_next() {
 namespace {
 
 constexpr int kFracBits = 32;  // clock units per ns = 2^kFracBits
+
+/// Flow capacity an idle channel keeps (1 KiB of flows).
+constexpr std::size_t kIdleFlowCapacity = 16;
 
 /// Heap order: the earliest (tag, seq) on top.
 constexpr auto kLater = [](const auto& a, const auto& b) {
@@ -88,8 +107,9 @@ FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime l
 
 void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
   if (size == Bytes::zero()) {
-    // Latency-only message (e.g. a metadata RPC header).
-    engine_.schedule_after(latency_, std::move(on_done));
+    // Latency-only message (e.g. a metadata RPC header); without a callback
+    // there is nothing to deliver.
+    if (on_done) engine_.schedule_after(latency_, std::move(on_done));
     return;
   }
   engine_.schedule_after(latency_, [this, size, done = std::move(on_done)]() mutable {
@@ -156,15 +176,20 @@ void FairShareChannel::complete_due() {
     --live_;
   }
   const auto drained = flows_.begin() + static_cast<std::ptrdiff_t>(live_);
-  std::sort(drained, flows_.end(), [](const Flow& a, const Flow& b) { return a.seq < b.seq; });
+  if (flows_.end() - drained > 1) {
+    std::sort(drained, flows_.end(), [](const Flow& a, const Flow& b) { return a.seq < b.seq; });
+  }
   for (auto it = drained; it != flows_.end(); ++it) bytes_moved_ += it->size;
   if (live_ == 0) clock_ = 0;  // idle: restart virtual time from zero
   reschedule_completion();
   for (std::size_t i = live_; i < flows_.size(); ++i) {
     if (flows_[i].on_done) flows_[i].on_done();
   }
-  if (live_ == 0) {
-    flows_ = std::vector<Flow>{};  // an idle channel holds no storage
+  // Most admissions land on an idle channel, so an idle channel keeps a
+  // small vector; the storage of a rare deep busy period is given back.
+  if (live_ == 0 && flows_.capacity() > kIdleFlowCapacity) {
+    flows_ = std::vector<Flow>{};
+    flows_.reserve(kIdleFlowCapacity);
   } else {
     flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(live_), flows_.end());
   }
@@ -179,7 +204,10 @@ TokenPool::TokenPool(Engine& engine, std::uint64_t tokens, std::string name)
 
 void TokenPool::acquire(std::uint64_t n, std::function<void()> on_grant) {
   if (n == 0 || n > capacity_) throw std::invalid_argument("TokenPool::acquire: bad count");
-  waiters_.push_back(Waiter{n, std::move(on_grant)});
+  const Handle h = waiters_.acquire();
+  waiters_[h].n = n;
+  waiters_[h].on_grant = std::move(on_grant);
+  queue_.push(h);
   drain();
 }
 
@@ -193,11 +221,12 @@ void TokenPool::release(std::uint64_t n) {
 void TokenPool::drain() {
   // FIFO: strictly grant in arrival order; a large request at the head
   // blocks later small ones (no starvation).
-  while (!waiters_.empty() && waiters_.front().n <= available_) {
-    Waiter w = std::move(waiters_.front());
-    waiters_.pop_front();
-    available_ -= w.n;
-    if (w.on_grant) w.on_grant();
+  while (!queue_.empty() && waiters_[queue_.front()].n <= available_) {
+    const Handle h = queue_.pop();
+    available_ -= waiters_[h].n;
+    const std::function<void()> grant = std::move(waiters_[h].on_grant);
+    waiters_.release(h);
+    if (grant) grant();
   }
 }
 

@@ -4,10 +4,12 @@
 //  - FifoServer: a single server with explicit service times (disks, MDS ops)
 //  - FairShareChannel: a fluid processor-sharing link (network fabrics)
 //  - TokenPool: counting semaphore in simulated time (server thread limits)
+//
+// Queued jobs and waiters live in pooled records (sim/records.hpp), so a
+// steady-state run adds no heap allocation per job.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "common/histogram.hpp"
 #include "common/types.hpp"
 #include "sim/engine.hpp"
+#include "sim/records.hpp"
 
 namespace pio::sim {
 
@@ -70,10 +73,13 @@ class FifoServer {
   };
 
   void start_next();
+  /// Release job `h` and return the callback it was holding.
+  std::function<void()> retire(Handle h, bool shed);
 
   Engine& engine_;
   std::string name_;
-  std::deque<Job> queue_;
+  RecordPool<Job> jobs_;
+  HandleQueue queue_;  ///< waiting jobs, FIFO
   bool busy_ = false;
   SimTime shed_target_ = SimTime::zero();
   ServerStats stats_;
@@ -100,6 +106,9 @@ class FairShareChannel {
                    std::string name = "link");
 
   /// Start a transfer of `size`; `on_done` fires when the last byte drains.
+  /// `on_done` may be empty, at any size: a sized transfer then still takes
+  /// its share of the channel and counts in bytes_moved(), and a zero-size
+  /// one, which only models latency, has no effect and schedules no event.
   void transfer(Bytes size, std::function<void()> on_done);
 
   [[nodiscard]] std::size_t active_flows() const { return live_; }
@@ -152,7 +161,7 @@ class TokenPool {
   void release(std::uint64_t n);
 
   [[nodiscard]] std::uint64_t available() const { return available_; }
-  [[nodiscard]] std::uint64_t waiters() const { return waiters_.size(); }
+  [[nodiscard]] std::uint64_t waiters() const { return queue_.size(); }
 
  private:
   struct Waiter {
@@ -166,7 +175,8 @@ class TokenPool {
   std::uint64_t capacity_;
   std::uint64_t available_;
   std::string name_;
-  std::deque<Waiter> waiters_;
+  RecordPool<Waiter> waiters_;
+  HandleQueue queue_;  ///< waiting requests, FIFO
 };
 
 }  // namespace pio::sim

@@ -1,0 +1,135 @@
+// Allocation regression test: the simulated hot path allocates nothing per
+// event in steady state.
+//
+// Every stage of the stack (fair-share channel, fabric, OST, MDS, PfsModel,
+// driver) keeps its in-flight state in pooled records that grow to peak
+// concurrency, and its stage closures capture only `this` and a handle, so
+// std::function and the engine's Task store them inline. This file replaces
+// the global operator new with a counting one that counts only while
+// Engine::run executes, and bounds the allocations per engine event on two
+// shapes: the 64-rank N-to-1 checkpoint (write then read one shared file)
+// and a 64-rank x 16-file mdtest with 4 KiB writes. What remains is pool
+// growth to peak and the workload streams' own op strings.
+//
+// Its own executable: the replaced operator new applies to the whole
+// program. Labelled `alloc`.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "driver/sim_driver.hpp"
+#include "pfs/pfs.hpp"
+#include "sim/engine.hpp"
+#include "workload/kernels.hpp"
+
+namespace {
+
+// Single-threaded test: plain globals are enough.
+std::uint64_t g_allocations = 0;
+bool g_counting = false;
+
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  if (g_counting) ++g_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC sees free() applied to what operator new returned once both are
+// inlined; here both sides of the replacement are malloc/free on purpose.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*bytes*/) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace pio {
+namespace {
+
+/// Upper bound on heap allocations per engine event.
+constexpr double kMaxAllocationsPerEvent = 0.2;
+
+struct Counted {
+  std::uint64_t allocations = 0;
+  std::uint64_t events = 0;
+  [[nodiscard]] double per_event() const {
+    return events == 0 ? 0.0 : static_cast<double>(allocations) / static_cast<double>(events);
+  }
+};
+
+/// Run `workload` on the 16-client / 4-I/O-node / 8-OST HDD reference
+/// testbed, counting allocations only inside Engine::run.
+Counted count_run(const workload::Workload& workload, std::uint64_t seed) {
+  pfs::PfsConfig config;
+  config.clients = 16;
+  config.io_nodes = 4;
+  config.osts = 8;
+  config.disk_kind = pfs::DiskKind::kHdd;
+  sim::Engine engine{seed};
+  pfs::PfsModel model{engine, config};
+  driver::ExecutionDrivenSimulator sim{engine, model};
+  sim.begin(workload);
+
+  g_allocations = 0;
+  g_counting = true;
+  engine.run();
+  g_counting = false;
+
+  const driver::SimRunResult result = sim.collect();
+  engine.assert_drained();
+  model.assert_quiescent();
+  EXPECT_GT(result.ops, 0U);
+  EXPECT_EQ(result.failed_ops, 0U);
+  return Counted{g_allocations, engine.events_executed()};
+}
+
+TEST(AllocPerEvent, CheckpointN1Shape) {
+  workload::IorConfig ior;
+  ior.ranks = 64;
+  ior.block_size = Bytes::from_mib(2);
+  ior.transfer_size = Bytes::from_mib(1);
+  ior.file_per_process = false;
+  ior.write_phase = true;
+  ior.read_phase = true;
+  ior.directory = "/ckpt-alloc";
+  const auto workload = workload::ior_like(ior);
+  const Counted c = count_run(*workload, 1);
+  RecordProperty("allocations", std::to_string(c.allocations));
+  RecordProperty("events", std::to_string(c.events));
+  EXPECT_LT(c.per_event(), kMaxAllocationsPerEvent)
+      << c.allocations << " allocations for " << c.events << " events";
+}
+
+TEST(AllocPerEvent, MdtestShape) {
+  workload::MdtestConfig md;
+  md.ranks = 64;
+  md.files_per_rank = 16;
+  md.write_per_file = Bytes::from_kib(4);
+  md.directory = "/mdtest-alloc";
+  const auto workload = workload::mdtest_like(md);
+  const Counted c = count_run(*workload, 2);
+  RecordProperty("allocations", std::to_string(c.allocations));
+  RecordProperty("events", std::to_string(c.events));
+  EXPECT_LT(c.per_event(), kMaxAllocationsPerEvent)
+      << c.allocations << " allocations for " << c.events << " events";
+}
+
+// The counter itself: an allocation inside the window is seen, one outside
+// is not.
+TEST(AllocPerEvent, CounterSeesOnlyTheWindow) {
+  g_allocations = 0;
+  auto outside = std::make_unique<int>(1);
+  EXPECT_EQ(g_allocations, 0U);
+  g_counting = true;
+  auto inside = std::make_unique<int>(2);
+  g_counting = false;
+  EXPECT_EQ(g_allocations, 1U);
+  EXPECT_EQ(*outside + *inside, 3);
+}
+
+}  // namespace
+}  // namespace pio

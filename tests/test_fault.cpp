@@ -571,5 +571,54 @@ TEST(FaultCampaignTest, DownOstFailsFailFastButRecoversWithResilience) {
   }
 }
 
+// Every stage keeps its in-flight state in pooled records (sim/records.hpp).
+// A drained run must have released all of them, including the attempts a
+// timeout abandoned (their orphans drain later) and the requests an MDS
+// crash bounced or lost; assert_quiescent audits the pools.
+TEST(FaultQuiescenceTest, DrainedFaultedRunLeavesEveryPoolEmpty) {
+  workload::IorConfig ior;
+  ior.ranks = 8;
+  ior.block_size = Bytes::from_mib(4);
+  ior.transfer_size = Bytes::from_mib(1);
+  ior.read_phase = true;
+  const auto workload = workload::ior_like(ior);
+  auto config = tiny_pfs(2);
+  config.faults.ost_down(0, ms(2), ms(40));
+  // Short MDS crashes across the run: some requests bounce at the door,
+  // some are lost mid-service and fail at recovery.
+  for (int k = 1; k <= 9; ++k) config.faults.mds_down(ms(20.0 * k), ms(20.0 * k + 8.0));
+  config.retry.op_timeout = ms(4);
+  config.retry.max_attempts = 4;
+  config.retry.base_backoff = ms(1);
+  config.retry.jitter_fraction = 0.0;
+  driver::SimRunConfig run_config;
+  run_config.layout = pfs::StripeLayout{Bytes::from_mib(1), 2, 0};
+  sim::Engine engine{9};
+  pfs::PfsModel model{engine, config};
+  driver::ExecutionDrivenSimulator sim{engine, model, run_config};
+  const auto result = sim.run(*workload);
+  engine.assert_drained();
+  EXPECT_GT(result.timeouts, 0u);
+  EXPECT_GT(model.mds().stats().errors, 0u);
+  EXPECT_EQ(model.compute_fabric().messages_in_flight(), 0u);
+  EXPECT_EQ(model.storage_fabric().messages_in_flight(), 0u);
+  EXPECT_EQ(model.mds().requests_in_flight(), 0u);
+  for (std::uint32_t i = 0; i < model.ost_count(); ++i) {
+    EXPECT_EQ(model.ost(i).ops_in_flight(), 0u);
+  }
+  model.assert_quiescent();
+}
+
+TEST(FaultQuiescenceTest, LiveRecordFailsTheAudit) {
+  sim::Engine engine;
+  pfs::PfsModel model{engine, tiny_pfs(1)};
+  model.meta(0, pfs::MetaOp::kCreate, "/f", [](const pfs::MetaResult&) {});
+  engine.run(SimTime::from_ns(1));  // the request is still on the wire
+  EXPECT_GT(model.compute_fabric().messages_in_flight(), 0u);
+  EXPECT_THROW(model.assert_quiescent(), std::logic_error);
+  engine.run();
+  model.assert_quiescent();
+}
+
 }  // namespace
 }  // namespace pio

@@ -265,6 +265,25 @@ TEST(FairShareChannelTest, LatencyAppliesOnce) {
   EXPECT_EQ(done, 100_us);
 }
 
+// transfer() accepts an empty on_done at any size. A sized transfer still
+// shares the channel: a flow beside it finishes as late as if both had a
+// callback, and its bytes count. A zero-size one has nothing to deliver and
+// schedules nothing.
+TEST(FairShareChannelTest, EmptyCallbackIsAcceptedAtAnySize) {
+  Engine e;
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 10_us};
+  SimTime watched = SimTime::zero();
+  link.transfer(50_MiB, {});
+  link.transfer(50_MiB, [&] { watched = e.now(); });
+  EXPECT_NO_THROW(link.transfer(Bytes::zero(), {}));
+  EXPECT_EQ(e.events_pending(), 2u);  // the two sized flows' admissions
+  e.run();
+  // piolint: allow(T1) — NEAR tolerance literal, not a unit conversion.
+  EXPECT_NEAR((watched - 10_us).sec(), 1.0, 1e-6);
+  EXPECT_EQ(link.bytes_moved(), 100_MiB);
+  EXPECT_EQ(link.active_flows(), 0u);
+}
+
 TEST(TokenPoolTest, GrantsFifo) {
   Engine e;
   TokenPool pool{e, 2};
