@@ -3,7 +3,7 @@
 // Paper: simulation is the stand-in for testbeds researchers do not have;
 // that is only viable if the engine sustains millions of events per second.
 // This is the one google-benchmark microbenchmark binary: engine event
-// throughput, oversized-payload scheduling through the slab, fluid-channel
+// throughput, oversized-payload scheduling through the heap, fluid-channel
 // transfers, fabric messages, and end-to-end PFS model ops.
 #include <benchmark/benchmark.h>
 
@@ -54,8 +54,8 @@ void BM_EngineSelfScheduling(benchmark::State& state) {
 BENCHMARK(BM_EngineSelfScheduling)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_EngineOversizePayloads(benchmark::State& state) {
-  // Fat captures (> Task::kInlineBytes) force the oversized-payload path
-  // through the engine's size-class slab.
+  // Fat captures (> Task::kInlineBytes) force the oversized-payload path:
+  // one plain heap allocation per event.
   constexpr std::uint64_t kEvents = 1 << 15;
   for (auto _ : state) {
     sim::Engine engine;

@@ -1,12 +1,13 @@
 // C-12 — parallel campaign execution: thread-count scaling of the closed
 // evaluation loop with a byte-identical result at every width.
 //
-// DESIGN.md §11: the sweep inside one campaign iteration fans out across an
-// exec::Pool — each workload's measure→replay→simulate chain runs on its
-// own engine with seeds split via derive_seed, and the outcomes merge in
-// submission order. This bench runs the same 4-workload x 3-iteration
-// campaign at 1/2/4/8 threads, times each run against the sanctioned wall
-// clock, and takes eval::digest of the CampaignResult: any mismatch means
+// DESIGN.md §11: the whole campaign fans out across an exec::Pool — each
+// (iteration, workload) measure→replay→simulate chain runs on its own
+// engine with seeds split via derive_seed, and a serial fold applies the
+// calibration feedback in submission order. This bench runs the same
+// 4-workload x 3-iteration campaign at 1/2/4/8 threads, times each run
+// against the sanctioned wall clock, and takes eval::digest of the
+// CampaignResult: any mismatch means
 // the parallel path leaked scheduling order into the science, which is a
 // hard failure here (and in tests/test_exec.cpp).
 //

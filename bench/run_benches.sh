@@ -4,7 +4,7 @@
 #   BENCH_engine.json           — google-benchmark JSON for the C-10 DES
 #                                 engine microbenchmarks (event storm,
 #                                 self-scheduling cascade, oversized
-#                                 payloads through the slab, fair-share
+#                                 payloads on the heap, fair-share
 #                                 channel, end-to-end PFS model ops)
 #   BENCH_campaign_scaling.json — C-12 campaign thread-scaling curve with
 #                                 the cross-thread determinism digest

@@ -5,7 +5,8 @@
 // against a deliberately mis-calibrated storage model, and prints the
 // per-iteration convergence plus the final characterization profile.
 //
-// The per-iteration sweep fans out across a worker pool; the result is
+// Every (iteration, workload) point fans out across a worker pool and the
+// calibration feedback is folded in afterwards; the result is
 // byte-identical at any width (DESIGN.md §11):
 //
 //   $ ./examples/workflow_campaign             # serial (or $PIO_THREADS)

@@ -105,7 +105,7 @@ driver::SimRunResult run_on(const CampaignConfig& config, const pfs::PfsConfig& 
 }  // namespace
 
 CampaignPoint evaluate_point(const CampaignConfig& config, const workload::Workload& workload,
-                             double calibration, std::uint32_t iteration, std::uint64_t index,
+                             std::uint32_t iteration, std::uint64_t index,
                              trace::Profiler* profiler) {
   // Phase 1: measure on the testbed. The trace is the collected statistic;
   // the profiler only matters on the caller's final-iteration pass.
@@ -129,10 +129,14 @@ CampaignPoint evaluate_point(const CampaignConfig& config, const workload::Workl
   point.workload = workload.name();
   point.measured = measured.makespan;
   point.simulated_raw = simulated.makespan;
+  point.predicted = simulated.makespan;
   static_cast<driver::RunCounters&>(point) = measured;
-  point.predicted = SimTime::from_ns(
-      static_cast<std::int64_t>(static_cast<double>(simulated.makespan.ns()) * calibration));
   return point;
+}
+
+void calibrate(CampaignPoint& point, double calibration) {
+  point.predicted = SimTime::from_ns(
+      static_cast<std::int64_t>(static_cast<double>(point.simulated_raw.ns()) * calibration));
 }
 
 std::uint64_t point_digest(const CampaignConfig& config, const CampaignPoint& point) {
@@ -170,55 +174,51 @@ std::uint64_t digest(const CampaignConfig& config, const CampaignResult& result)
 
 CampaignResult Campaign::run(const std::vector<const workload::Workload*>& sweep) {
   if (sweep.empty()) throw std::invalid_argument("Campaign::run: empty sweep");
-  CampaignResult result;
-  double calibration = 1.0;
+  const std::size_t n = sweep.size();
 
-  /// Everything one sweep point produces; merged in submission order below.
+  /// Everything one sweep point produces; folded in submission order below.
   struct PointOutcome {
     CampaignPoint point;
-    double ratio = 0.0;
-    bool has_ratio = false;
     trace::Profile profile;  // populated on the final iteration only
   };
 
+  // Calibration never reaches the measure and simulate runs, so every
+  // (iteration, workload) chain is one independent task: task k is
+  // iteration k / n, workload k % n, on fresh engines with seeds derived
+  // from (seed, phase, iter, w). One fan-out covers the whole campaign.
   exec::Pool pool{static_cast<int>(config_.threads)};
+  auto outcomes =
+      pool.map_ordered(std::size_t{config_.iterations} * n, [&](std::size_t k) {
+        const auto iter = static_cast<std::uint32_t>(k / n);
+        const bool final_iter = iter + 1 == config_.iterations;
+        PointOutcome out;
+        trace::Profiler profiler;
+        out.point = evaluate_point(config_, *sweep[k % n], iter, k % n,
+                                   final_iter ? &profiler : nullptr);
+        if (final_iter) out.profile = profiler.snapshot();
+        return out;
+      });
+
+  // Serial fold in submission order: the calibration recurrence, float
+  // accumulation order and profile merge order are fixed regardless of
+  // which thread finished first.
+  CampaignResult result;
+  double calibration = 1.0;
   trace::Profiler final_profiler;
   for (std::uint32_t iter = 0; iter < config_.iterations; ++iter) {
     CampaignIteration iteration;
     iteration.index = iter;
     iteration.calibration_in_use = calibration;
-    const bool final_iter = iter + 1 == config_.iterations;
-    const double calibration_now = calibration;
-
-    // Each workload's measure→replay→simulate chain is one independent task
-    // on fresh engines with seeds derived from (seed, phase, iter, w), so
-    // the sweep fans out across threads while the merged outcome stays
-    // byte-identical at any thread count. The calibration feedback after
-    // the merge is the per-iteration barrier.
-    auto outcomes = pool.map_ordered(sweep.size(), [&, iter, final_iter,
-                                                    calibration_now](std::size_t w) {
-      PointOutcome out;
-      trace::Profiler profiler;
-      out.point = evaluate_point(config_, *sweep[w], calibration_now, iter, w,
-                                 final_iter ? &profiler : nullptr);
-      if (out.point.simulated_raw > SimTime::zero()) {
-        out.ratio = out.point.measured.sec() / out.point.simulated_raw.sec();
-        out.has_ratio = true;
-      }
-      if (final_iter) out.profile = profiler.snapshot();
-      return out;
-    });
-
-    // Merge in submission order: float accumulation order and profile merge
-    // order are fixed regardless of which thread finished first.
     double ratio_sum = 0.0;
     std::size_t ratio_n = 0;
-    for (PointOutcome& out : outcomes) {
-      if (out.has_ratio) {
-        ratio_sum += out.ratio;
+    for (std::size_t w = 0; w < n; ++w) {
+      PointOutcome& out = outcomes[std::size_t{iter} * n + w];
+      calibrate(out.point, calibration);
+      if (out.point.simulated_raw > SimTime::zero()) {
+        ratio_sum += out.point.measured.sec() / out.point.simulated_raw.sec();
         ++ratio_n;
       }
-      if (final_iter) final_profiler.absorb(out.profile);
+      if (iter + 1 == config_.iterations) final_profiler.absorb(out.profile);
       iteration.points.push_back(std::move(out.point));
     }
     result.iterations.push_back(std::move(iteration));

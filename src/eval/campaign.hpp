@@ -51,11 +51,11 @@ struct CampaignConfig {
   /// layout wins over the MDS default) — lets durability campaigns run
   /// replicated without touching each workload.
   pfs::StripeLayout layout{};
-  /// Worker threads for the per-iteration sweep fan-out (each workload's
+  /// Worker threads for the campaign fan-out: every (iteration, workload)
   /// measure→replay→simulate chain is one independent task on its own
-  /// engines and derived seeds). 0 resolves via exec::resolve_threads
-  /// (PIO_THREADS, else serial). The CampaignResult is byte-identical at
-  /// any thread count; the calibration feedback is the iteration barrier.
+  /// engines and derived seeds, all in a single fan-out. 0 resolves via
+  /// exec::resolve_threads (PIO_THREADS, else serial). The CampaignResult is
+  /// byte-identical at any thread count; calibration is a serial post-pass.
   std::uint32_t threads = 0;
 };
 
@@ -91,18 +91,21 @@ struct CampaignResult {
 
 /// Evaluate one sweep point: measure `workload` on the testbed, derive a
 /// replay workload from the trace, simulate the replay on the model, and
-/// fold every counter into a CampaignPoint whose `predicted` applies the
-/// given calibration. This is the body of one Campaign::run task, exposed
-/// so the campaign service (DESIGN.md §15) can compute points one at a
-/// time with byte-identical results: seeds derive from
-/// `derive_seed(config.seed, phase, iteration, index)` exactly as inside
-/// `Campaign::run`. When `profiler` is non-null it observes the
-/// measurement pass (the final-iteration profile path).
+/// fold every counter into a calibration-free CampaignPoint (`predicted ==
+/// simulated_raw`; `calibrate` applies a factor afterwards). This is the
+/// body of one Campaign::run task, exposed so the campaign service
+/// (DESIGN.md §15) can compute points one at a time with byte-identical
+/// results: seeds derive from `derive_seed(config.seed, phase, iteration,
+/// index)` exactly as inside `Campaign::run`. When `profiler` is non-null
+/// it observes the measurement pass (the final-iteration profile path).
 [[nodiscard]] CampaignPoint evaluate_point(const CampaignConfig& config,
                                            const workload::Workload& workload,
-                                           double calibration, std::uint32_t iteration,
-                                           std::uint64_t index,
+                                           std::uint32_t iteration, std::uint64_t index,
                                            trace::Profiler* profiler = nullptr);
+
+/// Set `point.predicted` to `simulated_raw` scaled by `calibration`
+/// (truncated to whole ns); reads no other field and writes no other.
+void calibrate(CampaignPoint& point, double calibration);
 
 /// The per-point determinism digest: an FNV-1a fold of the campaign seed,
 /// the workload name, the three times and the RunCounters in field order.

@@ -15,7 +15,7 @@
 // trivially-copyable key, so heap sifts move raw PODs; the callable lives in
 // a per-slot side array indexed by the event's slot — small callables
 // (<= Task::kInlineBytes after decay) in the Task's inline buffer, oversized
-// ones in a per-engine size-class slab (arena.hpp) — so scheduling an event
+// ones behind a plain heap pointer (task.hpp) — so scheduling an event
 // performs no per-event heap allocation in the common case and the callable
 // is written (and later moved out) exactly once, never dragged through heap
 // reorderings. Cancellation is amortised O(1) through the generation-tagged
@@ -35,8 +35,8 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "sim/arena.hpp"
 #include "sim/check.hpp"
+#include "sim/task.hpp"
 
 namespace pio::sim {
 
@@ -90,7 +90,7 @@ class Engine {
     ensure_free_slot();
     const std::uint32_t slot = free_slots_.back();
     // Construct the callable in place; on throw the slot is still free.
-    task_at(slot).emplace(std::forward<F>(fn), slab_);
+    task_at(slot).emplace(std::forward<F>(fn));
     free_slots_.pop_back();  // arm: nothing below throws
     ++pending_;
     if constexpr (check::kEnabled) {
@@ -220,9 +220,6 @@ class Engine {
     return task_chunks_[slot >> kTaskChunkShift][slot & (kTaskChunkSize - 1)];
   }
 
-  // Slab before task_chunks_: teardown destroys still-pending callables
-  // (releasing oversized ones into the slab) before the slab itself is freed.
-  detail::OversizeSlab slab_;
   std::vector<detail::Entry> heap_;    // 4-ary min-heap on (time, seq)
   std::vector<std::unique_ptr<detail::Task[]>> task_chunks_;  // slot -> callable
   std::vector<std::uint32_t> gens_;    // per-slot generation; ids embed theirs

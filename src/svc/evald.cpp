@@ -281,8 +281,9 @@ bool Evald::pump() {
         const Slot& slot = slots[i];
         const CampaignState& campaign = campaigns_.at(slot.campaign_id);
         const auto workload = make_workload(campaign.spec.workloads.at(slot.index));
-        const eval::CampaignPoint point = eval::evaluate_point(
-            campaign.config, *workload, campaign.spec.calibration, /*iteration=*/0, slot.index);
+        eval::CampaignPoint point =
+            eval::evaluate_point(campaign.config, *workload, /*iteration=*/0, slot.index);
+        eval::calibrate(point, campaign.spec.calibration);
         CacheEntry entry;
         entry.blob = encode_point(point);
         entry.digest = eval::point_digest(campaign.config, point);

@@ -3,6 +3,8 @@
 // injection, and the trace/profile consistency contract.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/job_analysis.hpp"
 #include "analysis/system_analysis.hpp"
 #include "driver/measured_runner.hpp"
@@ -31,6 +33,9 @@ struct SystemCase {
   std::uint32_t osts;
   std::uint32_t stripe_count;
 };
+
+/// Print the case by name, so test listings carry no raw struct bytes.
+void PrintTo(const SystemCase& c, std::ostream* os) { *os << c.name; }
 
 class PfsInvariantTest : public ::testing::TestWithParam<SystemCase> {};
 

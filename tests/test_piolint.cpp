@@ -150,8 +150,9 @@ TEST(PiolintRules, H2ComparesByValueAndExemptsFnvHeader) {
   // Built from the constants themselves so this file spells none of them.
   std::ostringstream hex;
   hex << std::hex << std::uppercase << "0X" << kFnv1a64Basis;
-  std::string separated = std::to_string(kFnv64Prime);
-  separated.insert(separated.size() - 3, "'");
+  const std::string prime = std::to_string(kFnv64Prime);
+  const std::string separated =
+      prime.substr(0, prime.size() - 3) + "'" + prime.substr(prime.size() - 3);
   const std::string src = "#pragma once\nconstexpr auto a = " + std::to_string(kFnv64Offset) +
                           "ULL;\nconstexpr auto b = " + hex.str() +
                           "u;\nconstexpr auto c = " + separated + ";\n";

@@ -87,9 +87,9 @@ TEST(EngineTest, MassCancellationCompactsAndReleasesCaptures) {
 TEST(EngineTest, CancellationInterleavedWithExecutionKeepsOrder) {
   // Compaction re-heapifies; the (time, seq) total order must make the pop
   // sequence identical to the purely lazy path. The padded capture is larger
-  // than a Task's inline buffer, so every callable lives in the engine's
-  // oversize slab: sanitizer builds check that fired and cancelled payloads
-  // alike go back to it.
+  // than a Task's inline buffer, so every callable lives behind a heap
+  // pointer: sanitizer builds check that fired and cancelled callables alike
+  // are freed exactly once.
   Engine e;
   std::vector<int> order;
   std::vector<EventId> cancelled;
