@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -437,6 +438,115 @@ TEST(ServiceDigest, PointBlobIsFrozen) {
   h.mix_bytes(blob.data(), blob.size());
   EXPECT_EQ(blob.size(), 263u);
   EXPECT_EQ(h.digest(), 3133890158991746153ULL);
+}
+
+// ------------------------------------------------------------ wire pins
+
+/// (length, Fnv64) of an encoded payload.
+std::pair<std::size_t, std::uint64_t> pin(const std::vector<std::uint8_t>& bytes) {
+  Fnv64 h;
+  h.mix_bytes(bytes.data(), bytes.size());
+  return {bytes.size(), h.digest()};
+}
+
+/// A spec whose every field differs from its neighbours': one IOR and one
+/// DLIO workload, each with all fourteen WorkloadSpec fields set.
+svc::CampaignSpec distinct_spec() {
+  svc::CampaignSpec spec;
+  spec.seed = 0x0102030405060708ULL;
+  spec.calibration = 1.25;
+  spec.testbed = {16, 3, 8, 0};
+  spec.model = {32, 5, 6, 1};
+  svc::WorkloadSpec ior;
+  ior.kind = svc::WorkloadKind::kIor;
+  ior.ranks = 9;
+  ior.block_kib = 2048;
+  ior.transfer_kib = 512;
+  ior.read_phase = true;
+  ior.samples = 70;
+  ior.sample_kib = 33;
+  ior.samples_per_file = 14;
+  ior.batch = 6;
+  ior.shuffle = false;
+  ior.workload_seed = 1234;
+  ior.stages = 7;
+  ior.tasks_per_stage = 11;
+  ior.files_per_task = 13;
+  svc::WorkloadSpec dlio;
+  dlio.kind = svc::WorkloadKind::kDlio;
+  dlio.ranks = 6;
+  dlio.block_kib = 4096;
+  dlio.transfer_kib = 1024;
+  dlio.read_phase = false;
+  dlio.samples = 200;
+  dlio.sample_kib = 96;
+  dlio.samples_per_file = 25;
+  dlio.batch = 10;
+  dlio.shuffle = true;
+  dlio.workload_seed = 99;
+  dlio.stages = 3;
+  dlio.tasks_per_stage = 5;
+  dlio.files_per_task = 2;
+  spec.workloads = {ior, dlio};
+  return spec;
+}
+
+TEST(ServiceWire, MessageBytesArePinned) {
+  // Byte-identity pins for every payload encoder: one instance per message
+  // type, every field distinct, so a field written in the wrong order or
+  // width moves the digest.
+  EXPECT_EQ(pin(svc::encode(svc::SubmitCampaign{distinct_spec()})),
+            std::make_pair(std::size_t{196}, std::uint64_t{6563518893136349909ULL}));
+  EXPECT_EQ(pin(svc::encode(svc::SubmitAck{0xA1B2C3D4E5F60718ULL, 37})),
+            std::make_pair(std::size_t{12}, std::uint64_t{12266063222548876462ULL}));
+  svc::PointResult pr;
+  pr.campaign_id = 11;
+  pr.index = 4;
+  pr.key = 0x1122334455667788ULL;
+  pr.digest = 0x99AABBCCDDEEFF00ULL;
+  pr.source = svc::ResultSource::kCached;
+  pr.blob = svc::encode_point(distinct_point());
+  EXPECT_EQ(pin(svc::encode(pr)),
+            std::make_pair(std::size_t{296}, std::uint64_t{4105494447278387873ULL}));
+  EXPECT_EQ(pin(svc::encode(svc::CampaignDone{12, 9, 3, true})),
+            std::make_pair(std::size_t{17}, std::uint64_t{10670164093030019196ULL}));
+  EXPECT_EQ(pin(svc::encode(svc::CancelCampaign{0x0F0E0D0C0B0A0908ULL})),
+            std::make_pair(std::size_t{8}, std::uint64_t{12798899912430635715ULL}));
+  EXPECT_TRUE(svc::encode(svc::Stats{}).empty());
+  svc::StatsReply reply;
+  svc::ServiceStats& s = reply.stats;
+  s.sessions_opened = 101;
+  s.sessions_closed = 102;
+  s.frames_in = 103;
+  s.frames_out = 104;
+  s.protocol_errors = 105;
+  s.campaigns_submitted = 106;
+  s.campaigns_accepted = 107;
+  s.campaigns_rejected = 108;
+  s.campaigns_completed = 109;
+  s.campaigns_cancelled = 110;
+  s.points_completed = 111;
+  s.points_computed = 112;
+  s.points_cached = 113;
+  s.points_coalesced = 114;
+  s.points_cancelled = 115;
+  s.cache_lookups = 116;
+  s.cache_hits = 117;
+  s.cache_misses = 118;
+  s.cache_entries = 119;
+  EXPECT_EQ(pin(svc::encode(reply)),
+            std::make_pair(std::size_t{152}, std::uint64_t{14973975457576769159ULL}));
+  EXPECT_EQ(pin(svc::encode(svc::Error{svc::ErrorCode::kOverloaded, 2'500'000,
+                                       "queue full: retry later"})),
+            std::make_pair(std::size_t{37}, std::uint64_t{4510481629023185895ULL}));
+}
+
+TEST(ServiceWire, PointKeyIsPinned) {
+  // The cache key is an Fnv64 over the canonical encoding of one point's
+  // inputs; pinning it freezes that encoding (and every cache entry).
+  const svc::CampaignSpec spec = distinct_spec();
+  EXPECT_EQ(svc::point_key(spec, 0), 11653290426414425370ULL);
+  EXPECT_EQ(svc::point_key(spec, 1), 13093776182942019769ULL);
 }
 
 TEST(ServiceDigest, CarriedDigestMatchesDecodedBlob) {
