@@ -1,13 +1,16 @@
-// PIOEval common: bounds-checked binary encode/decode primitives.
+// PIOEval common: bounds-checked binary encode/decode primitives — the only
+// binary format code in the library (DESIGN.md §15).
 //
-// The service layer (DESIGN.md §15) speaks a length-prefixed, CRC-guarded
-// frame protocol; these are the byte-level building blocks. Encoding is
-// explicit little-endian regardless of host order, so encoded bytes are a
-// stable wire/cache format. Decoding never throws and never reads out of
-// bounds: a `Reader` goes *sticky-bad* on the first short or malformed
-// read, every subsequent extraction returns a default value, and the
-// caller checks `ok()` (and usually `done()`) once at the end — strict
-// decoders reject both truncated and trailing bytes.
+// The service's CRC-guarded frames and their payloads, binary trace files
+// and the MPI-IO layer's collective piece lists are all written with a
+// Writer and read with a Reader. (par::encode only moves a typed value
+// between rank threads of one process; it defines no format.) Encoding is explicit little-endian
+// regardless of host order, so encoded bytes are a stable wire/file format.
+// Decoding never throws and never reads out of bounds: a `Reader` goes
+// *sticky-bad* on the first short or malformed read, every subsequent
+// extraction returns a default value, and the caller checks `ok()` (and
+// usually `done()`) once at the end — strict decoders reject both truncated
+// and trailing bytes.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +46,11 @@ class Writer {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
+  /// u32 length prefix + raw bytes.
+  void blob(const std::vector<std::uint8_t>& b) {
+    u32(static_cast<std::uint32_t>(b.size()));
+    bytes(b.data(), b.size());
+  }
   void bytes(const std::uint8_t* data, std::size_t n) { buf_.insert(buf_.end(), data, data + n); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& view() const { return buf_; }
@@ -77,14 +85,30 @@ class Reader {
   /// than `max_len` marks the reader bad (defends against hostile lengths).
   [[nodiscard]] std::string str(std::size_t max_len = 1 << 16) {
     const std::uint32_t n = u32();
-    if (!ok_ || n > max_len || n > size_ - pos_) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
+    if (n > max_len) ok_ = false;
+    const std::uint8_t* p = bytes(n);
+    return p == nullptr ? std::string{} : std::string(reinterpret_cast<const char*>(p), n);
   }
+  /// Length-prefixed byte blob, bounded only by the bytes present.
+  [[nodiscard]] std::vector<std::uint8_t> blob() {
+    const std::uint32_t n = u32();
+    const std::uint8_t* p = bytes(n);
+    return p == nullptr ? std::vector<std::uint8_t>{} : std::vector<std::uint8_t>(p, p + n);
+  }
+  /// The next `n` raw bytes, borrowed from the span; nullptr (and the
+  /// reader bad) when fewer remain.
+  [[nodiscard]] const std::uint8_t* bytes(std::size_t n) {
+    if (!ok_ || n > size_ - pos_) {
+      ok_ = false;
+      return nullptr;
+    }
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+  /// Mark the reader bad: a caller's semantic check (an out-of-range enum
+  /// byte, a count over its limit) fails the decode like a short read.
+  void fail() { ok_ = false; }
 
   /// True until the first out-of-bounds or malformed extraction.
   [[nodiscard]] bool ok() const { return ok_; }
@@ -94,13 +118,10 @@ class Reader {
 
  private:
   std::uint64_t le(int width) {
-    if (!ok_ || static_cast<std::size_t>(width) > size_ - pos_) {
-      ok_ = false;
-      return 0;
-    }
+    const std::uint8_t* p = bytes(static_cast<std::size_t>(width));
     std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)]) << (8 * i);
-    pos_ += static_cast<std::size_t>(width);
+    if (p == nullptr) return v;
+    for (int i = 0; i < width; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
     return v;
   }
   const std::uint8_t* data_;

@@ -199,9 +199,8 @@ void ExecutionDrivenSimulator::advance(std::int32_t rank) {
     if (active_ranks_ == 0 && external_drive_) {
       // Externally driven run: nobody calls engine_.run() on our behalf
       // after the workload, so kick off the cache quiescence flush from the
-      // completing event and tell the owner (the facility cell) we're done.
+      // completing event.
       if (tier_ != nullptr) tier_->flush_all();
-      if (on_complete_) on_complete_();
     }
     return;
   }

@@ -99,20 +99,13 @@ class ExecutionDrivenSimulator {
   /// schedules (eval::run_facility's cells): `begin` installs the
   /// workload and schedules every rank's first step on the engine but does
   /// not run it — the caller owns engine advancement. When the last rank
-  /// finishes, the cache tier (if any) starts its quiescence flush and the
-  /// `set_on_complete` hook fires from inside the completing event. Once the
-  /// engine has fully drained, `collect` finalizes and returns the result
-  /// (throwing the same stall diagnostic as `run` if ranks never finished).
+  /// finishes, the cache tier (if any) starts its quiescence flush from
+  /// inside the completing event. Once the engine has fully drained,
+  /// `collect` finalizes and returns the result (throwing the same stall
+  /// diagnostic as `run` if ranks never finished).
   /// `run` itself is unaffected by this API — identical event sequence,
   /// identical digests.
   void begin(const workload::Workload& workload, trace::Sink* sink = nullptr);
-
-  /// Hook invoked (at most once per begin) from the event in which the last
-  /// rank finishes. External-drive mode only.
-  void set_on_complete(std::function<void()> hook) { on_complete_ = std::move(hook); }
-
-  /// True once every rank of the begun workload has finished.
-  [[nodiscard]] bool completed() const { return active_ranks_ == 0 && !ranks_.empty(); }
 
   /// Finalize and return the result of a `begin`-driven run.
   SimRunResult collect();
@@ -174,7 +167,6 @@ class ExecutionDrivenSimulator {
   // External-drive (begin/collect) state. `run` keeps external_drive_ false
   // so its event sequence is untouched by the split.
   bool external_drive_ = false;
-  std::function<void()> on_complete_;
   RunCounters counters_before_{};
   SimTime start_time_ = SimTime::zero();
 };

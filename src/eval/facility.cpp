@@ -64,18 +64,15 @@ FacilityResult run_facility(const FacilityConfig& config,
     sim::Engine engine{derive_seed(config.seed, kFacilityCellPhase, 0, i)};
     pfs::PfsModel model{engine, cells[i].system};
     driver::ExecutionDrivenSimulator sim{engine, model, cells[i].run};
-    CellRun run;
-    sim.set_on_complete(
-        [&] { run.outcome.completed = engine.now() + config.fabric_latency; });
-    const auto jitter = SimTime::from_ns(
-        static_cast<std::int64_t>(arrivals.substream(i).next_below(spread_ns)));
+    const SimTime started = config.fabric_latency +
+        SimTime::from_ns(static_cast<std::int64_t>(arrivals.substream(i).next_below(spread_ns)));
     // piolint: allow(C2) — engine.run() below drains this engine in-frame.
-    engine.schedule_at(config.fabric_latency + jitter, [&] {
-      run.outcome.started = engine.now();
-      sim.begin(*cells[i].workload, nullptr);
-    });
-    engine.run(config.time_limit);
+    engine.schedule_at(started, [&] { sim.begin(*cells[i].workload, nullptr); });
+    engine.run(started + cells[i].run.time_limit);
+    CellRun run;
     run.outcome.result = sim.collect();  // throws on a stalled cell
+    run.outcome.started = started;
+    run.outcome.completed = started + run.outcome.result.makespan + config.fabric_latency;
     model.assert_quiescent();
     engine.assert_drained();
     run.events = engine.events_executed();

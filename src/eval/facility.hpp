@@ -48,15 +48,14 @@ struct FacilityConfig {
   /// Cell campaign arrivals are jittered uniformly over [0, spread] —
   /// facilities do not start every tenant on the same nanosecond.
   SimTime arrival_spread = SimTime::from_ms(1.0);
-  /// Simulated-time abort guard for every cell.
-  SimTime time_limit = SimTime::from_sec(86'400.0);
 };
 
 /// Per-cell outcome, timestamped on the facility clock.
 struct FacilityCellOutcome {
   driver::SimRunResult result;
-  SimTime started = SimTime::zero();    ///< cell campaign begin (cell clock)
-  SimTime completed = SimTime::zero();  ///< coordinator observed completion
+  SimTime started = SimTime::zero();  ///< cell campaign begin (cell clock)
+  /// Coordinator observed completion: started + makespan + fabric_latency.
+  SimTime completed = SimTime::zero();
 };
 
 struct FacilityResult {
@@ -72,8 +71,9 @@ struct FacilityResult {
   [[nodiscard]] std::uint64_t digest() const;
 };
 
-/// Run `cells` to completion as one facility. Throws on a stalled cell
-/// (mismatched barriers or time limit), and asserts every cell engine drained.
+/// Run `cells` to completion as one facility; each cell runs until
+/// `started + cell.run.time_limit`. Throws on a stalled cell (mismatched
+/// barriers or time limit), and asserts every cell engine drained.
 [[nodiscard]] FacilityResult run_facility(const FacilityConfig& config,
                                           const std::vector<FacilityCell>& cells);
 

@@ -5,68 +5,107 @@
 #include <map>
 #include <stdexcept>
 
+#include "common/codec.hpp"
 #include "common/interval_set.hpp"
 
 namespace pio::mio {
 
 namespace {
 
-/// Trivially copyable bounds pair for collective exchange.
+/// Byte range [lo, hi) covered by a set of extents.
 struct Bounds {
-  std::uint64_t lo;
-  std::uint64_t hi;
+  std::uint64_t lo = UINT64_MAX;
+  std::uint64_t hi = 0;
 };
 
-/// Wire format for a piece list: u64 count, then per piece u64 offset +
-/// u64 length, then the payloads back-to-back.
+Bounds bounds_of(std::span<const Extent> extents) {
+  Bounds b;
+  for (const auto& e : extents) {
+    b.lo = std::min(b.lo, e.offset);
+    b.hi = std::max(b.hi, e.offset + e.length.count());
+  }
+  return b;
+}
+
+/// A par message: codec-encoded fields followed by raw payload bytes.
+par::Buffer to_buffer(const codec::Writer& w, std::span<const std::byte> tail = {}) {
+  par::Buffer out(w.size() + tail.size());
+  std::ranges::transform(w.view(), out.begin(), [](std::uint8_t b) { return std::byte{b}; });
+  std::ranges::copy(tail, out.begin() + static_cast<std::ptrdiff_t>(w.size()));
+  return out;
+}
+
+codec::Reader reader_of(const par::Buffer& buf) {
+  return {reinterpret_cast<const std::uint8_t*>(buf.data()), buf.size()};
+}
+
+/// The union of every rank's `local` bounds: gathered at rank 0 and
+/// broadcast back.
+Bounds global_bounds(par::Comm& comm, Bounds local) {
+  const auto encode = [](Bounds b) {
+    codec::Writer w;
+    w.u64(b.lo);
+    w.u64(b.hi);
+    return to_buffer(w);
+  };
+  const auto decode = [](const par::Buffer& buf) {
+    codec::Reader r = reader_of(buf);
+    Bounds b;
+    b.lo = r.u64();
+    b.hi = r.u64();
+    if (!r.done()) throw std::runtime_error("mio: malformed bounds message");
+    return b;
+  };
+  Bounds global;
+  for (const auto& buf : comm.gather(0, encode(local))) {
+    const Bounds each = decode(buf);
+    global.lo = std::min(global.lo, each.lo);
+    global.hi = std::max(global.hi, each.hi);
+  }
+  return decode(comm.bcast(0, encode(global)));
+}
+
+/// Wire format for a piece list (little-endian): u64 count, then per piece
+/// u64 offset + u64 length, then the payloads back-to-back. A read request
+/// carries no payload.
 struct PieceList {
   std::vector<Extent> extents;
   std::vector<std::byte> payload;
 
   [[nodiscard]] par::Buffer serialize() const {
-    par::Buffer out;
-    const std::uint64_t n = extents.size();
-    out.resize(sizeof(std::uint64_t) * (1 + 2 * n) + payload.size());
-    std::size_t pos = 0;
-    auto put_u64 = [&](std::uint64_t v) {
-      std::memcpy(out.data() + pos, &v, sizeof v);
-      pos += sizeof v;
-    };
-    put_u64(n);
+    codec::Writer w;
+    w.u64(extents.size());
     for (const auto& e : extents) {
-      put_u64(e.offset);
-      put_u64(e.length.count());
+      w.u64(e.offset);
+      w.u64(e.length.count());
     }
-    if (!payload.empty()) std::memcpy(out.data() + pos, payload.data(), payload.size());
-    return out;
+    return to_buffer(w, payload);
   }
 
   static PieceList deserialize(const par::Buffer& buf) {
+    codec::Reader r = reader_of(buf);
+    const std::uint64_t n = r.u64();
+    // Each piece is 16 bytes: a count the buffer cannot hold is rejected
+    // before anything is reserved.
+    if (!r.ok() || n > r.remaining() / 16) throw std::runtime_error("PieceList: truncated buffer");
     PieceList list;
-    std::size_t pos = 0;
-    auto get_u64 = [&]() {
-      std::uint64_t v = 0;
-      if (pos + sizeof v > buf.size()) throw std::runtime_error("PieceList: truncated buffer");
-      std::memcpy(&v, buf.data() + pos, sizeof v);
-      pos += sizeof v;
-      return v;
-    };
-    const std::uint64_t n = get_u64();
-    std::uint64_t total = 0;
     list.extents.reserve(n);
+    std::uint64_t total = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       Extent e;
-      e.offset = get_u64();
-      e.length = Bytes{get_u64()};
+      e.offset = r.u64();
+      e.length = Bytes{r.u64()};
+      if (e.length.count() > UINT64_MAX - total) {
+        throw std::runtime_error("PieceList: payload size overflows");
+      }
       total += e.length.count();
       list.extents.push_back(e);
     }
-    if (pos == buf.size()) {
-      // Metadata-only list (a read request carries no payload).
-      return list;
+    if (r.remaining() != 0 && r.remaining() != total) {
+      throw std::runtime_error("PieceList: payload size mismatch");
     }
-    if (pos + total != buf.size()) throw std::runtime_error("PieceList: payload size mismatch");
-    list.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(pos), buf.end());
+    const std::size_t at = buf.size() - r.remaining();
+    list.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(at), buf.end());
     return list;
   }
 };
@@ -240,23 +279,9 @@ Result<std::size_t> File::write_at_all(std::span<const Extent> extents,
     return pos;
   }
 
-  // Phase 0: global extent bounds (gather + bcast of [lo, hi)).
-  std::uint64_t local_lo = UINT64_MAX;
-  std::uint64_t local_hi = 0;
-  for (const auto& e : extents) {
-    local_lo = std::min(local_lo, e.offset);
-    local_hi = std::max(local_hi, e.offset + e.length.count());
-  }
-  const auto bounds = comm_.gather(0, par::encode(Bounds{local_lo, local_hi}));
-  Bounds global{UINT64_MAX, 0};
-  if (comm_.rank() == 0) {
-    for (const auto& b : bounds) {
-      const auto each = par::decode<Bounds>(b);
-      global.lo = std::min(global.lo, each.lo);
-      global.hi = std::max(global.hi, each.hi);
-    }
-  }
-  global = par::decode<Bounds>(comm_.bcast(0, par::encode(global)));
+  // Phase 0: global extent bounds [lo, hi).
+  const Bounds local = bounds_of(extents);
+  const Bounds global = global_bounds(comm_, local);
   if (global.lo >= global.hi) {
     // Nobody wrote anything.
     comm_.barrier();
@@ -384,7 +409,7 @@ Result<std::size_t> File::write_at_all(std::span<const Extent> extents,
     }
   }
   comm_.barrier();  // collective completion
-  emit(trace::OpKind::kWrite, local_lo == UINT64_MAX ? 0 : local_lo, mine.count(), start, true);
+  emit(trace::OpKind::kWrite, local.lo == UINT64_MAX ? 0 : local.lo, mine.count(), start, true);
   return static_cast<std::size_t>(mine.count());
 }
 
@@ -410,23 +435,9 @@ Result<std::size_t> File::read_at_all(std::span<const Extent> extents,
     return pos;
   }
 
-  // Phase 0: bounds.
-  std::uint64_t local_lo = UINT64_MAX;
-  std::uint64_t local_hi = 0;
-  for (const auto& e : extents) {
-    local_lo = std::min(local_lo, e.offset);
-    local_hi = std::max(local_hi, e.offset + e.length.count());
-  }
-  const auto bounds = comm_.gather(0, par::encode(Bounds{local_lo, local_hi}));
-  Bounds global{UINT64_MAX, 0};
-  if (comm_.rank() == 0) {
-    for (const auto& b : bounds) {
-      const auto each = par::decode<Bounds>(b);
-      global.lo = std::min(global.lo, each.lo);
-      global.hi = std::max(global.hi, each.hi);
-    }
-  }
-  global = par::decode<Bounds>(comm_.bcast(0, par::encode(global)));
+  // Phase 0: global extent bounds [lo, hi).
+  const Bounds local = bounds_of(extents);
+  const Bounds global = global_bounds(comm_, local);
   if (global.lo >= global.hi) {
     comm_.barrier();
     emit(trace::OpKind::kRead, 0, 0, start, true);
@@ -567,7 +578,7 @@ Result<std::size_t> File::read_at_all(std::span<const Extent> extents,
     }
   }
   comm_.barrier();
-  emit(trace::OpKind::kRead, local_lo == UINT64_MAX ? 0 : local_lo, mine.count(), start, true);
+  emit(trace::OpKind::kRead, local.lo == UINT64_MAX ? 0 : local.lo, mine.count(), start, true);
   return static_cast<std::size_t>(mine.count());
 }
 

@@ -88,13 +88,13 @@ void LatencyEstimator::observe(SimTime sample) {
     seeded_ = true;
     return;
   }
-  rttvar_sec_ = (1.0 - beta_) * rttvar_sec_ + beta_ * std::abs(srtt_sec_ - s);
-  srtt_sec_ = (1.0 - alpha_) * srtt_sec_ + alpha_ * s;
+  rttvar_sec_ = (1.0 - kBeta) * rttvar_sec_ + kBeta * std::abs(srtt_sec_ - s);
+  srtt_sec_ = (1.0 - kAlpha) * srtt_sec_ + kAlpha * s;
 }
 
 SimTime LatencyEstimator::timeout() const {
   if (!seeded_) return initial_;
-  const double rto = srtt_sec_ + k_ * rttvar_sec_;
+  const double rto = srtt_sec_ + kK * rttvar_sec_;
   return std::clamp(SimTime::from_sec_ceil(rto), min_, max_);
 }
 

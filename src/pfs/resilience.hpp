@@ -91,16 +91,13 @@ struct RetryPolicy {
   // -- overload-control knobs (all off by default; DESIGN.md §14) ----------
 
   /// Adaptive per-attempt timeouts from the EWMA+variance latency estimator
-  /// (Jacobson/Karels): timeout = clamp(srtt + rto_k * rttvar). Replaces the
+  /// (Jacobson/Karels): timeout = clamp(srtt + 4 * rttvar). Replaces the
   /// fixed op_timeout while enabled; initial_timeout is used until the
   /// estimator has seen a successful attempt.
   bool adaptive_timeout = false;
   SimTime initial_timeout = SimTime::from_ms(10.0);
   SimTime min_timeout = SimTime::from_ms(1.0);
   SimTime max_timeout = SimTime::from_ms(500.0);
-  double srtt_gain = 0.125;  ///< alpha: weight of a new sample in srtt
-  double rttvar_gain = 0.25; ///< beta: weight of a new deviation in rttvar
-  double rto_k = 4.0;        ///< timeout = srtt + rto_k * rttvar
 
   /// End-to-end deadline: the op's remaining budget shrinks across attempts
   /// instead of resetting — each attempt's timeout is capped to what is
@@ -132,18 +129,19 @@ struct RetryPolicy {
 
 /// Jacobson/Karels RTT estimator driving adaptive per-attempt timeouts:
 /// srtt and rttvar are EWMAs of successful attempt latencies, and the
-/// timeout is srtt + k * rttvar clamped to [min_timeout, max_timeout].
+/// timeout is srtt + kK * rttvar clamped to [min_timeout, max_timeout].
 /// Until the first sample the configured initial_timeout applies.
 class LatencyEstimator {
  public:
+  static constexpr double kAlpha = 0.125;  ///< weight of a new sample in srtt
+  static constexpr double kBeta = 0.25;    ///< weight of a new deviation in rttvar
+  static constexpr double kK = 4.0;        ///< timeout = srtt + kK * rttvar
+
   LatencyEstimator() = default;
   explicit LatencyEstimator(const RetryPolicy& policy)
       : initial_(policy.initial_timeout),
         min_(policy.min_timeout),
-        max_(policy.max_timeout),
-        alpha_(policy.srtt_gain),
-        beta_(policy.rttvar_gain),
-        k_(policy.rto_k) {}
+        max_(policy.max_timeout) {}
 
   void observe(SimTime sample);
 
@@ -157,9 +155,6 @@ class LatencyEstimator {
   SimTime initial_ = SimTime::from_ms(10.0);
   SimTime min_ = SimTime::from_ms(1.0);
   SimTime max_ = SimTime::from_ms(500.0);
-  double alpha_ = 0.125;
-  double beta_ = 0.25;
-  double k_ = 4.0;
   bool seeded_ = false;
   double srtt_sec_ = 0.0;
   double rttvar_sec_ = 0.0;

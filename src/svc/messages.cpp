@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #include "common/codec.hpp"
 #include "common/fnv.hpp"
@@ -25,65 +26,250 @@ constexpr std::uint64_t kMaxSamples = 1u << 20;
 constexpr std::uint32_t kMaxStages = 64;
 constexpr std::uint32_t kMaxTasks = 4096;
 
-void encode_system(codec::Writer& w, const SystemSpec& s) {
-  w.u32(s.clients);
-  w.u32(s.io_nodes);
-  w.u32(s.osts);
-  w.u8(s.disk);
+// ------------------------------------------------------------ field lists
+//
+// Each wire record lists its fields once, in a `fields(io, record)`
+// overload that both directions walk: Encode appends every field to a
+// codec::Writer, Decode reads each back from a codec::Reader and fails on a
+// short read, an enum byte past its last value or a count over its limit.
+// List order is wire order, frozen by the ServiceWire pins in
+// tests/test_service.cpp.
+
+using Payload = std::vector<std::uint8_t>;
+
+/// `T` as a field list sees it: const while encoding.
+template <class Io, class T>
+using Field = std::conditional_t<Io::kEncodes, const T, T>;
+
+class Encode {
+ public:
+  static constexpr bool kEncodes = true;
+
+  void operator()(std::uint8_t v) { w_.u8(v); }
+  void operator()(std::uint16_t v) { w_.u16(v); }
+  void operator()(std::uint32_t v) { w_.u32(v); }
+  void operator()(std::uint64_t v) { w_.u64(v); }
+  void operator()(bool v) { w_.boolean(v); }
+  void operator()(double v) { w_.f64(v); }
+  void operator()(SimTime v) { w_.i64(v.ns()); }
+  void operator()(Bytes v) { w_.u64(v.count()); }
+  void operator()(const std::string& v) { w_.str(v); }
+  void operator()(const Payload& v) { w_.blob(v); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E v, E /*last*/ = E{}) {
+    (*this)(static_cast<std::underlying_type_t<E>>(v));
+  }
+  /// u32 count, then the elements.
+  template <class T>
+  void operator()(const std::vector<T>& v, std::size_t /*max*/) {
+    w_.u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& e : v) (*this)(e);
+  }
+  template <class R>
+    requires std::is_class_v<R>
+  void operator()(const R& record) {
+    fields(*this, record);
+  }
+
+  [[nodiscard]] Payload take() { return w_.take(); }
+
+ private:
+  codec::Writer w_;
+};
+
+class Decode {
+ public:
+  static constexpr bool kEncodes = false;
+
+  explicit Decode(const Payload& bytes) : r_(bytes.data(), bytes.size()) {}
+
+  void operator()(std::uint8_t& v) { v = r_.u8(); }
+  void operator()(std::uint16_t& v) { v = r_.u16(); }
+  void operator()(std::uint32_t& v) { v = r_.u32(); }
+  void operator()(std::uint64_t& v) { v = r_.u64(); }
+  void operator()(bool& v) { v = r_.boolean(); }
+  void operator()(double& v) { v = r_.f64(); }
+  void operator()(SimTime& v) { v = SimTime::from_ns(r_.i64()); }
+  void operator()(Bytes& v) { v = Bytes{r_.u64()}; }
+  void operator()(std::string& v) { v = r_.str(); }
+  void operator()(Payload& v) { v = r_.blob(); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E& v) {
+    std::underlying_type_t<E> raw{};
+    (*this)(raw);
+    v = static_cast<E>(raw);
+  }
+  /// An enum value past `last` fails the decode.
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E& v, E last) {
+    (*this)(v);
+    if (v > last) r_.fail();
+  }
+  /// A count over `max` fails the decode before anything is reserved.
+  template <class T>
+  void operator()(std::vector<T>& v, std::size_t max) {
+    const std::uint32_t n = r_.u32();
+    if (n > max) r_.fail();
+    if (!r_.ok()) return;
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n && r_.ok(); ++i) (*this)(v.emplace_back());
+  }
+  template <class R>
+    requires std::is_class_v<R>
+  void operator()(R& record) {
+    fields(*this, record);
+  }
+
+  /// Every byte consumed and every field in range.
+  [[nodiscard]] bool done() const { return r_.done(); }
+
+ private:
+  codec::Reader r_;
+};
+
+template <class Io>
+void fields(Io& io, Field<Io, SystemSpec>& s) {
+  io(s.clients);
+  io(s.io_nodes);
+  io(s.osts);
+  io(s.disk);
 }
 
-[[nodiscard]] SystemSpec decode_system(codec::Reader& r) {
-  SystemSpec s;
-  s.clients = r.u32();
-  s.io_nodes = r.u32();
-  s.osts = r.u32();
-  s.disk = r.u8();
-  return s;
+template <class Io>
+void fields(Io& io, Field<Io, WorkloadSpec>& s) {
+  io(s.kind);
+  io(s.ranks);
+  io(s.block_kib);
+  io(s.transfer_kib);
+  io(s.read_phase);
+  io(s.samples);
+  io(s.sample_kib);
+  io(s.samples_per_file);
+  io(s.batch);
+  io(s.shuffle);
+  io(s.workload_seed);
+  io(s.stages);
+  io(s.tasks_per_stage);
+  io(s.files_per_task);
 }
 
-void encode_workload(codec::Writer& w, const WorkloadSpec& s) {
-  w.u8(static_cast<std::uint8_t>(s.kind));
-  w.u32(s.ranks);
-  w.u64(s.block_kib);
-  w.u64(s.transfer_kib);
-  w.boolean(s.read_phase);
-  w.u64(s.samples);
-  w.u64(s.sample_kib);
-  w.u64(s.samples_per_file);
-  w.u64(s.batch);
-  w.boolean(s.shuffle);
-  w.u64(s.workload_seed);
-  w.u32(s.stages);
-  w.u32(s.tasks_per_stage);
-  w.u32(s.files_per_task);
+/// The fields every point of a campaign shares; point_key folds them too.
+template <class Io>
+void shared_fields(Io& io, Field<Io, CampaignSpec>& s) {
+  io(s.seed);
+  io(s.calibration);
+  io(s.testbed);
+  io(s.model);
 }
 
-[[nodiscard]] WorkloadSpec decode_workload(codec::Reader& r) {
-  WorkloadSpec s;
-  s.kind = static_cast<WorkloadKind>(r.u8());
-  s.ranks = r.u32();
-  s.block_kib = r.u64();
-  s.transfer_kib = r.u64();
-  s.read_phase = r.boolean();
-  s.samples = r.u64();
-  s.sample_kib = r.u64();
-  s.samples_per_file = r.u64();
-  s.batch = r.u64();
-  s.shuffle = r.boolean();
-  s.workload_seed = r.u64();
-  s.stages = r.u32();
-  s.tasks_per_stage = r.u32();
-  s.files_per_task = r.u32();
-  return s;
+template <class Io>
+void fields(Io& io, Field<Io, CampaignSpec>& s) {
+  shared_fields(io, s);
+  io(s.workloads, kMaxWorkloadsPerCampaign);
 }
 
-void encode_spec(codec::Writer& w, const CampaignSpec& spec) {
-  w.u64(spec.seed);
-  w.f64(spec.calibration);
-  encode_system(w, spec.testbed);
-  encode_system(w, spec.model);
-  w.u32(static_cast<std::uint32_t>(spec.workloads.size()));
-  for (const auto& wl : spec.workloads) encode_workload(w, wl);
+template <class Io>
+void fields(Io& io, Field<Io, SubmitCampaign>& m) {
+  io(m.spec);
+}
+
+template <class Io>
+void fields(Io& io, Field<Io, SubmitAck>& m) {
+  io(m.campaign_id);
+  io(m.points);
+}
+
+template <class Io>
+void fields(Io& io, Field<Io, PointResult>& m) {
+  io(m.campaign_id);
+  io(m.index);
+  io(m.key);
+  io(m.digest);
+  io(m.source, ResultSource::kCoalesced);
+  io(m.blob);
+}
+
+template <class Io>
+void fields(Io& io, Field<Io, CampaignDone>& m) {
+  io(m.campaign_id);
+  io(m.completed);
+  io(m.cancelled);
+  io(m.was_cancelled);
+}
+
+template <class Io>
+void fields(Io& io, Field<Io, CancelCampaign>& m) {
+  io(m.campaign_id);
+}
+
+template <class Io>
+void fields(Io& /*io*/, Field<Io, Stats>& /*m*/) {}
+
+template <class Io>
+void fields(Io& io, Field<Io, ServiceStats>& s) {
+  io(s.sessions_opened);
+  io(s.sessions_closed);
+  io(s.frames_in);
+  io(s.frames_out);
+  io(s.protocol_errors);
+  io(s.campaigns_submitted);
+  io(s.campaigns_accepted);
+  io(s.campaigns_rejected);
+  io(s.campaigns_completed);
+  io(s.campaigns_cancelled);
+  io(s.points_completed);
+  io(s.points_computed);
+  io(s.points_cached);
+  io(s.points_coalesced);
+  io(s.points_cancelled);
+  io(s.cache_lookups);
+  io(s.cache_hits);
+  io(s.cache_misses);
+  io(s.cache_entries);
+}
+
+template <class Io>
+void fields(Io& io, Field<Io, StatsReply>& m) {
+  io(m.stats);
+}
+
+template <class Io>
+void fields(Io& io, Field<Io, Error>& m) {
+  io(m.code, ErrorCode::kUnknownCampaign);
+  io(m.retry_after_ns);
+  io(m.detail);
+}
+
+/// The canonical point blob: the workload name, the three times, then the
+/// RunCounters in their frozen visitor order (eval::point_digest's order).
+template <class Io>
+void fields(Io& io, Field<Io, eval::CampaignPoint>& p) {
+  io(p.workload);
+  io(p.measured);
+  io(p.simulated_raw);
+  io(p.predicted);
+  driver::for_each_counter(p, [&io](std::string_view, auto& v) { io(v); });
+}
+
+template <class M>
+[[nodiscard]] Payload encode_record(const M& m) {
+  Encode e;
+  e(m);
+  return e.take();
+}
+
+/// Strict: `*out` is written only when every byte decoded cleanly.
+template <class M>
+[[nodiscard]] bool decode_record(const Payload& bytes, M* out) {
+  Decode d(bytes);
+  M m;
+  d(m);
+  if (!d.done()) return false;
+  *out = std::move(m);
+  return true;
 }
 
 [[nodiscard]] const char* validate_system(const SystemSpec& s) {
@@ -119,8 +305,6 @@ void encode_spec(codec::Writer& w, const CampaignSpec& spec) {
   if (s.files_per_task == 0 || s.files_per_task > kMaxTasks) return "files_per_task out of range";
   return nullptr;
 }
-
-[[nodiscard]] std::vector<std::uint8_t> take(codec::Writer& w) { return w.take(); }
 
 }  // namespace
 
@@ -237,15 +421,13 @@ std::uint64_t point_key(const CampaignSpec& spec, std::uint32_t index) {
   // Only the inputs that determine point `index`: the shared scalars, both
   // systems, the one workload record, and the index (it feeds derive_seed).
   // Campaigns sharing a workload prefix therefore share cache entries.
-  codec::Writer w;
-  w.u64(spec.seed);
-  w.f64(spec.calibration);
-  encode_system(w, spec.testbed);
-  encode_system(w, spec.model);
-  encode_workload(w, spec.workloads.at(index));
-  w.u32(index);
+  Encode e;
+  shared_fields(e, spec);
+  e(spec.workloads.at(index));
+  e(index);
+  const Payload bytes = e.take();
   Fnv64 h;
-  h.mix_bytes(w.view().data(), w.size());
+  h.mix_bytes(bytes.data(), bytes.size());
   return h.digest();
 }
 
@@ -305,199 +487,24 @@ std::vector<Frame> split_frames(const std::vector<std::uint8_t>& bytes) {
 
 // ---------------------------------------------------------------- payloads
 
-std::vector<std::uint8_t> encode(const SubmitCampaign& m) {
-  codec::Writer w;
-  encode_spec(w, m.spec);
-  return take(w);
-}
+Payload encode(const SubmitCampaign& m) { return encode_record(m); }
+Payload encode(const SubmitAck& m) { return encode_record(m); }
+Payload encode(const PointResult& m) { return encode_record(m); }
+Payload encode(const CampaignDone& m) { return encode_record(m); }
+Payload encode(const CancelCampaign& m) { return encode_record(m); }
+Payload encode(const Stats& m) { return encode_record(m); }
+Payload encode(const StatsReply& m) { return encode_record(m); }
+Payload encode(const Error& m) { return encode_record(m); }
+Payload encode_point(const eval::CampaignPoint& p) { return encode_record(p); }
 
-bool decode(const std::vector<std::uint8_t>& payload, SubmitCampaign* out) {
-  codec::Reader r(payload.data(), payload.size());
-  CampaignSpec spec;
-  spec.seed = r.u64();
-  spec.calibration = r.f64();
-  spec.testbed = decode_system(r);
-  spec.model = decode_system(r);
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > kMaxWorkloadsPerCampaign) return false;
-  spec.workloads.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) spec.workloads.push_back(decode_workload(r));
-  if (!r.done()) return false;
-  out->spec = std::move(spec);
-  return true;
-}
-
-std::vector<std::uint8_t> encode(const SubmitAck& m) {
-  codec::Writer w;
-  w.u64(m.campaign_id);
-  w.u32(m.points);
-  return take(w);
-}
-
-bool decode(const std::vector<std::uint8_t>& payload, SubmitAck* out) {
-  codec::Reader r(payload.data(), payload.size());
-  out->campaign_id = r.u64();
-  out->points = r.u32();
-  return r.done();
-}
-
-std::vector<std::uint8_t> encode(const PointResult& m) {
-  codec::Writer w;
-  w.u64(m.campaign_id);
-  w.u32(m.index);
-  w.u64(m.key);
-  w.u64(m.digest);
-  w.u8(static_cast<std::uint8_t>(m.source));
-  w.u32(static_cast<std::uint32_t>(m.blob.size()));
-  w.bytes(m.blob.data(), m.blob.size());
-  return take(w);
-}
-
-bool decode(const std::vector<std::uint8_t>& payload, PointResult* out) {
-  codec::Reader r(payload.data(), payload.size());
-  out->campaign_id = r.u64();
-  out->index = r.u32();
-  out->key = r.u64();
-  out->digest = r.u64();
-  const std::uint8_t source = r.u8();
-  if (source > static_cast<std::uint8_t>(ResultSource::kCoalesced)) return false;
-  out->source = static_cast<ResultSource>(source);
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n != r.remaining()) return false;
-  out->blob.assign(payload.end() - static_cast<std::ptrdiff_t>(n), payload.end());
-  return true;
-}
-
-std::vector<std::uint8_t> encode(const CampaignDone& m) {
-  codec::Writer w;
-  w.u64(m.campaign_id);
-  w.u32(m.completed);
-  w.u32(m.cancelled);
-  w.boolean(m.was_cancelled);
-  return take(w);
-}
-
-bool decode(const std::vector<std::uint8_t>& payload, CampaignDone* out) {
-  codec::Reader r(payload.data(), payload.size());
-  out->campaign_id = r.u64();
-  out->completed = r.u32();
-  out->cancelled = r.u32();
-  out->was_cancelled = r.boolean();
-  return r.done();
-}
-
-std::vector<std::uint8_t> encode(const CancelCampaign& m) {
-  codec::Writer w;
-  w.u64(m.campaign_id);
-  return take(w);
-}
-
-bool decode(const std::vector<std::uint8_t>& payload, CancelCampaign* out) {
-  codec::Reader r(payload.data(), payload.size());
-  out->campaign_id = r.u64();
-  return r.done();
-}
-
-std::vector<std::uint8_t> encode(const Stats&) { return {}; }
-
-bool decode(const std::vector<std::uint8_t>& payload, Stats*) { return payload.empty(); }
-
-std::vector<std::uint8_t> encode(const StatsReply& m) {
-  codec::Writer w;
-  const ServiceStats& s = m.stats;
-  w.u64(s.sessions_opened);
-  w.u64(s.sessions_closed);
-  w.u64(s.frames_in);
-  w.u64(s.frames_out);
-  w.u64(s.protocol_errors);
-  w.u64(s.campaigns_submitted);
-  w.u64(s.campaigns_accepted);
-  w.u64(s.campaigns_rejected);
-  w.u64(s.campaigns_completed);
-  w.u64(s.campaigns_cancelled);
-  w.u64(s.points_completed);
-  w.u64(s.points_computed);
-  w.u64(s.points_cached);
-  w.u64(s.points_coalesced);
-  w.u64(s.points_cancelled);
-  w.u64(s.cache_lookups);
-  w.u64(s.cache_hits);
-  w.u64(s.cache_misses);
-  w.u64(s.cache_entries);
-  return take(w);
-}
-
-bool decode(const std::vector<std::uint8_t>& payload, StatsReply* out) {
-  codec::Reader r(payload.data(), payload.size());
-  ServiceStats& s = out->stats;
-  s.sessions_opened = r.u64();
-  s.sessions_closed = r.u64();
-  s.frames_in = r.u64();
-  s.frames_out = r.u64();
-  s.protocol_errors = r.u64();
-  s.campaigns_submitted = r.u64();
-  s.campaigns_accepted = r.u64();
-  s.campaigns_rejected = r.u64();
-  s.campaigns_completed = r.u64();
-  s.campaigns_cancelled = r.u64();
-  s.points_completed = r.u64();
-  s.points_computed = r.u64();
-  s.points_cached = r.u64();
-  s.points_coalesced = r.u64();
-  s.points_cancelled = r.u64();
-  s.cache_lookups = r.u64();
-  s.cache_hits = r.u64();
-  s.cache_misses = r.u64();
-  s.cache_entries = r.u64();
-  return r.done();
-}
-
-std::vector<std::uint8_t> encode(const Error& m) {
-  codec::Writer w;
-  w.u16(static_cast<std::uint16_t>(m.code));
-  w.u64(m.retry_after_ns);
-  w.str(m.detail);
-  return take(w);
-}
-
-bool decode(const std::vector<std::uint8_t>& payload, Error* out) {
-  codec::Reader r(payload.data(), payload.size());
-  const std::uint16_t code = r.u16();
-  if (code > static_cast<std::uint16_t>(ErrorCode::kUnknownCampaign)) return false;
-  out->code = static_cast<ErrorCode>(code);
-  out->retry_after_ns = r.u64();
-  out->detail = r.str();
-  return r.done();
-}
-
-// ---------------------------------------------------------------- points
-
-std::vector<std::uint8_t> encode_point(const eval::CampaignPoint& p) {
-  // Same canonical field order as eval::point_digest.
-  codec::Writer w;
-  w.str(p.workload);
-  w.i64(p.measured.ns());
-  w.i64(p.simulated_raw.ns());
-  w.i64(p.predicted.ns());
-  driver::for_each_counter(p, [&w](std::string_view, auto v) {
-    w.u64(driver::counter_value(v));
-  });
-  return take(w);
-}
-
-bool decode_point(const std::vector<std::uint8_t>& blob, eval::CampaignPoint* out) {
-  codec::Reader r(blob.data(), blob.size());
-  eval::CampaignPoint p;
-  p.workload = r.str();
-  p.measured = SimTime::from_ns(r.i64());
-  p.simulated_raw = SimTime::from_ns(r.i64());
-  p.predicted = SimTime::from_ns(r.i64());
-  driver::for_each_counter(p, [&r](std::string_view, auto& v) {
-    driver::set_counter(v, r.u64());
-  });
-  if (!r.done()) return false;
-  *out = std::move(p);
-  return true;
-}
+bool decode(const Payload& p, SubmitCampaign* out) { return decode_record(p, out); }
+bool decode(const Payload& p, SubmitAck* out) { return decode_record(p, out); }
+bool decode(const Payload& p, PointResult* out) { return decode_record(p, out); }
+bool decode(const Payload& p, CampaignDone* out) { return decode_record(p, out); }
+bool decode(const Payload& p, CancelCampaign* out) { return decode_record(p, out); }
+bool decode(const Payload& p, Stats* out) { return decode_record(p, out); }
+bool decode(const Payload& p, StatsReply* out) { return decode_record(p, out); }
+bool decode(const Payload& p, Error* out) { return decode_record(p, out); }
+bool decode_point(const Payload& p, eval::CampaignPoint* out) { return decode_record(p, out); }
 
 }  // namespace pio::svc

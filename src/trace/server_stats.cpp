@@ -115,6 +115,7 @@ ServerSeries ServerStatsCollector::aggregate_osts() const {
       agg.bytes_written += sample.bytes_written;
       agg.total_latency += sample.total_latency;
       agg.max_queue_depth = std::max(agg.max_queue_depth, sample.max_queue_depth);
+      agg.failed_ops += sample.failed_ops;
     }
   }
   return out;
@@ -123,14 +124,12 @@ ServerSeries ServerStatsCollector::aggregate_osts() const {
 std::vector<std::pair<std::uint64_t, double>> ServerStatsCollector::ost_imbalance() const {
   // Collect the set of windows with any traffic.
   std::map<std::uint64_t, std::pair<double, double>> acc;  // window -> (max, sum)
-  std::map<std::uint64_t, std::size_t> counts;
   for (const auto& [ost, series] : ost_series_) {
     for (const auto& [window, sample] : series) {
       const double moved = sample.bytes_read.as_double() + sample.bytes_written.as_double();
       auto& [mx, sum] = acc[window];
       mx = std::max(mx, moved);
       sum += moved;
-      ++counts[window];
     }
   }
   const std::size_t n_osts = ost_series_.size();

@@ -4,13 +4,13 @@
 #include <cstring>
 #include <functional>
 #include <istream>
+#include <iterator>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/codec.hpp"
 #include "common/record_io.hpp"
 
 namespace pio::trace {
@@ -221,151 +221,101 @@ Trace Trace::read_jsonl(std::istream& in) {
 }
 
 // ------------------------------------------------------------------ binary
+//
+// Little-endian through common/codec; the layout is documented once, in
+// DESIGN.md §15: the magic, a u32 path count with u32-length-prefixed
+// paths, a u64 event count, then one 48-byte record per event.
 
 namespace {
 
 constexpr char kMagic[8] = {'P', 'I', 'O', 'T', 'R', 'C', '0', '1'};
-
-template <typename T>
-void put(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw std::runtime_error("Trace::read_binary: truncated stream");
-  return v;
-}
-
-struct BinaryRecord {
-  std::uint8_t layer;
-  std::uint8_t op;
-  std::uint8_t ok;
-  std::uint8_t pad = 0;
-  std::int32_t rank;
-  std::uint32_t path_id;
-  std::uint32_t pad2 = 0;
-  std::uint64_t offset;
-  std::uint64_t size;
-  std::int64_t start_ns;
-  std::int64_t end_ns;
-};
-static_assert(sizeof(BinaryRecord) == 48);
+constexpr std::size_t kRecordBytes = 48;
 
 }  // namespace
 
 void Trace::write_binary(std::ostream& out) const {
-  out.write(kMagic, sizeof kMagic);
-  // Path table.
+  // Path ids in first-use order.
   std::map<std::string, std::uint32_t> path_ids;
-  std::vector<const std::string*> paths_in_order;
+  std::vector<const std::string*> table;
   for (const auto& e : events_) {
-    if (path_ids.emplace(e.path, static_cast<std::uint32_t>(path_ids.size())).second) {
-      paths_in_order.push_back(&e.path);
+    if (path_ids.emplace(e.path, static_cast<std::uint32_t>(table.size())).second) {
+      table.push_back(&e.path);
     }
   }
-  // The map assigns ids in insertion order; recover that order.
-  std::vector<const std::string*> table(path_ids.size());
-  for (const auto& [path, id] : path_ids) table[id] = &path;
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(table.size()));
-  for (const auto* path : table) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(path->size()));
-    out.write(path->data(), static_cast<std::streamsize>(path->size()));
-  }
-  put<std::uint64_t>(out, events_.size());
+  codec::Writer w;
+  w.bytes(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof kMagic);
+  w.u32(static_cast<std::uint32_t>(table.size()));
+  for (const auto* path : table) w.str(*path);
+  w.u64(events_.size());
   for (const auto& e : events_) {
-    BinaryRecord r{};
-    r.layer = static_cast<std::uint8_t>(e.layer);
-    r.op = static_cast<std::uint8_t>(e.op);
-    r.ok = e.ok ? 1 : 0;
-    r.rank = e.rank;
-    r.path_id = path_ids.at(e.path);
-    r.offset = e.offset;
-    r.size = e.size;
-    r.start_ns = e.start.ns();
-    r.end_ns = e.end.ns();
-    put(out, r);
+    w.u8(static_cast<std::uint8_t>(e.layer));
+    w.u8(static_cast<std::uint8_t>(e.op));
+    w.boolean(e.ok);
+    w.u8(0);  // pad
+    w.u32(static_cast<std::uint32_t>(e.rank));
+    w.u32(path_ids.at(e.path));
+    w.u32(0);  // pad
+    w.u64(e.offset);
+    w.u64(e.size);
+    w.i64(e.start.ns());
+    w.i64(e.end.ns());
   }
+  out.write(reinterpret_cast<const char*>(w.view().data()),
+            static_cast<std::streamsize>(w.size()));
 }
-
-namespace {
-
-/// Bytes left between the read position and end of stream, or nullopt when
-/// the stream is not seekable (pipes). Restores the read position.
-std::optional<std::uint64_t> bytes_remaining(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  if (here == std::istream::pos_type(-1)) return std::nullopt;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  if (!in || end == std::istream::pos_type(-1) || end < here) return std::nullopt;
-  return static_cast<std::uint64_t>(end - here);
-}
-
-template <typename T>
-bool try_get(std::istream& in, T& v) {
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-}  // namespace
 
 Result<Trace> Trace::try_read_binary(std::istream& in) {
   const auto fail = [](std::string message) {
     return Error{1, "Trace::read_binary: " + std::move(message)};
   };
-  char magic[8];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+  // Bytes after the last record are ignored.
+  const std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  codec::Reader r(reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+  const std::uint8_t* magic = r.bytes(sizeof kMagic);
+  if (magic == nullptr || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     return fail("bad magic");
   }
-  const auto remaining = bytes_remaining(in);
-  std::uint32_t path_count = 0;
-  if (!try_get(in, path_count)) return fail("truncated stream");
-  // A declared path table cannot be larger than the bytes behind it (each
-  // entry carries at least its 4-byte length prefix): reject before any
-  // allocation so a corrupt count cannot drive a huge resize.
-  if (remaining.has_value() &&
-      std::uint64_t{path_count} * sizeof(std::uint32_t) > *remaining) {
+  const std::uint32_t path_count = r.u32();
+  if (!r.ok()) return fail("truncated stream");
+  // Each path entry carries at least its 4-byte length prefix and each
+  // record is 48 bytes: counts the bytes present cannot hold are rejected
+  // before anything is allocated.
+  if (std::uint64_t{path_count} * sizeof(std::uint32_t) > r.remaining()) {
     return fail("path count exceeds stream size");
   }
   std::vector<std::string> paths;
-  paths.reserve(std::min<std::uint64_t>(path_count, 4096));
+  paths.reserve(path_count);
   for (std::uint32_t p = 0; p < path_count; ++p) {
-    std::uint32_t len = 0;
-    if (!try_get(in, len)) return fail("truncated path table");
-    if (const auto left = bytes_remaining(in); left.has_value() && len > *left) {
-      return fail("path length exceeds stream size");
-    }
-    std::string path(len, '\0');
-    in.read(path.data(), len);
-    if (!in) return fail("truncated path table");
-    paths.push_back(std::move(path));
+    const std::uint32_t len = r.u32();
+    if (!r.ok()) return fail("truncated path table");
+    if (len > r.remaining()) return fail("path length exceeds stream size");
+    paths.emplace_back(reinterpret_cast<const char*>(r.bytes(len)), len);
   }
-  std::uint64_t count = 0;
-  if (!try_get(in, count)) return fail("truncated stream");
-  if (const auto left = bytes_remaining(in);
-      left.has_value() && count > *left / sizeof(BinaryRecord)) {
-    return fail("event count exceeds stream size");
-  }
+  const std::uint64_t count = r.u64();
+  if (!r.ok()) return fail("truncated stream");
+  if (count > r.remaining() / kRecordBytes) return fail("event count exceeds stream size");
   Trace trace;
+  trace.events_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    BinaryRecord r{};
-    if (!try_get(in, r)) return fail("truncated event records");
-    if (r.path_id >= paths.size()) return fail("event references unknown path id");
+    const std::uint8_t layer = r.u8();
+    const std::uint8_t op = r.u8();
     TraceEvent e;
-    e.layer = static_cast<Layer>(r.layer);
-    e.op = static_cast<OpKind>(r.op);
-    e.ok = r.ok != 0;
-    e.rank = r.rank;
-    e.path = paths[r.path_id];
-    e.offset = r.offset;
-    e.size = r.size;
-    e.start = SimTime::from_ns(r.start_ns);
-    e.end = SimTime::from_ns(r.end_ns);
-    trace.append(std::move(e));
+    e.ok = r.u8() != 0;
+    (void)r.u8();  // pad
+    e.rank = static_cast<std::int32_t>(r.u32());
+    const std::uint32_t path_id = r.u32();
+    (void)r.u32();  // pad
+    e.offset = r.u64();
+    e.size = r.u64();
+    e.start = SimTime::from_ns(r.i64());
+    e.end = SimTime::from_ns(r.i64());
+    if (path_id >= paths.size()) return fail("event references unknown path id");
+    if (layer > static_cast<std::uint8_t>(Layer::kCache)) return fail("event has unknown layer");
+    if (op > static_cast<std::uint8_t>(OpKind::kOther)) return fail("event has unknown op kind");
+    e.layer = static_cast<Layer>(layer);
+    e.op = static_cast<OpKind>(op);
+    e.path = paths[path_id];
+    trace.events_.push_back(std::move(e));
   }
   return trace;
 }

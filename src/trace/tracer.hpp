@@ -58,17 +58,19 @@ class Trace {
   void write_jsonl(std::ostream& out) const;
   [[nodiscard]] static Trace read_jsonl(std::istream& in);
 
-  /// Compact length-prefixed binary (path table + fixed records). Roughly
-  /// 40 bytes/event vs ~160 for JSONL.
+  /// Compact little-endian binary (path table + fixed 48-byte records,
+  /// DESIGN.md §15) vs ~160 bytes/event for JSONL.
   void write_binary(std::ostream& out) const;
   [[nodiscard]] static Trace read_binary(std::istream& in);
 
-  /// Non-throwing variant of read_binary for untrusted inputs. Declared
-  /// counts are validated against the bytes actually remaining in the
-  /// stream *before* any allocation, so a corrupt header cannot trigger a
-  /// huge resize; a record referencing a path id outside the table, or any
-  /// truncation, is an Error rather than an exception. read_binary wraps
-  /// this and throws std::runtime_error with the same message.
+  /// Non-throwing variant of read_binary for untrusted inputs. It reads the
+  /// rest of the stream and validates declared counts against the bytes
+  /// present *before* any allocation, so a corrupt header cannot trigger a
+  /// huge resize; a record naming a path id outside the table or a layer
+  /// or op byte outside its enum, or any truncation, is an Error rather
+  /// than an exception. Bytes after the last record are ignored.
+  /// read_binary wraps this and throws std::runtime_error with the same
+  /// message.
   [[nodiscard]] static Result<Trace> try_read_binary(std::istream& in);
 
  private:

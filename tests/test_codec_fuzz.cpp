@@ -1,0 +1,401 @@
+// Differential mutation fuzzer for the untrusted-input binary decoders
+// (label `fuzz`): Trace::try_read_binary and every svc payload decoder,
+// each against the decoder it replaced (codec_oracle.hpp).
+//
+// Each target starts from a corpus the library itself encodes and applies
+// kMutationsPerTarget seeded mutations: bit flips, truncations, splices of
+// two corpus entries, and overwrites of a length or count field with a
+// hostile value. Both decoders see every mutant; they must accept exactly
+// the same inputs and decode equal values. The one sanctioned difference:
+// the trace decoder rejects layer and op bytes outside their enums, which
+// the oracle cast straight into events. The seed is a constant, so a
+// failure reproduces bit for bit; a crash or sanitizer report is a bug in
+// the decoder under test.
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "codec_oracle.hpp"
+#include "common/rng.hpp"
+#include "eval/campaign.hpp"
+#include "svc/messages.hpp"
+#include "trace/tracer.hpp"
+
+using namespace pio;
+
+namespace {
+
+constexpr std::uint64_t kFuzzSeed = 0xF022'C0DE'C5EEDULL;
+constexpr int kMutationsPerTarget = 20'000;
+
+using Bytes8 = std::vector<std::uint8_t>;
+
+/// A length or count field of a corpus entry: its offset and width.
+struct LengthField {
+  std::size_t offset = 0;
+  std::size_t width = 4;
+};
+
+struct Seed {
+  Bytes8 bytes;
+  std::vector<LengthField> lengths;
+};
+
+void put_le(Bytes8& b, LengthField f, std::uint64_t v) {
+  for (std::size_t i = 0; i < f.width && f.offset + i < b.size(); ++i) {
+    b[f.offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// One seeded mutation of a corpus entry (one to three stacked edits).
+Bytes8 mutate(Rng& rng, const std::vector<Seed>& corpus) {
+  const Seed& seed = corpus[rng.next_below(corpus.size())];
+  Bytes8 b = seed.bytes;
+  const std::uint64_t edits = 1 + rng.next_below(3);
+  for (std::uint64_t k = 0; k < edits; ++k) {
+    switch (rng.next_below(4)) {
+      case 0: {  // bit flips
+        const std::uint64_t flips = 1 + rng.next_below(4);
+        for (std::uint64_t f = 0; f < flips && !b.empty(); ++f) {
+          b[rng.next_below(b.size())] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      case 1:  // truncation
+        b.resize(rng.next_below(b.size() + 1));
+        break;
+      case 2: {  // splice: a prefix of this entry, a suffix of another
+        const Bytes8& other = corpus[rng.next_below(corpus.size())].bytes;
+        const std::size_t cut = rng.next_below(b.size() + 1);
+        const std::size_t from = rng.next_below(other.size() + 1);
+        b.resize(cut);
+        b.insert(b.end(), other.begin() + static_cast<std::ptrdiff_t>(from), other.end());
+        break;
+      }
+      default: {  // length/count field overwritten with a hostile value
+        LengthField f;
+        if (!seed.lengths.empty() && rng.chance(0.8)) {
+          f = seed.lengths[rng.next_below(seed.lengths.size())];
+        } else if (!b.empty()) {
+          f = {rng.next_below(b.size()), rng.chance(0.5) ? 4u : 8u};
+        }
+        const std::uint64_t size = b.size();
+        const std::uint64_t hostile[] = {0,        1,         2,          size / 48,
+                                         size / 4, size - 1,  size,       size + 1,
+                                         0xFFu,    0xFFFFu,   0x7FFFFFFFu, 0xFFFFFFFFu,
+                                         1ULL << 32, ~0ULL,   rng.next_u64()};
+        put_le(b, f, hostile[rng.next_below(std::size(hostile))]);
+        break;
+      }
+    }
+  }
+  return b;
+}
+
+std::string hex_prefix(const Bytes8& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::size_t i = 0; i < b.size() && i < 64; ++i) {
+    out += kDigits[b[i] >> 4];
+    out += kDigits[b[i] & 0xF];
+  }
+  return out + (b.size() > 64 ? "..." : "") + " (" + std::to_string(b.size()) + " bytes)";
+}
+
+/// Accept/reject tallies, so a run that never reaches one side fails.
+struct Tally {
+  int accepted = 0;
+  int rejected = 0;
+};
+
+void expect_both_sides(const Tally& t) {
+  // A corpus or mutator that only ever produces garbage (or only clean
+  // inputs) would make agreement vacuous.
+  EXPECT_GT(t.accepted, kMutationsPerTarget / 100);
+  EXPECT_GT(t.rejected, kMutationsPerTarget / 100);
+}
+
+// ------------------------------------------------------------------ trace
+
+trace::TraceEvent event(trace::Layer layer, trace::OpKind op, std::int32_t rank, std::string path,
+                        std::uint64_t offset, std::uint64_t size, std::int64_t start,
+                        std::int64_t end, bool ok) {
+  trace::TraceEvent e;
+  e.layer = layer;
+  e.op = op;
+  e.rank = rank;
+  e.path = std::move(path);
+  e.offset = offset;
+  e.size = size;
+  e.start = SimTime::from_ns(start);
+  e.end = SimTime::from_ns(end);
+  e.ok = ok;
+  return e;
+}
+
+/// A written trace plus the offsets of its path count, path lengths and
+/// event count.
+Seed trace_seed(const trace::Trace& t) {
+  std::stringstream out;
+  t.write_binary(out);
+  const std::string s = out.str();
+  Seed seed{Bytes8(s.begin(), s.end()), {{8, 4}}};
+  std::vector<std::string> table;
+  for (const auto& e : t.events()) {
+    if (std::find(table.begin(), table.end(), e.path) == table.end()) table.push_back(e.path);
+  }
+  std::size_t at = 12;
+  for (const auto& path : table) {
+    seed.lengths.push_back({at, 4});
+    at += 4 + path.size();
+  }
+  seed.lengths.push_back({at, 8});
+  return seed;
+}
+
+std::vector<Seed> trace_corpus() {
+  using trace::Layer;
+  using trace::OpKind;
+  std::vector<Seed> corpus;
+  corpus.push_back(trace_seed(trace::Trace{}));
+  trace::Trace one;
+  one.append(event(Layer::kPosix, OpKind::kWrite, 0, "/f", 0, 1, 0, 1, true));
+  corpus.push_back(trace_seed(one));
+  trace::Trace mixed;
+  mixed.append(event(Layer::kApp, OpKind::kOpen, 3, "/data/a", 0, 0, 10, 20, true));
+  mixed.append(event(Layer::kHdf5, OpKind::kWrite, -1, "", 1ULL << 40, 4096, 30, 45, false));
+  mixed.append(event(Layer::kCache, OpKind::kOther, 7, "/x \"q\"\n", 5, 6, -8, 9, true));
+  mixed.append(event(Layer::kMpiIo, OpKind::kRead, 2, "/data/a", 99, 1 << 20, 50, 60, true));
+  corpus.push_back(trace_seed(mixed));
+  // Draws land in locals first: argument evaluation order is unspecified.
+  Rng rng{kFuzzSeed, 99};
+  trace::Trace wide;
+  for (int i = 0; i < 12; ++i) {
+    const auto layer = static_cast<Layer>(rng.next_below(5));
+    const auto op = static_cast<OpKind>(rng.next_below(11));
+    const auto rank = static_cast<std::int32_t>(rng.next_below(64));
+    const std::string path = "/p" + std::to_string(rng.next_below(5));
+    const std::uint64_t offset = rng.next_u64();
+    const std::uint64_t size = rng.next_below(1 << 22);
+    const auto start = static_cast<std::int64_t>(rng.next_below(1'000'000));
+    const auto end = start + static_cast<std::int64_t>(rng.next_below(10'000));
+    wide.append(event(layer, op, rank, path, offset, size, start, end, rng.chance(0.9)));
+  }
+  corpus.push_back(trace_seed(wide));
+  return corpus;
+}
+
+bool same_events(const trace::Trace& a, const trace::Trace& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& x = a.events()[i];
+    const auto& y = b.events()[i];
+    if (x.layer != y.layer || x.op != y.op || x.rank != y.rank || x.path != y.path ||
+        x.offset != y.offset || x.size != y.size || x.start != y.start || x.end != y.end ||
+        x.ok != y.ok) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool has_out_of_range_enum(const trace::Trace& t) {
+  for (const auto& e : t.events()) {
+    if (static_cast<std::uint8_t>(e.layer) > static_cast<std::uint8_t>(trace::Layer::kCache) ||
+        static_cast<std::uint8_t>(e.op) > static_cast<std::uint8_t>(trace::OpKind::kOther)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(CodecFuzz, TraceBinaryMatchesOracle) {
+  const std::vector<Seed> corpus = trace_corpus();
+  Rng rng{kFuzzSeed, 0};
+  Tally tally;
+  int enum_rejections = 0;
+  for (int i = 0; i < kMutationsPerTarget; ++i) {
+    const Bytes8 input = mutate(rng, corpus);
+    const std::string text(input.begin(), input.end());
+    std::stringstream oracle_in(text);
+    std::stringstream library_in(text);
+    const auto expected = trace::oracle::try_read_binary(oracle_in);
+    const auto actual = trace::Trace::try_read_binary(library_in);
+    if (expected.ok() && !actual.ok() && has_out_of_range_enum(expected.value())) {
+      // The sanctioned difference: an enum byte the oracle let through.
+      ASSERT_NE(actual.error().message.find("unknown"), std::string::npos)
+          << actual.error().message << " on " << hex_prefix(input);
+      ++enum_rejections;
+      ++tally.rejected;
+      continue;
+    }
+    ASSERT_EQ(actual.ok(), expected.ok())
+        << "mutation " << i << ": oracle "
+        << (expected.ok() ? "accepted" : expected.error().message) << ", library "
+        << (actual.ok() ? "accepted" : actual.error().message) << " on " << hex_prefix(input);
+    if (!actual.ok()) {
+      ++tally.rejected;
+      continue;
+    }
+    ++tally.accepted;
+    ASSERT_TRUE(same_events(actual.value(), expected.value()))
+        << "mutation " << i << " decoded differently: " << hex_prefix(input);
+  }
+  expect_both_sides(tally);
+  EXPECT_GT(enum_rejections, 0);
+}
+
+// -------------------------------------------------------------------- svc
+
+/// Fuzz one decoder against its oracle. Decoded values are compared
+/// through the (byte-pinned) encoder, which also compares NaN calibrations
+/// bit for bit.
+template <class M, class Oracle, class Library, class Encode>
+void fuzz_decoder(std::uint64_t stream, const std::vector<Seed>& corpus, Oracle oracle,
+                  Library library, Encode encode) {
+  Rng rng{kFuzzSeed, stream};
+  Tally tally;
+  for (int i = 0; i < kMutationsPerTarget; ++i) {
+    const Bytes8 input = mutate(rng, corpus);
+    M expected{};
+    M actual{};
+    const bool oracle_ok = oracle(input, &expected);
+    const bool library_ok = library(input, &actual);
+    ASSERT_EQ(library_ok, oracle_ok) << "mutation " << i << " on " << hex_prefix(input);
+    if (!library_ok) {
+      ++tally.rejected;
+      continue;
+    }
+    ++tally.accepted;
+    ASSERT_EQ(encode(actual), encode(expected))
+        << "mutation " << i << " decoded differently: " << hex_prefix(input);
+  }
+  expect_both_sides(tally);
+}
+
+/// Fuzz one svc payload type's decode overload.
+template <class M>
+void fuzz_payload(std::uint64_t stream, const std::vector<Seed>& corpus) {
+  fuzz_decoder<M>(
+      stream, corpus, [](const Bytes8& b, M* m) { return svc::oracle::decode(b, m); },
+      [](const Bytes8& b, M* m) { return svc::decode(b, m); },
+      [](const M& m) { return svc::encode(m); });
+}
+
+eval::CampaignPoint sample_point(std::string name, std::uint64_t salt) {
+  eval::CampaignPoint p;
+  p.workload = std::move(name);
+  p.measured = SimTime::from_ns(static_cast<std::int64_t>(1000 + salt));
+  p.simulated_raw = SimTime::from_ns(static_cast<std::int64_t>(900 + salt));
+  p.predicted = SimTime::from_ns(-static_cast<std::int64_t>(salt));
+  std::uint64_t v = salt;
+  driver::for_each_counter(p, [&v](std::string_view, auto& c) { driver::set_counter(c, ++v); });
+  return p;
+}
+
+svc::CampaignSpec sample_spec(std::uint32_t workloads) {
+  svc::CampaignSpec spec;
+  spec.seed = 7 + workloads;
+  spec.calibration = 0.9;
+  spec.testbed = {4, 2, 4, 1};
+  spec.model = {8, 3, 2, 0};
+  for (std::uint32_t j = 0; j < workloads; ++j) {
+    svc::WorkloadSpec w;
+    w.kind = static_cast<svc::WorkloadKind>(1 + j % 3);
+    w.ranks = 2 + j;
+    w.read_phase = j % 2 == 0;
+    w.shuffle = j % 2 == 1;
+    spec.workloads.push_back(w);
+  }
+  return spec;
+}
+
+/// Offset of the workload count in an encoded SubmitCampaign: seed (8),
+/// calibration (8), then two 13-byte systems.
+constexpr std::size_t kWorkloadCountAt = 8 + 8 + 13 + 13;
+/// Offset of the blob length in an encoded PointResult.
+constexpr std::size_t kBlobLengthAt = 8 + 4 + 8 + 8 + 1;
+/// Offset of the detail length in an encoded Error.
+constexpr std::size_t kDetailLengthAt = 2 + 8;
+
+TEST(CodecFuzz, SubmitCampaignMatchesOracle) {
+  std::vector<Seed> corpus;
+  for (const std::uint32_t n : {0u, 1u, 2u, 5u}) {
+    corpus.push_back({svc::encode(svc::SubmitCampaign{sample_spec(n)}), {{kWorkloadCountAt, 4}}});
+  }
+  fuzz_payload<svc::SubmitCampaign>(1, corpus);
+}
+
+TEST(CodecFuzz, SubmitAckMatchesOracle) {
+  fuzz_payload<svc::SubmitAck>(2, {{svc::encode(svc::SubmitAck{42, 7}), {}},
+                                   {svc::encode(svc::SubmitAck{~0ULL, 0}), {}}});
+}
+
+TEST(CodecFuzz, PointResultMatchesOracle) {
+  std::vector<Seed> corpus;
+  for (std::uint8_t source = 0; source < 3; ++source) {
+    svc::PointResult pr;
+    pr.campaign_id = 3 + source;
+    pr.index = source;
+    pr.key = 0xDEADBEEFu;
+    pr.digest = 0xFEEDFACEu;
+    pr.source = static_cast<svc::ResultSource>(source);
+    if (source > 0) pr.blob = svc::encode_point(sample_point("ior[r=4]", source));
+    corpus.push_back({svc::encode(pr), {{kBlobLengthAt, 4}}});
+  }
+  fuzz_payload<svc::PointResult>(3, corpus);
+}
+
+TEST(CodecFuzz, CampaignDoneMatchesOracle) {
+  fuzz_payload<svc::CampaignDone>(4, {{svc::encode(svc::CampaignDone{11, 4, 2, true}), {}},
+                                      {svc::encode(svc::CampaignDone{1, 0, 0, false}), {}}});
+}
+
+TEST(CodecFuzz, CancelCampaignMatchesOracle) {
+  fuzz_payload<svc::CancelCampaign>(5, {{svc::encode(svc::CancelCampaign{11}), {}}});
+}
+
+TEST(CodecFuzz, StatsMatchesOracle) {
+  // Only the empty payload is valid, and every mutant of it is empty too:
+  // a one-byte entry gives the mutator inputs to reject.
+  fuzz_payload<svc::Stats>(6, {{svc::encode(svc::Stats{}), {}}, {Bytes8{0}, {}}});
+}
+
+TEST(CodecFuzz, StatsReplyMatchesOracle) {
+  svc::StatsReply reply;
+  std::uint64_t v = 100;
+  for (std::uint64_t* c : {&reply.stats.sessions_opened, &reply.stats.frames_in,
+                           &reply.stats.points_completed, &reply.stats.cache_entries}) {
+    *c = ++v;
+  }
+  fuzz_payload<svc::StatsReply>(7, {{svc::encode(reply), {}},
+                                    {svc::encode(svc::StatsReply{}), {}}});
+}
+
+TEST(CodecFuzz, ErrorMatchesOracle) {
+  fuzz_payload<svc::Error>(
+      8, {{svc::encode(svc::Error{svc::ErrorCode::kOverloaded, 2500, "queue full"}),
+           {{kDetailLengthAt, 4}}},
+          {svc::encode(svc::Error{svc::ErrorCode::kUnknownCampaign, 0, ""}),
+           {{kDetailLengthAt, 4}}},
+          {svc::encode(svc::Error{svc::ErrorCode::kNone, 1, std::string(300, 'x')}),
+           {{kDetailLengthAt, 4}}}});
+}
+
+TEST(CodecFuzz, PointBlobMatchesOracle) {
+  const std::vector<Seed> corpus{{svc::encode_point(sample_point("golden[r=4]", 1)), {{0, 4}}},
+                                 {svc::encode_point(eval::CampaignPoint{}), {{0, 4}}},
+                                 {svc::encode_point(sample_point(std::string(200, 'w'), 9)),
+                                  {{0, 4}}}};
+  fuzz_decoder<eval::CampaignPoint>(9, corpus, svc::oracle::decode_point, svc::decode_point,
+                                    svc::encode_point);
+}
+
+}  // namespace
