@@ -79,14 +79,18 @@ void BM_FairShareChannel(benchmark::State& state) {
   const auto flows = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     sim::Engine engine;
-    sim::FairShareChannel link{engine, Bandwidth::from_gib_per_sec(10.0), 1_us};
+    std::uint64_t drained = 0;
+    // piolint: allow(C2) — engine.run() drains before drained leaves scope.
+    sim::FairShareChannel link{engine, Bandwidth::from_gib_per_sec(10.0), 1_us,
+                               [&drained](sim::Handle) { ++drained; }};
     for (std::uint64_t f = 0; f < flows; ++f) {
       // piolint: allow(C2) — engine.run() drains before link leaves scope.
-      engine.schedule_at(SimTime::from_us(static_cast<double>(f % 64)), [&link] {
-        link.transfer(1_MiB, [] {});
+      engine.schedule_at(SimTime::from_us(static_cast<double>(f % 64)), [&link, f] {
+        link.transfer(1_MiB, static_cast<sim::Handle>(f));
       });
     }
     engine.run();
+    benchmark::DoNotOptimize(drained);
     benchmark::DoNotOptimize(link.bytes_moved());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) * state.iterations());
@@ -97,8 +101,9 @@ BENCHMARK(BM_FairShareChannel)->Arg(16)->Arg(256)->Arg(1024)->Arg(4096);
 void BM_Fabric(benchmark::State& state) {
   // Bursts of N concurrent 1 MiB messages across a 64-endpoint fabric, one
   // burst per iteration on the same (warm) fabric. Each message is one
-  // pooled record crossing the inject, core and eject channels, so the row
-  // reads the steady-state per-message cost of the three-stage path.
+  // pooled record whose handle the inject, core and eject channels pass to
+  // the next stage's sink, so the row reads the steady-state per-message
+  // cost of the three-stage path.
   const auto messages = static_cast<std::uint64_t>(state.range(0));
   constexpr std::uint32_t kEndpoints = 64;
   sim::Engine engine;

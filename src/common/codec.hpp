@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,15 @@ class Writer {
     le(bits, 8);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
-  /// u32 length prefix + raw bytes.
-  void str(const std::string& s) {
+  /// u32 length prefix + raw bytes. Throws std::length_error past
+  /// `max_len`, the bound Reader::str enforces, so every string written
+  /// reads back (pass UINT32_MAX where the reader bounds a string only by
+  /// the bytes present).
+  void str(const std::string& s, std::size_t max_len = 1 << 16) {
+    if (s.size() > max_len || s.size() > UINT32_MAX) {
+      throw std::length_error("codec::Writer::str: " + std::to_string(s.size()) +
+                              " bytes exceed the limit of " + std::to_string(max_len));
+    }
     u32(static_cast<std::uint32_t>(s.size()));
     bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }

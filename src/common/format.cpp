@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,23 +48,44 @@ std::string format_bandwidth(Bandwidth bw) {
 }
 
 Bytes parse_bytes(std::string_view text) {
+  const auto out_of_range = [&text] {
+    return std::invalid_argument("parse_bytes: value out of range in '" + std::string{text} + "'");
+  };
   std::size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) ++i;
-  std::size_t start = i;
-  while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])) != 0) ++i;
+  const auto skip_space = [&] {
+    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) ++i;
+  };
+  skip_space();
+  const std::size_t start = i;
+  std::uint64_t value = 0;
+  for (; i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])) != 0; ++i) {
+    const auto digit = static_cast<std::uint64_t>(text[i] - '0');
+    if (value > (UINT64_MAX - digit) / 10) throw out_of_range();
+    value = value * 10 + digit;
+  }
   if (i == start) throw std::invalid_argument("parse_bytes: no digits in '" + std::string{text} + "'");
-  const std::uint64_t value = std::stoull(std::string{text.substr(start, i - start)});
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) ++i;
+  skip_space();
   std::string suffix;
   for (; i < text.size(); ++i) {
     if (std::isspace(static_cast<unsigned char>(text[i])) != 0) break;
     suffix.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(text[i]))));
   }
-  if (suffix.empty() || suffix == "b") return Bytes{value};
-  if (suffix == "k" || suffix == "kb" || suffix == "kib") return Bytes::from_kib(value);
-  if (suffix == "m" || suffix == "mb" || suffix == "mib") return Bytes::from_mib(value);
-  if (suffix == "g" || suffix == "gb" || suffix == "gib") return Bytes::from_gib(value);
-  throw std::invalid_argument("parse_bytes: unknown suffix '" + suffix + "'");
+  skip_space();
+  if (i < text.size()) {
+    throw std::invalid_argument("parse_bytes: trailing text in '" + std::string{text} + "'");
+  }
+  int shift = 0;
+  if (suffix == "k" || suffix == "kb" || suffix == "kib") {
+    shift = 10;
+  } else if (suffix == "m" || suffix == "mb" || suffix == "mib") {
+    shift = 20;
+  } else if (suffix == "g" || suffix == "gb" || suffix == "gib") {
+    shift = 30;
+  } else if (!suffix.empty() && suffix != "b") {
+    throw std::invalid_argument("parse_bytes: unknown suffix '" + suffix + "'");
+  }
+  if (value > (UINT64_MAX >> shift)) throw out_of_range();
+  return Bytes{value << shift};
 }
 
 std::string format_double(double v, int decimals) {

@@ -22,7 +22,9 @@ namespace pio {
 [[nodiscard]] std::string format_bandwidth(Bandwidth bw);
 
 /// Parse "64KiB", "4 MiB", "1GiB", "512", "512B" (case-insensitive suffix).
-/// Throws std::invalid_argument on malformed input.
+/// Leading and trailing whitespace is allowed. Throws std::invalid_argument
+/// on malformed input, on text after the suffix and on a size past 2^64 - 1
+/// bytes.
 [[nodiscard]] Bytes parse_bytes(std::string_view text);
 
 /// Fixed-point with `decimals` fractional digits.

@@ -14,14 +14,14 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config, std::uint32_t en
   for (std::uint32_t e = 0; e < endpoints; ++e) {
     inject_.push_back(std::make_unique<sim::FairShareChannel>(
         engine_, config.endpoint_bandwidth, config.endpoint_latency,
-        config.name + ".inject." + std::to_string(e)));
+        [this](sim::Handle h) { to_core(h); }, config.name + ".inject." + std::to_string(e)));
     eject_.push_back(std::make_unique<sim::FairShareChannel>(
         engine_, config.endpoint_bandwidth, config.endpoint_latency,
-        config.name + ".eject." + std::to_string(e)));
+        [this](sim::Handle h) { deliver(h); }, config.name + ".eject." + std::to_string(e)));
   }
   core_ = std::make_unique<sim::FairShareChannel>(
       engine_, config.endpoint_bandwidth * config.core_links, config.core_latency,
-      config.name + ".core");
+      [this](sim::Handle h) { to_eject(h); }, config.name + ".core");
 }
 
 void Fabric::send(EndpointId src, EndpointId dst, Bytes size,
@@ -49,16 +49,14 @@ void Fabric::send(EndpointId src, EndpointId dst, Bytes size,
   msg.dst = dst;
   msg.wire = wire;
   msg.on_delivered = std::move(on_delivered);
-  inject_[src]->transfer(wire, [this, h] { to_core(h); });
+  inject_[src]->transfer(wire, h);
 }
 
-void Fabric::to_core(sim::Handle h) {
-  core_->transfer(messages_[h].wire, [this, h] { to_eject(h); });
-}
+void Fabric::to_core(sim::Handle h) { core_->transfer(messages_[h].wire, h); }
 
 void Fabric::to_eject(sim::Handle h) {
   const Message& msg = messages_[h];
-  eject_[msg.dst]->transfer(msg.wire, [this, h] { deliver(h); });
+  eject_[msg.dst]->transfer(msg.wire, h);
 }
 
 void Fabric::deliver(sim::Handle h) {

@@ -9,8 +9,10 @@
 // endpoint serialization, core saturation, and latency floors for small ops.
 //
 // A message is one pooled record (sim/records.hpp) that advances through the
-// three stages; each stage's callback captures only the fabric and the
-// record's handle, so a send costs no heap allocation in steady state.
+// three stages by handle: each channel hands a drained message's handle to
+// the sink the fabric registered for its stage (`to_core`, `to_eject`,
+// `deliver`), so a stage builds no callable and a send costs no heap
+// allocation in steady state.
 #pragma once
 
 #include <cstdint>

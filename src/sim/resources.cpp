@@ -83,7 +83,7 @@ namespace {
 
 constexpr int kFracBits = 32;  // clock units per ns = 2^kFracBits
 
-/// Flow capacity an idle channel keeps (1 KiB of flows).
+/// Flow capacity an idle channel keeps (768 B of flows).
 constexpr std::size_t kIdleFlowCapacity = 16;
 
 /// Heap order: the earliest (tag, seq) on top.
@@ -94,30 +94,32 @@ constexpr auto kLater = [](const auto& a, const auto& b) {
 }  // namespace
 
 FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
-                                   std::string name)
-    : engine_(engine), capacity_(capacity), latency_(latency), name_(std::move(name)) {
+                                   std::function<void(Handle)> on_drained, std::string name)
+    : engine_(engine),
+      capacity_(capacity),
+      latency_(latency),
+      on_drained_(std::move(on_drained)),
+      name_(std::move(name)) {
   if (capacity.bytes_per_sec() <= 0.0) {
     throw std::invalid_argument("FairShareChannel: capacity must be positive");
   }
   if (latency < SimTime::zero()) {
     throw std::invalid_argument("FairShareChannel: negative latency");
   }
+  if (!on_drained_) throw std::invalid_argument("FairShareChannel: empty drain sink");
   units_per_byte_ = std::ldexp(capacity.ns_per_byte(), kFracBits);
 }
 
-void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
+void FairShareChannel::transfer(Bytes size, Handle token) {
   if (size == Bytes::zero()) {
-    // Latency-only message (e.g. a metadata RPC header); without a callback
-    // there is nothing to deliver.
-    if (on_done) engine_.schedule_after(latency_, std::move(on_done));
+    // Latency-only message (e.g. a metadata RPC header).
+    engine_.schedule_after(latency_, [this, token] { on_drained_(token); });
     return;
   }
-  engine_.schedule_after(latency_, [this, size, done = std::move(on_done)]() mutable {
-    admit(size, std::move(done));
-  });
+  engine_.schedule_after(latency_, [this, size, token] { admit(size, token); });
 }
 
-void FairShareChannel::admit(Bytes size, std::function<void()> on_done) {
+void FairShareChannel::admit(Bytes size, Handle token) {
   advance_clock();
   // The one size-to-time conversion: full-capacity service in clock units,
   // at least one unit so a tag always lies ahead of the clock.
@@ -125,8 +127,7 @@ void FairShareChannel::admit(Bytes size, std::function<void()> on_done) {
   const VirtualTime units = service < 0x1p64
                                 ? VirtualTime{static_cast<std::uint64_t>(service)}
                                 : static_cast<VirtualTime>(service);
-  flows_.push_back(Flow{clock_ + std::max(units, VirtualTime{1}), next_seq_++, size,
-                        std::move(on_done)});
+  flows_.push_back(Flow{clock_ + std::max(units, VirtualTime{1}), next_seq_++, size, token});
   ++live_;
   std::push_heap(flows_.begin(), flows_.end(), kLater);
   reschedule_completion();
@@ -170,7 +171,7 @@ void FairShareChannel::complete_due() {
   advance_clock();
   // Park every flow whose tag has been reached in the vector's tail, then
   // release them in admission order. Admissions arrive only through engine
-  // events, so the callbacks below cannot grow the heap under the tail.
+  // events, so the sink calls below cannot grow the heap under the tail.
   while (live_ > 0 && flows_.front().tag <= clock_) {
     std::pop_heap(flows_.begin(), flows_.begin() + static_cast<std::ptrdiff_t>(live_), kLater);
     --live_;
@@ -182,9 +183,7 @@ void FairShareChannel::complete_due() {
   for (auto it = drained; it != flows_.end(); ++it) bytes_moved_ += it->size;
   if (live_ == 0) clock_ = 0;  // idle: restart virtual time from zero
   reschedule_completion();
-  for (std::size_t i = live_; i < flows_.size(); ++i) {
-    if (flows_[i].on_done) flows_[i].on_done();
-  }
+  for (std::size_t i = live_; i < flows_.size(); ++i) on_drained_(flows_[i].token);
   // Most admissions land on an idle channel, so an idle channel keeps a
   // small vector; the storage of a rare deep busy period is given back.
   if (live_ == 0 && flows_.capacity() > kIdleFlowCapacity) {

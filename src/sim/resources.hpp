@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -96,20 +97,25 @@ class FifoServer {
 /// O(log n). The clock is integer fixed point, so completion times are exact
 /// integers; every flow whose tag has been reached is released together, in
 /// admission order.
+///
+/// A flow carries its owner's 32-bit token, not a callback: every drained
+/// flow is handed to the one sink the owner registers at construction
+/// (DESIGN.md §6, §16), so a flow is a trivially copyable record and the
+/// channel's engine closures capture only `this` and plain values.
 class FairShareChannel {
  public:
   /// Virtual time in units of 2^-32 ns of full-capacity service. 64 bits
   /// would overflow after a busy period of ~4.3 s.
   __extension__ typedef unsigned __int128 VirtualTime;
 
+  /// `on_drained` receives each transfer's token when its last byte drains.
   FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
-                   std::string name = "link");
+                   std::function<void(Handle)> on_drained, std::string name = "link");
 
-  /// Start a transfer of `size`; `on_done` fires when the last byte drains.
-  /// `on_done` may be empty, at any size: a sized transfer then still takes
-  /// its share of the channel and counts in bytes_moved(), and a zero-size
-  /// one, which only models latency, has no effect and schedules no event.
-  void transfer(Bytes size, std::function<void()> on_done);
+  /// Start a transfer of `size` for `token`. A zero-size transfer only
+  /// models latency: its token reaches the sink after exactly the latency,
+  /// in one engine event.
+  void transfer(Bytes size, Handle token);
 
   [[nodiscard]] std::size_t active_flows() const { return live_; }
   [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
@@ -123,10 +129,11 @@ class FairShareChannel {
     VirtualTime tag;     ///< clock value at which the flow has drained
     std::uint64_t seq;   ///< admission order, breaks tag ties
     Bytes size;
-    std::function<void()> on_done;
+    Handle token;        ///< handed to on_drained_
   };
+  static_assert(std::is_trivially_copyable_v<Flow>, "heap sifts copy flows as raw bytes");
 
-  void admit(Bytes size, std::function<void()> on_done);
+  void admit(Bytes size, Handle token);
   void advance_clock();
   void reschedule_completion();
   void complete_due();
@@ -134,6 +141,7 @@ class FairShareChannel {
   Engine& engine_;
   Bandwidth capacity_;
   SimTime latency_;
+  std::function<void(Handle)> on_drained_;
   std::string name_;
   double units_per_byte_;  ///< full-capacity service per byte, in clock units
   /// [0, live_) is the heap; while completions run, the drained flows are

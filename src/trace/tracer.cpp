@@ -245,7 +245,8 @@ void Trace::write_binary(std::ostream& out) const {
   codec::Writer w;
   w.bytes(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof kMagic);
   w.u32(static_cast<std::uint32_t>(table.size()));
-  for (const auto* path : table) w.str(*path);
+  // The reader bounds a path only by the bytes present.
+  for (const auto* path : table) w.str(*path, UINT32_MAX);
   w.u64(events_.size());
   for (const auto& e : events_) {
     w.u8(static_cast<std::uint8_t>(e.layer));

@@ -1,8 +1,10 @@
 // Test-only differential oracle: the net::Fabric::send that the pooled
-// message record replaced, kept verbatim apart from its name and header-only
-// packaging. Each stage's callback is a lambda that captures the next
-// stage's state and the caller's std::function by value, so a message costs
-// three nested closures (and their heap allocations).
+// message record replaced, kept verbatim apart from its name, header-only
+// packaging and its channels, which are the closure-per-transfer channels
+// of tests/closure_channel_oracle.hpp that sim::FairShareChannel replaced.
+// Each stage's callback is a lambda that captures the next stage's state and
+// the caller's std::function by value, so a message costs three nested
+// closures (and their heap allocations).
 // tests/test_fabric_diff.cpp drives it and net::Fabric with identical
 // seeded message storms and requires identical deliveries and FabricStats.
 #pragma once
@@ -16,11 +18,11 @@
 #include <utility>
 #include <vector>
 
+#include "closure_channel_oracle.hpp"
 #include "common/types.hpp"
 #include "fault/fault.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
-#include "sim/resources.hpp"
 
 namespace pio::net::oracle {
 
@@ -34,14 +36,14 @@ class NestedFabric {
     inject_.reserve(endpoints);
     eject_.reserve(endpoints);
     for (std::uint32_t e = 0; e < endpoints; ++e) {
-      inject_.push_back(std::make_unique<sim::FairShareChannel>(
+      inject_.push_back(std::make_unique<sim::oracle::ClosureFairShareChannel>(
           engine_, config.endpoint_bandwidth, config.endpoint_latency,
           config.name + ".inject." + std::to_string(e)));
-      eject_.push_back(std::make_unique<sim::FairShareChannel>(
+      eject_.push_back(std::make_unique<sim::oracle::ClosureFairShareChannel>(
           engine_, config.endpoint_bandwidth, config.endpoint_latency,
           config.name + ".eject." + std::to_string(e)));
     }
-    core_ = std::make_unique<sim::FairShareChannel>(
+    core_ = std::make_unique<sim::oracle::ClosureFairShareChannel>(
         engine_, config.endpoint_bandwidth * config.core_links, config.core_latency,
         config.name + ".core");
   }
@@ -88,9 +90,9 @@ class NestedFabric {
  private:
   sim::Engine& engine_;
   FabricConfig config_;
-  std::vector<std::unique_ptr<sim::FairShareChannel>> inject_;
-  std::vector<std::unique_ptr<sim::FairShareChannel>> eject_;
-  std::unique_ptr<sim::FairShareChannel> core_;
+  std::vector<std::unique_ptr<sim::oracle::ClosureFairShareChannel>> inject_;
+  std::vector<std::unique_ptr<sim::oracle::ClosureFairShareChannel>> eject_;
+  std::unique_ptr<sim::oracle::ClosureFairShareChannel> core_;
   FabricStats stats_;
   const fault::Timeline* timeline_ = nullptr;
   fault::ComponentId fault_id_{fault::ComponentKind::kComputeFabric, 0};

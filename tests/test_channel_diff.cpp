@@ -1,6 +1,15 @@
-// Differential test: the virtual-time sim::FairShareChannel against the
-// list-scanning channel it replaced (tests/list_channel_oracle.hpp), and
-// against exact processor sharing.
+// Differential tests for sim::FairShareChannel, which hands each drained
+// flow's token to one sink:
+//  - against the closure-per-transfer channel it replaced
+//    (tests/closure_channel_oracle.hpp), exactly: the same completion ns per
+//    flow, release order, virtual clock at every release, bytes moved and
+//    engine event count;
+//  - against the list-scanning channel before that
+//    (tests/list_channel_oracle.hpp), within a slack window;
+//  - against exact processor sharing.
+//
+// The oracles keep their callback APIs; a small adapter drives them through
+// the token API, so all channels see the same storms.
 //
 // Both channels are driven with identical open-loop seeded flow storms. The
 // old channel releases a flow once less than 0.5 byte is left, so it can
@@ -11,23 +20,28 @@
 // to the next one, and the delay carries on through the sharing. Small
 // storms are checked against an exact integer schedule, which the new
 // channel never beats and trails by at most 2 ns. The remaining tests
-// pin the exact-tie release order, the clock reset on idle, and a busy
-// period long enough to need the 128-bit arithmetic.
+// pin the completion re-armed before the sinks run, the exact-tie release
+// order, the clock reset on idle, and a busy period long enough to need the
+// 128-bit arithmetic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "closure_channel_oracle.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "list_channel_oracle.hpp"
 #include "sim/engine.hpp"
+#include "sim/records.hpp"
 #include "sim/resources.hpp"
 
 namespace pio {
@@ -36,7 +50,38 @@ namespace {
 using namespace pio::literals;
 using sim::Engine;
 using sim::FairShareChannel;
-using sim::oracle::ListFairShareChannel;
+using sim::Handle;
+
+/// A callback channel behind the token API: transfer `token` gets a
+/// callback that hands the token to the sink.
+template <typename Closure>
+class OnCallbacks {
+ public:
+  OnCallbacks(Engine& engine, Bandwidth capacity, SimTime latency,
+              std::function<void(Handle)> on_drained)
+      : link_(engine, capacity, latency), on_drained_(std::move(on_drained)) {}
+
+  void transfer(Bytes size, Handle token) {
+    link_.transfer(size, [this, token] { on_drained_(token); });
+  }
+  [[nodiscard]] std::size_t active_flows() const { return link_.active_flows(); }
+  [[nodiscard]] Bytes bytes_moved() const { return link_.bytes_moved(); }
+  [[nodiscard]] auto virtual_clock() const
+    requires requires(const Closure& c) { c.virtual_clock(); }
+  {
+    return link_.virtual_clock();
+  }
+
+ private:
+  Closure link_;
+  std::function<void(Handle)> on_drained_;
+};
+
+using ClosureChannel = OnCallbacks<sim::oracle::ClosureFairShareChannel>;
+using ListChannel = OnCallbacks<sim::oracle::ListFairShareChannel>;
+
+template <typename Channel>
+constexpr bool kHasClock = requires(const Channel& c) { c.virtual_clock(); };
 
 struct Storm {
   Bandwidth capacity;
@@ -87,34 +132,70 @@ Storm make_storm(std::uint64_t seed, std::uint64_t min_flows, std::uint64_t max_
   return storm;
 }
 
+/// `storm` with about one flow in ten made zero-size (latency only), drawn
+/// from a stream of its own so the other flows keep their sizes.
+Storm with_zero_size(Storm storm, std::uint64_t seed) {
+  Rng rng{seed, 1};
+  for (Bytes& size : storm.size) {
+    if (rng.chance(0.1)) size = Bytes::zero();
+  }
+  return storm;
+}
+
 struct StormRun {
   std::vector<SimTime> done;  ///< completion time per flow
   std::size_t completed = 0;
   Bytes moved;
+  std::vector<Handle> order;  ///< flows in release order
+  /// The channel's virtual clock at each release (channels that have one).
+  std::vector<FairShareChannel::VirtualTime> clocks;
+  std::uint64_t events = 0;  ///< engine events executed
 };
 
 template <typename Channel>
 StormRun run_storm(const Storm& storm) {
   Engine engine;
-  Channel link{engine, storm.capacity, storm.latency};
   StormRun run;
   run.done.assign(storm.size.size(), SimTime::max());
+  const Channel* self = nullptr;
+  // piolint: allow(C2) — engine.run() drains before run and self leave scope.
+  Channel link{engine, storm.capacity, storm.latency, [&run, &engine, &self](Handle i) {
+                 EXPECT_EQ(run.done[i], SimTime::max()) << "flow " << i << " completed twice";
+                 run.done[i] = engine.now();
+                 ++run.completed;
+                 run.order.push_back(i);
+                 if constexpr (kHasClock<Channel>) run.clocks.push_back(self->virtual_clock());
+               }};
+  self = &link;
   for (std::size_t i = 0; i < storm.size.size(); ++i) {
-    // piolint: allow(C2) — engine.run() drains before link and run leave scope.
-    engine.schedule_at(storm.arrival[i], [&link, &run, &engine, &storm, i] {
-      // piolint: allow(C2) — as above.
-      link.transfer(storm.size[i], [&run, &engine, i] {
-        EXPECT_EQ(run.done[i], SimTime::max()) << "flow " << i << " completed twice";
-        run.done[i] = engine.now();
-        ++run.completed;
-      });
+    // piolint: allow(C2) — engine.run() drains before link leaves scope.
+    engine.schedule_at(storm.arrival[i], [&link, &storm, i] {
+      link.transfer(storm.size[i], static_cast<Handle>(i));
     });
   }
   engine.run();
   engine.assert_drained();
   EXPECT_EQ(link.active_flows(), 0u);
   run.moved = link.bytes_moved();
+  run.events = engine.events_executed();
   return run;
+}
+
+/// The token channel and the closure channel it replaced must agree on
+/// every observable: per-flow completion ns, release order, the virtual
+/// clock at each release, bytes moved and the engine's event count.
+void expect_identical(const Storm& storm, const std::string& label) {
+  const StormRun fresh = run_storm<FairShareChannel>(storm);
+  const StormRun old = run_storm<ClosureChannel>(storm);
+  ASSERT_EQ(fresh.completed, storm.size.size()) << label;
+  ASSERT_EQ(fresh.done, old.done) << label;
+  ASSERT_EQ(fresh.order, old.order) << label;
+  ASSERT_EQ(fresh.clocks.size(), old.clocks.size()) << label;
+  for (std::size_t k = 0; k < fresh.clocks.size(); ++k) {
+    ASSERT_TRUE(fresh.clocks[k] == old.clocks[k]) << label << " release " << k;
+  }
+  ASSERT_EQ(fresh.moved, old.moved) << label;
+  ASSERT_EQ(fresh.events, old.events) << label;
 }
 
 __extension__ typedef unsigned __int128 Wide;
@@ -193,7 +274,7 @@ TEST(FairShareChannelDiff, SeededStormsStayWithinTheSlackWindow) {
   for (std::uint64_t seed = 1; seed <= kStorms; ++seed) {
     const Storm storm = make_storm(seed, 64, 2048);
     const StormRun fresh = run_storm<FairShareChannel>(storm);
-    const StormRun old = run_storm<ListFairShareChannel>(storm);
+    const StormRun old = run_storm<ListChannel>(storm);
     const std::size_t flows = storm.size.size();
     total_flows += flows;
     ASSERT_EQ(fresh.completed, flows) << "storm " << seed;
@@ -219,26 +300,74 @@ TEST(FairShareChannelDiff, SeededStormsStayWithinTheSlackWindow) {
             << " worst delta / bound=" << worst_fraction << "\n";
 }
 
+TEST(FairShareChannelDiff, TokenChannelMatchesClosureChannel) {
+  // The seeded storms of the tests above, each also with zero-size flows
+  // mixed in: same-instant batches and recurring sizes give exact tag ties.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const Storm storm = make_storm(seed, 64, 2048);
+    expect_identical(storm, "storm " + std::to_string(seed));
+    expect_identical(with_zero_size(storm, seed), "zero-size storm " + std::to_string(seed));
+  }
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const Storm storm = make_storm(seed, 2, 32);
+    expect_identical(storm, "small storm " + std::to_string(seed));
+    expect_identical(with_zero_size(storm, seed),
+                     "small zero-size storm " + std::to_string(seed));
+  }
+}
+
+/// Flow 0 (1000 B) drains at 2000 ns and its sink schedules an event 2000 ns
+/// later; flow 1 (3000 B) drains at 4000 ns, the same instant. The channel
+/// re-arms its completion before it runs the sinks, so flow 1 fires first.
+template <typename Channel>
+std::vector<std::pair<int, std::int64_t>> sink_tie_order() {
+  Engine engine;
+  std::vector<std::pair<int, std::int64_t>> fired;  // 0/1: flow drained, 2: sink's event
+  // One byte per ns: every time below is exact.
+  // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+  Channel link{engine, Bandwidth{1e9}, 0_us, [&](Handle h) {
+                 fired.emplace_back(static_cast<int>(h), engine.now().ns());
+                 if (h == 0) {
+                   const auto sink_event = [&] { fired.emplace_back(2, engine.now().ns()); };
+                   // piolint: allow(C2) — as above.
+                   engine.schedule_after(SimTime::from_ns(2000), sink_event);
+                 }
+               }};
+  link.transfer(Bytes{1000}, 0);
+  link.transfer(Bytes{3000}, 1);
+  engine.run();
+  return fired;
+}
+
+TEST(FairShareChannelDiff, CompletionIsArmedBeforeTheSinksRun) {
+  const std::vector<std::pair<int, std::int64_t>> expected{{0, 2000}, {1, 4000}, {2, 4000}};
+  EXPECT_EQ(sink_tie_order<FairShareChannel>(), expected);
+  EXPECT_EQ(sink_tie_order<ClosureChannel>(), expected);
+}
+
 TEST(FairShareChannelDiff, ExactTieBatchReleasesInAdmissionOrder) {
   Engine engine;
-  FairShareChannel link{engine, Bandwidth::from_gib_per_sec(1.0), 0_us};
-  std::vector<int> order;
+  std::vector<Handle> order;
   std::vector<SimTime> when;
   SimTime background_done = SimTime::zero();
-  link.transfer(8_MiB, [&] { background_done = engine.now(); });
+  constexpr Handle kBackground = 64;
   // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+  FairShareChannel link{engine, Bandwidth::from_gib_per_sec(1.0), 0_us, [&](Handle h) {
+                          if (h == kBackground) {
+                            background_done = engine.now();
+                            return;
+                          }
+                          order.push_back(h);
+                          when.push_back(engine.now());
+                        }};
+  link.transfer(8_MiB, kBackground);
+  // piolint: allow(C2) — as above.
   engine.schedule_at(SimTime::from_us(3.0), [&] {
-    for (int i = 0; i < 64; ++i) {
-      // piolint: allow(C2) — as above.
-      link.transfer(64_KiB, [&, i] {
-        order.push_back(i);
-        when.push_back(engine.now());
-      });
-    }
+    for (Handle i = 0; i < 64; ++i) link.transfer(64_KiB, i);
   });
   engine.run();
-  std::vector<int> admission(64);
-  std::iota(admission.begin(), admission.end(), 0);
+  std::vector<Handle> admission(64);
+  std::iota(admission.begin(), admission.end(), Handle{0});
   EXPECT_EQ(order, admission);
   ASSERT_EQ(when.size(), 64u);
   EXPECT_TRUE(std::all_of(when.begin(), when.end(), [&](SimTime t) { return t == when[0]; }))
@@ -248,27 +377,32 @@ TEST(FairShareChannelDiff, ExactTieBatchReleasesInAdmissionOrder) {
 
 TEST(FairShareChannelDiff, ClockResetsWhenIdle) {
   Engine engine;
-  FairShareChannel link{engine, Bandwidth::from_gib_per_sec(1.0), 0_us};
   FairShareChannel::VirtualTime busy_clock = 0;
+  SimTime start = SimTime::zero();
   std::vector<SimTime> first;
   std::vector<SimTime> second;
-  link.transfer(2_MiB, [&] { first.push_back(engine.now()); });
-  link.transfer(1_KiB, [&] {
-    busy_clock = link.virtual_clock();
-    first.push_back(engine.now());
-  });
+  std::vector<SimTime>* period = &first;
+  const FairShareChannel* self = nullptr;
+  // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+  FairShareChannel link{engine, Bandwidth::from_gib_per_sec(1.0), 0_us, [&](Handle h) {
+                          if (h == 1 && period == &first) busy_clock = self->virtual_clock();
+                          period->push_back(engine.now() - start);
+                        }};
+  self = &link;
+  link.transfer(2_MiB, 0);
+  link.transfer(1_KiB, 1);
   engine.run();
   EXPECT_GT(busy_clock, 0u);
   EXPECT_EQ(link.virtual_clock(), 0u);
   EXPECT_EQ(link.active_flows(), 0u);
 
   // A second busy period after an idle gap runs exactly like the first.
-  const SimTime restart = engine.now() + SimTime::from_ms(5.0);
+  period = &second;
+  start = engine.now() + SimTime::from_ms(5.0);
   // piolint: allow(C2) — engine.run() drains before the captures leave scope.
-  engine.schedule_at(restart, [&] {
-    const auto record = [&] { second.push_back(engine.now() - restart); };
-    link.transfer(2_MiB, record);
-    link.transfer(1_KiB, record);
+  engine.schedule_at(start, [&] {
+    link.transfer(2_MiB, 0);
+    link.transfer(1_KiB, 1);
   });
   engine.run();
   ASSERT_EQ(first.size(), 2u);
@@ -284,7 +418,7 @@ TEST(FairShareChannelDiff, LongBusyPeriodUsesWideArithmetic) {
                     {SimTime::zero(), SimTime::from_sec(5.0)},
                     {1_GiB, 256_MiB}};
   const StormRun fresh = run_storm<FairShareChannel>(storm);
-  const StormRun old = run_storm<ListFairShareChannel>(storm);
+  const StormRun old = run_storm<ListChannel>(storm);
   // A runs alone for 5 s (500 MiB), then both share 50 MiB/s: B needs
   // 5.12 s more; A's last 268 MiB then take 2.68 s at full rate.
   EXPECT_NEAR(static_cast<double>(fresh.done[1].ns()), 10.12e9, 2.0);
@@ -294,6 +428,7 @@ TEST(FairShareChannelDiff, LongBusyPeriodUsesWideArithmetic) {
     EXPECT_LE((fresh.done[i] - old.done[i]).ns(), 2) << "flow " << i;
   }
   EXPECT_EQ(fresh.moved, old.moved);
+  expect_identical(storm, "10 s busy period");
 }
 
 }  // namespace

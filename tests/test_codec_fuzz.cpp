@@ -1,6 +1,7 @@
-// Differential mutation fuzzer for the untrusted-input binary decoders
-// (label `fuzz`): Trace::try_read_binary and every svc payload decoder,
-// each against the decoder it replaced (codec_oracle.hpp).
+// Mutation fuzzer for the untrusted-input decoders (label `fuzz`):
+// Trace::try_read_binary and every svc payload decoder, each against the
+// decoder it replaced (codec_oracle.hpp); and, against their contracts, the
+// svc frame scanner next_frame and the size-string parser parse_bytes.
 //
 // Each target starts from a corpus the library itself encodes and applies
 // kMutationsPerTarget seeded mutations: bit flips, truncations, splices of
@@ -14,15 +15,19 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "codec_oracle.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "eval/campaign.hpp"
 #include "svc/messages.hpp"
@@ -396,6 +401,99 @@ TEST(CodecFuzz, PointBlobMatchesOracle) {
                                   {{0, 4}}}};
   fuzz_decoder<eval::CampaignPoint>(9, corpus, svc::oracle::decode_point, svc::decode_point,
                                     svc::encode_point);
+}
+
+// ---------------------------------------------------------- frame scanner
+
+/// A stream of frames as append_frame writes them; each frame's length
+/// field is a mutation target.
+Seed frame_seed(const std::vector<std::pair<svc::MsgType, Bytes8>>& frames) {
+  Seed seed;
+  for (const auto& [type, payload] : frames) {
+    seed.lengths.push_back({seed.bytes.size() + 8, 4});
+    svc::append_frame(type, payload, seed.bytes);
+  }
+  return seed;
+}
+
+// next_frame never throws; it consumes at most the bytes given, and nothing
+// except on kFrame and kBadCrc; a kFrame is exactly the bytes append_frame
+// writes for its type and payload. Each mutant is scanned frame by frame
+// until a status that does not advance.
+TEST(CodecFuzz, NextFrameKeepsItsContract) {
+  using svc::MsgType;
+  svc::PointResult pr;
+  pr.campaign_id = 3;
+  pr.blob = svc::encode_point(sample_point("ior[r=4]", 2));
+  const std::vector<Seed> corpus{
+      frame_seed({{MsgType::kStats, {}}}),
+      frame_seed({{MsgType::kSubmitAck, svc::encode(svc::SubmitAck{42, 7})}}),
+      frame_seed({{MsgType::kError,
+                   svc::encode(svc::Error{svc::ErrorCode::kOverloaded, 2500, "queue full"})},
+                  {MsgType::kCancelCampaign, svc::encode(svc::CancelCampaign{11})}}),
+      frame_seed({{MsgType::kSubmitCampaign, svc::encode(svc::SubmitCampaign{sample_spec(2)})},
+                  {MsgType::kStats, {}},
+                  {MsgType::kPointResult, svc::encode(pr)}})};
+  Rng rng{kFuzzSeed, 10};
+  Tally tally;  // by the status of each mutant's first frame
+  int bad_crc = 0;
+  for (int i = 0; i < kMutationsPerTarget; ++i) {
+    const Bytes8 input = mutate(rng, corpus);
+    std::size_t pos = 0;
+    for (bool first = true;; first = false) {
+      const std::size_t n = input.size() - pos;
+      svc::Frame frame;
+      std::size_t consumed = n + 1;
+      svc::FrameStatus status{};
+      ASSERT_NO_THROW(status = svc::next_frame(input.data() + pos, n, &consumed, &frame))
+          << "mutation " << i << " at byte " << pos << " of " << hex_prefix(input);
+      ASSERT_LE(consumed, n) << "mutation " << i << " on " << hex_prefix(input);
+      if (first) ++(status == svc::FrameStatus::kFrame ? tally.accepted : tally.rejected);
+      if (status == svc::FrameStatus::kFrame) {
+        Bytes8 rewritten;
+        svc::append_frame(frame.type, frame.payload, rewritten);
+        const auto at = input.begin() + static_cast<std::ptrdiff_t>(pos);
+        ASSERT_EQ(rewritten, Bytes8(at, at + static_cast<std::ptrdiff_t>(consumed)))
+            << "mutation " << i << " at byte " << pos << " of " << hex_prefix(input);
+      } else if (status == svc::FrameStatus::kBadCrc) {
+        ASSERT_GE(consumed, svc::kHeaderBytes) << "mutation " << i << " on " << hex_prefix(input);
+        ++bad_crc;
+      } else {
+        ASSERT_EQ(consumed, 0u) << "mutation " << i << " on " << hex_prefix(input);
+        break;
+      }
+      pos += consumed;
+    }
+  }
+  expect_both_sides(tally);
+  EXPECT_GT(bad_crc, kMutationsPerTarget / 100);
+}
+
+// ------------------------------------------------------------ size strings
+
+// parse_bytes returns a value or throws std::invalid_argument, nothing else.
+TEST(CodecFuzz, ParseBytesThrowsOnlyInvalidArgument) {
+  std::vector<Seed> corpus;
+  for (const std::string_view text :
+       {"512", "512B", "64KiB", "4 MiB", "1gib", " 7 kb ", "0", "12parsecs", "abc",
+        "18446744073709551615", "17179869183GiB", "16777215 m"}) {
+    corpus.push_back({Bytes8(text.begin(), text.end()), {}});
+  }
+  Rng rng{kFuzzSeed, 11};
+  Tally tally;
+  for (int i = 0; i < kMutationsPerTarget; ++i) {
+    const Bytes8 input = mutate(rng, corpus);
+    const std::string text(input.begin(), input.end());
+    try {
+      (void)parse_bytes(text);
+      ++tally.accepted;
+    } catch (const std::invalid_argument&) {
+      ++tally.rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw \"" << e.what() << "\" on " << hex_prefix(input);
+    }
+  }
+  expect_both_sides(tally);
 }
 
 }  // namespace

@@ -267,6 +267,17 @@ TEST(FormatTest, ParseBytesRoundTrip) {
   EXPECT_EQ(parse_bytes("1gib"), 1_GiB);
   EXPECT_THROW((void)parse_bytes("abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_bytes("12parsecs"), std::invalid_argument);
+  EXPECT_EQ(parse_bytes(" 7 kb "), 7_KiB);
+  EXPECT_THROW((void)parse_bytes("4MiB 7GiB"), std::invalid_argument);
+  EXPECT_THROW((void)parse_bytes("4 MiB junk"), std::invalid_argument);
+  // Sizes past 2^64 - 1 bytes are malformed input, not a std::out_of_range;
+  // "48446744073709551615" is the mutant CodecFuzz.ParseBytesThrowsOnlyInvalidArgument
+  // first found.
+  EXPECT_EQ(parse_bytes("18446744073709551615"), Bytes{UINT64_MAX});
+  EXPECT_THROW((void)parse_bytes("18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW((void)parse_bytes("48446744073709551615"), std::invalid_argument);
+  EXPECT_EQ(parse_bytes("17179869183GiB"), Bytes::from_gib(17179869183));
+  EXPECT_THROW((void)parse_bytes("17179869184GiB"), std::invalid_argument);
 }
 
 TEST(TextTableTest, AlignsColumns) {

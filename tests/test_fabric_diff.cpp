@@ -9,7 +9,10 @@
 // half the seeds a brownout fault::Timeline that inflates the wire size of
 // the messages sent inside it. The pooled fabric must deliver every message
 // at the same nanosecond and in the same order, end with the same
-// FabricStats, and leave no message record live.
+// FabricStats after the same number of engine events, and leave no message
+// record live. The oracle runs on the closure-per-transfer channels
+// (tests/closure_channel_oracle.hpp), so this also checks the token
+// channels' drain sinks end to end.
 //
 // piolint: allow-file(C2) — each storm schedules against a stack-local
 // engine and drains it (run()) in the same scope, so by-reference captures
@@ -97,6 +100,7 @@ struct Outcome {
   std::vector<Delivery> deliveries;
   FabricStats stats;
   std::size_t left_in_flight = 0;
+  std::uint64_t events = 0;  ///< engine events executed
 };
 
 template <typename F>
@@ -135,6 +139,7 @@ Outcome drive(const Storm& storm) {
   engine.assert_drained();
   out.stats = fabric.stats();
   out.left_in_flight = in_flight(fabric);
+  out.events = engine.events_executed();
   return out;
 }
 
@@ -157,6 +162,7 @@ TEST(FabricDiff, SeededStormsMatchTheNestedClosureFabric) {
     EXPECT_EQ(got.stats.bytes, want.stats.bytes);
     EXPECT_EQ(got.stats.degraded_messages, want.stats.degraded_messages);
     EXPECT_EQ(got.left_in_flight, 0u);
+    EXPECT_EQ(got.events, want.events);
     degraded += got.stats.degraded_messages;
     for (const Message& m : storm.messages) {
       if (m.size == Bytes::zero()) ++zero_size;

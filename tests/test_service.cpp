@@ -14,6 +14,7 @@
 //      any worker thread count — closed by the exact accounting audit.
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -256,6 +257,27 @@ TEST(ServiceCodec, PointBlobRoundTrip) {
   // A truncated blob is rejected, not misparsed.
   const std::vector<std::uint8_t> cut(blob.begin(), blob.end() - 1);
   EXPECT_FALSE(svc::decode_point(cut, &q));
+}
+
+// Every string the encoder writes reads back: the encoder refuses a string
+// past the decoder's 64 KiB bound instead of emitting bytes the decoder
+// rejects.
+TEST(ServiceCodec, StringsAtTheLimitRoundTripAndPastItAreRefused) {
+  constexpr std::size_t kLimit = 1 << 16;
+  svc::Error err{svc::ErrorCode::kMalformed, 0, std::string(kLimit, 'd')};
+  svc::Error err2;
+  ASSERT_TRUE(svc::decode(svc::encode(err), &err2));
+  EXPECT_EQ(err2.detail, err.detail);
+  err.detail.push_back('d');
+  EXPECT_THROW((void)svc::encode(err), std::length_error);
+
+  eval::CampaignPoint p = distinct_point();
+  p.workload = std::string(kLimit, 'w');
+  eval::CampaignPoint q;
+  ASSERT_TRUE(svc::decode_point(svc::encode_point(p), &q));
+  EXPECT_EQ(q.workload, p.workload);
+  p.workload.push_back('w');
+  EXPECT_THROW((void)svc::encode_point(p), std::length_error);
 }
 
 // -------------------------------------------- malformed frames, live service

@@ -218,9 +218,9 @@ TEST(FifoServerTest, NegativeServiceTimeThrows) {
 
 TEST(FairShareChannelTest, SingleFlowTakesSizeOverCapacity) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us};
   SimTime done = SimTime::zero();
-  link.transfer(100_MiB, [&] { done = e.now(); });
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us, [&](Handle) { done = e.now(); }};
+  link.transfer(100_MiB, 0);
   e.run();
   // piolint: allow(T1) — NEAR tolerance literal, not a unit conversion.
   EXPECT_NEAR(done.sec(), 1.0, 1e-6);
@@ -229,10 +229,11 @@ TEST(FairShareChannelTest, SingleFlowTakesSizeOverCapacity) {
 
 TEST(FairShareChannelTest, TwoEqualFlowsShareBandwidth) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us};
   std::vector<double> done;
-  link.transfer(50_MiB, [&] { done.push_back(e.now().sec()); });
-  link.transfer(50_MiB, [&] { done.push_back(e.now().sec()); });
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us,
+                        [&](Handle) { done.push_back(e.now().sec()); }};
+  link.transfer(50_MiB, 0);
+  link.transfer(50_MiB, 1);
   e.run();
   ASSERT_EQ(done.size(), 2u);
   // Each gets 50 MiB/s while both are active; both finish at ~1 s.
@@ -242,46 +243,51 @@ TEST(FairShareChannelTest, TwoEqualFlowsShareBandwidth) {
 
 TEST(FairShareChannelTest, LateFlowSlowsEarlyFlow) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us};
-  double first_done = 0.0;
-  double second_done = 0.0;
-  link.transfer(100_MiB, [&] { first_done = e.now().sec(); });
-  e.schedule_at(SimTime::from_sec(0.5), [&] {
-    link.transfer(50_MiB, [&] { second_done = e.now().sec(); });
-  });
+  double done[2] = {0.0, 0.0};
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us,
+                        [&](Handle h) { done[h] = e.now().sec(); }};
+  link.transfer(100_MiB, 0);
+  e.schedule_at(SimTime::from_sec(0.5), [&] { link.transfer(50_MiB, 1); });
   e.run();
   // First flow: 50 MiB alone (0.5s), then shares: remaining 50 MiB at
   // 50 MiB/s = 1s more -> 1.5s total. Second: 50 MiB at 50 MiB/s -> also 1.5s.
-  EXPECT_NEAR(first_done, 1.5, 1e-3);
-  EXPECT_NEAR(second_done, 1.5, 1e-3);
+  EXPECT_NEAR(done[0], 1.5, 1e-3);
+  EXPECT_NEAR(done[1], 1.5, 1e-3);
 }
 
 TEST(FairShareChannelTest, LatencyAppliesOnce) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_gib_per_sec(1.0), 100_us};
   SimTime done = SimTime::zero();
-  link.transfer(Bytes::zero(), [&] { done = e.now(); });
+  FairShareChannel link{e, Bandwidth::from_gib_per_sec(1.0), 100_us, [&](Handle) { done = e.now(); }};
+  link.transfer(Bytes::zero(), 0);
   e.run();
   EXPECT_EQ(done, 100_us);
 }
 
-// transfer() accepts an empty on_done at any size. A sized transfer still
-// shares the channel: a flow beside it finishes as late as if both had a
-// callback, and its bytes count. A zero-size one has nothing to deliver and
-// schedules nothing.
-TEST(FairShareChannelTest, EmptyCallbackIsAcceptedAtAnySize) {
+// A zero-size transfer models latency only: its token reaches the sink
+// after exactly the latency, in one engine event, moving no bytes and never
+// entering the flow heap.
+TEST(FairShareChannelTest, ZeroSizeTransferDeliversAfterLatencyInOneEvent) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 10_us};
-  SimTime watched = SimTime::zero();
-  link.transfer(50_MiB, {});
-  link.transfer(50_MiB, [&] { watched = e.now(); });
-  EXPECT_NO_THROW(link.transfer(Bytes::zero(), {}));
-  EXPECT_EQ(e.events_pending(), 2u);  // the two sized flows' admissions
-  e.run();
-  // piolint: allow(T1) — NEAR tolerance literal, not a unit conversion.
-  EXPECT_NEAR((watched - 10_us).sec(), 1.0, 1e-6);
-  EXPECT_EQ(link.bytes_moved(), 100_MiB);
+  std::vector<std::pair<Handle, SimTime>> drained;
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 10_us,
+                        [&](Handle h) { drained.emplace_back(h, e.now()); }};
+  link.transfer(Bytes::zero(), 7);
+  EXPECT_EQ(e.events_pending(), 1u);
   EXPECT_EQ(link.active_flows(), 0u);
+  e.run();
+  EXPECT_EQ(e.events_executed(), 1u);
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].first, 7u);
+  EXPECT_EQ(drained[0].second, 10_us);
+  EXPECT_EQ(link.bytes_moved(), Bytes::zero());
+  EXPECT_EQ(link.virtual_clock(), 0u);
+}
+
+TEST(FairShareChannelTest, EmptySinkIsRejected) {
+  Engine e;
+  EXPECT_THROW((FairShareChannel{e, Bandwidth::from_gib_per_sec(1.0), 0_us, {}}),
+               std::invalid_argument);
 }
 
 TEST(TokenPoolTest, GrantsFifo) {

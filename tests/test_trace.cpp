@@ -134,6 +134,18 @@ TEST(TraceSerializationTest, BinaryIsSmallerThanJsonl) {
   EXPECT_LT(binary.str().size(), json.str().size() / 2);
 }
 
+// The path table's reader bounds a path only by the bytes present, so the
+// writer takes paths past the 64 KiB default string bound.
+TEST(TraceSerializationTest, BinaryRoundTripsPathsPast64KiB) {
+  Trace t = random_trace(3, 4);
+  TraceEvent e = t.events().front();
+  e.path = "/" + std::string(70'000, 'p');
+  t.append(e);
+  std::stringstream buffer;
+  t.write_binary(buffer);
+  expect_traces_equal(t, Trace::read_binary(buffer));
+}
+
 TEST(TraceSerializationTest, BadMagicThrows) {
   std::stringstream buffer;
   buffer << "NOTATRACE";
