@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "trace/server_stats.hpp"
 #include "workload/kernels.hpp"
 #include "workload/workflow.hpp"
 

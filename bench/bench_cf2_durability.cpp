@@ -51,12 +51,14 @@ DurabilityRun run_one(std::uint32_t replicas, Bandwidth rebuild_cap) {
   pfs::PfsModel model{engine, config};
   SimTime rebuild_start = SimTime::max();
   SimTime rebuild_end = SimTime::zero();
-  model.set_resilience_observer([&](const pfs::ResilienceRecord& r) {
-    if (r.kind == pfs::ResilienceEventKind::kRebuildStart && r.at < rebuild_start) {
-      rebuild_start = r.at;
+  engine.set_span_sink([&](const obs::Span& s) {
+    if (s.layer != obs::Layer::kClient) return;
+    const auto kind = static_cast<pfs::ResilienceEventKind>(s.kind);
+    if (kind == pfs::ResilienceEventKind::kRebuildStart && s.end < rebuild_start) {
+      rebuild_start = s.end;
     }
-    if (r.kind == pfs::ResilienceEventKind::kRebuildDone && r.at > rebuild_end) {
-      rebuild_end = r.at;
+    if (kind == pfs::ResilienceEventKind::kRebuildDone && s.end > rebuild_end) {
+      rebuild_end = s.end;
     }
   });
 

@@ -43,7 +43,7 @@ int main() {
   pfs::PfsModel model{engine, system};
   trace::Tracer tracer;
   trace::ServerStatsCollector servers{SimTime::from_ms(50.0)};
-  servers.attach(model);
+  servers.attach(engine);
 
   driver::ExecutionDrivenSimulator sim{engine, model};
   const auto result = sim.run(*workload::dlio_like(dl), &tracer);

@@ -29,18 +29,6 @@ const char* to_string(CacheScope scope) {
   return "?";
 }
 
-const char* to_string(CacheEventKind kind) {
-  switch (kind) {
-    case CacheEventKind::kHit: return "hit";
-    case CacheEventKind::kMiss: return "miss";
-    case CacheEventKind::kEviction: return "eviction";
-    case CacheEventKind::kPrefetchIssue: return "prefetch-issue";
-    case CacheEventKind::kWriteback: return "writeback";
-    case CacheEventKind::kAbsorbedWrite: return "absorbed-write";
-  }
-  return "?";
-}
-
 void CacheConfig::validate() const {
   if (page_size <= Bytes::zero()) {
     throw std::invalid_argument("CacheConfig: page_size must be positive");

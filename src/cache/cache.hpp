@@ -6,8 +6,8 @@
 // mitigation the surveyed systems reach for — and, in the FBench spirit,
 // cache policy must be a sweepable campaign axis, not a hardcoded constant.
 // This header defines the shared vocabulary: configuration knobs, the
-// counter block every integration exports, and the observer record that
-// feeds hit-rate time series into the monitoring layer.
+// counter block every integration exports, and the span kinds that feed
+// hit-rate time series into the monitoring layer.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +109,8 @@ struct CacheStats {
   CacheStats& operator+=(const CacheStats& other);
 };
 
-/// Cache activity event (observer unit, like OstOpRecord/ResilienceRecord):
-/// feeds hit-rate time series into ServerStatsCollector.
+/// Cache activity event: the kind of a cache-layer obs::Span, which feeds
+/// the hit-rate time series of trace::ServerStatsCollector.
 enum class CacheEventKind : std::uint8_t {
   kHit,            ///< an op served (partly) from cache; bytes = hit bytes
   kMiss,           ///< an op that fetched from the backend; bytes = miss bytes
@@ -118,15 +118,6 @@ enum class CacheEventKind : std::uint8_t {
   kPrefetchIssue,  ///< speculative pages requested; bytes = prefetched bytes
   kWriteback,      ///< dirty bytes written through; bytes = flushed bytes
   kAbsorbedWrite,  ///< a write acknowledged from the cache; bytes = op bytes
-};
-
-[[nodiscard]] const char* to_string(CacheEventKind kind);
-
-struct CacheRecord {
-  CacheEventKind kind = CacheEventKind::kHit;
-  SimTime at = SimTime::zero();
-  std::int32_t rank = 0;  ///< rank (per-rank scope) or issuing rank (shared)
-  Bytes bytes = Bytes::zero();
 };
 
 }  // namespace pio::cache

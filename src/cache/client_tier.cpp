@@ -48,8 +48,10 @@ bool ClientCacheTier::can_insert(const PageCache& cache, std::uint64_t capacity)
 }
 
 void ClientCacheTier::record(CacheEventKind kind, std::int32_t rank, Bytes bytes) {
-  if (!observer_) return;
-  observer_(CacheRecord{kind, engine_.now(), rank, bytes});
+  const SimTime now = engine_.now();
+  engine_.emit({.layer = obs::Layer::kCache, .kind = static_cast<std::uint8_t>(kind),
+                .component = static_cast<std::uint32_t>(rank), .start = now, .end = now,
+                .bytes = bytes});
 }
 
 void ClientCacheTier::note_access(Slot& slot, PageKey key) {

@@ -96,11 +96,6 @@ class ClientCacheTier {
   [[nodiscard]] std::uint64_t dirty_pages() const;
   [[nodiscard]] std::uint64_t epochs_marked() const { return epochs_; }
 
-  /// Subscribe to cache activity (hit/miss/eviction/write-back records).
-  void set_observer(std::function<void(const CacheRecord&)> observer) {
-    observer_ = std::move(observer);
-  }
-
  private:
   /// One cache instance plus its prefetch/write-back state. kShared scope
   /// has exactly one slot; kPerRank has one per rank.
@@ -125,6 +120,7 @@ class ClientCacheTier {
   [[nodiscard]] pfs::ClientId client_of(std::int32_t rank) const;
   /// True when an insert can find a free slot or a clean victim.
   [[nodiscard]] static bool can_insert(const PageCache& cache, std::uint64_t capacity);
+  /// Emit a cache-layer span for `rank` at the current time.
   void record(CacheEventKind kind, std::int32_t rank, Bytes bytes);
   void note_access(Slot& slot, PageKey key);
   /// Simulated node-local service time for `bytes` served from cache.
@@ -143,7 +139,6 @@ class ClientCacheTier {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::map<std::string, std::uint64_t> ids_;
   std::map<std::uint64_t, FileMeta> metas_;
-  std::function<void(const CacheRecord&)> observer_;
   std::uint64_t next_file_id_ = 1;
   std::uint64_t epochs_ = 0;
 };

@@ -77,7 +77,6 @@ void ExecutionDrivenSimulator::begin_impl(const workload::Workload& workload,
   if (config_.cache.enabled) {
     tier_ = std::make_unique<cache::ClientCacheTier>(engine_, model_, config_.cache,
                                                      static_cast<std::int32_t>(n));
-    if (cache_observer_) tier_->set_observer(cache_observer_);
   }
   ranks_.clear();
   ranks_.resize(n);

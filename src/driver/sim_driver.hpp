@@ -110,12 +110,6 @@ class ExecutionDrivenSimulator {
   /// Finalize and return the result of a `begin`-driven run.
   SimRunResult collect();
 
-  /// Subscribe to cache activity records of subsequent runs (no-op while
-  /// the cache is disabled).
-  void set_cache_observer(std::function<void(const cache::CacheRecord&)> observer) {
-    cache_observer_ = std::move(observer);
-  }
-
   /// The cache tier of the most recent run (nullptr when disabled).
   [[nodiscard]] const cache::ClientCacheTier* cache_tier() const { return tier_.get(); }
 
@@ -158,7 +152,6 @@ class ExecutionDrivenSimulator {
   SimRunConfig config_;
   trace::Sink* sink_ = nullptr;
   std::unique_ptr<cache::ClientCacheTier> tier_;
-  std::function<void(const cache::CacheRecord&)> cache_observer_;
   std::vector<RankState> ranks_;
   std::map<std::string, pfs::StripeLayout> layouts_;
   std::uint64_t barrier_waiting_ = 0;

@@ -47,6 +47,11 @@ bool MetadataServer::standby_active(SimTime t) const {
          timeline_->down(component_id(), t) && t >= standby_ready(t);
 }
 
+void MetadataServer::emit_span(const Request& req, MetaStatus status) const {
+  engine_.emit({.layer = obs::Layer::kMds, .kind = static_cast<std::uint8_t>(req.op),
+                .ok = status == MetaStatus::kOk, .start = req.enqueued, .end = engine_.now()});
+}
+
 void MetadataServer::reply(sim::Handle h, MetaResult result) {
   const std::function<void(MetaResult)> done = std::move(requests_[h].on_done);
   requests_[h].on_done = nullptr;
@@ -59,11 +64,8 @@ void MetadataServer::respond_error(sim::Handle h, MetaStatus status) {
   engine_.schedule_after(SimTime::zero(), [this, h] {
     const Request& req = requests_[h];
     ++stats_.ops_total;
-    ++stats_.ops_by_type[req.op];
     ++stats_.errors;
-    if (observer_) {
-      observer_(MdsOpRecord{req.op, req.enqueued, engine_.now(), req.status, req.path});
-    }
+    emit_span(req, req.status);
     MetaResult result;
     result.status = req.status;
     reply(h, std::move(result));
@@ -173,13 +175,9 @@ void MetadataServer::lost(sim::Handle h) {
   timeline_->check_handler_allowed(component_id(), engine_.now());
   const Request& req = requests_[h];
   ++stats_.ops_total;
-  ++stats_.ops_by_type[req.op];
   stats_.busy_time += req.cost;
   ++stats_.errors;
-  if (observer_) {
-    observer_(MdsOpRecord{req.op, req.enqueued, engine_.now(), MetaStatus::kUnavailable,
-                          req.path});
-  }
+  emit_span(req, MetaStatus::kUnavailable);
   threads_.release(1);
   MetaResult result;
   result.status = MetaStatus::kUnavailable;
@@ -196,12 +194,9 @@ void MetadataServer::complete(sim::Handle h) {
   const Request& req = requests_[h];
   MetaResult result = apply(req.op, req.path, req.layout);
   ++stats_.ops_total;
-  ++stats_.ops_by_type[req.op];
   stats_.busy_time += req.cost;
   if (!result.ok()) ++stats_.errors;
-  if (observer_) {
-    observer_(MdsOpRecord{req.op, req.enqueued, now, result.status, req.path});
-  }
+  emit_span(req, result.status);
   threads_.release(1);
   reply(h, std::move(result));
 }

@@ -91,19 +91,9 @@ struct MdsConfig {
   SimTime replay_per_entry = SimTime::from_us(20.0);
 };
 
-/// Completion record (server-side monitoring unit, like OstOpRecord).
-struct MdsOpRecord {
-  MetaOp op = MetaOp::kStat;
-  SimTime enqueued = SimTime::zero();
-  SimTime completed = SimTime::zero();
-  MetaStatus status = MetaStatus::kOk;
-  std::string path;
-};
-
 /// Aggregate MDS counters.
 struct MdsStats {
   std::uint64_t ops_total = 0;
-  std::map<MetaOp, std::uint64_t> ops_by_type;
   std::uint64_t errors = 0;
   SimTime busy_time = SimTime::zero();
   std::uint64_t failover_stalls = 0;     ///< requests that waited for standby takeover
@@ -134,10 +124,6 @@ class MetadataServer {
   [[nodiscard]] Inode* find_inode(const std::string& path);
   [[nodiscard]] const Inode* find_inode(const std::string& path) const;
   void grow_file(const std::string& path, Bytes new_size, SimTime mtime);
-
-  void set_op_observer(std::function<void(const MdsOpRecord&)> observer) {
-    observer_ = std::move(observer);
-  }
 
   /// Attach the fault timeline (owned by the PFS facade; must outlive the
   /// MDS's use). Requests during a down interval fail with kUnavailable;
@@ -194,13 +180,15 @@ class MetadataServer {
   void granted(sim::Handle h);
   /// Service time elapsed: complete, or defer past a crash.
   void serviced(sim::Handle h);
-  /// Terminal non-served response (door bounce / shed): account, observe,
+  /// Terminal non-served response (door bounce / shed): account, emit,
   /// and deliver `status` on the next delta.
   void respond_error(sim::Handle h, MetaStatus status);
   /// Apply + account + release the service thread + deliver the result.
   void complete(sim::Handle h);
   /// A crash hit mid-service: the op fails at recovery, unapplied.
   void lost(sim::Handle h);
+  /// Emit the span of request `req`, answered now with `status`.
+  void emit_span(const Request& req, MetaStatus status) const;
   /// Release request `h`, then deliver `result` to its issuer.
   void reply(sim::Handle h, MetaResult result);
 
@@ -213,7 +201,6 @@ class MetadataServer {
   sim::RecordPool<Request> requests_;
   MdsStats stats_;
   const fault::Timeline* timeline_ = nullptr;
-  std::function<void(const MdsOpRecord&)> observer_;
   std::uint64_t journal_entries_ = 0;
   // Takeover time per down-interval start. Lazily filled: the journal
   // cannot grow between the crash and the first query inside the interval

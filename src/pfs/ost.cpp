@@ -49,10 +49,9 @@ SimTime OstServer::reject_retry_after() const {
 }
 
 void OstServer::finish(sim::Handle h, OstCompletion completion) {
-  OstOpRecord record = ops_[h].record;
-  record.completed = engine_.now();
-  record.ok = completion.ok();
-  record.outcome = completion.outcome;
+  obs::Span span = ops_[h].span;
+  span.end = engine_.now();
+  span.ok = completion.ok();
   // Invariant F1 applies to *successful* completions only: a rejection is the
   // "connection refused" notice and legitimately fires while the OST is down.
   if (completion.ok() && timeline_) {
@@ -62,7 +61,7 @@ void OstServer::finish(sim::Handle h, OstCompletion completion) {
   const std::function<void(OstCompletion)> done = std::move(ops_[h].on_done);
   ops_[h].on_done = nullptr;
   ops_.release(h);
-  if (observer_) observer_(record);
+  engine_.emit(span);
   if (done) done(completion);
 }
 
@@ -71,14 +70,10 @@ void OstServer::submit(std::uint64_t object_offset, Bytes size, bool is_write,
   const SimTime now = engine_.now();
   ++stats_.submitted_ops;
   const sim::Handle h = ops_.acquire();
-  OstOpRecord& record = ops_[h].record;
-  record = OstOpRecord{};
-  record.ost = index_;
-  record.enqueued = now;
-  record.offset = object_offset;
-  record.size = size;
-  record.is_write = is_write;
-  record.queue_depth_at_enqueue = queue_.queue_depth();
+  const auto kind = is_write ? obs::DataKind::kWrite : obs::DataKind::kRead;
+  ops_[h].span = {.layer = obs::Layer::kOst, .kind = static_cast<std::uint8_t>(kind),
+                  .component = index_, .start = now, .bytes = size,
+                  .queue_depth = queue_.queue_depth()};
   ops_[h].on_done = std::move(on_done);
 
   // A request that arrives while the OST is down bounces at the door: no

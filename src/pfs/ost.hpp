@@ -1,8 +1,9 @@
 // PIOEval storage substrate: object storage target (OST) server.
 //
-// An OST is a FIFO service queue in front of one device model. Per-op
-// completion records feed the server-side monitoring path of §IV.A.2
-// ("server-side statistics ... load on the servers and storage devices").
+// An OST is a FIFO service queue in front of one device model. Each op's
+// completion is an obs::Span on the engine's sink, the server-side
+// monitoring path of §IV.A.2 ("server-side statistics ... load on the
+// servers and storage devices").
 // With a fault timeline attached, the OST honors down intervals (requests
 // arriving while down are rejected; in-service ops interrupted by a crash
 // fail at recovery) and straggler slowdown multipliers on service times.
@@ -15,6 +16,7 @@
 
 #include "common/types.hpp"
 #include "fault/fault.hpp"
+#include "obs/span.hpp"
 #include "pfs/disk.hpp"
 #include "pfs/resilience.hpp"
 #include "sim/engine.hpp"
@@ -49,19 +51,6 @@ struct OstCompletion {
   }
 };
 
-/// Completion record for one OST operation (server-side monitoring unit).
-struct OstOpRecord {
-  std::uint32_t ost = 0;
-  SimTime enqueued = SimTime::zero();
-  SimTime completed = SimTime::zero();
-  std::uint64_t offset = 0;
-  Bytes size = Bytes::zero();
-  bool is_write = false;
-  std::uint64_t queue_depth_at_enqueue = 0;
-  bool ok = true;  ///< false: rejected, shed, or interrupted by a crash
-  OstOutcome outcome = OstOutcome::kOk;
-};
-
 /// Aggregate OST counters.
 struct OstStats {
   std::uint64_t read_ops = 0;
@@ -80,7 +69,7 @@ struct OstStats {
 
 class OstServer {
  public:
-  /// `index` is the OST's position in the pool (used in records).
+  /// `index` is the OST's position in the pool (a span's component).
   OstServer(sim::Engine& engine, std::uint32_t index, std::unique_ptr<DiskModel> disk);
 
   OstServer(const OstServer&) = delete;
@@ -99,11 +88,6 @@ class OstServer {
   /// OST's use). Null detaches — fair-weather behaviour.
   void set_fault_timeline(const fault::Timeline* timeline) { timeline_ = timeline; }
 
-  /// Subscribe to per-op completion records (server-side monitor hook).
-  void set_op_observer(std::function<void(const OstOpRecord&)> observer) {
-    observer_ = std::move(observer);
-  }
-
   [[nodiscard]] const OstStats& stats() const { return stats_; }
   [[nodiscard]] const sim::ServerStats& queue_stats() const { return queue_.stats(); }
   [[nodiscard]] std::uint64_t queue_depth() const { return queue_.queue_depth(); }
@@ -118,14 +102,14 @@ class OstServer {
  private:
   /// One submitted op, from submit() to its completion.
   struct Op {
-    OstOpRecord record;
+    obs::Span span;  ///< start, bytes, kind and queue depth set at submit
     SimTime retry_after = SimTime::zero();  ///< door-rejection hint
     std::function<void(OstCompletion)> on_done;
   };
 
   /// Queue exit: serve op `h`, or deliver its shed.
   void serve(sim::Handle h, bool shed);
-  /// Stamp, audit and observe op `h`, release it, then deliver `completion`.
+  /// Stamp, audit and emit op `h`'s span, release it, then deliver `completion`.
   void finish(sim::Handle h, OstCompletion completion);
   /// Retry-after hint for a door rejection: roughly the time for the queue
   /// to drain back under the bound, floored by the configured minimum.
@@ -139,7 +123,6 @@ class OstServer {
   OstStats stats_;
   AdmissionConfig admission_{};
   const fault::Timeline* timeline_ = nullptr;
-  std::function<void(const OstOpRecord&)> observer_;
 };
 
 }  // namespace pio::pfs

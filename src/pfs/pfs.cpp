@@ -375,7 +375,7 @@ OstIndex PfsModel::route_chunk(OstIndex home, SimTime now) {
     const OstIndex candidate = (home + k) % config_.osts;
     if (!timeline_.down({fault::ComponentKind::kOst, candidate}, now)) {
       ++res_stats_.failovers;
-      emit_resilience(ResilienceEventKind::kFailover, 0, IoError::kOstDown);
+      emit_resilience(ResilienceEventKind::kFailover);
       return candidate;
     }
   }
@@ -435,7 +435,7 @@ void PfsModel::monitor_heard(OstIndex ost) {
   if (map_.state(ost) == OstState::kDown) {
     ++res_stats_.up_detections;
     map_.set_state(ost, OstState::kUp);
-    emit_resilience(ResilienceEventKind::kDetectedUp, 0, IoError::kNone, ost);
+    emit_resilience(ResilienceEventKind::kDetectedUp, ost);
     publish_epoch();
   }
 }
@@ -446,7 +446,7 @@ void PfsModel::heartbeat_deadline(OstIndex ost) {
   if (state != OstState::kUp && state != OstState::kDraining) return;
   ++res_stats_.down_detections;
   map_.set_state(ost, OstState::kDown);
-  emit_resilience(ResilienceEventKind::kDetectedDown, 0, IoError::kOstDown, ost);
+  emit_resilience(ResilienceEventKind::kDetectedDown, ost);
   publish_epoch();
 }
 
@@ -631,8 +631,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
       if (serve != kNoOst) {
         if (tracked && serve != targets.front()) {
           ++res_stats_.degraded_reads;
-          emit_resilience(ResilienceEventKind::kDegradedRead, 0, IoError::kNone, serve,
-                          chunk.length);
+          emit_resilience(ResilienceEventKind::kDegradedRead, serve, chunk.length);
         }
         plan_.push_back(Shipment{serve, flo, chunk.length, flo, fhi});
       } else if (first_serving != kNoOst) {
@@ -690,8 +689,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
     if (serve != kNone) {
       if (serve_r != 0) {
         ++res_stats_.degraded_reads;
-        emit_resilience(ResilienceEventKind::kDegradedRead, 0, IoError::kNone, serve,
-                        chunk.length);
+        emit_resilience(ResilienceEventKind::kDegradedRead, serve, chunk.length);
       }
       plan_.push_back(Shipment{serve, chunk.object_offset, chunk.length, flo, fhi});
     } else if (first_up != kNone) {
@@ -754,7 +752,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
       }
       if (gate.probe) {
         ++res_stats_.breaker_probes;
-        emit_resilience(ResilienceEventKind::kBreakerProbe, 0, IoError::kNone, planned.target);
+        emit_resilience(ResilienceEventKind::kBreakerProbe, planned.target);
       }
     }
     // A write ships its data to the OST and a small ack (or error) returns;
@@ -821,11 +819,10 @@ void PfsModel::fanout_deliver(sim::Handle f) {
   if (done) done(ok, error, retry_after);
 }
 
-void PfsModel::emit_resilience(ResilienceEventKind kind, std::uint32_t attempt, IoError error,
-                               std::uint32_t ost, Bytes bytes) {
-  if (res_observer_) {
-    res_observer_(ResilienceRecord{kind, engine_.now(), attempt, error, ost, bytes});
-  }
+void PfsModel::emit_resilience(ResilienceEventKind kind, std::uint32_t ost, Bytes bytes) {
+  const SimTime now = engine_.now();
+  engine_.emit({.layer = obs::Layer::kClient, .kind = static_cast<std::uint8_t>(kind),
+                .component = ost, .start = now, .end = now, .bytes = bytes});
 }
 
 void PfsModel::breaker_note(OstIndex ost, bool ok) {
@@ -834,13 +831,13 @@ void PfsModel::breaker_note(OstIndex ost, bool ok) {
   if (ok) {
     if (breaker.record_success()) {
       ++res_stats_.breaker_closes;
-      emit_resilience(ResilienceEventKind::kBreakerClose, 0, IoError::kNone, ost);
+      emit_resilience(ResilienceEventKind::kBreakerClose, ost);
     }
     return;
   }
   if (breaker.record_failure(engine_.now(), breaker_rng_)) {
     ++res_stats_.breaker_opens;
-    emit_resilience(ResilienceEventKind::kBreakerOpen, 0, IoError::kNone, ost);
+    emit_resilience(ResilienceEventKind::kBreakerOpen, ost);
   }
 }
 
@@ -900,7 +897,7 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
   // nobody is waiting for — settle now whatever the per-attempt error was.
   if (deadline > SimTime::zero() && engine_.now() >= deadline) {
     ++res_stats_.deadline_giveups;
-    emit_resilience(ResilienceEventKind::kDeadlineGiveUp, attempt, error);
+    emit_resilience(ResilienceEventKind::kDeadlineGiveUp);
     settle(op, false, IoError::kDeadlineExceeded);
     return;
   }
@@ -910,13 +907,13 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
     // the monitor) and retry immediately once the new epoch lands.
     if (attempt < retry.max_attempts) {
       ++res_stats_.stale_map_retries;
-      emit_resilience(ResilienceEventKind::kStaleMapRetry, attempt, error);
+      emit_resilience(ResilienceEventKind::kStaleMapRetry);
       refresh_map(op);
       return;
     }
     if (retry.retries_enabled()) {
       ++res_stats_.giveups;
-      emit_resilience(ResilienceEventKind::kGiveUp, attempt, error);
+      emit_resilience(ResilienceEventKind::kGiveUp);
     }
     settle(op, false, error);
     return;
@@ -929,7 +926,7 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
     // A retry that cannot even start before the deadline gives up now.
     if (deadline > SimTime::zero() && engine_.now() + delay >= deadline) {
       ++res_stats_.deadline_giveups;
-      emit_resilience(ResilienceEventKind::kDeadlineGiveUp, attempt, error);
+      emit_resilience(ResilienceEventKind::kDeadlineGiveUp);
       settle(op, false, IoError::kDeadlineExceeded);
       return;
     }
@@ -938,20 +935,20 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
     if (retry.retry_budget) {
       if (!budget_.try_spend()) {
         ++res_stats_.budget_denied;
-        emit_resilience(ResilienceEventKind::kBudgetExhausted, attempt, error);
+        emit_resilience(ResilienceEventKind::kBudgetExhausted);
         settle(op, false, error);
         return;
       }
       ++res_stats_.budget_spent;
     }
     ++res_stats_.retries;
-    emit_resilience(ResilienceEventKind::kRetry, attempt, error);
+    emit_resilience(ResilienceEventKind::kRetry);
     engine_.schedule_after(delay, [this, op] { start_attempt(op); });
     return;
   }
   if (retry.retries_enabled()) {
     ++res_stats_.giveups;
-    emit_resilience(ResilienceEventKind::kGiveUp, attempt, error);
+    emit_resilience(ResilienceEventKind::kGiveUp);
   }
   settle(op, false, error);
 }
@@ -962,8 +959,7 @@ void PfsModel::start_attempt(sim::Handle op) {
   // path's check (stale-map refresh round trips take real time).
   if (o.deadline > SimTime::zero() && o.attempt > 0 && engine_.now() >= o.deadline) {
     ++res_stats_.deadline_giveups;
-    emit_resilience(ResilienceEventKind::kDeadlineGiveUp, o.attempt,
-                    IoError::kDeadlineExceeded);
+    emit_resilience(ResilienceEventKind::kDeadlineGiveUp);
     settle(op, false, IoError::kDeadlineExceeded);
     return;
   }
@@ -1004,14 +1000,14 @@ void PfsModel::attempt_timeout(sim::Handle a) {
   ++res_stats_.timeouts;
   ++abandoned_in_flight_;
   const sim::Handle op = at.op;
-  emit_resilience(ResilienceEventKind::kTimeout, ops_[op].attempt, IoError::kTimeout);
+  emit_resilience(ResilienceEventKind::kTimeout);
   attempt_finished(op, false, IoError::kTimeout);
 }
 
 void PfsModel::attempt_at_ion(sim::Handle a) {
   const IoOp& o = ops_[attempts_[a].op];
   const std::uint32_t ion = ion_of(o.client);
-  // Copies: the backend's resilience observer may start other ops.
+  // Copies: a span sink may start other ops.
   const StripeLayout layout = o.layout;
   const bool is_write = o.is_write;
   const std::uint64_t file_token = o.file_token;
@@ -1176,7 +1172,7 @@ void PfsModel::start_rebuild(OstIndex ost, bool migration) {
   rb.active = true;
   rb.started = engine_.now();
   ++res_stats_.rebuilds_started;
-  emit_resilience(ResilienceEventKind::kRebuildStart, 0, IoError::kNone, ost, rb.total);
+  emit_resilience(ResilienceEventKind::kRebuildStart, ost, rb.total);
   run_rebuild_piece(ost);
 }
 
@@ -1291,7 +1287,7 @@ void PfsModel::finish_rebuild(OstIndex ost) {
   RebuildState& rb = *rebuild_.at(ost);
   rb.active = false;
   ++res_stats_.rebuilds_completed;
-  emit_resilience(ResilienceEventKind::kRebuildDone, 0, IoError::kNone, ost, rb.done);
+  emit_resilience(ResilienceEventKind::kRebuildDone, ost, rb.done);
 }
 
 PfsModel::DurabilityReport PfsModel::durability_report() const {
@@ -1410,17 +1406,6 @@ bool PfsModel::buffers_quiescent() const {
     if (!buffer->quiescent()) return false;
   }
   return true;
-}
-
-void PfsModel::set_ost_observer(std::function<void(const OstOpRecord&)> observer) {
-  // Each OST shares the same observer; the record carries the OST index.
-  for (auto& ost : osts_) {
-    ost->set_op_observer(observer);
-  }
-}
-
-void PfsModel::set_mds_observer(std::function<void(const MdsOpRecord&)> observer) {
-  mds_->set_op_observer(std::move(observer));
 }
 
 }  // namespace pio::pfs

@@ -240,14 +240,6 @@ class PfsModel {
   };
   [[nodiscard]] ServerOverloadTotals server_overload_totals() const;
 
-  /// Subscribe to every OST + MDS op record (server-side monitoring).
-  void set_ost_observer(std::function<void(const OstOpRecord&)> observer);
-  void set_mds_observer(std::function<void(const MdsOpRecord&)> observer);
-  /// Subscribe to client-side resilience events (retries/timeouts/...).
-  void set_resilience_observer(std::function<void(const ResilienceRecord&)> observer) {
-    res_observer_ = std::move(observer);
-  }
-
  private:
   // Endpoint numbering. Compute fabric: [0, clients) are clients,
   // [clients, clients+io_nodes) are I/O nodes. Storage fabric: [0, io_nodes)
@@ -322,8 +314,10 @@ class PfsModel {
   void fanout_deliver(sim::Handle f);
   /// Meta-call stages after the MDS replied.
   void meta_replied(sim::Handle m, MetaResult result);
-  void emit_resilience(ResilienceEventKind kind, std::uint32_t attempt, IoError error,
-                       std::uint32_t ost = 0, Bytes bytes = Bytes::zero());
+  /// Emit a client-layer span: `ost` and `bytes` for degraded-read,
+  /// detection, breaker and rebuild events.
+  void emit_resilience(ResilienceEventKind kind, std::uint32_t ost = 0,
+                       Bytes bytes = Bytes::zero());
   /// Feed one shipment outcome to `ost`'s circuit breaker (no-op unless
   /// RetryPolicy::breaker); counts and emits open/close transitions.
   void breaker_note(OstIndex ost, bool ok);
@@ -391,7 +385,6 @@ class PfsModel {
   RetryBudget budget_;
   std::vector<CircuitBreaker> breakers_;  ///< per-OST; empty unless retry.breaker
   ResilienceStats res_stats_;
-  std::function<void(const ResilienceRecord&)> res_observer_;
   /// Ops abandoned by a timeout whose in-flight events have not yet drained.
   std::uint64_t abandoned_in_flight_ = 0;
   sim::RecordPool<IoOp> ops_;

@@ -235,8 +235,8 @@ class CircuitBreaker {
 /// waits ~base_backoff). Always returns a non-negative time.
 [[nodiscard]] SimTime backoff_delay(const RetryPolicy& policy, std::uint32_t attempt, Rng& rng);
 
-/// Client-side resilience / durability event (observer unit, like
-/// OstOpRecord). kDegradedRead and the rebuild pair distinguish *masked*
+/// Client-side resilience / durability event: the kind of a client-layer
+/// obs::Span. kDegradedRead and the rebuild pair distinguish *masked*
 /// failures (a replica absorbed the fault) from real ones.
 enum class ResilienceEventKind : std::uint8_t {
   kRetry,
@@ -257,15 +257,6 @@ enum class ResilienceEventKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ResilienceEventKind kind);
-
-struct ResilienceRecord {
-  ResilienceEventKind kind = ResilienceEventKind::kRetry;
-  SimTime at = SimTime::zero();
-  std::uint32_t attempt = 0;  ///< attempt that triggered the event (0 = n/a)
-  IoError error = IoError::kNone;
-  std::uint32_t ost = 0;        ///< serving/rebuilding OST (degraded/rebuild events)
-  Bytes bytes = Bytes::zero();  ///< bytes involved (degraded/rebuild events)
-};
 
 /// Aggregate client-side resilience + durability counters for one PfsModel.
 struct ResilienceStats {

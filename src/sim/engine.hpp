@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
@@ -35,6 +36,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "obs/span.hpp"
 #include "sim/check.hpp"
 #include "sim/task.hpp"
 
@@ -143,6 +145,12 @@ class Engine {
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
+  /// The run's one span sink: every OST, MDS, client and cache span of the
+  /// models on this engine goes here (DESIGN.md §6). Empty detaches.
+  void set_span_sink(std::function<void(const obs::Span&)> sink) { span_sink_ = std::move(sink); }
+  /// Deliver `span` to the sink; does nothing when none is set.
+  void emit(const obs::Span& span) const { if (span_sink_) span_sink_(span); }
+
  private:
   static constexpr std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>(id & 0xffffffffULL);
@@ -224,6 +232,7 @@ class Engine {
   std::vector<std::unique_ptr<detail::Task[]>> task_chunks_;  // slot -> callable
   std::vector<std::uint32_t> gens_;    // per-slot generation; ids embed theirs
   std::vector<std::uint32_t> free_slots_;
+  std::function<void(const obs::Span&)> span_sink_;
 };
 
 }  // namespace pio::sim

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "cache/cache.hpp"
+#include "pfs/resilience.hpp"
+
 namespace pio::trace {
 
 ServerStatsCollector::ServerStatsCollector(SimTime window) : window_(window) {
@@ -11,47 +14,46 @@ ServerStatsCollector::ServerStatsCollector(SimTime window) : window_(window) {
   }
 }
 
-void ServerStatsCollector::attach(pfs::PfsModel& model) {
-  model.set_ost_observer([this](const pfs::OstOpRecord& r) { on_ost_record(r); });
-  model.set_mds_observer([this](const pfs::MdsOpRecord& r) { on_mds_record(r); });
-  model.set_resilience_observer(
-      [this](const pfs::ResilienceRecord& r) { on_resilience_record(r); });
+void ServerStatsCollector::attach(sim::Engine& engine) {
+  engine.set_span_sink([this](const obs::Span& span) { on_span(span); });
 }
 
-void ServerStatsCollector::on_ost_record(const pfs::OstOpRecord& record) {
-  auto& sample = ost_series_[record.ost][window_of(record.completed)];
-  sample.window = window_of(record.completed);
-  if (record.is_write) {
-    ++sample.write_ops;
-  } else {
-    ++sample.read_ops;
-  }
-  if (record.ok) {
-    // Only ops the device actually served move bytes.
-    if (record.is_write) {
-      sample.bytes_written += record.size;
-    } else {
-      sample.bytes_read += record.size;
+void ServerStatsCollector::on_span(const obs::Span& span) {
+  const std::uint64_t window = window_of(span.end);
+  switch (span.layer) {
+    case obs::Layer::kOst: {
+      auto& sample = ost_series_[span.component][window];
+      sample.window = window;
+      const bool is_write = static_cast<obs::DataKind>(span.kind) == obs::DataKind::kWrite;
+      ++(is_write ? sample.write_ops : sample.read_ops);
+      // Only ops the device actually served move bytes.
+      if (span.ok) {
+        (is_write ? sample.bytes_written : sample.bytes_read) += span.bytes;
+      } else {
+        ++sample.failed_ops;
+      }
+      sample.total_latency += span.end - span.start;
+      sample.max_queue_depth = std::max(sample.max_queue_depth, span.queue_depth);
+      break;
     }
-  } else {
-    ++sample.failed_ops;
+    case obs::Layer::kMds: {
+      auto& sample = mds_series_[window];
+      sample.window = window;
+      ++sample.meta_ops;
+      if (!span.ok) ++sample.failed_ops;
+      sample.total_latency += span.end - span.start;
+      break;
+    }
+    case obs::Layer::kClient: on_client_span(span, window); break;
+    case obs::Layer::kCache: on_cache_span(span, window); break;
   }
-  sample.total_latency += record.completed - record.enqueued;
-  sample.max_queue_depth = std::max(sample.max_queue_depth, record.queue_depth_at_enqueue);
 }
 
-void ServerStatsCollector::on_mds_record(const pfs::MdsOpRecord& record) {
-  auto& sample = mds_series_[window_of(record.completed)];
-  sample.window = window_of(record.completed);
-  ++sample.meta_ops;
-  if (record.status != pfs::MetaStatus::kOk) ++sample.failed_ops;
-  sample.total_latency += record.completed - record.enqueued;
-}
-
-void ServerStatsCollector::on_resilience_record(const pfs::ResilienceRecord& record) {
-  auto& sample = resilience_series_[window_of(record.at)];
-  sample.window = window_of(record.at);
-  switch (record.kind) {
+void ServerStatsCollector::on_client_span(const obs::Span& span, std::uint64_t window) {
+  auto& sample = resilience_series_[window];
+  sample.window = window;
+  const auto kind = static_cast<pfs::ResilienceEventKind>(span.kind);
+  switch (kind) {
     case pfs::ResilienceEventKind::kRetry: ++sample.retries; break;
     case pfs::ResilienceEventKind::kTimeout: ++sample.timeouts; break;
     case pfs::ResilienceEventKind::kGiveUp: ++sample.giveups; break;
@@ -67,36 +69,36 @@ void ServerStatsCollector::on_resilience_record(const pfs::ResilienceRecord& rec
     case pfs::ResilienceEventKind::kDeadlineGiveUp: ++sample.deadline_giveups; break;
     case pfs::ResilienceEventKind::kRebuildStart:
     case pfs::ResilienceEventKind::kRebuildDone: {
-      auto& rebuild = rebuild_series_[record.ost][sample.window];
-      rebuild.window = sample.window;
-      if (record.kind == pfs::ResilienceEventKind::kRebuildStart) {
+      auto& rebuild = rebuild_series_[span.component][window];
+      rebuild.window = window;
+      if (kind == pfs::ResilienceEventKind::kRebuildStart) {
         ++rebuild.started;
       } else {
         ++rebuild.completed;
-        rebuild.rebuilt += record.bytes;
+        rebuild.rebuilt += span.bytes;
       }
       break;
     }
   }
 }
 
-void ServerStatsCollector::on_cache_record(const cache::CacheRecord& record) {
-  auto& sample = cache_series_[window_of(record.at)];
-  sample.window = window_of(record.at);
-  switch (record.kind) {
+void ServerStatsCollector::on_cache_span(const obs::Span& span, std::uint64_t window) {
+  auto& sample = cache_series_[window];
+  sample.window = window;
+  switch (static_cast<cache::CacheEventKind>(span.kind)) {
     case cache::CacheEventKind::kHit:
       ++sample.hit_events;
-      sample.hit_bytes += record.bytes;
+      sample.hit_bytes += span.bytes;
       break;
     case cache::CacheEventKind::kMiss:
       ++sample.miss_events;
-      sample.miss_bytes += record.bytes;
+      sample.miss_bytes += span.bytes;
       break;
     case cache::CacheEventKind::kEviction: ++sample.evictions; break;
     case cache::CacheEventKind::kPrefetchIssue: ++sample.prefetch_issues; break;
     case cache::CacheEventKind::kWriteback:
       ++sample.writebacks;
-      sample.writeback_bytes += record.bytes;
+      sample.writeback_bytes += span.bytes;
       break;
     case cache::CacheEventKind::kAbsorbedWrite: ++sample.absorbed_writes; break;
   }

@@ -9,7 +9,9 @@
 // Engine::run executes, and bounds the allocations per engine event on two
 // shapes: the 64-rank N-to-1 checkpoint (write then read one shared file)
 // and a 64-rank x 16-file mdtest with 4 KiB writes. What remains is pool
-// growth to peak and the workload streams' own op strings.
+// growth to peak and the workload streams' own op strings. A third case
+// bounds what an attached trace::ServerStatsCollector adds on the mdtest
+// shape: its window maps, not a per-op record.
 //
 // Its own executable: the replaced operator new applies to the whole
 // program. Labelled `alloc`.
@@ -23,6 +25,7 @@
 #include "driver/sim_driver.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/engine.hpp"
+#include "trace/server_stats.hpp"
 #include "workload/kernels.hpp"
 
 namespace {
@@ -52,6 +55,8 @@ namespace {
 
 /// Upper bound on heap allocations per engine event.
 constexpr double kMaxAllocationsPerEvent = 0.2;
+/// Upper bound on the allocations per event an attached collector adds.
+constexpr double kMaxObserverAllocationsPerEvent = 0.01;
 
 struct Counted {
   std::uint64_t allocations = 0;
@@ -62,8 +67,10 @@ struct Counted {
 };
 
 /// Run `workload` on the 16-client / 4-I/O-node / 8-OST HDD reference
-/// testbed, counting allocations only inside Engine::run.
-Counted count_run(const workload::Workload& workload, std::uint64_t seed) {
+/// testbed, counting allocations only inside Engine::run. A non-null
+/// `collector` observes the run.
+Counted count_run(const workload::Workload& workload, std::uint64_t seed,
+                  trace::ServerStatsCollector* collector = nullptr) {
   pfs::PfsConfig config;
   config.clients = 16;
   config.io_nodes = 4;
@@ -72,6 +79,7 @@ Counted count_run(const workload::Workload& workload, std::uint64_t seed) {
   sim::Engine engine{seed};
   pfs::PfsModel model{engine, config};
   driver::ExecutionDrivenSimulator sim{engine, model};
+  if (collector != nullptr) collector->attach(engine);
   sim.begin(workload);
 
   g_allocations = 0;
@@ -104,18 +112,39 @@ TEST(AllocPerEvent, CheckpointN1Shape) {
       << c.allocations << " allocations for " << c.events << " events";
 }
 
-TEST(AllocPerEvent, MdtestShape) {
+std::unique_ptr<workload::Workload> mdtest_shape() {
   workload::MdtestConfig md;
   md.ranks = 64;
   md.files_per_rank = 16;
   md.write_per_file = Bytes::from_kib(4);
   md.directory = "/mdtest-alloc";
-  const auto workload = workload::mdtest_like(md);
+  return workload::mdtest_like(md);
+}
+
+TEST(AllocPerEvent, MdtestShape) {
+  const auto workload = mdtest_shape();
   const Counted c = count_run(*workload, 2);
   RecordProperty("allocations", std::to_string(c.allocations));
   RecordProperty("events", std::to_string(c.events));
   EXPECT_LT(c.per_event(), kMaxAllocationsPerEvent)
       << c.allocations << " allocations for " << c.events << " events";
+}
+
+// Observing a run costs the collector's window maps, not an allocation per
+// op: attached minus detached allocations, per event of the (unchanged) run.
+TEST(AllocPerEvent, AttachedCollectorAddsNoPerOpAllocation) {
+  const auto workload = mdtest_shape();
+  const Counted detached = count_run(*workload, 2);
+  trace::ServerStatsCollector collector;
+  const Counted attached = count_run(*workload, 2, &collector);
+  ASSERT_EQ(attached.events, detached.events);
+  EXPECT_FALSE(collector.mds_series().empty());
+  const auto added = static_cast<std::int64_t>(attached.allocations - detached.allocations);
+  RecordProperty("added_allocations", std::to_string(added));
+  EXPECT_LT(static_cast<double>(added) / static_cast<double>(attached.events),
+            kMaxObserverAllocationsPerEvent)
+      << attached.allocations << " attached vs " << detached.allocations
+      << " detached allocations for " << attached.events << " events";
 }
 
 // The counter itself: an allocation inside the window is seen, one outside

@@ -33,7 +33,7 @@ driver::SimRunResult simulate(const workload::Workload& w, trace::Sink* sink,
                               std::uint64_t seed = 1) {
   sim::Engine engine{seed};
   pfs::PfsModel model{engine, small_pfs()};
-  if (server_stats != nullptr) server_stats->attach(model);
+  if (server_stats != nullptr) server_stats->attach(engine);
   driver::ExecutionDrivenSimulator sim{engine, model};
   return sim.run(w, sink);
 }

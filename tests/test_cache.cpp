@@ -520,13 +520,13 @@ struct TierRun {
 
 TierRun run_dlio(const CacheConfig& cache_config, std::uint64_t seed, std::int32_t epochs,
                  trace::Sink* sink = nullptr,
-                 std::function<void(const cache::CacheRecord&)> observer = {}) {
+                 trace::ServerStatsCollector* collector = nullptr) {
   sim::Engine engine{seed};
   pfs::PfsModel model{engine, small_pfs()};
   driver::SimRunConfig run_config;
   run_config.cache = cache_config;
   driver::ExecutionDrivenSimulator sim{engine, model, run_config};
-  if (observer) sim.set_cache_observer(std::move(observer));
+  if (collector != nullptr) collector->attach(engine);
   TierRun out;
   out.result = sim.run(*workload::dlio_like(small_dlio(epochs)), sink);
   if (sim.cache_tier() != nullptr) {
@@ -644,8 +644,7 @@ TEST(ClientCacheTierTest, WritebackRetriesThroughOstOutagePreserveC1) {
 
 TEST(ClientCacheTierTest, ObserverFeedsServerStatsCacheSeries) {
   trace::ServerStatsCollector collector{ms(10)};
-  const auto run = run_dlio(shared_cache(), 17, 2, nullptr,
-                            [&](const cache::CacheRecord& r) { collector.on_cache_record(r); });
+  const auto run = run_dlio(shared_cache(), 17, 2, nullptr, &collector);
   std::uint64_t hit_events = 0;
   std::uint64_t absorbed = 0;
   Bytes hit_bytes = Bytes::zero();

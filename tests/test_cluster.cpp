@@ -259,25 +259,27 @@ TEST(ClusterHeartbeat, DetectsCrashWithinGraceBoundAndRecovery) {
   config.faults.ost_down(1, ms(100.0), ms(300.0));
   sim::Engine engine{7};
   pfs::PfsModel model{engine, config};
-  std::vector<pfs::ResilienceRecord> downs, ups;
-  model.set_resilience_observer([&](const pfs::ResilienceRecord& r) {
-    if (r.kind == pfs::ResilienceEventKind::kDetectedDown) downs.push_back(r);
-    if (r.kind == pfs::ResilienceEventKind::kDetectedUp) ups.push_back(r);
+  std::vector<obs::Span> downs, ups;
+  engine.set_span_sink([&](const obs::Span& s) {
+    if (s.layer != obs::Layer::kClient) return;
+    const auto kind = static_cast<pfs::ResilienceEventKind>(s.kind);
+    if (kind == pfs::ResilienceEventKind::kDetectedDown) downs.push_back(s);
+    if (kind == pfs::ResilienceEventKind::kDetectedUp) ups.push_back(s);
   });
   engine.run();
   engine.assert_drained();
 
   ASSERT_EQ(downs.size(), 1u);
-  EXPECT_EQ(downs[0].ost, 1u);
+  EXPECT_EQ(downs[0].component, 1u);
   // Non-omniscient: detection trails the true crash by up to the grace
   // period plus one jittered interval (plus header delivery).
-  EXPECT_GT(downs[0].at, ms(100.0));
-  EXPECT_LT(downs[0].at, ms(122.0));
+  EXPECT_GT(downs[0].end, ms(100.0));
+  EXPECT_LT(downs[0].end, ms(122.0));
   ASSERT_EQ(ups.size(), 1u);
-  EXPECT_EQ(ups[0].ost, 1u);
+  EXPECT_EQ(ups[0].component, 1u);
   // Recovery is noticed on the next delivered beat, not at the true instant.
-  EXPECT_GT(ups[0].at, ms(300.0));
-  EXPECT_LT(ups[0].at, ms(307.0));
+  EXPECT_GT(ups[0].end, ms(300.0));
+  EXPECT_LT(ups[0].end, ms(307.0));
 
   EXPECT_EQ(model.resilience_stats().down_detections, 1u);
   EXPECT_EQ(model.resilience_stats().up_detections, 1u);
@@ -300,8 +302,11 @@ TEST(ClusterHeartbeat, DetectionLatencyTracksGracePeriod) {
     sim::Engine engine{7};
     pfs::PfsModel model{engine, config};
     std::vector<SimTime> downs;
-    model.set_resilience_observer([&](const pfs::ResilienceRecord& r) {
-      if (r.kind == pfs::ResilienceEventKind::kDetectedDown) downs.push_back(r.at);
+    engine.set_span_sink([&](const obs::Span& s) {
+      if (s.layer == obs::Layer::kClient &&
+          s.kind == static_cast<std::uint8_t>(pfs::ResilienceEventKind::kDetectedDown)) {
+        downs.push_back(s.end);
+      }
     });
     engine.run();
     engine.assert_drained();

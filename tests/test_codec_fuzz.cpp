@@ -1,7 +1,8 @@
 // Mutation fuzzer for the untrusted-input decoders (label `fuzz`):
 // Trace::try_read_binary and every svc payload decoder, each against the
 // decoder it replaced (codec_oracle.hpp); and, against their contracts, the
-// svc frame scanner next_frame and the size-string parser parse_bytes.
+// svc frame scanner next_frame, the size-string parser parse_bytes and the
+// workload DSL parser parse_dsl.
 //
 // Each target starts from a corpus the library itself encodes and applies
 // kMutationsPerTarget seeded mutations: bit flips, truncations, splices of
@@ -32,6 +33,7 @@
 #include "eval/campaign.hpp"
 #include "svc/messages.hpp"
 #include "trace/tracer.hpp"
+#include "workload/dsl.hpp"
 
 using namespace pio;
 
@@ -488,6 +490,67 @@ TEST(CodecFuzz, ParseBytesThrowsOnlyInvalidArgument) {
       (void)parse_bytes(text);
       ++tally.accepted;
     } catch (const std::invalid_argument&) {
+      ++tally.rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw \"" << e.what() << "\" on " << hex_prefix(input);
+    }
+  }
+  expect_both_sides(tally);
+}
+
+// ------------------------------------------------------------ workload DSL
+
+// parse_dsl returns a workload or throws workload::DslError, nothing else.
+// The corpus is the programs test_workload and test_replay parse, valid and
+// rejected, plus the overflow regression seeds.
+TEST(CodecFuzz, ParseDslThrowsOnlyDslError) {
+  std::vector<Seed> corpus;
+  for (const std::string_view text : {
+           R"(name "demo"
+ranks 3
+mkdir "/out"
+barrier
+create "/out/f.{rank}"
+loop i 2 {
+  write "/out/f.{rank}" at i * 1MiB size 64KiB
+  compute 5ms
+}
+close "/out/f.{rank}")",
+           "ranks 4\nwrite \"/f\" at (rank * 2 + 1) * 1KiB size 2KiB + 512",
+           "ranks 2\nwrite \"/f\" at 0",
+           "ranks 0",
+           "write \"/f\" at 0 size 1",
+           "ranks 1\nbogus",
+           "ranks 1\nread \"/f\" at rank size oops2",
+           "ranks 1\nloop i 2 { loop i 2 { barrier } }",
+           "ranks 1\ncompute 5parsecs",
+           "ranks 1\nwrite \"/f\" at 1/0 size 4",
+           R"(name "fpp"
+ranks 4
+create "/out/f.{rank}"
+loop i 8 {
+  write "/out/f.{rank}" at i * 1MiB size 1MiB
+}
+close "/out/f.{rank}")",
+           "name \"shared\"\nranks 4\nopen \"/shared\"\n"
+           "write \"/shared\" at rank * 4MiB size 4MiB\nclose \"/shared\"",
+           "name \"quadratic\"\nranks 4\nwrite \"/f\" at rank * rank * 1KiB size 1KiB",
+           "ranks 99999999999999999999",
+           "ranks 9999999999GiB",
+           "ranks 1\nwrite \"/f\" at 0 size (4611686018427387904 * 4)",
+           "ranks 1\ncompute (0 - 9223372036854775807 - 1) / (0 - 1)",
+       }) {
+    corpus.push_back({Bytes8(text.begin(), text.end()), {}});
+  }
+  Rng rng{kFuzzSeed, 12};
+  Tally tally;
+  for (int i = 0; i < kMutationsPerTarget; ++i) {
+    const Bytes8 input = mutate(rng, corpus);
+    const std::string text(input.begin(), input.end());
+    try {
+      (void)workload::parse_dsl(text);
+      ++tally.accepted;
+    } catch (const workload::DslError&) {
       ++tally.rejected;
     } catch (const std::exception& e) {
       FAIL() << "mutation " << i << " threw \"" << e.what() << "\" on " << hex_prefix(input);

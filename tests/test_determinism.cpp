@@ -230,11 +230,12 @@ std::uint64_t run_durability_campaign(std::uint64_t engine_seed) {
   // so the digest is sensitive to the resync planner even when the rebuild
   // never contends with foreground traffic.
   Fnv64 h;
-  model.set_resilience_observer([&h](const pfs::ResilienceRecord& r) {
-    h.mix(static_cast<std::uint64_t>(r.kind));
-    h.mix(static_cast<std::uint64_t>(r.at.ns()));
-    h.mix(static_cast<std::uint64_t>(r.ost));
-    h.mix(r.bytes.count());
+  engine.set_span_sink([&h](const obs::Span& s) {
+    if (s.layer != obs::Layer::kClient) return;
+    h.mix(static_cast<std::uint64_t>(s.kind));
+    h.mix(static_cast<std::uint64_t>(s.end.ns()));
+    h.mix(static_cast<std::uint64_t>(s.component));
+    h.mix(s.bytes.count());
   });
   driver::SimRunConfig run_config;
   run_config.layout.replicas = 2;  // the driver's create layout wins over the MDS default
@@ -296,11 +297,12 @@ std::uint64_t run_membership_campaign(std::uint64_t engine_seed) {
   // timestamps; mixing them makes the digest sensitive to the whole
   // membership machinery, not just the foreground traffic.
   Fnv64 h;
-  model.set_resilience_observer([&h](const pfs::ResilienceRecord& r) {
-    h.mix(static_cast<std::uint64_t>(r.kind));
-    h.mix(static_cast<std::uint64_t>(r.at.ns()));
-    h.mix(static_cast<std::uint64_t>(r.ost));
-    h.mix(r.bytes.count());
+  engine.set_span_sink([&h](const obs::Span& s) {
+    if (s.layer != obs::Layer::kClient) return;
+    h.mix(static_cast<std::uint64_t>(s.kind));
+    h.mix(static_cast<std::uint64_t>(s.end.ns()));
+    h.mix(static_cast<std::uint64_t>(s.component));
+    h.mix(s.bytes.count());
   });
   driver::SimRunConfig run_config;
   run_config.layout.replicas = 2;  // the driver's create layout wins over the MDS default

@@ -333,9 +333,11 @@ TEST(RebuildTest, BandwidthCapPacesTheResync) {
     pfs::PfsModel model{engine, config};
     SimTime started = SimTime::zero();
     SimTime finished = SimTime::zero();
-    model.set_resilience_observer([&](const pfs::ResilienceRecord& r) {
-      if (r.kind == pfs::ResilienceEventKind::kRebuildStart) started = r.at;
-      if (r.kind == pfs::ResilienceEventKind::kRebuildDone) finished = r.at;
+    engine.set_span_sink([&](const obs::Span& s) {
+      if (s.layer != obs::Layer::kClient) return;
+      const auto kind = static_cast<pfs::ResilienceEventKind>(s.kind);
+      if (kind == pfs::ResilienceEventKind::kRebuildStart) started = s.end;
+      if (kind == pfs::ResilienceEventKind::kRebuildDone) finished = s.end;
     });
     pfs::IoResult wrote;
     create_at(model, SimTime::zero(), "/f");
@@ -479,7 +481,7 @@ TEST(DurabilityMonitoringTest, CollectorBinsDegradedReadsAndRebuilds) {
   config.faults.ost_down(0, SimTime::from_sec(4.0), SimTime::from_sec(6.0));
   pfs::PfsModel model{engine, config};
   trace::ServerStatsCollector collector{ms(100)};
-  collector.attach(model);
+  collector.attach(engine);
   pfs::IoResult wrote;
   pfs::IoResult read;
   create_at(model, SimTime::zero(), "/f");

@@ -221,8 +221,8 @@ TEST(OstFaultTest, RequestDuringDownIsRejected) {
   plan.ost_down(0, ms(1), ms(5));
   const Timeline timeline{plan.events};
   ost.set_fault_timeline(&timeline);
-  std::vector<pfs::OstOpRecord> records;
-  ost.set_op_observer([&](const pfs::OstOpRecord& r) { records.push_back(r); });
+  std::vector<obs::Span> spans;
+  engine.set_span_sink([&](const obs::Span& s) { spans.push_back(s); });
   bool result = true;
   engine.schedule_at(ms(2), [&] {
     ost.submit(0, 1_MiB, true, [&](pfs::OstCompletion c) { result = c.ok(); });
@@ -232,9 +232,9 @@ TEST(OstFaultTest, RequestDuringDownIsRejected) {
   EXPECT_EQ(ost.stats().rejected_ops, 1u);
   EXPECT_EQ(ost.stats().write_ops, 0u);  // never reached the device
   EXPECT_EQ(ost.stats().bytes_written, Bytes::zero());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_FALSE(records[0].ok);
-  EXPECT_EQ(records[0].completed, ms(2));  // rejected at the door
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_FALSE(spans[0].ok);
+  EXPECT_EQ(spans[0].end, ms(2));  // rejected at the door
 }
 
 TEST(OstFaultTest, InServiceOpInterruptedByCrashFailsAtRecovery) {
@@ -511,7 +511,7 @@ TEST(FaultMonitoringTest, ServerStatsSeeFailedOpsAndResilienceEvents) {
   config.retry.jitter_fraction = 0.0;
   pfs::PfsModel model{engine, config};
   trace::ServerStatsCollector collector{ms(10)};
-  collector.attach(model);
+  collector.attach(engine);
   (void)sync_meta(model, 0, pfs::MetaOp::kCreate, "/f");
   const auto wrote = sync_io(model, 0, "/f", model.mds().config().default_layout, 0, 1_MiB, true);
   EXPECT_FALSE(wrote.ok);  // no failover: both attempts hit the down OST

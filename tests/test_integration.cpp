@@ -323,7 +323,7 @@ TEST(EndToEndTest, AnalysisPipelineOnSimulatedWorkflow) {
   pfs::PfsModel model{engine, system};
   trace::Tracer tracer;
   trace::ServerStatsCollector servers{SimTime::from_ms(10.0)};
-  servers.attach(model);
+  servers.attach(engine);
   driver::ExecutionDrivenSimulator sim{engine, model};
   const auto result = sim.run(*workload::workflow_dag(wf), &tracer);
   engine.run();

@@ -153,8 +153,8 @@ TEST(SsdModelTest, FlatLatencyProfile) {
 TEST(OstServerTest, CountsAndObserver) {
   sim::Engine e;
   OstServer ost{e, 3, make_ssd(SsdConfig{})};
-  std::vector<OstOpRecord> records;
-  ost.set_op_observer([&](const OstOpRecord& r) { records.push_back(r); });
+  std::vector<obs::Span> spans;
+  e.set_span_sink([&](const obs::Span& s) { spans.push_back(s); });
   int done = 0;
   ost.submit(0, 1_MiB, true, [&](OstCompletion c) { done += c.ok() ? 1 : 0; });
   ost.submit(1 << 20, 1_MiB, false, [&](OstCompletion c) { done += c.ok() ? 1 : 0; });
@@ -163,10 +163,13 @@ TEST(OstServerTest, CountsAndObserver) {
   EXPECT_EQ(ost.stats().write_ops, 1u);
   EXPECT_EQ(ost.stats().read_ops, 1u);
   EXPECT_EQ(ost.stats().bytes_written, 1_MiB);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].ost, 3u);
-  EXPECT_TRUE(records[0].is_write);
-  EXPECT_GT(records[0].completed, records[0].enqueued);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].layer, obs::Layer::kOst);
+  EXPECT_EQ(spans[0].component, 3u);
+  EXPECT_EQ(static_cast<obs::DataKind>(spans[0].kind), obs::DataKind::kWrite);
+  EXPECT_EQ(static_cast<obs::DataKind>(spans[1].kind), obs::DataKind::kRead);
+  EXPECT_EQ(spans[0].bytes, 1_MiB);
+  EXPECT_GT(spans[0].end, spans[0].start);
 }
 
 // ---------------------------------------------------------------------- MDS

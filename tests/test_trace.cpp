@@ -425,23 +425,25 @@ TEST(BackendShimTest, EmitsPosixEventsWithPaths) {
   EXPECT_FALSE(t.events()[5].ok);
 }
 
+/// An OST span on `ost` from `start` to `end`.
+obs::Span ost_span(std::uint32_t ost, SimTime start, SimTime end, Bytes bytes, bool is_write,
+                   bool ok = true) {
+  return obs::Span{
+      .layer = obs::Layer::kOst,
+      .kind = static_cast<std::uint8_t>(is_write ? obs::DataKind::kWrite : obs::DataKind::kRead),
+      .ok = ok,
+      .component = ost,
+      .start = start,
+      .end = end,
+      .bytes = bytes,
+  };
+}
+
 TEST(ServerStatsTest, BinsIntoWindows) {
   ServerStatsCollector collector{10_ms};
-  pfs::OstOpRecord r;
-  r.ost = 0;
-  r.enqueued = 1_ms;
-  r.completed = 5_ms;  // window 0
-  r.size = 1_MiB;
-  r.is_write = true;
-  collector.on_ost_record(r);
-  r.enqueued = 12_ms;
-  r.completed = 15_ms;  // window 1
-  r.is_write = false;
-  collector.on_ost_record(r);
-  pfs::MdsOpRecord m;
-  m.enqueued = 2_ms;
-  m.completed = 3_ms;
-  collector.on_mds_record(m);
+  collector.on_span(ost_span(0, 1_ms, 5_ms, 1_MiB, true));     // window 0
+  collector.on_span(ost_span(0, 12_ms, 15_ms, 1_MiB, false));  // window 1
+  collector.on_span(obs::Span{.layer = obs::Layer::kMds, .start = 2_ms, .end = 3_ms});
 
   const auto& series = collector.ost_series().at(0);
   ASSERT_EQ(series.size(), 2u);
@@ -455,13 +457,7 @@ TEST(ServerStatsTest, BinsIntoWindows) {
 TEST(ServerStatsTest, AggregateSumsFailuresAcrossOsts) {
   ServerStatsCollector collector{10_ms};
   auto record = [&](std::uint32_t ost, bool ok) {
-    pfs::OstOpRecord r;
-    r.ost = ost;
-    r.completed = 5_ms;
-    r.size = 1_MiB;
-    r.is_write = true;
-    r.ok = ok;
-    collector.on_ost_record(r);
+    collector.on_span(ost_span(ost, SimTime::zero(), 5_ms, 1_MiB, true, ok));
   };
   // Failures on two OSTs in one window, plus successes on a third.
   record(0, false);
@@ -479,12 +475,7 @@ TEST(ServerStatsTest, AggregateSumsFailuresAcrossOsts) {
 TEST(ServerStatsTest, ImbalanceDetectsHotOst) {
   ServerStatsCollector collector{10_ms};
   auto record = [&](std::uint32_t ost, std::uint64_t mib) {
-    pfs::OstOpRecord r;
-    r.ost = ost;
-    r.completed = 5_ms;
-    r.size = Bytes::from_mib(mib);
-    r.is_write = true;
-    collector.on_ost_record(r);
+    collector.on_span(ost_span(ost, SimTime::zero(), 5_ms, Bytes::from_mib(mib), true));
   };
   record(0, 30);
   record(1, 1);
