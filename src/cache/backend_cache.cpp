@@ -71,7 +71,7 @@ Page* CacheBackend::fill_page(vfs::Fd fd, FileState& fs, std::uint64_t page_inde
   page.data = std::move(buffer);
   page.valid_bytes = got.value();
   page.prefetched = prefetched;
-  if (prefetched) ++cache_.stats_mut().prefetch_issued;
+  if (prefetched) ++cache_.stats_mut().cache_prefetch_issued;
   return &page;
 }
 
@@ -143,7 +143,7 @@ bool CacheBackend::write_back_page(const PageKey& key) {
     return false;  // stays dirty: C1 — acknowledged bytes are never dropped
   }
   cache_.mark_clean(key);
-  ++cache_.stats_mut().writebacks;
+  ++cache_.stats_mut().cache_writebacks;
   cache_.stats_mut().writeback_bytes += Bytes{page->valid_bytes};
   return true;
 }
@@ -211,7 +211,7 @@ Result<std::size_t> CacheBackend::pwrite(vfs::Fd fd, std::span<const std::byte> 
   }
   if (config_.write_back) {
     fs->size = std::max(fs->size, Bytes{offset + data.size()});
-    ++cache_.stats_mut().absorbed_writes;
+    ++cache_.stats_mut().cache_absorbed_writes;
     cache_.stats_mut().absorbed_bytes += Bytes{data.size()};
     if (cache_.dirty_count() > config_.max_dirty_pages) {
       // Best-effort pressure relief; failures leave pages dirty for the

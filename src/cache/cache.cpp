@@ -53,15 +53,15 @@ void CacheConfig::validate() const {
 }
 
 CacheStats& CacheStats::operator+=(const CacheStats& other) {
-  hits += other.hits;
-  misses += other.misses;
-  evictions += other.evictions;
-  prefetch_issued += other.prefetch_issued;
-  prefetch_used += other.prefetch_used;
-  prefetch_wasted += other.prefetch_wasted;
-  writebacks += other.writebacks;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  cache_evictions += other.cache_evictions;
+  cache_prefetch_issued += other.cache_prefetch_issued;
+  cache_prefetch_used += other.cache_prefetch_used;
+  cache_prefetch_wasted += other.cache_prefetch_wasted;
+  cache_writebacks += other.cache_writebacks;
   writeback_failures += other.writeback_failures;
-  absorbed_writes += other.absorbed_writes;
+  cache_absorbed_writes += other.cache_absorbed_writes;
   flushes += other.flushes;
   hit_bytes += other.hit_bytes;
   miss_bytes += other.miss_bytes;

@@ -18,15 +18,15 @@ std::uint64_t PageCache::a1in_target() const {
 Page* PageCache::lookup(PageKey key, SimTime now) {
   const auto it = pages_.find(key);
   if (it == pages_.end()) {
-    ++stats_.misses;
+    ++stats_.cache_misses;
     return nullptr;
   }
-  ++stats_.hits;
+  ++stats_.cache_hits;
   Entry& entry = it->second;
   entry.page.last_access = now;
   if (entry.page.prefetched) {
     entry.page.prefetched = false;
-    ++stats_.prefetch_used;
+    ++stats_.cache_prefetch_used;
   }
   if (config_.policy == EvictionPolicy::kLru) {
     main_.splice(main_.begin(), main_, entry.recency);
@@ -85,8 +85,8 @@ bool PageCache::evict_clean_from(std::list<PageKey>& queue) {
     const auto found = pages_.find(*it);
     if (found == pages_.end()) continue;  // cannot happen; defensive
     if (found->second.page.dirty) continue;  // C1: never evict dirty pages
-    if (found->second.page.prefetched) ++stats_.prefetch_wasted;
-    ++stats_.evictions;
+    if (found->second.page.prefetched) ++stats_.cache_prefetch_wasted;
+    ++stats_.cache_evictions;
     if (eviction_observer_) eviction_observer_(found->second.page);
     if (config_.policy == EvictionPolicy::kTwoQ && found->second.queue == Queue::kA1In) {
       // Remember evicted admission-queue keys: a re-miss within the ghost
@@ -198,7 +198,7 @@ void PageCache::finalize_prefetch_waste() {
     (void)key;
     if (entry.page.prefetched) {
       entry.page.prefetched = false;
-      ++stats_.prefetch_wasted;
+      ++stats_.cache_prefetch_wasted;
     }
   }
 }

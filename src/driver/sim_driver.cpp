@@ -132,15 +132,8 @@ SimRunResult ExecutionDrivenSimulator::collect_impl() {
     tier_->finalize();
     sim::check::cache_writeback_drained(tier_->dirty_pages());
     const cache::CacheStats cs = tier_->stats();
-    result_.cache_hits = cs.hits;
-    result_.cache_misses = cs.misses;
-    result_.cache_evictions = cs.evictions;
-    result_.cache_prefetch_issued = cs.prefetch_issued;
-    result_.cache_prefetch_used = cs.prefetch_used;
-    result_.cache_prefetch_wasted = cs.prefetch_wasted;
-    result_.cache_writebacks = cs.writebacks;
+    static_cast<cache::CacheCounters&>(result_) = cs;
     result_.cache_writeback_failures = cs.writeback_failures;
-    result_.cache_absorbed_writes = cs.absorbed_writes;
     result_.cache_hit_bytes = cs.hit_bytes;
     result_.cache_miss_bytes = cs.miss_bytes;
     result_.cache_writeback_bytes = cs.writeback_bytes;
@@ -159,26 +152,9 @@ SimRunResult ExecutionDrivenSimulator::collect_impl() {
 }
 
 RunCounters ExecutionDrivenSimulator::model_counters() const {
-  const pfs::ResilienceStats& s = model_.resilience_stats();
   const pfs::PfsModel::ServerOverloadTotals srv = model_.server_overload_totals();
   RunCounters c;
-  c.retries = s.retries;
-  c.timeouts = s.timeouts;
-  c.giveups = s.giveups;
-  c.failovers = s.failovers;
-  c.degraded_reads = s.degraded_reads;
-  c.data_lost_ops = s.data_lost_ops;
-  c.rebuilds_completed = s.rebuilds_completed;
-  c.rebuilt_bytes = s.rebuilt_bytes;
-  c.stale_map_retries = s.stale_map_retries;
-  c.map_refreshes = s.map_refreshes;
-  c.down_detections = s.down_detections;
-  c.migration_marked_bytes = s.migration_marked_bytes;
-  c.overload_rejections = s.overload_rejections;
-  c.budget_denied = s.budget_denied;
-  c.breaker_opens = s.breaker_opens;
-  c.breaker_fast_fails = s.breaker_fast_fails;
-  c.deadline_giveups = s.deadline_giveups;
+  static_cast<pfs::ClientCounters&>(c) = model_.resilience_stats();
   c.server_overload_rejected = srv.rejected;
   c.server_shed = srv.shed;
   return c;

@@ -100,21 +100,21 @@ TEST(CacheConfigTest, RejectsDegenerateGeometry) {
 
 TEST(CacheStatsTest, AccumulateAndHitRate) {
   CacheStats a;
-  EXPECT_EQ(a.hit_rate(), 0.0);  // no lookups yet
-  a.hits = 3;
-  a.misses = 1;
+  EXPECT_EQ(a.cache_hit_rate(), 0.0);  // no lookups yet
+  a.cache_hits = 3;
+  a.cache_misses = 1;
   a.hit_bytes = 64_KiB;
   CacheStats b;
-  b.hits = 1;
-  b.misses = 3;
-  b.writebacks = 2;
+  b.cache_hits = 1;
+  b.cache_misses = 3;
+  b.cache_writebacks = 2;
   b.hit_bytes = 64_KiB;
   a += b;
-  EXPECT_EQ(a.hits, 4u);
-  EXPECT_EQ(a.misses, 4u);
-  EXPECT_EQ(a.writebacks, 2u);
+  EXPECT_EQ(a.cache_hits, 4u);
+  EXPECT_EQ(a.cache_misses, 4u);
+  EXPECT_EQ(a.cache_writebacks, 2u);
   EXPECT_EQ(a.hit_bytes, 128_KiB);
-  EXPECT_DOUBLE_EQ(a.hit_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(a.cache_hit_rate(), 0.5);
 }
 
 // --------------------------------------------------------------- PageCache
@@ -131,7 +131,7 @@ TEST(PageCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.contains(PageKey{1, 1}));
   EXPECT_TRUE(cache.contains(PageKey{1, 2}));
   EXPECT_TRUE(cache.contains(PageKey{1, 3}));
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().cache_evictions, 1u);
 }
 
 TEST(PageCacheTest, TwoQHitInAdmissionQueueDoesNotPromote) {
@@ -213,12 +213,12 @@ TEST(PageCacheTest, PrefetchedPagesResolveToUsedOnHit) {
   cache.insert(PageKey{1, 0}, SimTime::zero()).prefetched = true;
   cache.insert(PageKey{1, 1}, SimTime::zero()).prefetched = true;
   EXPECT_NE(cache.lookup(PageKey{1, 0}, SimTime::zero()), nullptr);
-  EXPECT_EQ(cache.stats().prefetch_used, 1u);
+  EXPECT_EQ(cache.stats().cache_prefetch_used, 1u);
   // A second hit on the same page is no longer a prefetch resolution.
   EXPECT_NE(cache.lookup(PageKey{1, 0}, SimTime::zero()), nullptr);
-  EXPECT_EQ(cache.stats().prefetch_used, 1u);
+  EXPECT_EQ(cache.stats().cache_prefetch_used, 1u);
   cache.finalize_prefetch_waste();
-  EXPECT_EQ(cache.stats().prefetch_wasted, 1u);  // page 1 never paid off
+  EXPECT_EQ(cache.stats().cache_prefetch_wasted, 1u);  // page 1 never paid off
 }
 
 TEST(PageCacheTest, EvictedUnusedPrefetchCountsAsWasted) {
@@ -226,8 +226,8 @@ TEST(PageCacheTest, EvictedUnusedPrefetchCountsAsWasted) {
   cache.insert(PageKey{1, 0}, SimTime::zero()).prefetched = true;
   (void)cache.insert(PageKey{1, 1}, SimTime::zero());
   (void)cache.insert(PageKey{1, 2}, SimTime::zero());  // evicts the prefetched LRU page
-  EXPECT_EQ(cache.stats().prefetch_wasted, 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().cache_prefetch_wasted, 1u);
+  EXPECT_EQ(cache.stats().cache_evictions, 1u);
 }
 
 TEST(PageCacheTest, PeekDoesNotTouchReadCounters) {
@@ -235,12 +235,12 @@ TEST(PageCacheTest, PeekDoesNotTouchReadCounters) {
   (void)cache.insert(PageKey{1, 0}, SimTime::zero());
   EXPECT_NE(cache.peek(PageKey{1, 0}), nullptr);
   EXPECT_EQ(cache.peek(PageKey{1, 9}), nullptr);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().cache_hits, 0u);
+  EXPECT_EQ(cache.stats().cache_misses, 0u);
   EXPECT_EQ(cache.lookup(PageKey{1, 9}, SimTime::zero()), nullptr);
   EXPECT_NE(cache.lookup(PageKey{1, 0}, SimTime::zero()), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().cache_hits, 1u);
+  EXPECT_EQ(cache.stats().cache_misses, 1u);
 }
 
 TEST(PageCacheTest, EraseFileDropsOnlyThatFile) {
@@ -273,12 +273,12 @@ TEST(CacheBackendTest, WriteBackAbsorbsAndFlushesOnFsync) {
   const auto data = pattern(3 * kPage);
   ASSERT_TRUE(cached.pwrite(fd.value(), data, 0).ok());
   // Absorbed: acknowledged from the cache, nothing on the backing store yet.
-  EXPECT_EQ(cached.stats().absorbed_writes, 1u);
+  EXPECT_EQ(cached.stats().cache_absorbed_writes, 1u);
   EXPECT_EQ(cached.dirty_pages(), 3u);
   EXPECT_EQ(fs.stat("/f").value().size, Bytes::zero());
   EXPECT_EQ(cached.fsync(fd.value()), vfs::FsStatus::kOk);
   EXPECT_EQ(cached.dirty_pages(), 0u);
-  EXPECT_EQ(cached.stats().writebacks, 3u);
+  EXPECT_EQ(cached.stats().cache_writebacks, 3u);
   std::vector<std::byte> out(data.size());
   ASSERT_EQ(fs.pread("/f", out, 0).value(), data.size());
   EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
@@ -297,12 +297,12 @@ TEST(CacheBackendTest, ReadThroughCachesAndHitsOnReread) {
   std::vector<std::byte> out(data.size());
   ASSERT_EQ(cached.pread(fd.value(), out, 0).value(), data.size());
   EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
-  EXPECT_EQ(cached.stats().misses, 2u);
-  EXPECT_EQ(cached.stats().hits, 0u);
+  EXPECT_EQ(cached.stats().cache_misses, 2u);
+  EXPECT_EQ(cached.stats().cache_hits, 0u);
   std::fill(out.begin(), out.end(), std::byte{0});
   ASSERT_EQ(cached.pread(fd.value(), out, 0).value(), data.size());
   EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
-  EXPECT_EQ(cached.stats().hits, 2u);
+  EXPECT_EQ(cached.stats().cache_hits, 2u);
   EXPECT_EQ(cached.stats().hit_bytes, Bytes{2 * kPage});
   EXPECT_EQ(cached.close(fd.value()), vfs::FsStatus::kOk);
 }
@@ -429,11 +429,11 @@ TEST(CacheBackendTest, SequentialReadaheadPrefetchesAhead) {
     ASSERT_EQ(std::memcmp(out.data(), data.data() + p * kPage, kPage), 0) << "page " << p;
   }
   const auto& stats = cached.stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_GT(stats.prefetch_used, 0u);
+  EXPECT_GT(stats.cache_prefetch_issued, 0u);
+  EXPECT_GT(stats.cache_prefetch_used, 0u);
   // Readahead turned most would-be misses into hits on a pure sequential scan.
-  EXPECT_LT(stats.misses, 8u);
-  EXPECT_GT(stats.hits, 8u);
+  EXPECT_LT(stats.cache_misses, 8u);
+  EXPECT_GT(stats.cache_hits, 8u);
   EXPECT_EQ(cached.close(fd.value()), vfs::FsStatus::kOk);
 }
 
@@ -554,11 +554,11 @@ TEST(ClientCacheTierTest, SameSeedCachedRunsAreIdentical) {
 
 TEST(ClientCacheTierTest, CountersFlowIntoSimRunResult) {
   const auto run = run_dlio(shared_cache(), 11, 2);
-  EXPECT_EQ(run.result.cache_hits, run.tier_stats.hits);
-  EXPECT_EQ(run.result.cache_misses, run.tier_stats.misses);
-  EXPECT_EQ(run.result.cache_writebacks, run.tier_stats.writebacks);
+  EXPECT_EQ(run.result.cache_hits, run.tier_stats.cache_hits);
+  EXPECT_EQ(run.result.cache_misses, run.tier_stats.cache_misses);
+  EXPECT_EQ(run.result.cache_writebacks, run.tier_stats.cache_writebacks);
   EXPECT_EQ(run.result.cache_hit_bytes, run.tier_stats.hit_bytes);
-  EXPECT_EQ(run.result.cache_absorbed_writes, run.tier_stats.absorbed_writes);
+  EXPECT_EQ(run.result.cache_absorbed_writes, run.tier_stats.cache_absorbed_writes);
   EXPECT_GT(run.result.cache_absorbed_writes, 0u);  // dataset preparation writes
   EXPECT_GT(run.result.cache_writebacks, 0u);       // drained by quiescence
 }
