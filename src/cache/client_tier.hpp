@@ -21,10 +21,10 @@
 // The epoch prefetcher (PrefetchMode::kEpoch) learns each epoch's page
 // access set per cache instance and, at the epoch barrier, warms the pages
 // that are no longer resident in a deterministic shuffled order drawn from
-// engine Rng stream kWarmRngStream, with at most warm_concurrency fetches
-// in flight. Under DL reshuffling a *shared* (node-local) cache re-hits the
-// warmed set in full; per-rank caches only re-hit their ~1/N share — the
-// scope axis exists to expose exactly that effect.
+// engine Rng stream kWarmRngStream, with at most four fetches in flight.
+// Under DL reshuffling a *shared* (node-local) cache re-hits the warmed set
+// in full; per-rank caches only re-hit their ~1/N share — the scope axis
+// exists to expose exactly that effect.
 #pragma once
 
 #include <cstdint>

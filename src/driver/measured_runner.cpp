@@ -1,9 +1,7 @@
 #include "driver/measured_runner.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "par/comm.hpp"
@@ -22,7 +20,7 @@ class NullSink final : public trace::Sink {
 }  // namespace
 
 MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& workload,
-                               trace::Sink* sink, const MeasuredRunConfig& config) {
+                               trace::Sink* sink) {
   NullSink null_sink;
   trace::Sink& out = sink != nullptr ? *sink : static_cast<trace::Sink&>(null_sink);
   const trace::WallClock clock;
@@ -83,12 +81,10 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
           const auto size = static_cast<std::size_t>(op->size.count());
           if (buffer.size() < size) buffer.resize(size);
           if (op->kind == K::kWrite) {
-            if (config.touch_data) {
-              // Deterministic pattern: function of offset so read-back
-              // verification in tests is possible.
-              for (std::size_t i = 0; i < size; ++i) {
-                buffer[i] = static_cast<std::byte>((op->offset + i) & 0xFF);
-              }
+            // Deterministic pattern: function of offset so read-back
+            // verification in tests is possible.
+            for (std::size_t i = 0; i < size; ++i) {
+              buffer[i] = static_cast<std::byte>((op->offset + i) & 0xFF);
             }
             auto r = backend.pwrite(it->second, std::span{buffer.data(), size}, op->offset);
             ok = r.ok() && r.value() == size;
@@ -113,14 +109,7 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
           ok = it != open_fds.end() && backend.fsync(it->second) == vfs::FsStatus::kOk;
           break;
         }
-        case K::kCompute: {
-          if (config.compute_scale > 0.0) {
-            const auto ns = static_cast<std::int64_t>(
-                static_cast<double>(op->think_time.ns()) * config.compute_scale);
-            std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-          }
-          break;
-        }
+        case K::kCompute: break;
         case K::kBarrier: comm.barrier(); break;
       }
       if (!ok) ++failed;

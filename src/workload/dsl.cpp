@@ -514,8 +514,12 @@ std::unique_ptr<Workload> parse_dsl(std::string_view source) {
   const Program program = parser.parse();
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(program.ranks));
   std::uint64_t steps = kMaxExpansionSteps;
+  // Loops erase their variable on the way out, so after each rank the
+  // environment holds only these two bindings again.
+  Env env{{"rank", 0}, {"ranks", program.ranks}};
+  std::int64_t& rank = env.at("rank");
   for (std::int32_t r = 0; r < program.ranks; ++r) {
-    Env env{{"rank", r}, {"ranks", program.ranks}};
+    rank = r;
     expand(program.stmts, env, per_rank[static_cast<std::size_t>(r)], steps);
   }
   return std::make_unique<VectorWorkload>(program.name, std::move(per_rank));

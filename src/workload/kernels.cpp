@@ -133,12 +133,6 @@ std::unique_ptr<Workload> hacc_io_like(const HaccIoConfig& config) {
     ops.push_back(Op::fsync(path));
     ops.push_back(Op::close(path));
     ops.push_back(Op::barrier());
-    if (config.read_back) {
-      ops.push_back(Op::open(path));
-      ops.push_back(Op::read(path, base, per_rank_bytes));
-      ops.push_back(Op::close(path));
-      ops.push_back(Op::barrier());
-    }
   }
   return std::make_unique<VectorWorkload>("hacc-io", std::move(per_rank));
 }

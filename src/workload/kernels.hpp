@@ -55,7 +55,6 @@ struct HaccIoConfig {
   std::int32_t ranks = 8;
   std::uint64_t particles_per_rank = 1'000'000;
   bool file_per_process = false;
-  bool read_back = false;
   std::string directory = "/hacc";
 };
 

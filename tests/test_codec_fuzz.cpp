@@ -1,8 +1,9 @@
 // Mutation fuzzer for the untrusted-input decoders (label `fuzz`):
 // Trace::try_read_binary and every svc payload decoder, each against the
 // decoder it replaced (codec_oracle.hpp); and, against their contracts, the
-// svc frame scanner next_frame, the size-string parser parse_bytes and the
-// workload DSL parser parse_dsl.
+// svc frame scanner next_frame, the size-string parser parse_bytes, the
+// workload DSL parser parse_dsl and the H5-lite header parser behind
+// H5File::open_all.
 //
 // Each target starts from a corpus the library itself encodes and applies
 // kMutationsPerTarget seeded mutations: bit flips, truncations, splices of
@@ -31,8 +32,12 @@
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "eval/campaign.hpp"
+#include "h5/h5.hpp"
+#include "par/comm.hpp"
 #include "svc/messages.hpp"
 #include "trace/tracer.hpp"
+#include "vfs/backend.hpp"
+#include "vfs/file_system.hpp"
 #include "workload/dsl.hpp"
 
 using namespace pio;
@@ -557,6 +562,73 @@ close "/out/f.{rank}")",
     }
   }
   expect_both_sides(tally);
+}
+
+// ------------------------------------------------------------ H5 headers
+
+/// Replaces `path` with exactly `bytes` (no padding to the header size).
+void put_file(vfs::Backend& backend, const std::string& path, const Bytes8& bytes) {
+  auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, true, true});
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(backend.pwrite(fd.value(), std::as_bytes(std::span{bytes}), 0).ok());
+  ASSERT_EQ(backend.close(fd.value()), vfs::FsStatus::kOk);
+}
+
+/// The header text close_all wrote to `path`: the bytes before the padding.
+Bytes8 header_of(vfs::Backend& backend, const std::string& path) {
+  Bytes8 bytes(h5::H5File::kHeaderSize);
+  auto fd = backend.open(path, {vfs::OpenMode::kRead, false, false});
+  EXPECT_TRUE(fd.ok());
+  auto r = backend.pread(fd.value(), std::as_writable_bytes(std::span{bytes}), 0);
+  EXPECT_TRUE(r.ok());
+  (void)backend.close(fd.value());
+  bytes.resize(static_cast<std::size_t>(std::find(bytes.begin(), bytes.end(), 0) - bytes.begin()));
+  return bytes;
+}
+
+// H5File::open_all returns a file or an Error on any header, and never
+// throws. The corpus is headers close_all wrote: groups, contiguous and
+// chunked datasets, and attributes whose values need escaping.
+TEST(CodecFuzz, H5OpenReturnsOnlyResult) {
+  vfs::FileSystem fs;
+  vfs::LocalBackend backend{fs};
+  par::Runtime runtime{1};
+  runtime.run([&](par::Comm& comm) {
+    std::vector<Seed> corpus;
+    const auto write_header = [&](const auto& fill) {
+      auto file = h5::H5File::create_all(comm, backend, "/corpus.h5");
+      ASSERT_TRUE(file.ok());
+      fill(*file.value());
+      ASSERT_EQ(file.value()->close_all(), vfs::FsStatus::kOk);
+      corpus.push_back({header_of(backend, "/corpus.h5"), {}});
+    };
+    write_header([](h5::H5File&) {});
+    write_header([](h5::H5File& f) {
+      ASSERT_TRUE(f.create_group("/fields").ok());
+      ASSERT_TRUE(f.create_dataset("/fields/rho", 8, h5::Dataspace{{32, 32}}, {8, 8}).ok());
+      ASSERT_TRUE(f.set_attribute("/fields/rho", "units", "g / cm^3").ok());
+      ASSERT_TRUE(f.set_attribute("/", "creator", "pioeval 100% test\tool").ok());
+    });
+    write_header([](h5::H5File& f) {
+      ASSERT_TRUE(f.create_dataset("/u", 4, h5::Dataspace{{16, 16, 4}}).ok());
+      ASSERT_TRUE(f.create_dataset("/v", 2, h5::Dataspace{{1000000}}, {4096}).ok());
+      ASSERT_TRUE(f.set_attribute("/u", "note", "").ok());
+      ASSERT_TRUE(f.set_attribute("/v", "step", "18446744073709551615").ok());
+    });
+    Rng rng{kFuzzSeed, 13};
+    Tally tally;
+    for (int i = 0; i < kMutationsPerTarget; ++i) {
+      const Bytes8 input = mutate(rng, corpus);
+      put_file(backend, "/mutant.h5", input);
+      try {
+        auto file = h5::H5File::open_all(comm, backend, "/mutant.h5");
+        ++(file.ok() ? tally.accepted : tally.rejected);
+      } catch (const std::exception& e) {
+        FAIL() << "mutation " << i << " threw \"" << e.what() << "\" on " << hex_prefix(input);
+      }
+    }
+    expect_both_sides(tally);
+  });
 }
 
 }  // namespace

@@ -230,6 +230,46 @@ TEST_F(H5Fixture, InvalidCreations) {
   });
 }
 
+// Regression seeds. Before parse_header returned an Error for them, the
+// first five lines and the two bad escapes threw out of open_all (std::stoull
+// on a dims or chunks token, std::stoi on an attribute escape), and the
+// rest opened although close_all never writes them: a partly numeric
+// token, a shape create_dataset refuses, a missing offset, a short escape,
+// a non-numeric alloc and a relative group name.
+TEST(H5Test, MalformedHeadersReturnErrors) {
+  vfs::FileSystem fs;
+  vfs::LocalBackend backend{fs};
+  par::Runtime runtime{1};
+  runtime.run([&](par::Comm& comm) {
+    for (const std::string line : {
+             "dataset /u elem 4 dims , chunks - offset 262144",
+             "dataset /u elem 4 dims 16,,4 chunks - offset 262144",
+             "dataset /u elem 4 dims 16,x,4 chunks - offset 262144",
+             "dataset /u elem 4 dims 99999999999999999999 chunks - offset 262144",
+             "dataset /u elem 4 dims 16,16,4`chunks - offset 262144",
+             "dataset /u elem 4 dims 16 chunks 4k offset 262144",
+             "dataset /u elem 4 dims 16 chunks 0 offset 262144",
+             "dataset /u elem 4 dims 16 chunks 4,4 offset 262144",
+             "dataset /u elem 0 dims 16 chunks - offset 262144",
+             "dataset /u elem 4 dims 16 chunks - offset",
+             "attr / creator a%zzb",
+             "attr / creator a%\xff" "5",
+             "attr / creator trailing%4",
+             "alloc lots",
+             "group fields",
+         }) {
+      const std::string header = "H5LITE1\n" + line + "\nend\n";
+      auto fd = backend.open("/bad.h5", {vfs::OpenMode::kReadWrite, true, true});
+      ASSERT_TRUE(fd.ok());
+      ASSERT_TRUE(backend.pwrite(fd.value(), std::as_bytes(std::span{header}), 0).ok());
+      ASSERT_EQ(backend.close(fd.value()), vfs::FsStatus::kOk);
+      Result<std::unique_ptr<H5File>> opened = Error{};
+      ASSERT_NO_THROW(opened = H5File::open_all(comm, backend, "/bad.h5")) << line;
+      EXPECT_FALSE(opened.ok()) << line;
+    }
+  });
+}
+
 // Property sweep: for arbitrary dataset/chunk/slab geometry, the extent
 // decomposition exactly tiles the slab's byte volume, stays within the
 // dataset's allocation, and never overlaps itself.
