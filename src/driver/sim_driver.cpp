@@ -104,29 +104,6 @@ SimRunResult ExecutionDrivenSimulator::collect() {
         "ExecutionDrivenSimulator: run stalled (mismatched barriers or time limit); "
         "active ranks: " + std::to_string(active_ranks_));
   }
-  return collect_impl();
-}
-
-SimRunResult ExecutionDrivenSimulator::run(const workload::Workload& workload,
-                                           trace::Sink* sink) {
-  external_drive_ = false;
-  begin_impl(workload, sink);
-  engine_.run(start_time_ + config_.time_limit);
-  if (active_ranks_ != 0) {
-    throw std::runtime_error(
-        "ExecutionDrivenSimulator: run stalled (mismatched barriers or time limit); "
-        "active ranks: " + std::to_string(active_ranks_));
-  }
-  if (tier_ != nullptr) {
-    // Quiescence drain: any dirty page a workload left behind (a file never
-    // closed) is written back now; C1 then requires zero residual.
-    tier_->flush_all();
-    engine_.run(start_time_ + config_.time_limit);
-  }
-  return collect_impl();
-}
-
-SimRunResult ExecutionDrivenSimulator::collect_impl() {
   const std::size_t n = ranks_.size();
   if (tier_ != nullptr) {
     tier_->finalize();
@@ -149,6 +126,20 @@ SimRunResult ExecutionDrivenSimulator::collect_impl() {
   // values this run already holds for those stay as they are.
   result_ += model_counters() - counters_before_;
   return result_;
+}
+
+SimRunResult ExecutionDrivenSimulator::run(const workload::Workload& workload,
+                                           trace::Sink* sink) {
+  external_drive_ = false;
+  begin_impl(workload, sink);
+  engine_.run(start_time_ + config_.time_limit);
+  if (active_ranks_ == 0 && tier_ != nullptr) {
+    // Quiescence drain: any dirty page a workload left behind (a file never
+    // closed) is written back now; C1 then requires zero residual.
+    tier_->flush_all();
+    engine_.run(start_time_ + config_.time_limit);
+  }
+  return collect();
 }
 
 RunCounters ExecutionDrivenSimulator::model_counters() const {

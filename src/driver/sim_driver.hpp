@@ -107,7 +107,8 @@ class ExecutionDrivenSimulator {
   /// identical digests.
   void begin(const workload::Workload& workload, trace::Sink* sink = nullptr);
 
-  /// Finalize and return the result of a `begin`-driven run.
+  /// Finalize and return the result of a `begin`-driven run (`run` ends
+  /// here too): cache finalize and stats, makespan, model stat deltas.
   SimRunResult collect();
 
   /// The cache tier of the most recent run (nullptr when disabled).
@@ -128,8 +129,6 @@ class ExecutionDrivenSimulator {
   /// Shared setup: reset state, build the cache tier, snapshot the model's
   /// stat baselines, schedule every rank's first step.
   void begin_impl(const workload::Workload& workload, trace::Sink* sink);
-  /// Shared teardown: cache finalize + stats, makespan, model stat deltas.
-  [[nodiscard]] SimRunResult collect_impl();
   /// The model's cumulative resilience and server overload counters, as the
   /// RunCounters a run reports the deltas of.
   [[nodiscard]] RunCounters model_counters() const;

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 #include <sstream>
-#include <stdexcept>
 #include <string_view>
 
 namespace pio::h5 {
@@ -105,6 +104,30 @@ std::optional<Error> shape_error(const std::string& name, std::uint32_t elem_siz
     }
   }
   return std::nullopt;
+}
+
+std::string group_line(const std::string& name) { return "group " + name + "\n"; }
+
+std::string dataset_line(const DatasetInfo& d) {
+  return "dataset " + d.name + " elem " + std::to_string(d.elem_size) + " dims " +
+         join_u64(d.space.dims) + " chunks " + join_u64(d.chunk_dims) + " offset " +
+         std::to_string(d.data_offset) + "\n";
+}
+
+std::string attr_line(const std::string& owner, const std::string& key,
+                      const std::string& value) {
+  return "attr " + owner + " " + key + " " + encode_value(value) + "\n";
+}
+
+/// Size of a serialized header whose group, dataset and attribute lines take
+/// `line_bytes`.
+std::uint64_t header_size(std::uint64_t line_bytes, std::uint64_t alloc_cursor) {
+  return std::strlen(kMagicLine) + std::strlen("\nalloc ") + std::to_string(alloc_cursor).size() +
+         std::strlen("\n") + line_bytes + std::strlen("end\n");
+}
+
+Error header_full(const std::string& what) {
+  return Error{-36, "metadata header region full: " + what};
 }
 
 }  // namespace
@@ -328,6 +351,7 @@ Result<std::unique_ptr<H5File>> H5File::open_all(par::Comm& comm, vfs::Backend& 
   if (end != std::string::npos) text.resize(end);
   auto parsed = file->parse_header(text);
   if (!parsed.ok()) return parsed.error();
+  file->line_bytes_ = file->serialize_header().size() - header_size(0, file->alloc_cursor_);
   file->emit(trace::OpKind::kOpen, path, 0, file->now(), true);
   return file;
 }
@@ -335,7 +359,10 @@ Result<std::unique_ptr<H5File>> H5File::open_all(par::Comm& comm, vfs::Backend& 
 Result<bool> H5File::create_group(const std::string& name) {
   if (!valid_name(name)) return Error{-24, "invalid group name: " + name};
   if (std::find(groups_.begin(), groups_.end(), name) == groups_.end()) {
+    const std::uint64_t lines = line_bytes_ + group_line(name).size();
+    if (header_size(lines, alloc_cursor_) >= kHeaderSize) return header_full(name);
     groups_.push_back(name);
+    line_bytes_ = lines;
   }
   emit(trace::OpKind::kMkdir, name, 0, now(), true);
   return true;
@@ -362,7 +389,10 @@ Result<Dataset> H5File::create_dataset(const std::string& name, std::uint32_t el
   } else {
     bytes = info.space.elements() * info.elem_size;
   }
+  const std::uint64_t lines = line_bytes_ + dataset_line(info).size();
+  if (header_size(lines, alloc_cursor_ + bytes) >= kHeaderSize) return header_full(name);
   alloc_cursor_ += bytes;
+  line_bytes_ = lines;
   const auto [it, inserted] = datasets_.emplace(name, std::move(info));
   emit(trace::OpKind::kOpen, name, 0, now(), true);
   return Dataset{*this, it->second};
@@ -384,7 +414,11 @@ Result<bool> H5File::set_attribute(const std::string& owner, const std::string& 
   if (key.empty() || key.find_first_of(" \t\n\r") != std::string::npos) {
     return Error{-31, "invalid attribute key: " + key};
   }
+  std::uint64_t lines = line_bytes_ + attr_line(owner, key, value).size();
+  if (const auto old = attribute(owner, key)) lines -= attr_line(owner, key, *old).size();
+  if (header_size(lines, alloc_cursor_) >= kHeaderSize) return header_full(owner + " " + key);
   attributes_[owner][key] = value;
+  line_bytes_ = lines;
   return true;
 }
 
@@ -407,21 +441,15 @@ std::vector<std::string> H5File::dataset_names() const {
 std::vector<std::string> H5File::group_names() const { return groups_; }
 
 std::string H5File::serialize_header() const {
-  std::ostringstream out;
-  out << kMagicLine << "\n";
-  out << "alloc " << alloc_cursor_ << "\n";
-  for (const auto& g : groups_) out << "group " << g << "\n";
-  for (const auto& [name, d] : datasets_) {
-    out << "dataset " << name << " elem " << d.elem_size << " dims " << join_u64(d.space.dims)
-        << " chunks " << join_u64(d.chunk_dims) << " offset " << d.data_offset << "\n";
-  }
+  std::string out = kMagicLine;
+  out += "\nalloc " + std::to_string(alloc_cursor_) + "\n";
+  for (const auto& g : groups_) out += group_line(g);
+  for (const auto& [name, d] : datasets_) out += dataset_line(d);
   for (const auto& [owner, kv] : attributes_) {
-    for (const auto& [key, value] : kv) {
-      out << "attr " << owner << " " << key << " " << encode_value(value) << "\n";
-    }
+    for (const auto& [key, value] : kv) out += attr_line(owner, key, value);
   }
-  out << "end\n";
-  return out.str();
+  out += "end\n";
+  return out;
 }
 
 Result<bool> H5File::parse_header(const std::string& text) {
@@ -477,10 +505,9 @@ vfs::FsStatus H5File::close_all() {
   closed_ = true;
   comm_.barrier();
   if (comm_.rank() == 0) {
+    // The metadata calls refuse any line that would not fit, so the header
+    // always does.
     std::string header = serialize_header();
-    if (header.size() >= kHeaderSize) {
-      throw std::runtime_error("H5File: metadata exceeds the fixed header region");
-    }
     header.resize(kHeaderSize, '\0');
     (void)mio_->write_at(0, std::as_bytes(std::span{header.data(), header.size()}));
   }

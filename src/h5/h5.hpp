@@ -110,6 +110,9 @@ class H5File {
   ~H5File();
 
   /// Collective: every rank applies the same deterministic metadata update.
+  /// A group, dataset or attribute whose header line would push the
+  /// serialized header to kHeaderSize is refused with an Error, and the
+  /// metadata stays as it was.
   [[nodiscard]] Result<bool> create_group(const std::string& name);
   [[nodiscard]] Result<Dataset> create_dataset(const std::string& name, std::uint32_t elem_size,
                                                Dataspace space,
@@ -150,6 +153,9 @@ class H5File {
   std::map<std::string, DatasetInfo> datasets_;
   std::vector<std::string> groups_;
   std::map<std::string, std::map<std::string, std::string>> attributes_;
+  /// Bytes the group, dataset and attribute lines take in the serialized
+  /// header, kept current by every metadata call.
+  std::uint64_t line_bytes_ = 0;
   bool closed_ = false;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/check.hpp"
+
 namespace pio::pfs {
 
 BurstBuffer::BurstBuffer(sim::Engine& engine, const BurstBufferConfig& config,
@@ -12,7 +14,8 @@ BurstBuffer::BurstBuffer(sim::Engine& engine, const BurstBufferConfig& config,
       backing_write_(std::move(backing_write)),
       name_(std::move(name)),
       device_(config.device),
-      ssd_queue_(engine, name_ + ".ssd") {
+      ssd_queue_(engine, [this](sim::Handle token, bool /*shed*/) { ssd_done(token); },
+                 name_ + ".ssd") {
   if (!backing_write_) throw std::invalid_argument("BurstBuffer: null backing_write");
   if (config.capacity == Bytes::zero()) throw std::invalid_argument("BurstBuffer: zero capacity");
 }
@@ -28,12 +31,7 @@ void BurstBuffer::write(std::uint64_t file, std::uint64_t offset, Bytes size,
   stats_.absorbed += size;
   stats_.peak_occupancy = std::max(stats_.peak_occupancy, occupancy_.count());
   resident_[file].insert(offset, offset + size.count());
-  const SimTime service = device_.service_time(DiskRequest{offset, size, /*is_write=*/true});
-  ssd_queue_.submit(service, [this, file, offset, size, done = std::move(on_absorbed)]() mutable {
-    drain_queue_.push_back(StagedExtent{file, offset, size});
-    schedule_drain();
-    if (done) done();
-  });
+  ssd_submit({file, offset, size}, /*is_write=*/true, std::move(on_absorbed));
 }
 
 bool BurstBuffer::resident(std::uint64_t file, std::uint64_t offset, Bytes size) const {
@@ -45,8 +43,25 @@ void BurstBuffer::read(std::uint64_t file, std::uint64_t offset, Bytes size,
                        std::function<void()> on_done) {
   if (!resident(file, offset, size)) throw std::logic_error("BurstBuffer::read: not resident");
   stats_.read_hits += size;
-  const SimTime service = device_.service_time(DiskRequest{offset, size, /*is_write=*/false});
-  ssd_queue_.submit(service, std::move(on_done));
+  ssd_submit({file, offset, size}, /*is_write=*/false, std::move(on_done));
+}
+
+void BurstBuffer::ssd_submit(StagedExtent extent, bool is_write, std::function<void()> done) {
+  ssd_ops_.push_back(SsdOp{extent, is_write, std::move(done)});
+  ssd_queue_.submit(device_.service_time(DiskRequest{extent.offset, extent.size, is_write}),
+                    next_ssd_token_++);
+}
+
+void BurstBuffer::ssd_done(sim::Handle token) {
+  sim::check::that(token == static_cast<sim::Handle>(next_ssd_token_ - ssd_ops_.size()),
+                   "burst-buffer SSD ops complete in submit order");
+  SsdOp op = std::move(ssd_ops_.front());
+  ssd_ops_.pop_front();
+  if (op.is_write) {
+    drain_queue_.push_back(op.extent);
+    schedule_drain();
+  }
+  if (op.done) op.done();
 }
 
 void BurstBuffer::schedule_drain() {

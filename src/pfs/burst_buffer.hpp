@@ -94,6 +94,14 @@ class BurstBuffer {
     Bytes size;
   };
 
+  struct SsdOp {  ///< an SSD op, from its submit to the queue's sink
+    StagedExtent extent;
+    bool is_write;
+    std::function<void()> done;
+  };
+  void ssd_submit(StagedExtent extent, bool is_write, std::function<void()> done);
+  /// The SSD queue's sink. With no shed target, ops complete in submit order.
+  void ssd_done(sim::Handle token);
   void schedule_drain();
   void drain_next();
 
@@ -103,6 +111,8 @@ class BurstBuffer {
   std::string name_;
   SsdModel device_;
   sim::FifoServer ssd_queue_;
+  std::deque<SsdOp> ssd_ops_;  ///< submitted, not yet completed, in order
+  sim::Handle next_ssd_token_ = 0;  ///< running sequence number
   Bytes occupancy_ = Bytes::zero();
   std::unordered_map<std::uint64_t, IntervalSet> resident_;  // file -> ranges
   std::deque<StagedExtent> drain_queue_;

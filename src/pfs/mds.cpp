@@ -22,7 +22,8 @@ const char* to_string(MetaOp op) {
 }
 
 MetadataServer::MetadataServer(sim::Engine& engine, const MdsConfig& config)
-    : engine_(engine), config_(config), threads_(engine, config.service_threads, "mds") {
+    : engine_(engine), config_(config),
+      threads_(engine, config.service_threads, [this](sim::Handle h) { granted(h); }, "mds") {
   // Root directory always exists.
   Inode root;
   root.is_dir = true;
@@ -124,7 +125,7 @@ void MetadataServer::request(MetaOp op, const std::string& path,
 }
 
 void MetadataServer::enqueue(sim::Handle h) {
-  threads_.acquire(1, [this, h] { granted(h); });
+  threads_.acquire(1, h);
 }
 
 void MetadataServer::granted(sim::Handle h) {

@@ -176,7 +176,7 @@ class MetadataServer {
   [[nodiscard]] bool standby_active(SimTime t) const;
   /// Queue request `h` for a service thread.
   void enqueue(sim::Handle h);
-  /// Thread granted: shed, or start the service.
+  /// The thread pool's sink: shed request `h`, or start its service.
   void granted(sim::Handle h);
   /// Service time elapsed: complete, or defer past a crash.
   void serviced(sim::Handle h);

@@ -21,7 +21,8 @@ OstServer::OstServer(sim::Engine& engine, std::uint32_t index, std::unique_ptr<D
     : engine_(engine),
       index_(index),
       disk_(std::move(disk)),
-      queue_(engine, "ost" + std::to_string(index)) {
+      queue_(engine, [this](sim::Handle h, bool shed) { serve(h, shed); },
+             "ost" + std::to_string(index)) {
   if (!disk_) throw std::invalid_argument("OstServer: null disk model");
 }
 
@@ -114,11 +115,7 @@ void OstServer::submit(std::uint64_t object_offset, Bytes size, bool is_write,
     ++stats_.read_ops;
     stats_.bytes_read += size;
   }
-  if (admission_.policy == AdmissionPolicy::kCodelShed) {
-    queue_.submit(service, [this, h] { serve(h, false); }, [this, h] { serve(h, true); });
-  } else {
-    queue_.submit(service, [this, h] { serve(h, false); });
-  }
+  queue_.submit(service, h);
 }
 
 void OstServer::serve(sim::Handle h, bool shed) {

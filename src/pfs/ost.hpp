@@ -107,7 +107,7 @@ class OstServer {
     std::function<void(OstCompletion)> on_done;
   };
 
-  /// Queue exit: serve op `h`, or deliver its shed.
+  /// The queue's sink: serve op `h`, or deliver its shed.
   void serve(sim::Handle h, bool shed);
   /// Stamp, audit and emit op `h`'s span, release it, then deliver `completion`.
   void finish(sim::Handle h, OstCompletion completion);

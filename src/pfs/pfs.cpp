@@ -28,7 +28,7 @@ std::unique_ptr<DiskModel> make_disk(const PfsConfig& config, sim::Engine& engin
 /// own reference (dropped at settle) plus one per attempt in flight.
 struct PfsModel::IoOp {
   ClientId client = 0;
-  std::uint64_t file_token = 0;  ///< token_info_ key: path and placement key
+  std::uint64_t file_token = 0;  ///< files_ entry: path and placement key
   StripeLayout layout{};
   std::uint64_t offset = 0;
   Bytes size = Bytes::zero();
@@ -274,12 +274,10 @@ PfsModel::PfsModel(sim::Engine& engine, const PfsConfig& config)
         engine, config.bb,
         [this, drain_ion](std::uint64_t file, std::uint64_t offset, Bytes size,
                           std::function<void()> on_done) {
-          const auto it = token_info_.find(file);
-          if (it == token_info_.end()) throw std::logic_error("BB drain: unknown file token");
           // Drains are untracked (file = 0): burst buffers and durability
           // tracking are mutually exclusive by construction. (So are burst
           // buffers and the cluster map, hence key/epoch are inert here.)
-          backend_io(drain_ion, 0, it->second.layout, offset, size, /*is_write=*/true, 0,
+          backend_io(drain_ion, 0, file_info(file).layout, offset, size, /*is_write=*/true, 0,
                      /*key=*/0, /*epoch=*/1,
                      [done = std::move(on_done)](bool /*ok*/, IoError /*error*/,
                                                  SimTime /*retry_after*/) mutable {
@@ -319,12 +317,10 @@ fault::ComponentId PfsModel::bb_id_for_ion(std::uint32_t ion) const {
   return {fault::ComponentKind::kBurstBuffer, index};
 }
 
-std::uint64_t PfsModel::file_token(const std::string& path) {
-  const auto it = file_tokens_.find(path);
-  if (it != file_tokens_.end()) return it->second;
-  const std::uint64_t token = next_file_token_++;
-  file_tokens_.emplace(path, token);
-  return token;
+const PfsModel::FileInfo& PfsModel::file_info(std::uint64_t token) const {
+  sim::check::that(token >= 1 && token <= files_.size(), "file token names a known file",
+                   std::to_string(token));
+  return files_[token - 1];
 }
 
 void PfsModel::meta(ClientId client, MetaOp op, const std::string& path,
@@ -496,9 +492,8 @@ void PfsModel::plan_migration() {
   const PlacementMode mode = config_.cluster.placement;
   std::vector<OstIndex> wake;
   for (const std::uint64_t file : ledger_.acked_files()) {
-    const auto info = token_info_.find(file);
-    if (info == token_info_.end()) continue;
-    const StripeLayout& layout = info->second.layout;
+    const FileInfo& info = file_info(file);
+    const StripeLayout& layout = info.layout;
     const std::uint32_t replicas = std::max<std::uint32_t>(1, layout.replicas);
     const std::uint64_t ss = layout.stripe_size.count();
     for (const auto& seg : ledger_.acked_segments(file)) {
@@ -507,7 +502,7 @@ void PfsModel::plan_migration() {
         const std::uint64_t lo = chunk.file_offset;
         const std::uint64_t hi = lo + chunk.length.count();
         const auto targets =
-            placement_targets(map_, mode, layout, info->second.key, lo / ss, replicas);
+            placement_targets(map_, mode, layout, info.key, lo / ss, replicas);
         for (const OstIndex target : targets) {
           if (ledger_.read_ok(file, target, lo, hi)) continue;
           ledger_.mark_missed(target, file, lo, hi);
@@ -855,7 +850,7 @@ void PfsModel::settle(sim::Handle op, bool ok, IoError error) {
   result.completed = engine_.now();
   result.size = o.size;
   if (ok && o.is_write) {
-    mds_->grow_file(token_info_.at(o.file_token).path, Bytes{o.offset} + o.size, engine_.now());
+    mds_->grow_file(file_info(o.file_token).path, Bytes{o.offset} + o.size, engine_.now());
     if (o.token != 0) {
       // The ack IS the durability promise: from here on F3 holds the model
       // to keeping this payload readable from at least one replica.
@@ -1112,20 +1107,18 @@ void PfsModel::io(ClientId client, const std::string& path, const StripeLayout& 
 
   // A token names exactly one path: its placement key is hashed on first
   // sight, and later calls refresh only the layout.
-  const std::uint64_t token = file_token(path);
-  const auto [info, fresh] = token_info_.try_emplace(token);
-  if (fresh) {
-    info->second.path = path;
-    info->second.key = file_placement_key(path);
-  }
-  info->second.layout = layout;
+  const auto [known, fresh] = file_tokens_.try_emplace(path, files_.size() + 1);
+  const std::uint64_t token = known->second;
+  if (fresh) files_.push_back(FileInfo{path, layout, file_placement_key(path)});
+  FileInfo& info = files_[token - 1];
+  info.layout = layout;
 
   o.client = client;
   o.file_token = token;
   o.layout = layout;
   o.offset = offset;
   o.is_write = is_write;
-  o.key = info->second.key;
+  o.key = info.key;
   if (config_.retry.op_deadline > SimTime::zero()) {
     o.deadline = issued + config_.retry.op_deadline;
   }
@@ -1154,10 +1147,8 @@ void PfsModel::start_rebuild(OstIndex ost, bool migration) {
   const std::uint64_t piece_max =
       std::max<std::uint64_t>(1, config_.durability.rebuild_chunk.count());
   for (const auto& range : ledger_.dirty_snapshot(ost)) {
-    const auto info = token_info_.find(range.file);
-    if (info == token_info_.end()) continue;
-    const auto chunks =
-        decompose(info->second.layout, config_.osts, range.lo, Bytes{range.hi - range.lo});
+    const auto chunks = decompose(file_info(range.file).layout, config_.osts, range.lo,
+                                  Bytes{range.hi - range.lo});
     for (const auto& chunk : chunks) {
       const std::uint64_t chunk_hi = chunk.file_offset + chunk.length.count();
       for (std::uint64_t lo = chunk.file_offset; lo < chunk_hi;) {
@@ -1190,12 +1181,8 @@ void PfsModel::run_rebuild_piece(OstIndex ost) {
   const auto skip = [this, ost] {
     engine_.schedule_after(SimTime::zero(), [this, ost] { run_rebuild_piece(ost); });
   };
-  const auto info = token_info_.find(piece.file);
-  if (info == token_info_.end()) {
-    skip();
-    return;
-  }
-  const StripeLayout& layout = info->second.layout;
+  const FileInfo& info = file_info(piece.file);
+  const StripeLayout& layout = info.layout;
   const auto chunks =
       decompose(layout, config_.osts, piece.lo, Bytes{piece.hi - piece.lo});
   if (chunks.size() != 1) {  // defensive: pieces never cross chunk boundaries
@@ -1212,7 +1199,7 @@ void PfsModel::run_rebuild_piece(OstIndex ost) {
     // the door and the piece stays owed for a later pass.
     const std::uint64_t stripe = piece.lo / layout.stripe_size.count();
     for (const OstIndex candidate :
-         read_candidates(info->second.key, layout, stripe, map_.epoch())) {
+         read_candidates(info.key, layout, stripe, map_.epoch())) {
       if (candidate == ost || !map_.serving(candidate)) continue;
       if (ledger_.read_ok(piece.file, candidate, piece.lo, piece.hi)) {
         src = candidate;
@@ -1294,9 +1281,8 @@ PfsModel::DurabilityReport PfsModel::durability_report() const {
   DurabilityReport report;
   if (!tracking()) return report;
   for (const std::uint64_t file : ledger_.acked_files()) {
-    const auto info = token_info_.find(file);
-    if (info == token_info_.end()) continue;
-    const StripeLayout& layout = info->second.layout;
+    const FileInfo& info = file_info(file);
+    const StripeLayout& layout = info.layout;
     const std::uint32_t replicas = std::max<std::uint32_t>(1, layout.replicas);
     for (const auto& seg : ledger_.acked_segments(file)) {
       report.acked = report.acked + Bytes{seg.hi - seg.lo};
@@ -1314,7 +1300,7 @@ PfsModel::DurabilityReport PfsModel::durability_report() const {
         if (cluster_enabled()) {
           const std::uint64_t stripe = chunk_lo / layout.stripe_size.count();
           for (const OstIndex candidate :
-               read_candidates(info->second.key, layout, stripe, map_.epoch())) {
+               read_candidates(info.key, layout, stripe, map_.epoch())) {
             if (map_.serving(candidate) &&
                 ledger_.read_ok(file, candidate, chunk_lo, chunk_hi)) {
               held = true;

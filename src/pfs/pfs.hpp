@@ -395,15 +395,15 @@ class PfsModel {
   // backend_io scratch, reused across calls (planning never re-enters it).
   std::vector<StripeChunk> chunks_;
   std::vector<Shipment> plan_;
-  std::uint64_t next_file_token_ = 1;
-  std::unordered_map<std::string, std::uint64_t> file_tokens_;  // path -> BB file id
-  std::uint64_t file_token(const std::string& path);
+  /// File tokens are dense from 1: io() gives each new path the next one.
+  std::unordered_map<std::string, std::uint64_t> file_tokens_;  // path -> token
   struct FileInfo {
     std::string path;
     StripeLayout layout{};
     std::uint64_t key = 0;  ///< placement key (file_placement_key(path))
   };
-  std::unordered_map<std::uint64_t, FileInfo> token_info_;
+  std::vector<FileInfo> files_;  ///< file table, token t at index t - 1
+  [[nodiscard]] const FileInfo& file_info(std::uint64_t token) const;
   DurabilityLedger ledger_;
   std::map<OstIndex, std::unique_ptr<RebuildState>> rebuild_;
   // Cluster membership (populated only when config.cluster.enabled).

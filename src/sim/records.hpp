@@ -57,33 +57,34 @@ class RecordPool {
   std::vector<Handle> free_;
 };
 
-/// FIFO of handles on a power-of-two ring that grows to peak depth.
-class HandleQueue {
+/// FIFO of plain values on a power-of-two ring that grows to peak depth.
+template <typename T>
+class Ring {
  public:
-  void push(Handle h) {
+  void push(const T& value) {
     if (size_ == ring_.size()) grow();
-    ring_[(head_ + size_) & (ring_.size() - 1)] = h;
+    ring_[(head_ + size_) & (ring_.size() - 1)] = value;
     ++size_;
   }
-  [[nodiscard]] Handle front() const { return ring_[head_]; }
-  Handle pop() {
-    const Handle h = ring_[head_];
+  [[nodiscard]] const T& front() const { return ring_[head_]; }
+  T pop() {
+    const T value = ring_[head_];
     head_ = (head_ + 1) & (ring_.size() - 1);
     --size_;
-    return h;
+    return value;
   }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   void grow() {
-    std::vector<Handle> bigger(ring_.empty() ? 16 : ring_.size() * 2);
+    std::vector<T> bigger(ring_.empty() ? 16 : ring_.size() * 2);
     for (std::size_t i = 0; i < size_; ++i) bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
     ring_ = std::move(bigger);
     head_ = 0;
   }
 
-  std::vector<Handle> ring_;
+  std::vector<T> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -11,68 +11,47 @@ namespace pio::sim {
 
 // ---------------------------------------------------------------- FifoServer
 
-FifoServer::FifoServer(Engine& engine, std::string name)
-    : engine_(engine), name_(std::move(name)) {}
-
-void FifoServer::submit(SimTime service_time, std::function<void()> on_done) {
-  submit(service_time, std::move(on_done), nullptr);
+FifoServer::FifoServer(Engine& engine, std::function<void(Handle, bool)> on_done,
+                       std::string name)
+    : engine_(engine), on_done_(std::move(on_done)), name_(std::move(name)) {
+  if (!on_done_) throw std::invalid_argument("FifoServer: empty completion sink");
 }
 
-void FifoServer::submit(SimTime service_time, std::function<void()> on_done,
-                        std::function<void()> on_shed) {
+void FifoServer::submit(SimTime service_time, Handle token) {
   if (service_time < SimTime::zero()) {
     throw std::invalid_argument("FifoServer::submit: negative service time");
   }
-  const Handle h = jobs_.acquire();
-  Job& job = jobs_[h];
-  job.service = service_time;
-  job.enqueued = engine_.now();
-  job.on_done = std::move(on_done);
-  job.on_shed = std::move(on_shed);
-  queue_.push(h);
+  queue_.push(Job{service_time, engine_.now(), token});
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   if (!busy_) start_next();
 }
 
-std::function<void()> FifoServer::retire(Handle h, bool shed) {
-  Job& job = jobs_[h];
-  std::function<void()> notify = std::move(shed ? job.on_shed : job.on_done);
-  job.on_done = nullptr;
-  job.on_shed = nullptr;
-  jobs_.release(h);
-  return notify;
-}
-
 void FifoServer::start_next() {
-  // CoDel-style head drop: a sheddable job whose queueing delay already
-  // exceeds the target is not worth serving — by the time it completes the
-  // client has timed out and retried, so serving it is pure goodput loss.
-  while (!queue_.empty() && shed_target_ > SimTime::zero() && jobs_[queue_.front()].on_shed &&
-         engine_.now() - jobs_[queue_.front()].enqueued > shed_target_) {
-    const Handle h = queue_.pop();
-    const SimTime sojourn = engine_.now() - jobs_[h].enqueued;
+  // CoDel-style head drop: a job whose queueing delay already exceeds the
+  // target is not worth serving — by the time it completes the client has
+  // timed out and retried, so serving it is pure goodput loss.
+  while (!queue_.empty() && shed_target_ > SimTime::zero() &&
+         engine_.now() - queue_.front().enqueued > shed_target_) {
+    const Job job = queue_.pop();
+    const SimTime sojourn = engine_.now() - job.enqueued;
     ++stats_.shed_jobs;
     stats_.sojourn_us.add(static_cast<std::uint64_t>(sojourn.ns() / 1000));
-    engine_.schedule_after(SimTime::zero(), [this, h] {
-      const std::function<void()> notify = retire(h, /*shed=*/true);
-      if (notify) notify();
-    });
+    engine_.schedule_after(SimTime::zero(),
+                           [this, token = job.token] { on_done_(token, /*shed=*/true); });
   }
   if (queue_.empty()) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  const Handle h = queue_.pop();
-  const Job& job = jobs_[h];
+  const Job job = queue_.pop();
   const SimTime wait = engine_.now() - job.enqueued;
   stats_.total_wait += wait;
   stats_.sojourn_us.add(static_cast<std::uint64_t>(wait.ns() / 1000));
   stats_.busy_time += job.service;
-  engine_.schedule_after(job.service, [this, h] {
+  engine_.schedule_after(job.service, [this, token = job.token] {
     ++stats_.jobs_completed;
-    const std::function<void()> done = retire(h, /*shed=*/false);
-    if (done) done();
+    on_done_(token, /*shed=*/false);
     start_next();
   });
 }
@@ -196,17 +175,17 @@ void FairShareChannel::complete_due() {
 
 // ------------------------------------------------------------------ TokenPool
 
-TokenPool::TokenPool(Engine& engine, std::uint64_t tokens, std::string name)
-    : engine_(engine), capacity_(tokens), available_(tokens), name_(std::move(name)) {
+TokenPool::TokenPool(Engine& engine, std::uint64_t tokens, std::function<void(Handle)> on_grant,
+                     std::string name)
+    : engine_(engine), capacity_(tokens), available_(tokens), on_grant_(std::move(on_grant)),
+      name_(std::move(name)) {
   if (tokens == 0) throw std::invalid_argument("TokenPool: zero capacity");
+  if (!on_grant_) throw std::invalid_argument("TokenPool: empty grant sink");
 }
 
-void TokenPool::acquire(std::uint64_t n, std::function<void()> on_grant) {
+void TokenPool::acquire(std::uint64_t n, Handle token) {
   if (n == 0 || n > capacity_) throw std::invalid_argument("TokenPool::acquire: bad count");
-  const Handle h = waiters_.acquire();
-  waiters_[h].n = n;
-  waiters_[h].on_grant = std::move(on_grant);
-  queue_.push(h);
+  queue_.push(Waiter{n, token});
   drain();
 }
 
@@ -219,13 +198,12 @@ void TokenPool::release(std::uint64_t n) {
 
 void TokenPool::drain() {
   // FIFO: strictly grant in arrival order; a large request at the head
-  // blocks later small ones (no starvation).
-  while (!queue_.empty() && waiters_[queue_.front()].n <= available_) {
-    const Handle h = queue_.pop();
-    available_ -= waiters_[h].n;
-    const std::function<void()> grant = std::move(waiters_[h].on_grant);
-    waiters_.release(h);
-    if (grant) grant();
+  // blocks later small ones (no starvation). The sink may re-enter
+  // acquire() or release(); the waiter is off the ring by then.
+  while (!queue_.empty() && queue_.front().n <= available_) {
+    const Waiter waiter = queue_.pop();
+    available_ -= waiter.n;
+    on_grant_(waiter.token);
   }
 }
 

@@ -5,8 +5,9 @@
 //  - FairShareChannel: a fluid processor-sharing link (network fabrics)
 //  - TokenPool: counting semaphore in simulated time (server thread limits)
 //
-// Queued jobs and waiters live in pooled records (sim/records.hpp), so a
-// steady-state run adds no heap allocation per job.
+// All three take one sink at construction, and each job, flow or waiter
+// carries its owner's 32-bit token, not a callable (DESIGN.md §16): queued
+// entries are plain values, so a steady-state run allocates nothing per job.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +47,17 @@ struct ServerStats {
 /// model state-dependent costs (e.g. disk seek depends on previous offset).
 class FifoServer {
  public:
-  explicit FifoServer(Engine& engine, std::string name = "fifo");
+  /// `on_done(token, shed)` receives each job's token once: when its service
+  /// completes (shed = false) or when it is shed at dequeue (shed = true).
+  FifoServer(Engine& engine, std::function<void(Handle token, bool shed)> on_done,
+             std::string name = "fifo");
 
-  /// Enqueue a job; `on_done` fires when its service completes.
-  void submit(SimTime service_time, std::function<void()> on_done);
+  /// Enqueue a job of `service_time` for `token`.
+  void submit(SimTime service_time, Handle token);
 
-  /// Enqueue a sheddable job: if a shed target is set and the job's queueing
-  /// delay exceeds it when the job reaches the head, the job is dropped
-  /// without service and `on_shed` fires (next delta) instead of `on_done`.
-  /// Jobs submitted without an `on_shed` are never shed.
-  void submit(SimTime service_time, std::function<void()> on_done,
-              std::function<void()> on_shed);
-
-  /// CoDel-style sojourn bound for sheddable jobs; zero (default) disables.
+  /// CoDel-style sojourn bound; zero (default) disables. A job whose queueing
+  /// delay exceeds it at the head is dropped without service, and its token
+  /// reaches the sink (next delta) with shed = true.
   void set_shed_target(SimTime target) { shed_target_ = target; }
 
   [[nodiscard]] std::uint64_t queue_depth() const { return queue_.size() + (busy_ ? 1u : 0u); }
@@ -69,18 +68,16 @@ class FifoServer {
   struct Job {
     SimTime service;
     SimTime enqueued;
-    std::function<void()> on_done;
-    std::function<void()> on_shed;
+    Handle token;  ///< handed to on_done_
   };
+  static_assert(std::is_trivially_copyable_v<Job>, "jobs queue by value");
 
   void start_next();
-  /// Release job `h` and return the callback it was holding.
-  std::function<void()> retire(Handle h, bool shed);
 
   Engine& engine_;
+  std::function<void(Handle, bool)> on_done_;
   std::string name_;
-  RecordPool<Job> jobs_;
-  HandleQueue queue_;  ///< waiting jobs, FIFO
+  Ring<Job> queue_;  ///< waiting jobs, FIFO
   bool busy_ = false;
   SimTime shed_target_ = SimTime::zero();
   ServerStats stats_;
@@ -97,11 +94,6 @@ class FifoServer {
 /// O(log n). The clock is integer fixed point, so completion times are exact
 /// integers; every flow whose tag has been reached is released together, in
 /// admission order.
-///
-/// A flow carries its owner's 32-bit token, not a callback: every drained
-/// flow is handed to the one sink the owner registers at construction
-/// (DESIGN.md §6, §16), so a flow is a trivially copyable record and the
-/// channel's engine closures capture only `this` and plain values.
 class FairShareChannel {
  public:
   /// Virtual time in units of 2^-32 ns of full-capacity service. 64 bits
@@ -159,11 +151,13 @@ class FairShareChannel {
 /// (e.g. an MDS with k service threads). FIFO grant order.
 class TokenPool {
  public:
-  TokenPool(Engine& engine, std::uint64_t tokens, std::string name = "tokens");
+  /// `on_grant` receives each request's token when its tokens are granted.
+  TokenPool(Engine& engine, std::uint64_t tokens, std::function<void(Handle)> on_grant,
+            std::string name = "tokens");
 
-  /// Request `n` tokens (n <= pool size); `on_grant` fires when granted —
-  /// immediately (same event) if available.
-  void acquire(std::uint64_t n, std::function<void()> on_grant);
+  /// Request `n` tokens (n <= pool size) for `token`; the grant reaches the
+  /// sink immediately (same event) if they are available.
+  void acquire(std::uint64_t n, Handle token);
 
   /// Return `n` tokens, possibly granting queued waiters.
   void release(std::uint64_t n);
@@ -174,17 +168,18 @@ class TokenPool {
  private:
   struct Waiter {
     std::uint64_t n;
-    std::function<void()> on_grant;
+    Handle token;  ///< handed to on_grant_
   };
+  static_assert(std::is_trivially_copyable_v<Waiter>, "waiters queue by value");
 
   void drain();
 
   Engine& engine_;
   std::uint64_t capacity_;
   std::uint64_t available_;
+  std::function<void(Handle)> on_grant_;
   std::string name_;
-  RecordPool<Waiter> waiters_;
-  HandleQueue queue_;  ///< waiting requests, FIFO
+  Ring<Waiter> queue_;  ///< waiting requests, FIFO
 };
 
 }  // namespace pio::sim

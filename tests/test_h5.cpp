@@ -392,5 +392,59 @@ TEST_F(H5Fixture, MultiLevelTraceShowsTheFigure2Stack) {
   EXPECT_EQ(hdf5_writes, 2u);  // one logical write per rank
 }
 
+// 3,000 attributes of 100 bytes on "/" need about 340 KiB of header lines,
+// more than the 256 KiB header region. Every rank refuses the same ones with
+// an Error and keeps the metadata as it was; close_all neither throws nor
+// leaves a rank behind in the collective close, and a reopen finds exactly
+// the attributes that were accepted.
+void overfill_header(int ranks) {
+  vfs::FileSystem fs;
+  vfs::LocalBackend backend{fs};
+  par::Runtime runtime{ranks};
+  runtime.run([&](par::Comm& comm) {
+    auto file = H5File::create_all(comm, backend, "/full.h5");
+    ASSERT_TRUE(file.ok());
+    H5File& h5 = *file.value();
+    const std::string value(100, 'v');
+    int accepted = 0;
+    for (int i = 0; i < 3000; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      if (h5.set_attribute("/", key, value).ok()) {
+        EXPECT_EQ(accepted, i) << "accepted after a refusal: " << key;
+        ++accepted;
+      } else {
+        EXPECT_EQ(h5.attribute("/", key), std::nullopt);
+      }
+    }
+    EXPECT_GT(accepted, 2000);
+    EXPECT_LT(accepted, 3000);
+    // Rewriting an attribute at the same size still fits; growing it, or
+    // adding a group or dataset with a long name, does not.
+    EXPECT_TRUE(h5.set_attribute("/", "key0", std::string(100, 'w')).ok());
+    EXPECT_FALSE(h5.set_attribute("/", "key1", std::string(4096, 'w')).ok());
+    EXPECT_EQ(h5.attribute("/", "key1"), value);
+    const std::string long_name = "/" + std::string(300, 'g');
+    EXPECT_FALSE(h5.create_group(long_name).ok());
+    EXPECT_FALSE(h5.create_dataset(long_name, 8, Dataspace{{16}}).ok());
+    EXPECT_TRUE(h5.group_names().empty());
+    EXPECT_TRUE(h5.dataset_names().empty());
+    EXPECT_EQ(h5.close_all(), vfs::FsStatus::kOk);
+    comm.barrier();
+
+    auto reopened = H5File::open_all(comm, backend, "/full.h5");
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(reopened.value()->attribute("/", "key0"), std::string(100, 'w'));
+    EXPECT_EQ(reopened.value()->attribute("/", "key" + std::to_string(accepted - 1)), value);
+    EXPECT_EQ(reopened.value()->attribute("/", "key" + std::to_string(accepted)), std::nullopt);
+    // The reopened file counts its header too: it is just as full.
+    EXPECT_FALSE(reopened.value()->set_attribute("/", "more", value).ok());
+    EXPECT_EQ(reopened.value()->close_all(), vfs::FsStatus::kOk);
+  });
+}
+
+TEST(H5Test, OverfullHeaderIsRefusedAtOneRank) { overfill_header(1); }
+
+TEST(H5Test, OverfullHeaderIsRefusedAtTwoRanks) { overfill_header(2); }
+
 }  // namespace
 }  // namespace pio::h5

@@ -147,15 +147,12 @@ TEST(OverloadToStringTest, AdmissionPolicyAndOstOutcomeNamesAreDistinct) {
 
 TEST(FifoShedTest, JobsPastTheSojournTargetAreShedAtDequeue) {
   sim::Engine engine{1};
-  sim::FifoServer server{engine, "disk"};
-  server.set_shed_target(ms(1.0));
   int served = 0, shed = 0;
+  sim::FifoServer server{engine, [&](sim::Handle, bool s) { ++(s ? shed : served); }, "disk"};
+  server.set_shed_target(ms(1.0));
   // Head job holds the server for 10 ms; both followers wait far past the
   // 1 ms target and must be dropped at dequeue, not served.
-  server.submit(ms(10.0), [&] { ++served; });
-  for (int i = 0; i < 2; ++i) {
-    server.submit(ms(10.0), [&] { ++served; }, [&] { ++shed; });
-  }
+  for (sim::Handle i = 0; i < 3; ++i) server.submit(ms(10.0), i);
   engine.run();
   EXPECT_EQ(served, 1);
   EXPECT_EQ(shed, 2);
@@ -165,13 +162,12 @@ TEST(FifoShedTest, JobsPastTheSojournTargetAreShedAtDequeue) {
   engine.assert_drained();
 }
 
-TEST(FifoShedTest, JobsWithoutShedCallbackAreNeverShed) {
+TEST(FifoShedTest, ServerWithoutShedTargetNeverSheds) {
   sim::Engine engine{1};
-  sim::FifoServer server{engine, "disk"};
-  server.set_shed_target(us(1.0));
   int served = 0;
-  server.submit(ms(5.0), [&] { ++served; });
-  server.submit(ms(5.0), [&] { ++served; });  // waits 5 ms, still served
+  sim::FifoServer server{engine, [&](sim::Handle, bool shed) { served += shed ? 0 : 1; }, "disk"};
+  server.submit(ms(5.0), 0);
+  server.submit(ms(5.0), 1);  // waits 5 ms, still served
   engine.run();
   EXPECT_EQ(served, 2);
   EXPECT_EQ(server.stats().shed_jobs, 0u);

@@ -193,16 +193,17 @@ TEST(EngineTest, RngStreamsAreStable) {
 
 TEST(FifoServerTest, SerializesJobs) {
   Engine e;
-  FifoServer server{e};
-  std::vector<std::int64_t> completions;
-  for (int i = 0; i < 3; ++i) {
-    server.submit(10_us, [&] { completions.push_back(e.now().ns()); });
-  }
+  std::vector<std::pair<Handle, std::int64_t>> completions;
+  FifoServer server{e, [&](Handle h, bool shed) {
+                      EXPECT_FALSE(shed);
+                      completions.emplace_back(h, e.now().ns());
+                    }};
+  for (Handle i = 0; i < 3; ++i) server.submit(10_us, i);
   e.run();
   ASSERT_EQ(completions.size(), 3u);
-  EXPECT_EQ(completions[0], 10'000);
-  EXPECT_EQ(completions[1], 20'000);
-  EXPECT_EQ(completions[2], 30'000);
+  EXPECT_EQ(completions[0], std::make_pair(Handle{0}, std::int64_t{10'000}));
+  EXPECT_EQ(completions[1], std::make_pair(Handle{1}, std::int64_t{20'000}));
+  EXPECT_EQ(completions[2], std::make_pair(Handle{2}, std::int64_t{30'000}));
   EXPECT_EQ(server.stats().jobs_completed, 3u);
   EXPECT_EQ(server.stats().busy_time, 30_us);
   // Job 2 waited 10us, job 3 waited 20us.
@@ -212,8 +213,13 @@ TEST(FifoServerTest, SerializesJobs) {
 
 TEST(FifoServerTest, NegativeServiceTimeThrows) {
   Engine e;
-  FifoServer server{e};
-  EXPECT_THROW(server.submit(SimTime::from_ns(-5), [] {}), std::invalid_argument);
+  FifoServer server{e, [](Handle, bool) {}};
+  EXPECT_THROW(server.submit(SimTime::from_ns(-5), 0), std::invalid_argument);
+}
+
+TEST(FifoServerTest, EmptySinkIsRejected) {
+  Engine e;
+  EXPECT_THROW((FifoServer{e, {}}), std::invalid_argument);
 }
 
 TEST(FairShareChannelTest, SingleFlowTakesSizeOverCapacity) {
@@ -292,48 +298,53 @@ TEST(FairShareChannelTest, EmptySinkIsRejected) {
 
 TEST(TokenPoolTest, GrantsFifo) {
   Engine e;
-  TokenPool pool{e, 2};
-  std::vector<int> grants;
-  pool.acquire(2, [&] { grants.push_back(1); });
-  pool.acquire(1, [&] { grants.push_back(2); });
-  pool.acquire(1, [&] { grants.push_back(3); });
-  EXPECT_EQ(grants, (std::vector<int>{1}));
+  std::vector<Handle> grants;
+  TokenPool pool{e, 2, [&](Handle h) { grants.push_back(h); }};
+  pool.acquire(2, 1);
+  pool.acquire(1, 2);
+  pool.acquire(1, 3);
+  EXPECT_EQ(grants, (std::vector<Handle>{1}));
   pool.release(2);
-  EXPECT_EQ(grants, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(grants, (std::vector<Handle>{1, 2, 3}));
   EXPECT_EQ(pool.available(), 0u);
 }
 
 TEST(TokenPoolTest, LargeHeadRequestBlocksSmallerOnes) {
   Engine e;
-  TokenPool pool{e, 4};
-  std::vector<int> grants;
-  pool.acquire(3, [&] { grants.push_back(1); });
-  pool.acquire(4, [&] { grants.push_back(2); });  // must wait for all 4
-  pool.acquire(1, [&] { grants.push_back(3); });  // FIFO: behind the 4
-  EXPECT_EQ(grants, (std::vector<int>{1}));
+  std::vector<Handle> grants;
+  TokenPool pool{e, 4, [&](Handle h) { grants.push_back(h); }};
+  pool.acquire(3, 1);
+  pool.acquire(4, 2);  // must wait for all 4
+  pool.acquire(1, 3);  // FIFO: behind the 4
+  EXPECT_EQ(grants, (std::vector<Handle>{1}));
   pool.release(3);
-  EXPECT_EQ(grants, (std::vector<int>{1, 2}));
+  EXPECT_EQ(grants, (std::vector<Handle>{1, 2}));
   pool.release(4);
-  EXPECT_EQ(grants, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(grants, (std::vector<Handle>{1, 2, 3}));
 }
 
 TEST(TokenPoolTest, OverReleaseThrows) {
   Engine e;
-  TokenPool pool{e, 2};
+  TokenPool pool{e, 2, [](Handle) {}};
   EXPECT_THROW(pool.release(1), std::logic_error);
+}
+
+TEST(TokenPoolTest, EmptySinkIsRejected) {
+  Engine e;
+  EXPECT_THROW((TokenPool{e, 2, {}}), std::invalid_argument);
 }
 
 TEST(TokenPoolTest, RefusedOverReleaseLeavesPoolUnchanged) {
   Engine e;
-  TokenPool pool{e, 2};
-  pool.acquire(1, [] {});
+  int granted = 0;  // grants of token 2
+  TokenPool pool{e, 2, [&](Handle h) { granted += h == 2 ? 1 : 0; }};
+  pool.acquire(1, 1);
   EXPECT_EQ(pool.available(), 1u);
   EXPECT_THROW(pool.release(2), std::logic_error);
   EXPECT_EQ(pool.available(), 1u);
   // The refused release granted nothing: a request for the whole pool
   // still waits for the outstanding token.
-  int granted = 0;
-  pool.acquire(2, [&] { ++granted; });
+  pool.acquire(2, 2);
   EXPECT_EQ(granted, 0);
   EXPECT_EQ(pool.waiters(), 1u);
   pool.release(1);
@@ -344,13 +355,13 @@ TEST(TokenPoolTest, RefusedOverReleaseLeavesPoolUnchanged) {
 TEST(EngineDeterminismTest, IdenticalRunsProduceIdenticalHistories) {
   auto run_once = [] {
     Engine e{77};
-    FifoServer server{e};
-    Rng rng = e.rng_stream(1);
     std::vector<std::int64_t> history;
+    FifoServer server{e, [&](Handle, bool) { history.push_back(e.now().ns()); }};
+    Rng rng = e.rng_stream(1);
     for (int i = 0; i < 50; ++i) {
       const auto service = SimTime::from_us(rng.uniform(1.0, 100.0));
       e.schedule_at(SimTime::from_us(rng.uniform(0.0, 500.0)), [&, service] {
-        server.submit(service, [&] { history.push_back(e.now().ns()); });
+        server.submit(service, 0);
       });
     }
     e.run();
