@@ -4,16 +4,23 @@
 // that is only viable if the engine sustains millions of events per second.
 // This is the one google-benchmark microbenchmark binary: engine event
 // throughput, oversized-payload scheduling through the heap, fluid-channel
-// transfers, fabric messages, and end-to-end PFS model ops.
+// transfers, fabric messages, end-to-end PFS model ops, and the pioevald
+// wire path (frame CRC, a fully cached campaign served).
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
+#include "common/codec.hpp"
+#include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
+#include "svc/evald.hpp"
+#include "svc/messages.hpp"
 
 using namespace pio;
 using namespace pio::literals;
@@ -144,6 +151,55 @@ void BM_PfsModelEndToEnd(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops) * state.iterations());
 }
 BENCHMARK(BM_PfsModelEndToEnd)->Arg(256)->Arg(2048);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> bytes(n);
+  Rng rng{1, 1};
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(codec::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+// 64 B: a small reply; 305 B: one PointResult frame's payload and header;
+// 4 KiB: the long-buffer rate.
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(305)->Arg(4096);
+
+void BM_SvcServedPoint(benchmark::State& state) {
+  // One fully cached 4-point campaign per iteration through one session:
+  // feed its submit, pump one round and split the output into frames, as a
+  // client of a warm pioevald sees it. Items are points served.
+  constexpr std::uint32_t kPoints = 4;
+  svc::CampaignSpec spec;
+  spec.testbed = {4, 2, 4, 1};
+  spec.model = {4, 2, 2, 1};
+  for (std::uint32_t j = 0; j < kPoints; ++j) {
+    svc::WorkloadSpec w;
+    w.ranks = 2;
+    w.block_kib = 128 * (1 + j);
+    w.transfer_kib = 32;
+    spec.workloads.push_back(w);
+  }
+  std::vector<std::uint8_t> submit;
+  svc::append_frame(svc::MsgType::kSubmitCampaign, svc::encode(svc::SubmitCampaign{spec}),
+                    submit);
+  svc::Evald evald{{.threads = 1}};
+  const svc::SessionId sid = evald.open_session();
+  evald.feed(sid, submit);
+  evald.drain();  // computes and caches every point
+  (void)evald.take_output(sid);
+  for (auto _ : state) {
+    evald.feed(sid, submit);
+    (void)evald.pump();
+    const std::vector<svc::Frame> frames = svc::split_frames(evald.take_output(sid));
+    benchmark::DoNotOptimize(frames.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kPoints) * state.iterations());
+  evald.close_session(sid);
+}
+BENCHMARK(BM_SvcServedPoint);
 
 }  // namespace
 

@@ -301,6 +301,7 @@ int main(int argc, char** argv) {
   if (!json_out.empty()) {
     std::ofstream out(json_out);
     out << "{\n  \"bench\": \"cf5_service\",\n"
+        << "  \"host\": " << bench::host_context_json() << ",\n"
         << "  \"sessions\": " << s.sessions_opened << ",\n"
         << "  \"campaigns\": {\"submitted\": " << s.campaigns_submitted
         << ", \"accepted\": " << s.campaigns_accepted

@@ -5,7 +5,9 @@
 #                                 engine microbenchmarks (event storm,
 #                                 self-scheduling cascade, oversized
 #                                 payloads on the heap, fair-share
-#                                 channel, end-to-end PFS model ops)
+#                                 channel, fabric, end-to-end PFS model
+#                                 ops, frame CRC-32, a cached pioevald
+#                                 campaign served)
 #   BENCH_campaign_scaling.json — C-12 campaign thread-scaling curve with
 #                                 the cross-thread determinism digest
 #   BENCH_parsim.json           — C-13 facility pool-width scaling (cells

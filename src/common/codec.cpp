@@ -6,23 +6,47 @@ namespace pio::codec {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the byte-at-a-time table; tables[k][b] is the CRC state
+/// contribution of byte b followed by k zero bytes, so eight bytes fold in
+/// one step of eight independent lookups.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Four bytes as a little-endian word, whatever the host order.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) c = kCrcTable[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

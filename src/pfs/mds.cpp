@@ -23,7 +23,7 @@ const char* to_string(MetaOp op) {
 
 MetadataServer::MetadataServer(sim::Engine& engine, const MdsConfig& config)
     : engine_(engine), config_(config),
-      threads_(engine, config.service_threads, [this](sim::Handle h) { granted(h); }, "mds") {
+      threads_(config.service_threads, [this](sim::Handle h) { granted(h); }) {
   // Root directory always exists.
   Inode root;
   root.is_dir = true;

@@ -319,7 +319,7 @@ fault::ComponentId PfsModel::bb_id_for_ion(std::uint32_t ion) const {
 
 const PfsModel::FileInfo& PfsModel::file_info(std::uint64_t token) const {
   sim::check::that(token >= 1 && token <= files_.size(), "file token names a known file",
-                   std::to_string(token));
+                   [token] { return std::to_string(token); });
   return files_[token - 1];
 }
 

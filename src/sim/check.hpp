@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace pio::sim::check {
 
@@ -29,10 +31,20 @@ inline constexpr bool kEnabled = true;
 [[noreturn]] void fail(const char* invariant, const std::string& detail);
 
 /// Assert `cond`; on failure, report `invariant` (a short stable name) and
-/// `detail` (context: sizes, times). Compiles to nothing when disabled.
-inline void that(bool cond, const char* invariant, const std::string& detail = {}) {
+/// `detail` (context: sizes, times). `detail` is a string, or a callable
+/// returning one that runs only on failure, so context built from numbers
+/// costs nothing while the invariant holds. Compiles to nothing when
+/// disabled.
+template <class Detail = const char*>
+inline void that(bool cond, const char* invariant, Detail&& detail = "") {
   if constexpr (kEnabled) {
-    if (!cond) fail(invariant, detail);
+    if (!cond) [[unlikely]] {
+      if constexpr (std::is_invocable_v<Detail>) {
+        fail(invariant, std::forward<Detail>(detail)());
+      } else {
+        fail(invariant, std::forward<Detail>(detail));
+      }
+    }
   } else {
     (void)cond;
     (void)invariant;
@@ -60,7 +72,7 @@ inline void handler_outside_down_interval(bool is_down, const char* resource) {
 /// count; it must be zero once the engine queue is empty.
 inline void abandoned_ops_drained(std::uint64_t in_flight) {
   that(in_flight == 0, "fault.abandoned-op-leak",
-       kEnabled ? std::to_string(in_flight) + " abandoned ops still in flight" : std::string{});
+       [&] { return std::to_string(in_flight) + " abandoned ops still in flight"; });
 }
 
 /// C1: write-back never drops acknowledged bytes. At quiescence every dirty
@@ -70,8 +82,7 @@ inline void abandoned_ops_drained(std::uint64_t in_flight) {
 /// queue is empty.
 inline void cache_writeback_drained(std::uint64_t dirty_pages) {
   that(dirty_pages == 0, "cache.writeback-undrained",
-       kEnabled ? std::to_string(dirty_pages) + " dirty pages never written back"
-                : std::string{});
+       [&] { return std::to_string(dirty_pages) + " dirty pages never written back"; });
 }
 
 /// F3: no acknowledged write is ever lost. At campaign end, every byte
@@ -81,8 +92,7 @@ inline void cache_writeback_drained(std::uint64_t dirty_pages) {
 /// is the audited deficit; it must be zero.
 inline void acked_writes_durable(std::uint64_t lost_bytes) {
   that(lost_bytes == 0, "fault.acked-write-lost",
-       kEnabled ? std::to_string(lost_bytes) + " acknowledged bytes held by no replica"
-                : std::string{});
+       [&] { return std::to_string(lost_bytes) + " acknowledged bytes held by no replica"; });
 }
 
 /// Pooled in-flight records (sim/records.hpp) are released exactly when the
@@ -91,8 +101,7 @@ inline void acked_writes_durable(std::uint64_t lost_bytes) {
 /// resolved, or a stage that forgot to release it.
 inline void records_released(std::size_t live, const char* pool) {
   that(live == 0, "sim.records-leak",
-       kEnabled ? std::string(pool) + ": " + std::to_string(live) + " records still live"
-                : std::string{});
+       [&] { return std::string(pool) + ": " + std::to_string(live) + " records still live"; });
 }
 
 // -- overload-era invariants (F5) ------------------------------------------
@@ -108,20 +117,20 @@ inline void records_released(std::size_t live, const char* pool) {
 /// `submitted` — a gap means an op vanished (or was double-counted).
 inline void admission_accounting_exact(std::uint64_t submitted, std::uint64_t accounted,
                                        const char* server) {
-  that(submitted == accounted, "overload.admission-accounting",
-       kEnabled ? std::string(server) + ": submitted=" + std::to_string(submitted) +
-                      " accounted=" + std::to_string(accounted)
-                : std::string{});
+  that(submitted == accounted, "overload.admission-accounting", [&] {
+    return std::string(server) + ": submitted=" + std::to_string(submitted) +
+           " accounted=" + std::to_string(accounted);
+  });
 }
 
 /// F5b: retry amplification is bounded. With a token-bucket retry budget
 /// enabled, the retries actually spent can never exceed the initial burst
 /// allowance plus the per-success earn rate: spent <= cap + ratio * deposits.
 inline void retry_amplification_bounded(std::uint64_t spent, double allowed) {
-  that(static_cast<double>(spent) <= allowed + 1e-9, "overload.retry-amplification",
-       kEnabled ? std::to_string(spent) + " retries spent against an allowance of " +
-                      std::to_string(allowed)
-                : std::string{});
+  that(static_cast<double>(spent) <= allowed + 1e-9, "overload.retry-amplification", [&] {
+    return std::to_string(spent) + " retries spent against an allowance of " +
+           std::to_string(allowed);
+  });
 }
 
 }  // namespace pio::sim::check

@@ -168,9 +168,9 @@ std::uint64_t Engine::run(SimTime until) {
 }
 
 void Engine::assert_drained() const {
-  check::that(pending_ == 0 && live_slots() == 0, "queue drained at campaign end",
-              "pending=" + std::to_string(pending_) +
-                  " live_slots=" + std::to_string(live_slots()));
+  check::that(pending_ == 0 && live_slots() == 0, "queue drained at campaign end", [this] {
+    return "pending=" + std::to_string(pending_) + " live_slots=" + std::to_string(live_slots());
+  });
 }
 
 }  // namespace pio::sim

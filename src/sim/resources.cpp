@@ -175,10 +175,8 @@ void FairShareChannel::complete_due() {
 
 // ------------------------------------------------------------------ TokenPool
 
-TokenPool::TokenPool(Engine& engine, std::uint64_t tokens, std::function<void(Handle)> on_grant,
-                     std::string name)
-    : engine_(engine), capacity_(tokens), available_(tokens), on_grant_(std::move(on_grant)),
-      name_(std::move(name)) {
+TokenPool::TokenPool(std::uint64_t tokens, std::function<void(Handle)> on_grant)
+    : capacity_(tokens), available_(tokens), on_grant_(std::move(on_grant)) {
   if (tokens == 0) throw std::invalid_argument("TokenPool: zero capacity");
   if (!on_grant_) throw std::invalid_argument("TokenPool: empty grant sink");
 }

@@ -152,8 +152,7 @@ class FairShareChannel {
 class TokenPool {
  public:
   /// `on_grant` receives each request's token when its tokens are granted.
-  TokenPool(Engine& engine, std::uint64_t tokens, std::function<void(Handle)> on_grant,
-            std::string name = "tokens");
+  TokenPool(std::uint64_t tokens, std::function<void(Handle)> on_grant);
 
   /// Request `n` tokens (n <= pool size) for `token`; the grant reaches the
   /// sink immediately (same event) if they are available.
@@ -174,11 +173,9 @@ class TokenPool {
 
   void drain();
 
-  Engine& engine_;
   std::uint64_t capacity_;
   std::uint64_t available_;
   std::function<void(Handle)> on_grant_;
-  std::string name_;
   Ring<Waiter> queue_;  ///< waiting requests, FIFO
 };
 

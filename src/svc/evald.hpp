@@ -139,9 +139,14 @@ class Evald {
   };
 
   [[nodiscard]] SessionState& session(SessionId id);
-  void emit(SessionState& sess, MsgType type, const std::vector<std::uint8_t>& payload);
+  /// Frame `message` straight into the session's output buffer.
+  template <class M>
+  void emit(SessionState& sess, const M& message);
   void emit_error(SessionState& sess, ErrorCode code, const char* detail,
                   std::uint64_t retry_after_ns = 0);
+  /// Handle every complete frame at the front of [data, data+n); returns
+  /// the bytes they took. A header fault poisons the session.
+  std::size_t parse_frames(SessionState& sess, const std::uint8_t* data, std::size_t n);
   void handle_frame(SessionState& sess, const Frame& frame);
   void handle_submit(SessionState& sess, const Frame& frame);
   void handle_cancel(SessionState& sess, const Frame& frame);

@@ -1,15 +1,17 @@
-// Test-only differential oracle: the binary decoders that the field-list
-// codec replaced, kept verbatim apart from their names, namespaces and
-// header-only packaging.
+// Test-only differential oracle: the binary codec code that was replaced,
+// kept verbatim apart from its names, namespaces and header-only packaging.
+//   - codec::oracle::crc32: the byte-at-a-time table loop that slice-by-8
+//     replaced (tests/test_service.cpp compares the two).
 //   - trace::oracle::try_read_binary: the std::istream reader with host-order
 //     struct reads and seek probes for the bytes remaining.
 //   - svc::oracle::decode / decode_point: the per-message strict decoders
 //     that spelled each record's fields a second time.
-// tests/test_codec_fuzz.cpp feeds them and the library decoders the same
-// mutated inputs and requires the same accept set and equal values.
+// tests/test_codec_fuzz.cpp feeds the decoders and the library decoders the
+// same mutated inputs and requires the same accept set and equal values.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -23,6 +25,28 @@
 #include "common/result.hpp"
 #include "svc/messages.hpp"
 #include "trace/tracer.hpp"
+
+namespace pio::codec::oracle {
+
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+
+inline std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = kCrcTable[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+}  // namespace pio::codec::oracle
 
 namespace pio::trace::oracle {
 

@@ -5,13 +5,17 @@
 // driver) keeps its in-flight state in pooled records that grow to peak
 // concurrency, and its stage closures capture only `this` and a handle, so
 // std::function and the engine's Task store them inline. This file replaces
-// the global operator new with a counting one that counts only while
-// Engine::run executes, and bounds the allocations per engine event on two
+// the global operator new with a counting one that counts only inside a
+// test's window (Engine::run here), and bounds the allocations per engine
+// event on two
 // shapes: the 64-rank N-to-1 checkpoint (write then read one shared file)
 // and a 64-rank x 16-file mdtest with 4 KiB writes. What remains is pool
 // growth to peak and the workload streams' own op strings. A third case
 // bounds what an attached trace::ServerStatsCollector adds on the mdtest
 // shape: its window maps, not a per-op record.
+//
+// The pioevald wire path is bounded the same way, per frame: serving a
+// fully cached campaign (pump plus take_output) and feeding its submit.
 //
 // Its own executable: the replaced operator new applies to the whole
 // program. Labelled `alloc`.
@@ -25,6 +29,8 @@
 #include "driver/sim_driver.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/engine.hpp"
+#include "svc/evald.hpp"
+#include "svc/messages.hpp"
 #include "trace/server_stats.hpp"
 #include "workload/kernels.hpp"
 
@@ -40,6 +46,14 @@ void* operator new(std::size_t bytes) {
   if (g_counting) ++g_allocations;
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
+}
+
+// std::stable_sort's scratch buffer comes from the nothrow form; under
+// ASan an unreplaced form would pair the sanitizer's allocation with the
+// free() below.
+void* operator new(std::size_t bytes, const std::nothrow_t& /*tag*/) noexcept {
+  if (g_counting) ++g_allocations;
+  return std::malloc(bytes == 0 ? 1 : bytes);
 }
 
 // GCC sees free() applied to what operator new returned once both are
@@ -145,6 +159,69 @@ TEST(AllocPerEvent, AttachedCollectorAddsNoPerOpAllocation) {
             kMaxObserverAllocationsPerEvent)
       << attached.allocations << " attached vs " << detached.allocations
       << " detached allocations for " << attached.events << " events";
+}
+
+// ------------------------------------------------------------ pioevald
+
+/// A 4-point campaign of small IOR workloads.
+svc::CampaignSpec four_point_spec() {
+  svc::CampaignSpec spec;
+  spec.testbed = {4, 2, 4, 1};
+  spec.model = {4, 2, 2, 1};
+  for (std::uint32_t j = 0; j < 4; ++j) {
+    svc::WorkloadSpec w;
+    w.ranks = 2;
+    w.block_kib = 128 * (1 + j);
+    w.transfer_kib = 32;
+    spec.workloads.push_back(w);
+  }
+  return spec;
+}
+
+// Serving a fully cached campaign builds each frame in the session's
+// buffer: at most one allocation per frame delivered, and feeding the
+// submit takes a bounded handful. Counted in steady state: the cache holds
+// every point and the session buffer has grown once.
+TEST(AllocPerFrame, ServedCachedCampaign) {
+  svc::Evald evald{{.threads = 1}};
+  const svc::SessionId sid = evald.open_session();
+  std::vector<std::uint8_t> submit;
+  svc::append_frame(svc::MsgType::kSubmitCampaign,
+                    svc::encode(svc::SubmitCampaign{four_point_spec()}), submit);
+  for (int warm = 0; warm < 2; ++warm) {
+    evald.feed(sid, submit);
+    evald.drain();
+    (void)evald.take_output(sid);
+  }
+
+  g_allocations = 0;
+  g_counting = true;
+  evald.feed(sid, submit);
+  g_counting = false;
+  const std::uint64_t feed_allocations = g_allocations;
+
+  g_allocations = 0;
+  g_counting = true;
+  const bool more = evald.pump();
+  const std::vector<std::uint8_t> out = evald.take_output(sid);
+  g_counting = false;
+  const std::uint64_t serve_allocations = g_allocations;
+
+  EXPECT_FALSE(more);
+  const std::vector<svc::Frame> frames = svc::split_frames(out);
+  ASSERT_EQ(frames.size(), 6u);  // SubmitAck, four PointResults, CampaignDone
+  for (std::size_t i = 1; i < 5; ++i) {
+    svc::PointResult point;
+    ASSERT_TRUE(svc::decode(frames[i].payload, &point));
+    EXPECT_EQ(point.source, svc::ResultSource::kCached);
+  }
+  RecordProperty("feed_allocations", std::to_string(feed_allocations));
+  RecordProperty("serve_allocations", std::to_string(serve_allocations));
+  EXPECT_LE(feed_allocations, 10u);
+  EXPECT_LE(serve_allocations, frames.size() - 1)
+      << serve_allocations << " allocations to serve " << frames.size() - 1 << " frames";
+  evald.close_session(sid);
+  evald.audit_quiescent();
 }
 
 // The counter itself: an allocation inside the window is seen, one outside

@@ -6,9 +6,10 @@
 // H5File::open_all.
 //
 // Each target starts from a corpus the library itself encodes and applies
-// kMutationsPerTarget seeded mutations: bit flips, truncations, splices of
-// two corpus entries, and overwrites of a length or count field with a
-// hostile value. Both decoders see every mutant; they must accept exactly
+// kMutationsPerTarget (20,000) seeded mutations, or PIO_FUZZ_ITERS when that
+// is set (the sanitizer CI leg runs 100,000): bit flips, truncations,
+// splices of two corpus entries, and overwrites of a length or count field
+// with a hostile value. Both decoders see every mutant; they must accept exactly
 // the same inputs and decode equal values. The one sanctioned difference:
 // the trace decoder rejects layer and op bytes outside their enums, which
 // the oracle cast straight into events. The seed is a constant, so a
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <exception>
 #include <iterator>
 #include <sstream>
@@ -46,6 +48,22 @@ namespace {
 
 constexpr std::uint64_t kFuzzSeed = 0xF022'C0DE'C5EEDULL;
 constexpr int kMutationsPerTarget = 20'000;
+
+/// Mutations per target: PIO_FUZZ_ITERS when set, else kMutationsPerTarget.
+/// A value that is not a positive count fails the test that reads it.
+int mutations() {
+  static const int count = [] {
+    const char* env = std::getenv("PIO_FUZZ_ITERS");
+    if (env == nullptr || *env == '\0') return kMutationsPerTarget;
+    char* end = nullptr;
+    const long n = std::strtol(env, &end, 10);
+    if (*end != '\0' || n <= 0 || n > 100'000'000) {
+      throw std::invalid_argument(std::string("PIO_FUZZ_ITERS is not a positive count: ") + env);
+    }
+    return static_cast<int>(n);
+  }();
+  return count;
+}
 
 using Bytes8 = std::vector<std::uint8_t>;
 
@@ -130,8 +148,8 @@ struct Tally {
 void expect_both_sides(const Tally& t) {
   // A corpus or mutator that only ever produces garbage (or only clean
   // inputs) would make agreement vacuous.
-  EXPECT_GT(t.accepted, kMutationsPerTarget / 100);
-  EXPECT_GT(t.rejected, kMutationsPerTarget / 100);
+  EXPECT_GT(t.accepted, mutations() / 100);
+  EXPECT_GT(t.rejected, mutations() / 100);
 }
 
 // ------------------------------------------------------------------ trace
@@ -233,7 +251,7 @@ TEST(CodecFuzz, TraceBinaryMatchesOracle) {
   Rng rng{kFuzzSeed, 0};
   Tally tally;
   int enum_rejections = 0;
-  for (int i = 0; i < kMutationsPerTarget; ++i) {
+  for (int i = 0; i < mutations(); ++i) {
     const Bytes8 input = mutate(rng, corpus);
     const std::string text(input.begin(), input.end());
     std::stringstream oracle_in(text);
@@ -274,7 +292,7 @@ void fuzz_decoder(std::uint64_t stream, const std::vector<Seed>& corpus, Oracle 
                   Library library, Encode encode) {
   Rng rng{kFuzzSeed, stream};
   Tally tally;
-  for (int i = 0; i < kMutationsPerTarget; ++i) {
+  for (int i = 0; i < mutations(); ++i) {
     const Bytes8 input = mutate(rng, corpus);
     M expected{};
     M actual{};
@@ -444,7 +462,7 @@ TEST(CodecFuzz, NextFrameKeepsItsContract) {
   Rng rng{kFuzzSeed, 10};
   Tally tally;  // by the status of each mutant's first frame
   int bad_crc = 0;
-  for (int i = 0; i < kMutationsPerTarget; ++i) {
+  for (int i = 0; i < mutations(); ++i) {
     const Bytes8 input = mutate(rng, corpus);
     std::size_t pos = 0;
     for (bool first = true;; first = false) {
@@ -473,7 +491,7 @@ TEST(CodecFuzz, NextFrameKeepsItsContract) {
     }
   }
   expect_both_sides(tally);
-  EXPECT_GT(bad_crc, kMutationsPerTarget / 100);
+  EXPECT_GT(bad_crc, mutations() / 100);
 }
 
 // ------------------------------------------------------------ size strings
@@ -488,7 +506,7 @@ TEST(CodecFuzz, ParseBytesThrowsOnlyInvalidArgument) {
   }
   Rng rng{kFuzzSeed, 11};
   Tally tally;
-  for (int i = 0; i < kMutationsPerTarget; ++i) {
+  for (int i = 0; i < mutations(); ++i) {
     const Bytes8 input = mutate(rng, corpus);
     const std::string text(input.begin(), input.end());
     try {
@@ -549,7 +567,7 @@ close "/out/f.{rank}")",
   }
   Rng rng{kFuzzSeed, 12};
   Tally tally;
-  for (int i = 0; i < kMutationsPerTarget; ++i) {
+  for (int i = 0; i < mutations(); ++i) {
     const Bytes8 input = mutate(rng, corpus);
     const std::string text(input.begin(), input.end());
     try {
@@ -617,7 +635,7 @@ TEST(CodecFuzz, H5OpenReturnsOnlyResult) {
     });
     Rng rng{kFuzzSeed, 13};
     Tally tally;
-    for (int i = 0; i < kMutationsPerTarget; ++i) {
+    for (int i = 0; i < mutations(); ++i) {
       const Bytes8 input = mutate(rng, corpus);
       put_file(backend, "/mutant.h5", input);
       try {

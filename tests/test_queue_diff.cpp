@@ -192,7 +192,7 @@ class Drive {
   }
   static Pool make_pool(Engine& engine, const Storm& storm, Drive* self) {
     if constexpr (kTokens) {
-      return Pool{engine, storm.pool_size, [self](Handle req) { self->granted(req); }};
+      return Pool{storm.pool_size, [self](Handle req) { self->granted(req); }};
     } else {
       return Pool{engine, storm.pool_size};
     }

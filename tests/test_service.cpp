@@ -22,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include "codec_oracle.hpp"
 #include "common/codec.hpp"
 #include "common/fnv.hpp"
+#include "common/rng.hpp"
 #include "eval/campaign.hpp"
 #include "svc/evald.hpp"
 #include "svc/messages.hpp"
@@ -140,6 +142,33 @@ TEST(ServiceCodec, Crc32CheckVector) {
   EXPECT_EQ(codec::crc32(reinterpret_cast<const std::uint8_t*>(check.data()), check.size()),
             0xCBF43926u);
   EXPECT_EQ(codec::crc32(nullptr, 0), 0u);
+}
+
+// Slice-by-8 against the byte-at-a-time loop it replaced: every length up
+// to 1 KiB at every start alignment, so each head, 8-byte body and tail
+// split is covered, then seeded random buffers up to 64 KiB.
+TEST(ServiceCodec, Crc32MatchesBytewiseReference) {
+  Rng rng{0xC4C3'2000ULL, 1};
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(codec::crc32(p, n), codec::oracle::crc32(p, n))
+          << n << " bytes at offset " << offset;
+    }
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    buf.resize(rng.next_below((64 << 10) + 1));
+    for (std::size_t j = 0; j < buf.size(); j += 8) {
+      const std::uint64_t r = rng.next_u64();
+      for (std::size_t k = 0; k < 8 && j + k < buf.size(); ++k) {
+        buf[j + k] = static_cast<std::uint8_t>(r >> (8 * k));
+      }
+    }
+    ASSERT_EQ(codec::crc32(buf.data(), buf.size()), codec::oracle::crc32(buf.data(), buf.size()))
+        << "buffer " << i << " of " << buf.size() << " bytes";
+  }
 }
 
 TEST(ServiceCodec, FrameRoundTrip) {
@@ -270,6 +299,11 @@ TEST(ServiceCodec, StringsAtTheLimitRoundTripAndPastItAreRefused) {
   EXPECT_EQ(err2.detail, err.detail);
   err.detail.push_back('d');
   EXPECT_THROW((void)svc::encode(err), std::length_error);
+  // Framed in place, a refused string leaves the buffer as it was.
+  std::vector<std::uint8_t> out = frame_bytes(svc::MsgType::kStats, {});
+  const std::vector<std::uint8_t> before = out;
+  EXPECT_THROW(svc::append_message(err, out), std::length_error);
+  EXPECT_EQ(out, before);
 
   eval::CampaignPoint p = distinct_point();
   p.workload = std::string(kLimit, 'w');
@@ -571,6 +605,72 @@ TEST(ServiceWire, PointKeyIsPinned) {
   EXPECT_EQ(svc::point_key(spec, 1), 13093776182942019769ULL);
 }
 
+TEST(ServiceWire, OutboxBytesArePinned) {
+  // Every byte the service writes in a fixed scenario, pinned: frames built
+  // in place and frames parsed straight from the fed bytes must reproduce
+  // the stream of the copy-based service exactly. Three sessions: cold,
+  // coalesced and cached points, a cancel, a bad-CRC frame, a byte-at-a-time
+  // feed, frames split across feeds and a Stats request.
+  svc::EvaldConfig config;
+  config.threads = 1;
+  config.batch_points = 4;
+  svc::Evald evald{config};
+  const svc::SessionId a = evald.open_session();
+  const svc::SessionId b = evald.open_session();
+  const svc::SessionId c = evald.open_session();
+  std::vector<std::uint8_t> all;
+  const auto take = [&](svc::SessionId sid) {
+    const auto bytes = evald.take_output(sid);
+    all.insert(all.end(), bytes.begin(), bytes.end());
+    return bytes;
+  };
+
+  evald.feed(a, submit_bytes(make_spec(4)));
+  for (const std::uint8_t byte : submit_bytes(make_spec(4))) evald.feed(b, &byte, 1);
+  auto burst = submit_bytes(make_spec(1, 50));
+  burst.back() ^= 0xFF;  // bad CRC: skipped, answered, stream recovers
+  for (const auto& spec : {make_spec(3, 30), make_spec(2, 40)}) {
+    const auto wire = submit_bytes(spec);
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  evald.feed(c, burst);
+  (void)evald.pump();
+  svc::SubmitAck last;
+  for (const svc::Frame& f : svc::split_frames(take(c))) {
+    if (f.type == svc::MsgType::kSubmitAck) {
+      ASSERT_TRUE(svc::decode(f.payload, &last));
+    }
+  }
+  evald.feed(c, frame_bytes(svc::MsgType::kCancelCampaign,
+                            svc::encode(svc::CancelCampaign{last.campaign_id})));
+  evald.drain();
+
+  // Two frames split across three feeds: a partial header, then the rest of
+  // one frame, a whole cached replay and the head of a Stats request.
+  std::vector<std::uint8_t> stream = submit_bytes(make_spec(2, 30));
+  const auto replay = submit_bytes(make_spec(4));
+  const auto stats = frame_bytes(svc::MsgType::kStats, {});
+  stream.insert(stream.end(), replay.begin(), replay.end());
+  stream.insert(stream.end(), stats.begin(), stats.end());
+  const std::size_t cut1 = 7;
+  const std::size_t cut2 = stream.size() - 5;
+  evald.feed(a, stream.data(), cut1);
+  evald.feed(a, stream.data() + cut1, cut2 - cut1);
+  evald.feed(a, stream.data() + cut2, stream.size() - cut2);
+  evald.drain();
+  evald.feed(b, stats);
+
+  for (const svc::SessionId sid : {a, b, c}) {
+    (void)take(sid);
+    evald.close_session(sid);
+  }
+  evald.audit_quiescent();
+  EXPECT_GT(evald.stats().points_coalesced, 0u);
+  EXPECT_GT(evald.stats().points_cached, 0u);
+  EXPECT_EQ(evald.stats().protocol_errors, 1u);
+  EXPECT_EQ(pin(all), std::make_pair(std::size_t{5920}, std::uint64_t{370096867606279039ULL}));
+}
+
 TEST(ServiceDigest, CarriedDigestMatchesDecodedBlob) {
   svc::Evald evald{{.threads = 1}};
   const svc::SessionId sid = evald.open_session();
@@ -801,6 +901,24 @@ TEST(ServiceScheduler, RoundRobinWithInflightCapKeepsSmallCampaignsLive) {
   (void)evald.take_output(big);
   evald.close_session(big);
   evald.close_session(small);
+  evald.audit_quiescent();
+}
+
+TEST(ServiceScheduler, InflightCapBindsBeforeTheBatchFills) {
+  // A lone session gets at most session_inflight_cap points per round even
+  // when the batch has room for more.
+  svc::EvaldConfig config;
+  config.threads = 1;
+  config.batch_points = 8;
+  config.session_inflight_cap = 3;
+  svc::Evald evald{config};
+  const svc::SessionId sid = evald.open_session();
+  evald.feed(sid, submit_bytes(make_spec(7)));
+  for (const std::size_t expected : {3u, 3u, 1u}) {
+    EXPECT_EQ(evald.pump(), expected == 3u);
+    EXPECT_EQ(points_of(collect(evald, sid)).size(), expected);
+  }
+  evald.close_session(sid);
   evald.audit_quiescent();
 }
 

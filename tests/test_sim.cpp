@@ -11,9 +11,12 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/check.hpp"
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
 
@@ -297,9 +300,8 @@ TEST(FairShareChannelTest, EmptySinkIsRejected) {
 }
 
 TEST(TokenPoolTest, GrantsFifo) {
-  Engine e;
   std::vector<Handle> grants;
-  TokenPool pool{e, 2, [&](Handle h) { grants.push_back(h); }};
+  TokenPool pool{2, [&](Handle h) { grants.push_back(h); }};
   pool.acquire(2, 1);
   pool.acquire(1, 2);
   pool.acquire(1, 3);
@@ -310,9 +312,8 @@ TEST(TokenPoolTest, GrantsFifo) {
 }
 
 TEST(TokenPoolTest, LargeHeadRequestBlocksSmallerOnes) {
-  Engine e;
   std::vector<Handle> grants;
-  TokenPool pool{e, 4, [&](Handle h) { grants.push_back(h); }};
+  TokenPool pool{4, [&](Handle h) { grants.push_back(h); }};
   pool.acquire(3, 1);
   pool.acquire(4, 2);  // must wait for all 4
   pool.acquire(1, 3);  // FIFO: behind the 4
@@ -324,20 +325,17 @@ TEST(TokenPoolTest, LargeHeadRequestBlocksSmallerOnes) {
 }
 
 TEST(TokenPoolTest, OverReleaseThrows) {
-  Engine e;
-  TokenPool pool{e, 2, [](Handle) {}};
+  TokenPool pool{2, [](Handle) {}};
   EXPECT_THROW(pool.release(1), std::logic_error);
 }
 
 TEST(TokenPoolTest, EmptySinkIsRejected) {
-  Engine e;
-  EXPECT_THROW((TokenPool{e, 2, {}}), std::invalid_argument);
+  EXPECT_THROW((TokenPool{2, {}}), std::invalid_argument);
 }
 
 TEST(TokenPoolTest, RefusedOverReleaseLeavesPoolUnchanged) {
-  Engine e;
   int granted = 0;  // grants of token 2
-  TokenPool pool{e, 2, [&](Handle h) { granted += h == 2 ? 1 : 0; }};
+  TokenPool pool{2, [&](Handle h) { granted += h == 2 ? 1 : 0; }};
   pool.acquire(1, 1);
   EXPECT_EQ(pool.available(), 1u);
   EXPECT_THROW(pool.release(2), std::logic_error);
@@ -350,6 +348,46 @@ TEST(TokenPoolTest, RefusedOverReleaseLeavesPoolUnchanged) {
   pool.release(1);
   EXPECT_EQ(granted, 1);
   EXPECT_EQ(pool.available(), 0u);
+}
+
+// A check's detail is built only when the invariant fails, and the
+// failure text is unchanged by building it lazily.
+TEST(SimCheckTest, DetailIsBuiltOnlyOnFailure) {
+  if (!check::kEnabled) GTEST_SKIP() << "checks compiled out";
+  int built = 0;
+  const auto detail = [&built] {
+    ++built;
+    return std::string("context");
+  };
+  check::that(true, "sim.test-holds", detail);
+  EXPECT_EQ(built, 0);
+  try {
+    check::that(false, "sim.test-fails", detail);
+    FAIL() << "a failed check did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "sim invariant violated [sim.test-fails]: context");
+  }
+  EXPECT_EQ(built, 1);
+  EXPECT_THROW(check::that(false, "sim.test-no-detail"), std::logic_error);
+}
+
+TEST(SimCheckTest, FailingRecordsReleasedReportsTheLiveCount) {
+  if (!check::kEnabled) GTEST_SKIP() << "checks compiled out";
+  check::records_released(0, "ost");
+  try {
+    check::records_released(3, "ost");
+    FAIL() << "a leak did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "sim invariant violated [sim.records-leak]: ost: 3 records still live");
+  }
+  try {
+    check::admission_accounting_exact(5, 4, "mds");
+    FAIL() << "an accounting gap did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "sim invariant violated [overload.admission-accounting]: mds: submitted=5 "
+                 "accounted=4");
+  }
 }
 
 TEST(EngineDeterminismTest, IdenticalRunsProduceIdenticalHistories) {
