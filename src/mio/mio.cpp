@@ -28,10 +28,11 @@ Bounds bounds_of(std::span<const Extent> extents) {
 }
 
 /// A par message: codec-encoded fields followed by raw payload bytes.
-par::Buffer to_buffer(const codec::Writer& w, std::span<const std::byte> tail = {}) {
-  par::Buffer out(w.size() + tail.size());
-  std::ranges::transform(w.view(), out.begin(), [](std::uint8_t b) { return std::byte{b}; });
-  std::ranges::copy(tail, out.begin() + static_cast<std::ptrdiff_t>(w.size()));
+par::Buffer to_buffer(const std::vector<std::uint8_t>& fields,
+                      std::span<const std::byte> tail = {}) {
+  par::Buffer out(fields.size() + tail.size());
+  std::ranges::transform(fields, out.begin(), [](std::uint8_t b) { return std::byte{b}; });
+  std::ranges::copy(tail, out.begin() + static_cast<std::ptrdiff_t>(fields.size()));
   return out;
 }
 
@@ -43,10 +44,11 @@ codec::Reader reader_of(const par::Buffer& buf) {
 /// broadcast back.
 Bounds global_bounds(par::Comm& comm, Bounds local) {
   const auto encode = [](Bounds b) {
-    codec::Writer w;
+    std::vector<std::uint8_t> fields;
+    codec::Writer w(fields);
     w.u64(b.lo);
     w.u64(b.hi);
-    return to_buffer(w);
+    return to_buffer(fields);
   };
   const auto decode = [](const par::Buffer& buf) {
     codec::Reader r = reader_of(buf);
@@ -73,13 +75,14 @@ struct PieceList {
   std::vector<std::byte> payload;
 
   [[nodiscard]] par::Buffer serialize() const {
-    codec::Writer w;
+    std::vector<std::uint8_t> fields;
+    codec::Writer w(fields);
     w.u64(extents.size());
     for (const auto& e : extents) {
       w.u64(e.offset);
       w.u64(e.length.count());
     }
-    return to_buffer(w, payload);
+    return to_buffer(fields, payload);
   }
 
   static PieceList deserialize(const par::Buffer& buf) {

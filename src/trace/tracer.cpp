@@ -242,7 +242,8 @@ void Trace::write_binary(std::ostream& out) const {
       table.push_back(&e.path);
     }
   }
-  codec::Writer w;
+  std::vector<std::uint8_t> bytes;
+  codec::Writer w(bytes);
   w.bytes(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof kMagic);
   w.u32(static_cast<std::uint32_t>(table.size()));
   // The reader bounds a path only by the bytes present.
@@ -261,8 +262,8 @@ void Trace::write_binary(std::ostream& out) const {
     w.i64(e.start.ns());
     w.i64(e.end.ns());
   }
-  out.write(reinterpret_cast<const char*>(w.view().data()),
-            static_cast<std::streamsize>(w.size()));
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 Result<Trace> Trace::try_read_binary(std::istream& in) {
