@@ -139,10 +139,11 @@ void BM_PfsModelEndToEnd(benchmark::State& state) {
     config.disk_kind = pfs::DiskKind::kSsd;
     pfs::PfsModel model{engine, config};
     pfs::MetaResult created;
-    model.meta(0, pfs::MetaOp::kCreate, "/bench", [&](pfs::MetaResult r) { created = r; });
+    const FileId bench = model.mds().intern("/bench");
+    model.meta(0, pfs::MetaOp::kCreate, bench, [&](pfs::MetaResult r) { created = r; });
     engine.run();
     for (std::uint64_t i = 0; i < ops; ++i) {
-      model.io(static_cast<pfs::ClientId>(i % 8), "/bench", created.inode->layout,
+      model.io(static_cast<pfs::ClientId>(i % 8), bench, created.inode->layout,
                (i % 64) << 20, 1_MiB, true, [](pfs::IoResult) {});
     }
     engine.run();

@@ -94,8 +94,9 @@ struct CrashRun {
 /// write-back cache while the only OST is down for the first 50 ms.
 CrashRun run_crash_writeback() {
   std::vector<std::vector<workload::Op>> ops(4);
+  PathTable paths;
   for (std::int32_t r = 0; r < 4; ++r) {
-    const std::string path = "/ckpt-" + std::to_string(r);
+    const FileId path = paths.intern("/ckpt-" + std::to_string(r));
     auto& rank_ops = ops[static_cast<std::size_t>(r)];
     rank_ops.push_back(workload::Op::create(path));
     for (std::uint64_t p = 0; p < 8; ++p) {
@@ -104,7 +105,7 @@ CrashRun run_crash_writeback() {
     rank_ops.push_back(workload::Op::fsync(path));
     rank_ops.push_back(workload::Op::close(path));
   }
-  const workload::VectorWorkload checkpoint{"ckpt", std::move(ops)};
+  const workload::VectorWorkload checkpoint{"ckpt", std::move(paths), std::move(ops)};
 
   sim::Engine engine{1};
   pfs::PfsConfig pfs_config;

@@ -34,21 +34,23 @@ std::unique_ptr<workload::Workload> access_pattern(std::uint64_t size, double ra
                                                    std::uint64_t ops, std::uint64_t seed) {
   Rng rng{seed, 0xACCE55};
   const std::uint64_t extent = 1ULL << 30;  // 1 GiB file
+  PathTable paths;
+  const FileId data = paths.intern("/data");
   std::vector<workload::Op> sequence;
-  sequence.push_back(workload::Op::create("/data"));
+  sequence.push_back(workload::Op::create(data));
   // Pre-populate so reads hit real extents.
-  sequence.push_back(workload::Op::write("/data", 0, Bytes{extent / 64}));
+  sequence.push_back(workload::Op::write(data, 0, Bytes{extent / 64}));
   std::uint64_t cursor = 0;
   for (std::uint64_t i = 0; i < ops; ++i) {
     const std::uint64_t offset = rng.chance(randomness)
                                      ? rng.next_below(extent - size)
                                      : cursor % (extent - size);
-    sequence.push_back(workload::Op::read("/data", offset, Bytes{size}));
+    sequence.push_back(workload::Op::read(data, offset, Bytes{size}));
     cursor = offset + size;
   }
-  sequence.push_back(workload::Op::close("/data"));
+  sequence.push_back(workload::Op::close(data));
   return std::make_unique<workload::VectorWorkload>(
-      "pattern", std::vector<std::vector<workload::Op>>{std::move(sequence)});
+      "pattern", std::move(paths), std::vector<std::vector<workload::Op>>{std::move(sequence)});
 }
 
 }  // namespace

@@ -87,7 +87,8 @@ int main() {
         break;
       }
       for (std::size_t i = 0; i < a[r].size(); ++i) {
-        if (a[r][i].kind != b[r][i].kind || a[r][i].path != b[r][i].path ||
+        if (a[r][i].kind != b[r][i].kind ||
+            c.workload->path(a[r][i].file) != restored->path(b[r][i].file) ||
             a[r][i].offset != b[r][i].offset || a[r][i].size != b[r][i].size) {
           lossless = false;
           break;

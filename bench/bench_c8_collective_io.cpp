@@ -65,13 +65,15 @@ SimTime simulated_write_time(std::uint64_t op_count, Bytes total) {
   const Bytes op_size = total / op_count;
   std::vector<std::vector<workload::Op>> per_rank(1);
   auto& seq = per_rank[0];
-  seq.push_back(workload::Op::create("/sim/out"));
+  PathTable paths;
+  const FileId out = paths.intern("/sim/out");
+  seq.push_back(workload::Op::create(out));
   for (std::uint64_t i = 0; i < op_count; ++i) {
     // Strided placement mirrors the pre-aggregation pattern.
-    seq.push_back(workload::Op::write("/sim/out", (i * 7919) % total.count(), op_size));
+    seq.push_back(workload::Op::write(out, (i * 7919) % total.count(), op_size));
   }
-  seq.push_back(workload::Op::close("/sim/out"));
-  const workload::VectorWorkload w{"cb-sim", std::move(per_rank)};
+  seq.push_back(workload::Op::close(out));
+  const workload::VectorWorkload w{"cb-sim", std::move(paths), std::move(per_rank)};
   const auto result = bench::simulate(bench::reference_testbed(pfs::DiskKind::kHdd), w);
   return result.write_time;
 }

@@ -108,7 +108,7 @@ OverloadRun run_one(bool controlled) {
   for (std::uint32_t c = 0; c < kClients; ++c) {
     layouts[c] = pfs::StripeLayout{Bytes::from_mib(1), 1, c % kOsts};
     bool created = false;
-    model.meta(c, pfs::MetaOp::kCreate, "/f" + std::to_string(c),
+    model.meta(c, pfs::MetaOp::kCreate, model.mds().intern("/f" + std::to_string(c)),
                [&created](pfs::MetaResult r) { created = r.ok(); }, layouts[c]);
     engine.run();
     if (!created) throw std::runtime_error("cf4: create failed");
@@ -128,8 +128,8 @@ OverloadRun run_one(bool controlled) {
          t < kHorizon; t = t + kInterval, ++k) {
       engine.schedule_at(t, [&, c, k] {
         ++out.submitted;
-        model.io(c, "/f" + std::to_string(c), layouts[c], (k % 64) * kOpSize.count(),
-                 kOpSize, /*is_write=*/true, [&](pfs::IoResult r) {
+        model.io(c, model.mds().intern("/f" + std::to_string(c)), layouts[c],
+                 (k % 64) * kOpSize.count(), kOpSize, /*is_write=*/true, [&](pfs::IoResult r) {
                    if (!r.ok) {
                      ++out.failed;
                      return;

@@ -42,7 +42,7 @@ std::uint64_t ClientCacheTier::file_id(const std::string& path,
                                        const pfs::StripeLayout& layout) {
   const auto [it, inserted] = ids_.try_emplace(path, next_file_id_);
   if (inserted) {
-    metas_.emplace(next_file_id_, FileMeta{path, layout});
+    metas_.emplace(next_file_id_, FileMeta{model_.mds().intern(path), layout});
     ++next_file_id_;
   }
   return it->second;
@@ -96,6 +96,7 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
     return;
   }
   const std::uint64_t fid = file_id(path, layout);
+  const FileId file = metas_.at(fid).file;
   const std::size_t sidx = slot_index(rank);
   Slot& slot = *slots_[sidx];
   const std::uint64_t psz = config_.page_size.count();
@@ -142,7 +143,7 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
   for (const Run& run : runs) {
     // Misses fetch whole pages: page-aligned, page-granular (may over-fetch
     // relative to the request — that cost is the point of measuring it).
-    model_.io(client, path, layout, run.first_page * psz, Bytes{run.pages * psz},
+    model_.io(client, file, layout, run.first_page * psz, Bytes{run.pages * psz},
               /*is_write=*/false,
               [this, sidx, fid, run, rank, latch](pfs::IoResult result) {
                 if (result.ok) {
@@ -178,7 +179,7 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
       if (pf_count > 0) {
         slot.cache.stats_mut().cache_prefetch_issued += pf_count;
         record(CacheEventKind::kPrefetchIssue, rank, Bytes{pf_count * psz});
-        model_.io(client, path, layout, pf_first * psz, Bytes{pf_count * psz},
+        model_.io(client, file, layout, pf_first * psz, Bytes{pf_count * psz},
                   /*is_write=*/false,
                   [this, sidx, fid, pf_first, pf_count, rank](pfs::IoResult result) {
                     if (!result.ok) {
@@ -213,6 +214,7 @@ void ClientCacheTier::write(std::int32_t rank, const std::string& path,
     return;
   }
   const std::uint64_t fid = file_id(path, layout);
+  const FileId file = metas_.at(fid).file;
   const std::size_t sidx = slot_index(rank);
   Slot& slot = *slots_[sidx];
   const std::uint64_t psz = config_.page_size.count();
@@ -233,7 +235,7 @@ void ClientCacheTier::write(std::int32_t rank, const std::string& path,
   if (!absorb) {
     // Write-through: the op costs the full simulated path; pages the cache
     // already holds are refreshed in place so later reads stay coherent.
-    model_.io(client_of(rank), path, layout, offset, size, /*is_write=*/true,
+    model_.io(client_of(rank), file, layout, offset, size, /*is_write=*/true,
               [this, sidx, fid, first, last, offset, size, rank, psz,
                on_done](pfs::IoResult result) {
                 if (result.ok) {
@@ -296,7 +298,7 @@ void ClientCacheTier::settle_page(std::size_t slot_idx, PageKey key,
   const Bytes bytes{page->valid_bytes};
   const std::uint64_t version = page->version;
   const std::int32_t owner = page->owner;
-  model_.io(client_of(owner), meta->second.path, meta->second.layout,
+  model_.io(client_of(owner), meta->second.file, meta->second.layout,
             key.page * config_.page_size.count(), bytes, /*is_write=*/true,
             [this, slot_idx, key, bytes, version, owner,
              on_clean = std::move(on_clean)](pfs::IoResult result) {
@@ -413,7 +415,7 @@ void ClientCacheTier::warm_next(std::size_t slot_idx) {
     ++slot.warm_inflight;
     ++slot.cache.stats_mut().cache_prefetch_issued;
     record(CacheEventKind::kPrefetchIssue, rank, config_.page_size);
-    model_.io(client_of(rank), meta->second.path, meta->second.layout,
+    model_.io(client_of(rank), meta->second.file, meta->second.layout,
               key.page * config_.page_size.count(), config_.page_size,
               /*is_write=*/false, [this, slot_idx, key, rank](pfs::IoResult result) {
                 Slot& s = *slots_[slot_idx];

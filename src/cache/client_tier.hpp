@@ -111,7 +111,7 @@ class ClientCacheTier {
   };
 
   struct FileMeta {
-    std::string path;
+    FileId file;  ///< the model's id for the path
     pfs::StripeLayout layout;
   };
 

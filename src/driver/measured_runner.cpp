@@ -37,27 +37,28 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
     const std::int32_t rank = comm.rank();
     trace::TracingBackend backend{shared_backend, out, clock, rank};
     auto stream = workload.stream(rank);
-    std::map<std::string, vfs::Fd> open_fds;
+    std::map<FileId, vfs::Fd> open_fds;
     std::vector<std::byte> buffer;
     while (auto op = stream->next()) {
       using K = workload::OpKind;
       ++ops;
       bool ok = true;
+      const std::string& path = workload.path(op->file);
       switch (op->kind) {
         case K::kCreate: {
-          auto fd = backend.open(op->path, {vfs::OpenMode::kReadWrite, true, true});
+          auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, true, true});
           ok = fd.ok();
-          if (ok) open_fds[op->path] = fd.value();
+          if (ok) open_fds[op->file] = fd.value();
           break;
         }
         case K::kOpen: {
-          auto fd = backend.open(op->path, {vfs::OpenMode::kReadWrite, false, false});
+          auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, false, false});
           ok = fd.ok();
-          if (ok) open_fds[op->path] = fd.value();
+          if (ok) open_fds[op->file] = fd.value();
           break;
         }
         case K::kClose: {
-          const auto it = open_fds.find(op->path);
+          const auto it = open_fds.find(op->file);
           if (it == open_fds.end()) {
             ok = false;
             break;
@@ -68,15 +69,15 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
         }
         case K::kRead:
         case K::kWrite: {
-          auto it = open_fds.find(op->path);
+          auto it = open_fds.find(op->file);
           if (it == open_fds.end()) {
             // Implicit open (profile-generated workloads may elide opens).
-            auto fd = backend.open(op->path, {vfs::OpenMode::kReadWrite, true, false});
+            auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, true, false});
             if (!fd.ok()) {
               ok = false;
               break;
             }
-            it = open_fds.emplace(op->path, fd.value()).first;
+            it = open_fds.emplace(op->file, fd.value()).first;
           }
           const auto size = static_cast<std::size_t>(op->size.count());
           if (buffer.size() < size) buffer.resize(size);
@@ -96,16 +97,16 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
           }
           break;
         }
-        case K::kStat: ok = backend.stat(op->path).ok(); break;
+        case K::kStat: ok = backend.stat(path).ok(); break;
         case K::kMkdir: {
-          const auto status = backend.mkdir(op->path);
+          const auto status = backend.mkdir(path);
           ok = status == vfs::FsStatus::kOk || status == vfs::FsStatus::kExists;
           break;
         }
-        case K::kUnlink: ok = backend.remove(op->path) == vfs::FsStatus::kOk; break;
-        case K::kReaddir: ok = backend.readdir(op->path).ok(); break;
+        case K::kUnlink: ok = backend.remove(path) == vfs::FsStatus::kOk; break;
+        case K::kReaddir: ok = backend.readdir(path).ok(); break;
         case K::kFsync: {
-          const auto it = open_fds.find(op->path);
+          const auto it = open_fds.find(op->file);
           ok = it != open_fds.end() && backend.fsync(it->second) == vfs::FsStatus::kOk;
           break;
         }
@@ -115,7 +116,7 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
       if (!ok) ++failed;
     }
     // Close anything the workload leaked.
-    for (const auto& [path, fd] : open_fds) backend.close(fd);
+    for (const auto& [file, fd] : open_fds) backend.close(fd);
   });
 
   MeasuredRunResult result;

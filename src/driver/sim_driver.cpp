@@ -60,16 +60,14 @@ pfs::ClientId ExecutionDrivenSimulator::client_of(std::int32_t rank) const {
   return static_cast<pfs::ClientId>(rank) % model_.config().clients;
 }
 
-const pfs::StripeLayout& ExecutionDrivenSimulator::layout_of(const std::string& path) const {
-  const auto it = layouts_.find(path);
-  return it == layouts_.end() ? config_.layout : it->second;
-}
-
 void ExecutionDrivenSimulator::begin_impl(const workload::Workload& workload,
                                           trace::Sink* sink) {
   sink_ = sink;
   result_ = SimRunResult{};
-  layouts_.clear();
+  paths_ = &workload.paths();
+  files_.resize(paths_->size());
+  for (FileId f = 0; f < files_.size(); ++f) files_[f] = model_.mds().intern(paths_->path(f));
+  layouts_.assign(paths_->size(), config_.layout);
   barrier_waiting_ = 0;
   const auto n = static_cast<std::size_t>(workload.ranks());
   if (n == 0) throw std::invalid_argument("ExecutionDrivenSimulator: zero-rank workload");
@@ -170,7 +168,7 @@ void ExecutionDrivenSimulator::advance(std::int32_t rank) {
     }
     return;
   }
-  state.op = std::move(*op);
+  state.op = *op;
   issue(rank);
 }
 
@@ -197,15 +195,16 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank) {
         const auto done = [this, rank](bool ok, Bytes hit_bytes) {
           cached_done(rank, ok, hit_bytes);
         };
+        const std::string& path = paths_->path(op.file);
         if (is_write) {
-          tier_->write(rank, op.path, layout_of(op.path), op.offset, op.size, done);
+          tier_->write(rank, path, layouts_[op.file], op.offset, op.size, done);
         } else {
-          tier_->read(rank, op.path, layout_of(op.path), op.offset, op.size, done);
+          tier_->read(rank, path, layouts_[op.file], op.offset, op.size, done);
         }
         return;
       }
-      model_.io(client_of(rank), op.path, layout_of(op.path), op.offset, op.size, is_write,
-                [this, rank](pfs::IoResult result) { complete_op(rank, result.ok); });
+      model_.io(client_of(rank), files_[op.file], layouts_[op.file], op.offset, op.size,
+                is_write, [this, rank](pfs::IoResult result) { complete_op(rank, result.ok); });
       return;
     }
     case K::kCreate:
@@ -216,11 +215,13 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank) {
     case K::kReaddir:
     case K::kClose:
     case K::kFsync: {
-      if (tier_ != nullptr && op.kind == K::kUnlink) tier_->invalidate_path(op.path);
+      if (tier_ != nullptr && op.kind == K::kUnlink) {
+        tier_->invalidate_path(paths_->path(op.file));
+      }
       if (tier_ != nullptr && (op.kind == K::kFsync || op.kind == K::kClose)) {
         // Write-back barrier: the commit RPC is issued only once every dirty
         // page of the file has landed (C1: flush-on-close/fsync).
-        tier_->flush_path(rank, op.path, [this, rank] { issue_meta(rank); });
+        tier_->flush_path(rank, paths_->path(op.file), [this, rank] { issue_meta(rank); });
         return;
       }
       issue_meta(rank);
@@ -248,7 +249,7 @@ void ExecutionDrivenSimulator::issue_meta(std::int32_t rank) {
   }
   const std::optional<pfs::StripeLayout> layout =
       op.kind == K::kCreate ? std::optional<pfs::StripeLayout>(config_.layout) : std::nullopt;
-  model_.meta(client_of(rank), meta_op, op.path,
+  model_.meta(client_of(rank), meta_op, files_[op.file],
               [this, rank](pfs::MetaResult result) { meta_done(rank, result); }, layout);
 }
 
@@ -260,7 +261,7 @@ void ExecutionDrivenSimulator::meta_done(std::int32_t rank, const pfs::MetaResul
   // tolerance.)
   const bool ok = result.ok() || ((op.kind == K::kCreate || op.kind == K::kMkdir) &&
                                   result.status == pfs::MetaStatus::kExists);
-  if (result.inode.has_value()) layouts_[op.path] = result.inode->layout;
+  if (result.inode.has_value()) layouts_[op.file] = result.inode->layout;
   complete_op(rank, ok);
 }
 
@@ -275,7 +276,7 @@ void ExecutionDrivenSimulator::cached_done(std::int32_t rank, bool ok, Bytes hit
     e.op = state.op.kind == workload::OpKind::kWrite ? trace::OpKind::kWrite
                                                      : trace::OpKind::kRead;
     e.rank = rank;
-    e.path = state.op.path;
+    e.path = paths_->path(state.op.file);
     e.offset = state.op.offset;
     e.size = hit_bytes.count();
     e.start = state.start;
@@ -318,7 +319,7 @@ void ExecutionDrivenSimulator::complete_op(std::int32_t rank, bool ok) {
     e.layer = trace::Layer::kPosix;
     e.op = to_trace_op(op.kind);
     e.rank = rank;
-    e.path = op.path;
+    e.path = paths_->path(op.file);
     e.offset = op.offset;
     e.size = op.size.count();
     e.start = start;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -143,8 +142,6 @@ class ExecutionDrivenSimulator {
   void complete_op(std::int32_t rank, bool ok);
   void release_barrier();
   [[nodiscard]] pfs::ClientId client_of(std::int32_t rank) const;
-  /// Layout for a path: cached from create/open, else the default.
-  [[nodiscard]] const pfs::StripeLayout& layout_of(const std::string& path) const;
 
   sim::Engine& engine_;
   pfs::PfsModel& model_;
@@ -152,7 +149,11 @@ class ExecutionDrivenSimulator {
   trace::Sink* sink_ = nullptr;
   std::unique_ptr<cache::ClientCacheTier> tier_;
   std::vector<RankState> ranks_;
-  std::map<std::string, pfs::StripeLayout> layouts_;
+  // By the running workload's file id: the model's id for the path, and the
+  // layout the last create/open/stat returned (until then the default).
+  const PathTable* paths_ = nullptr;
+  std::vector<FileId> files_;
+  std::vector<pfs::StripeLayout> layouts_;
   std::uint64_t barrier_waiting_ = 0;
   std::uint64_t active_ranks_ = 0;
   SimRunResult result_;

@@ -73,9 +73,18 @@ void MetadataServer::respond_error(sim::Handle h, MetaStatus status) {
   });
 }
 
-void MetadataServer::request(MetaOp op, const std::string& path,
-                             std::function<void(MetaResult)> on_done,
+FileId MetadataServer::intern(std::string_view path) {
+  const FileId file = names_.intern(path);
+  if (file == inodes_.size()) {
+    const auto it = namespace_.find(names_.path(file));
+    inodes_.push_back(it == namespace_.end() ? nullptr : &it->second);
+  }
+  return file;
+}
+
+void MetadataServer::request(MetaOp op, FileId file, std::function<void(MetaResult)> on_done,
                              std::optional<StripeLayout> layout) {
+  const std::string& path = names_.path(file);
   if (path.empty() || path.front() != '/') {
     throw std::invalid_argument("MetadataServer::request: path must be absolute");
   }
@@ -84,7 +93,7 @@ void MetadataServer::request(MetaOp op, const std::string& path,
   const sim::Handle h = requests_.acquire();
   Request& req = requests_[h];
   req.op = op;
-  req.path.assign(path);
+  req.file = file;
   req.layout = layout;
   req.enqueued = enqueued;
   req.cost = SimTime::zero();
@@ -144,7 +153,7 @@ void MetadataServer::granted(sim::Handle h) {
   // A slowdown (e.g. lock-contention storm) in effect at service start
   // stretches this op's cost by the active factor.
   Request& req = requests_[h];
-  SimTime cost = cost_of(req.op, req.path);
+  SimTime cost = cost_of(req.op, names_.path(req.file));
   if (timeline_ != nullptr) cost = timeline_->scaled(component_id(), engine_.now(), cost);
   req.cost = cost;
   engine_.schedule_after(cost, [this, h] { serviced(h); });
@@ -193,7 +202,7 @@ void MetadataServer::complete(sim::Handle h) {
     timeline_->check_handler_allowed(component_id(), now);
   }
   const Request& req = requests_[h];
-  MetaResult result = apply(req.op, req.path, req.layout);
+  MetaResult result = apply(req);
   ++stats_.ops_total;
   stats_.busy_time += req.cost;
   if (!result.ok()) ++stats_.errors;
@@ -202,18 +211,13 @@ void MetadataServer::complete(sim::Handle h) {
   reply(h, std::move(result));
 }
 
-Inode* MetadataServer::find_inode(const std::string& path) {
+bool MetadataServer::dir_exists(const std::string& path) const {
   const auto it = namespace_.find(path);
-  return it == namespace_.end() ? nullptr : &it->second;
+  return it != namespace_.end() && it->second.is_dir;
 }
 
-const Inode* MetadataServer::find_inode(const std::string& path) const {
-  const auto it = namespace_.find(path);
-  return it == namespace_.end() ? nullptr : &it->second;
-}
-
-void MetadataServer::grow_file(const std::string& path, Bytes new_size, SimTime mtime) {
-  if (Inode* inode = find_inode(path); inode != nullptr && !inode->is_dir) {
+void MetadataServer::grow_file(FileId file, Bytes new_size, SimTime mtime) {
+  if (Inode* inode = find_inode(file); inode != nullptr && !inode->is_dir) {
     inode->size = std::max(inode->size, new_size);
     inode->mtime = mtime;
   }
@@ -249,31 +253,31 @@ std::string MetadataServer::parent_of(const std::string& path) {
   return path.substr(0, pos);
 }
 
-MetaResult MetadataServer::apply(MetaOp op, const std::string& path,
-                                 const std::optional<StripeLayout>& layout) {
+MetaResult MetadataServer::apply(const Request& req) {
+  const MetaOp op = req.op;
+  const std::string& path = names_.path(req.file);
   MetaResult result;
   switch (op) {
     case MetaOp::kCreate: {
-      if (namespace_.contains(path)) {
+      if (find_inode(req.file) != nullptr) {
         result.status = MetaStatus::kExists;
         break;
       }
-      const Inode* parent = find_inode(parent_of(path));
-      if (parent == nullptr || !parent->is_dir) {
+      if (!dir_exists(parent_of(path))) {
         result.status = MetaStatus::kNotFound;
         break;
       }
       Inode inode;
       inode.is_dir = false;
-      inode.layout = layout.value_or(config_.default_layout);
+      inode.layout = req.layout.value_or(config_.default_layout);
       inode.ctime = inode.mtime = engine_.now();
-      namespace_.emplace(path, inode);
+      inodes_[req.file] = &namespace_.emplace(path, inode).first->second;
       result.inode = inode;
       break;
     }
     case MetaOp::kOpen:
     case MetaOp::kStat: {
-      const Inode* inode = find_inode(path);
+      const Inode* inode = find_inode(req.file);
       if (inode == nullptr) {
         result.status = MetaStatus::kNotFound;
         break;
@@ -297,28 +301,28 @@ MetaResult MetadataServer::apply(MetaOp op, const std::string& path,
           break;
         }
       }
+      inodes_[req.file] = nullptr;
       namespace_.erase(it);
       break;
     }
     case MetaOp::kMkdir: {
-      if (namespace_.contains(path)) {
+      if (find_inode(req.file) != nullptr) {
         result.status = MetaStatus::kExists;
         break;
       }
-      const Inode* parent = find_inode(parent_of(path));
-      if (parent == nullptr || !parent->is_dir) {
+      if (!dir_exists(parent_of(path))) {
         result.status = MetaStatus::kNotFound;
         break;
       }
       Inode inode;
       inode.is_dir = true;
       inode.ctime = inode.mtime = engine_.now();
-      namespace_.emplace(path, inode);
+      inodes_[req.file] = &namespace_.emplace(path, inode).first->second;
       result.inode = inode;
       break;
     }
     case MetaOp::kReaddir: {
-      const Inode* dir = find_inode(path);
+      const Inode* dir = find_inode(req.file);
       if (dir == nullptr) {
         result.status = MetaStatus::kNotFound;
         break;
@@ -344,7 +348,7 @@ MetaResult MetadataServer::apply(MetaOp op, const std::string& path,
     case MetaOp::kRename:
       // Rename is modelled as a cost-only op in this release (the bench
       // suite does not exercise cross-directory moves).
-      if (!namespace_.contains(path)) result.status = MetaStatus::kNotFound;
+      if (find_inode(req.file) == nullptr) result.status = MetaStatus::kNotFound;
       break;
   }
   // Successful namespace mutations append to the journal the standby

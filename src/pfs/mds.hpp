@@ -12,9 +12,11 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.hpp"
+#include "common/path_table.hpp"
 #include "common/types.hpp"
 #include "fault/fault.hpp"
 #include "pfs/resilience.hpp"
@@ -114,16 +116,21 @@ class MetadataServer {
   MetadataServer(const MetadataServer&) = delete;
   MetadataServer& operator=(const MetadataServer&) = delete;
 
+  /// The id requests name `path` by, assigned on first sight. The namespace
+  /// stays keyed by path: readdir is a lexicographic range scan.
+  FileId intern(std::string_view path);
+  [[nodiscard]] const std::string& path(FileId file) const { return names_.path(file); }
+
   /// Issue a metadata op. The namespace mutation and the callback both occur
   /// at service completion. `layout` is honoured only for kCreate.
-  void request(MetaOp op, const std::string& path, std::function<void(MetaResult)> on_done,
+  void request(MetaOp op, FileId file, std::function<void(MetaResult)> on_done,
                std::optional<StripeLayout> layout = std::nullopt);
 
   /// Synchronous (zero-cost) inode access for internal bookkeeping, e.g.
   /// size updates on write completion (clients cache sizes in real systems).
-  [[nodiscard]] Inode* find_inode(const std::string& path);
-  [[nodiscard]] const Inode* find_inode(const std::string& path) const;
-  void grow_file(const std::string& path, Bytes new_size, SimTime mtime);
+  /// No lookup: apply() keeps each id's namespace entry current.
+  [[nodiscard]] Inode* find_inode(FileId file) { return inodes_[file]; }
+  void grow_file(FileId file, Bytes new_size, SimTime mtime);
 
   /// Attach the fault timeline (owned by the PFS facade; must outlive the
   /// MDS's use). Requests during a down interval fail with kUnavailable;
@@ -154,11 +161,10 @@ class MetadataServer {
   [[nodiscard]] SimTime standby_ready(SimTime now) const;
 
  private:
-  /// One request, from request() to its reply. The path is copied in once;
-  /// a reused record's string keeps its capacity.
+  /// One request, from request() to its reply.
   struct Request {
     MetaOp op = MetaOp::kStat;
-    std::string path;
+    FileId file = 0;
     std::optional<StripeLayout> layout;
     SimTime enqueued = SimTime::zero();
     SimTime cost = SimTime::zero();           ///< service cost, once granted
@@ -167,9 +173,9 @@ class MetadataServer {
   };
 
   [[nodiscard]] SimTime cost_of(MetaOp op, const std::string& path) const;
-  [[nodiscard]] MetaResult apply(MetaOp op, const std::string& path,
-                                 const std::optional<StripeLayout>& layout);
+  [[nodiscard]] MetaResult apply(const Request& req);
   [[nodiscard]] static std::string parent_of(const std::string& path);
+  [[nodiscard]] bool dir_exists(const std::string& path) const;
   /// True iff the MDS is inside a down interval at `t` but the standby has
   /// finished its takeover and is serving (F1 is judged per-service, so a
   /// successful handler in this state is legitimate).
@@ -198,6 +204,8 @@ class MetadataServer {
   sim::TokenPool threads_;
   // Sorted map so Readdir can range-scan children of a directory prefix.
   std::map<std::string, Inode> namespace_;
+  PathTable names_;
+  std::vector<Inode*> inodes_{nullptr};  // file -> its namespace entry (null: none)
   sim::RecordPool<Request> requests_;
   MdsStats stats_;
   const fault::Timeline* timeline_ = nullptr;

@@ -28,7 +28,7 @@ std::unique_ptr<DiskModel> make_disk(const PfsConfig& config, sim::Engine& engin
 /// own reference (dropped at settle) plus one per attempt in flight.
 struct PfsModel::IoOp {
   ClientId client = 0;
-  std::uint64_t file_token = 0;  ///< files_ entry: path and placement key
+  std::uint64_t file_token = 0;  ///< files_ entry (and durability file when tracking)
   StripeLayout layout{};
   std::uint64_t offset = 0;
   Bytes size = Bytes::zero();
@@ -36,9 +36,7 @@ struct PfsModel::IoOp {
   SimTime issued = SimTime::zero();
   std::uint32_t attempt = 0;  ///< attempts started so far
   std::uint32_t refs = 0;
-  std::uint64_t file = 0;     ///< durability file token (0 = untracked)
   WriteToken token = 0;       ///< payload identity for tracked writes
-  std::uint64_t key = 0;      ///< placement key (cluster map mode)
   std::uint64_t map_epoch = 1;  ///< client's cached epoch for this attempt
   // Overload control (DESIGN.md §14); all inert at their defaults.
   SimTime deadline = SimTime::zero();        ///< absolute end-to-end deadline (0 = none)
@@ -106,12 +104,11 @@ struct PfsModel::Shipment {
   IoError fail_error = IoError::kNone;
 };
 
-/// One meta() call, from the client's request to the reply's return. The
-/// path is copied in once; a reused record's string keeps its capacity.
+/// One meta() call, from the client's request to the reply's return.
 struct PfsModel::MetaCall {
   ClientId client = 0;
   MetaOp op = MetaOp::kStat;
-  std::string path;
+  FileId file = 0;
   std::optional<StripeLayout> layout;
   MetaResult result;
   std::function<void(MetaResult)> done;
@@ -323,7 +320,7 @@ const PfsModel::FileInfo& PfsModel::file_info(std::uint64_t token) const {
   return files_[token - 1];
 }
 
-void PfsModel::meta(ClientId client, MetaOp op, const std::string& path,
+void PfsModel::meta(ClientId client, MetaOp op, FileId file,
                     std::function<void(MetaResult)> on_done,
                     std::optional<StripeLayout> layout) {
   if (client >= config_.clients) throw std::out_of_range("PfsModel::meta: bad client");
@@ -331,7 +328,7 @@ void PfsModel::meta(ClientId client, MetaOp op, const std::string& path,
   MetaCall& call = metas_[m];
   call.client = client;
   call.op = op;
-  call.path.assign(path);
+  call.file = file;
   call.layout = layout;
   call.done = std::move(on_done);
   // Request header: client -> ION (compute fabric) -> MDS (storage fabric).
@@ -341,7 +338,7 @@ void PfsModel::meta(ClientId client, MetaOp op, const std::string& path,
     storage_fabric_->send(ion_of(metas_[m].client), storage_ep_of_mds(), kHeader, [this, m] {
       const MetaCall& sent = metas_[m];
       mds_->request(
-          sent.op, sent.path,
+          sent.op, sent.file,
           [this, m](MetaResult result) { meta_replied(m, std::move(result)); }, sent.layout);
     });
   });
@@ -850,11 +847,11 @@ void PfsModel::settle(sim::Handle op, bool ok, IoError error) {
   result.completed = engine_.now();
   result.size = o.size;
   if (ok && o.is_write) {
-    mds_->grow_file(file_info(o.file_token).path, Bytes{o.offset} + o.size, engine_.now());
+    mds_->grow_file(file_info(o.file_token).file, Bytes{o.offset} + o.size, engine_.now());
     if (o.token != 0) {
       // The ack IS the durability promise: from here on F3 holds the model
       // to keeping this payload readable from at least one replica.
-      ledger_.ack(o.file, o.offset, o.offset + o.size.count(), o.token);
+      ledger_.ack(o.file_token, o.offset, o.offset + o.size.count(), o.token);
     }
   }
   if (!ok) {
@@ -1006,11 +1003,11 @@ void PfsModel::attempt_at_ion(sim::Handle a) {
   const StripeLayout layout = o.layout;
   const bool is_write = o.is_write;
   const std::uint64_t file_token = o.file_token;
-  const std::uint64_t file = o.file;
+  const std::uint64_t file = tracking() ? file_token : 0;
   const std::uint64_t offset = o.offset;
   const Bytes size = o.size;
   const WriteToken token = o.token;
-  const std::uint64_t key = o.key;
+  const std::uint64_t key = file_info(file_token).key;
   const std::uint64_t epoch = o.map_epoch;
   const auto backend_done = [this, a](bool ok, IoError error, SimTime retry_after) {
     attempt_backend_done(a, ok, error, retry_after);
@@ -1070,7 +1067,7 @@ void PfsModel::attempt_done(sim::Handle a) {
   attempt_finished(at.op, at.ok, at.error);
 }
 
-void PfsModel::io(ClientId client, const std::string& path, const StripeLayout& layout,
+void PfsModel::io(ClientId client, FileId file, const StripeLayout& layout,
                   std::uint64_t offset, Bytes size, bool is_write,
                   std::function<void(IoResult)> on_done) {
   if (client >= config_.clients) throw std::out_of_range("PfsModel::io: bad client");
@@ -1090,7 +1087,7 @@ void PfsModel::io(ClientId client, const std::string& path, const StripeLayout& 
   // Data ops against a path that was never created (or names a directory)
   // fail fast with a distinct error: there is no layout to ship chunks with.
   // No retries — the namespace will not change by waiting.
-  const Inode* inode = mds_->find_inode(path);
+  const Inode* inode = mds_->find_inode(file);
   if (inode == nullptr || inode->is_dir) {
     engine_.schedule_after(SimTime::zero(), [this, op] {
       ++res_stats_.failed_ops;
@@ -1105,29 +1102,27 @@ void PfsModel::io(ClientId client, const std::string& path, const StripeLayout& 
     return;
   }
 
-  // A token names exactly one path: its placement key is hashed on first
+  // A token names exactly one file: its placement key is hashed on first
   // sight, and later calls refresh only the layout.
-  const auto [known, fresh] = file_tokens_.try_emplace(path, files_.size() + 1);
-  const std::uint64_t token = known->second;
-  if (fresh) files_.push_back(FileInfo{path, layout, file_placement_key(path)});
-  FileInfo& info = files_[token - 1];
-  info.layout = layout;
+  if (file >= tokens_.size()) tokens_.resize(file + std::size_t{1}, 0);
+  std::uint64_t& token = tokens_[file];
+  if (token == 0) {
+    files_.push_back(FileInfo{file, {}, file_placement_key(mds_->path(file))});
+    token = files_.size();
+  }
+  files_[token - 1].layout = layout;
 
   o.client = client;
   o.file_token = token;
   o.layout = layout;
   o.offset = offset;
   o.is_write = is_write;
-  o.key = info.key;
   if (config_.retry.op_deadline > SimTime::zero()) {
     o.deadline = issued + config_.retry.op_deadline;
   }
-  if (tracking()) {
-    o.file = token;
-    // One token per logical op: every attempt and chunk of this write
-    // carries the same payload identity.
-    if (is_write) o.token = ledger_.next_token();
-  }
+  // One token per logical op: every attempt and chunk of a tracked write
+  // carries the same payload identity.
+  if (tracking() && is_write) o.token = ledger_.next_token();
   start_attempt(op);
 }
 

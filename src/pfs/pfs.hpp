@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -134,22 +133,21 @@ class PfsModel {
 
   // -- metadata path -------------------------------------------------------
 
-  /// Issue a metadata op from `client`; traverses compute fabric -> I/O node
-  /// -> storage fabric -> MDS and back.
-  void meta(ClientId client, MetaOp op, const std::string& path,
-            std::function<void(MetaResult)> on_done,
+  /// Issue a metadata op from `client` on `file` (an id from
+  /// `mds().intern`); traverses compute fabric -> I/O node -> storage
+  /// fabric -> MDS and back.
+  void meta(ClientId client, MetaOp op, FileId file, std::function<void(MetaResult)> on_done,
             std::optional<StripeLayout> layout = std::nullopt);
 
   // -- data path -----------------------------------------------------------
 
-  /// Read or write `size` bytes at `offset` of `path` using `layout` (as
-  /// returned by a create/open). A path that was never created (or is a
+  /// Read or write `size` bytes at `offset` of `file` using `layout` (as
+  /// returned by a create/open). A file that was never created (or is a
   /// directory) fails immediately with IoError::kNoEntry. Under a fault
   /// timeline the op may fail with kOstDown/kMdsDown/kTimeout; the
   /// configured RetryPolicy governs retries, timeouts and failover.
-  void io(ClientId client, const std::string& path, const StripeLayout& layout,
-          std::uint64_t offset, Bytes size, bool is_write,
-          std::function<void(IoResult)> on_done);
+  void io(ClientId client, FileId file, const StripeLayout& layout, std::uint64_t offset,
+          Bytes size, bool is_write, std::function<void(IoResult)> on_done);
 
   // -- inspection ----------------------------------------------------------
 
@@ -395,10 +393,10 @@ class PfsModel {
   // backend_io scratch, reused across calls (planning never re-enters it).
   std::vector<StripeChunk> chunks_;
   std::vector<Shipment> plan_;
-  /// File tokens are dense from 1: io() gives each new path the next one.
-  std::unordered_map<std::string, std::uint64_t> file_tokens_;  // path -> token
+  /// File tokens are dense from 1 in first-io() order; 0 = no io() yet.
+  std::vector<std::uint64_t> tokens_;  // file -> token
   struct FileInfo {
-    std::string path;
+    FileId file = 0;
     StripeLayout layout{};
     std::uint64_t key = 0;  ///< placement key (file_placement_key(path))
   };

@@ -7,12 +7,7 @@ namespace pio::predict {
 std::uint32_t NextOpPredictor::tokenize(const workload::Op& op) {
   replay::OpToken token;
   token.kind = op.kind;
-  if (!op.path.empty()) {
-    const auto [it, inserted] =
-        path_ids_.emplace(op.path, static_cast<std::uint32_t>(paths_.size()));
-    if (inserted) paths_.push_back(op.path);
-    token.path_id = it->second;
-  }
+  token.path_id = op.file;
   token.size = op.size.count();
   token.think_ns = op.think_time.ns();
   if (op.kind == workload::OpKind::kRead || op.kind == workload::OpKind::kWrite) {
@@ -31,10 +26,7 @@ workload::Op NextOpPredictor::detokenize(std::uint32_t token_id) const {
   const replay::OpToken& token = tokens_.at(token_id);
   workload::Op op;
   op.kind = token.kind;
-  if (token.kind != workload::OpKind::kCompute && token.kind != workload::OpKind::kBarrier &&
-      token.path_id < paths_.size()) {
-    op.path = paths_[token.path_id];
-  }
+  op.file = token.path_id;
   op.size = Bytes{token.size};
   op.think_time = SimTime::from_ns(token.think_ns);
   if (token.kind == workload::OpKind::kRead || token.kind == workload::OpKind::kWrite) {

@@ -29,6 +29,8 @@ class NextOpPredictor {
  public:
   /// Observe the next op of the stream; returns true if the op was
   /// predicted correctly BEFORE observing it (prediction-then-update).
+  /// Ops name files by id, so one predictor observes one workload's ops,
+  /// and a predicted op's file is an id in that workload's path table.
   bool observe(const workload::Op& op);
 
   /// Current prediction for the next op, if the model has one (the most
@@ -52,9 +54,7 @@ class NextOpPredictor {
   // Token bookkeeping (shared alphabet with the compressor's semantics).
   std::map<replay::OpToken, std::uint32_t> token_ids_;
   std::vector<replay::OpToken> tokens_;
-  std::vector<std::string> paths_;
-  std::map<std::string, std::uint32_t> path_ids_;
-  std::map<std::uint32_t, std::uint64_t> cursor_;  // path id -> next offset
+  std::map<FileId, std::uint64_t> cursor_;  // file -> next offset
 
   // Variable-order context model: second-order transitions (the last two
   // tokens) with a first-order fallback for unseen contexts. Order-2 is

@@ -91,15 +91,8 @@ Grammar Grammar::compress(std::vector<std::uint32_t> stream, std::uint32_t termi
 CompressedWorkload CompressedWorkload::compress(const workload::Workload& workload) {
   CompressedWorkload out;
   out.name_ = workload.name();
-  std::unordered_map<std::string, std::uint32_t> path_ids;
+  out.paths_ = workload.paths();
   std::map<OpToken, std::uint32_t> token_ids;
-
-  auto path_id = [&](const std::string& path) {
-    const auto [it, inserted] =
-        path_ids.emplace(path, static_cast<std::uint32_t>(out.paths_.size()));
-    if (inserted) out.paths_.push_back(path);
-    return it->second;
-  };
 
   for (std::int32_t r = 0; r < workload.ranks(); ++r) {
     auto stream = workload.stream(r);
@@ -110,7 +103,7 @@ CompressedWorkload CompressedWorkload::compress(const workload::Workload& worklo
       ++out.original_ops_;
       OpToken token;
       token.kind = op->kind;
-      token.path_id = op->path.empty() ? 0 : path_id(op->path);
+      token.path_id = op->file;
       token.size = op->size.count();
       token.think_ns = op->think_time.ns();
       if (op->kind == OpKind::kRead || op->kind == OpKind::kWrite) {
@@ -142,9 +135,7 @@ std::unique_ptr<workload::Workload> CompressedWorkload::decompress() const {
       const OpToken& token = tokens_.at(sym);
       Op op;
       op.kind = token.kind;
-      if (token.kind != OpKind::kCompute && token.kind != OpKind::kBarrier) {
-        op.path = paths_.at(token.path_id);
-      }
+      op.file = token.path_id;
       op.size = Bytes{token.size};
       op.think_time = SimTime::from_ns(token.think_ns);
       if (token.kind == OpKind::kRead || token.kind == OpKind::kWrite) {
@@ -153,11 +144,11 @@ std::unique_ptr<workload::Workload> CompressedWorkload::decompress() const {
                                                token.offset_delta);
         cursor[token.path_id] = op.offset + token.size;
       }
-      ops.push_back(std::move(op));
+      ops.push_back(op);
     }
     per_rank.push_back(std::move(ops));
   }
-  return std::make_unique<workload::VectorWorkload>(name_ + "-decompressed",
+  return std::make_unique<workload::VectorWorkload>(name_ + "-decompressed", paths_,
                                                     std::move(per_rank));
 }
 

@@ -31,7 +31,7 @@ namespace pio::replay {
 /// Abstract op symbol: offset replaced by a cursor delta.
 struct OpToken {
   workload::OpKind kind = workload::OpKind::kBarrier;
-  std::uint32_t path_id = 0;
+  FileId path_id = 0;  ///< the op's file in the workload's path table
   std::int64_t offset_delta = 0;  ///< offset - cursor(path); data ops only
   std::uint64_t size = 0;
   std::int64_t think_ns = 0;
@@ -83,7 +83,7 @@ class CompressedWorkload {
 
  private:
   std::string name_;
-  std::vector<std::string> paths_;          // path_id -> path
+  PathTable paths_;                         // path_id -> path
   std::vector<OpToken> tokens_;             // token id -> token
   std::vector<Grammar> per_rank_;
   std::size_t original_ops_ = 0;

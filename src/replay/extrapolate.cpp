@@ -76,7 +76,7 @@ std::optional<ExtrapolationModel> ExtrapolationModel::fit(const workload::Worklo
                            static_cast<std::int64_t>(base.offset);
     // Path template from rank 1 (rank 0's "0" substrings are ambiguous:
     // they match both the rank and any literal zero).
-    const auto fragments = rank_split(ops[1][i].path, 1);
+    const auto fragments = rank_split(captured.path(ops[1][i].file), 1);
     pattern.path.fragments = *fragments;
     pattern.path.rank_slots = pattern.path.fragments.size() - 1;
 
@@ -90,8 +90,9 @@ std::optional<ExtrapolationModel> ExtrapolationModel::fit(const workload::Worklo
       if (static_cast<std::int64_t>(op.offset) != expected_offset) {
         return fail(i, "offset is not affine in rank");
       }
-      if (op.path != pattern.path.instantiate(static_cast<std::int32_t>(r))) {
-        return fail(i, "path does not follow the rank template: " + op.path);
+      const std::string& path = captured.path(op.file);
+      if (path != pattern.path.instantiate(static_cast<std::int32_t>(r))) {
+        return fail(i, "path does not follow the rank template: " + path);
       }
     }
     model.pattern_.push_back(std::move(pattern));
@@ -102,23 +103,24 @@ std::optional<ExtrapolationModel> ExtrapolationModel::fit(const workload::Worklo
 std::unique_ptr<workload::Workload> ExtrapolationModel::generate(std::int32_t ranks) const {
   if (ranks <= 0) throw std::invalid_argument("ExtrapolationModel::generate: bad rank count");
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(ranks));
+  PathTable paths;
   for (std::int32_t r = 0; r < ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
     ops.reserve(pattern_.size());
     for (const auto& p : pattern_) {
       Op op;
       op.kind = p.kind;
-      op.path = p.path.instantiate(r);
+      op.file = paths.intern(p.path.instantiate(r));
       const std::int64_t offset = p.offset_base + p.offset_slope * static_cast<std::int64_t>(r);
       if (offset < 0) throw std::logic_error("extrapolated offset is negative");
       op.offset = static_cast<std::uint64_t>(offset);
       op.size = Bytes{p.size};
       op.think_time = SimTime::from_ns(p.think_ns);
-      ops.push_back(std::move(op));
+      ops.push_back(op);
     }
   }
-  return std::make_unique<workload::VectorWorkload>(
-      name_ + "-x" + std::to_string(ranks), std::move(per_rank));
+  return std::make_unique<workload::VectorWorkload>(name_ + "-x" + std::to_string(ranks),
+                                                    std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::replay

@@ -15,13 +15,13 @@
 
 namespace pio::trace {
 
-void Trace::sort_by_time() {
-  std::stable_sort(events_.begin(), events_.end(), [](const TraceEvent& a, const TraceEvent& b) {
-    if (a.start != b.start) return a.start < b.start;
-    if (a.rank != b.rank) return a.rank < b.rank;
-    return a.end < b.end;
-  });
+bool time_order(const TraceEvent& a, const TraceEvent& b) {
+  if (a.start != b.start) return a.start < b.start;
+  if (a.rank != b.rank) return a.rank < b.rank;
+  return a.end < b.end;
 }
+
+void Trace::sort_by_time() { std::stable_sort(events_.begin(), events_.end(), time_order); }
 
 Trace Trace::filtered(const std::function<bool(const TraceEvent&)>& keep) const {
   Trace out;

@@ -22,6 +22,9 @@ namespace pio::trace {
 
 /// A recorded trace: events in record order (per rank monotonically
 /// increasing start times; global order is merge order).
+/// The canonical event order: by (start, rank, end).
+[[nodiscard]] bool time_order(const TraceEvent& a, const TraceEvent& b);
+
 class Trace {
  public:
   Trace() = default;
@@ -33,7 +36,7 @@ class Trace {
 
   void append(TraceEvent event) { events_.push_back(std::move(event)); }
 
-  /// Stable sort by (start, rank, end) — canonical order for comparisons.
+  /// Stable sort by time_order — canonical order for comparisons.
   void sort_by_time();
 
   /// Events matching a predicate, e.g. one layer or one rank.

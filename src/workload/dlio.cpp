@@ -14,7 +14,9 @@ namespace {
 /// of the same workload — sees the same global order.
 class DlioStream final : public RankStream {
  public:
-  DlioStream(const DlioConfig& config, std::int32_t rank) : config_(config), rank_(rank) {}
+  /// Shard i is file `directory + 1 + i` of the workload's path table.
+  DlioStream(const DlioConfig& config, FileId directory, std::int32_t rank)
+      : config_(config), directory_(directory), rank_(rank) {}
 
   std::optional<Op> next() override {
     for (;;) {
@@ -28,7 +30,7 @@ class DlioStream final : public RankStream {
           // Sub-steps per shard: mkdir (once), create, write, close.
           if (prep_step_ == 0) {
             ++prep_step_;
-            return Op::mkdir(config_.directory);
+            return Op::mkdir(directory_);
           }
           const std::uint64_t shard = (prep_step_ - 1) / 3;
           const std::uint64_t sub = (prep_step_ - 1) % 3;
@@ -37,7 +39,7 @@ class DlioStream final : public RankStream {
             continue;
           }
           ++prep_step_;
-          const std::string path = dlio_shard_path(config_, shard);
+          const FileId path = shard_file(shard);
           if (sub == 0) return Op::create(path);
           if (sub == 1) {
             return Op::write(path, 0, Bytes{samples_in_shard(shard) * config_.sample_size.count()});
@@ -54,7 +56,7 @@ class DlioStream final : public RankStream {
             begin_epoch();
             continue;
           }
-          return Op::open(dlio_shard_path(config_, open_index_++));
+          return Op::open(shard_file(open_index_++));
         }
         case Phase::kTrain: {
           if (epoch_ >= config_.epochs) {
@@ -81,8 +83,8 @@ class DlioStream final : public RankStream {
           ++in_batch_;
           const std::uint64_t shard = sample / config_.samples_per_file;
           const std::uint64_t within = sample % config_.samples_per_file;
-          return Op::read(dlio_shard_path(config_, shard),
-                          within * config_.sample_size.count(), config_.sample_size);
+          return Op::read(shard_file(shard), within * config_.sample_size.count(),
+                          config_.sample_size);
         }
         case Phase::kEpochBarrier:
           phase_ = epoch_ >= config_.epochs ? Phase::kCloseShards : Phase::kTrain;
@@ -92,7 +94,7 @@ class DlioStream final : public RankStream {
             phase_ = Phase::kDone;
             continue;
           }
-          return Op::close(dlio_shard_path(config_, close_index_++));
+          return Op::close(shard_file(close_index_++));
         }
         case Phase::kDone:
           return std::nullopt;
@@ -110,6 +112,10 @@ class DlioStream final : public RankStream {
     kCloseShards,
     kDone
   };
+
+  [[nodiscard]] FileId shard_file(std::uint64_t shard) const {
+    return directory_ + 1 + static_cast<FileId>(shard);
+  }
 
   [[nodiscard]] std::uint64_t shard_count() const {
     return (config_.samples + config_.samples_per_file - 1) / config_.samples_per_file;
@@ -140,6 +146,7 @@ class DlioStream final : public RankStream {
   }
 
   DlioConfig config_;
+  FileId directory_;
   std::int32_t rank_;
   Phase phase_ = Phase::kPrep;
   std::uint64_t prep_step_ = 0;
@@ -158,26 +165,29 @@ class DlioWorkload final : public Workload {
     if (config.samples == 0 || config.samples_per_file == 0 || config.batch_size == 0) {
       throw std::invalid_argument("dlio_like: samples, samples_per_file, batch_size must be > 0");
     }
+    directory_ = paths_.intern(config.directory);
+    for (std::uint64_t i = 0; i * config.samples_per_file < config.samples; ++i) {
+      paths_.intern(config.directory + "/shard" + std::to_string(i) + ".data");
+    }
   }
 
   [[nodiscard]] std::string name() const override { return "dlio"; }
   [[nodiscard]] std::int32_t ranks() const override { return config_.ranks; }
   [[nodiscard]] std::unique_ptr<RankStream> stream(std::int32_t rank) const override {
-    return std::make_unique<DlioStream>(config_, rank);
+    return std::make_unique<DlioStream>(config_, directory_, rank);
   }
+  [[nodiscard]] const PathTable& paths() const override { return paths_; }
 
  private:
   DlioConfig config_;
+  PathTable paths_;
+  FileId directory_ = 0;
 };
 
 }  // namespace
 
 std::unique_ptr<Workload> dlio_like(const DlioConfig& config) {
   return std::make_unique<DlioWorkload>(config);
-}
-
-std::string dlio_shard_path(const DlioConfig& config, std::uint64_t shard) {
-  return config.directory + "/shard" + std::to_string(shard) + ".data";
 }
 
 }  // namespace pio::workload

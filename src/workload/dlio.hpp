@@ -38,7 +38,4 @@ struct DlioConfig {
 /// DLIO-like deep-learning training workload.
 [[nodiscard]] std::unique_ptr<Workload> dlio_like(const DlioConfig& config);
 
-/// Path of dataset shard `i` under `config.directory`.
-[[nodiscard]] std::string dlio_shard_path(const DlioConfig& config, std::uint64_t shard);
-
 }  // namespace pio::workload

@@ -461,27 +461,28 @@ void spend(std::uint64_t& steps, std::size_t line) {
   }
 }
 
-void expand(const std::vector<StmtPtr>& stmts, Env& env, std::vector<Op>& out,
+void expand(const std::vector<StmtPtr>& stmts, Env& env, PathTable& paths, std::vector<Op>& out,
             std::uint64_t& steps) {
   using K = Stmt::Kind;
+  const auto file = [&](const Stmt& stmt) { return paths.intern(expand_path(stmt.path, env)); };
   for (const auto& stmt : stmts) {
     spend(steps, stmt->line);
     switch (stmt->kind) {
-      case K::kCreate: out.push_back(Op::create(expand_path(stmt->path, env))); break;
-      case K::kOpen: out.push_back(Op::open(expand_path(stmt->path, env))); break;
-      case K::kClose: out.push_back(Op::close(expand_path(stmt->path, env))); break;
-      case K::kStat: out.push_back(Op::stat(expand_path(stmt->path, env))); break;
-      case K::kUnlink: out.push_back(Op::unlink(expand_path(stmt->path, env))); break;
-      case K::kMkdir: out.push_back(Op::mkdir(expand_path(stmt->path, env))); break;
-      case K::kReaddir: out.push_back(Op::readdir(expand_path(stmt->path, env))); break;
-      case K::kFsync: out.push_back(Op::fsync(expand_path(stmt->path, env))); break;
+      case K::kCreate: out.push_back(Op::create(file(*stmt))); break;
+      case K::kOpen: out.push_back(Op::open(file(*stmt))); break;
+      case K::kClose: out.push_back(Op::close(file(*stmt))); break;
+      case K::kStat: out.push_back(Op::stat(file(*stmt))); break;
+      case K::kUnlink: out.push_back(Op::unlink(file(*stmt))); break;
+      case K::kMkdir: out.push_back(Op::mkdir(file(*stmt))); break;
+      case K::kReaddir: out.push_back(Op::readdir(file(*stmt))); break;
+      case K::kFsync: out.push_back(Op::fsync(file(*stmt))); break;
       case K::kRead:
-        out.push_back(Op::read(expand_path(stmt->path, env),
+        out.push_back(Op::read(file(*stmt),
                                to_unsigned(eval(*stmt->offset, env), stmt->line, "offset"),
                                Bytes{to_unsigned(eval(*stmt->size, env), stmt->line, "size")}));
         break;
       case K::kWrite:
-        out.push_back(Op::write(expand_path(stmt->path, env),
+        out.push_back(Op::write(file(*stmt),
                                 to_unsigned(eval(*stmt->offset, env), stmt->line, "offset"),
                                 Bytes{to_unsigned(eval(*stmt->size, env), stmt->line, "size")}));
         break;
@@ -498,7 +499,7 @@ void expand(const std::vector<StmtPtr>& stmts, Env& env, std::vector<Op>& out,
         for (std::int64_t i = 0; i < stmt->loop_count; ++i) {
           spend(steps, stmt->line);
           env[stmt->loop_var] = i;
-          expand(stmt->body, env, out, steps);
+          expand(stmt->body, env, paths, out, steps);
         }
         env.erase(stmt->loop_var);
         break;
@@ -513,6 +514,7 @@ std::unique_ptr<Workload> parse_dsl(std::string_view source) {
   Parser parser{source};
   const Program program = parser.parse();
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(program.ranks));
+  PathTable paths;
   std::uint64_t steps = kMaxExpansionSteps;
   // Loops erase their variable on the way out, so after each rank the
   // environment holds only these two bindings again.
@@ -520,9 +522,9 @@ std::unique_ptr<Workload> parse_dsl(std::string_view source) {
   std::int64_t& rank = env.at("rank");
   for (std::int32_t r = 0; r < program.ranks; ++r) {
     rank = r;
-    expand(program.stmts, env, per_rank[static_cast<std::size_t>(r)], steps);
+    expand(program.stmts, env, paths, per_rank[static_cast<std::size_t>(r)], steps);
   }
-  return std::make_unique<VectorWorkload>(program.name, std::move(per_rank));
+  return std::make_unique<VectorWorkload>(program.name, std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

@@ -38,15 +38,17 @@ std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
 
   std::vector<std::vector<Op>> per_rank;
   per_rank.reserve(by_rank.size());
+  PathTable paths;
   std::uint64_t stream_id = 0;
   for (const auto& [rank, records] : by_rank) {
     std::vector<Op> ops;
     Rng rng{config.seed, 0xC4A7ULL + stream_id++};
     for (const auto* record : records) {
       if (record->path.empty()) continue;
+      const FileId file = paths.intern(record->path);
       // Recreate the file if it was written; open if it was only read.
       const bool writes_first = record->writes > 0;
-      ops.push_back(writes_first ? Op::create(record->path) : Op::open(record->path));
+      ops.push_back(writes_first ? Op::create(file) : Op::open(file));
       const std::uint64_t extent =
           std::max<std::uint64_t>(record->max_offset, 1);
 
@@ -66,8 +68,8 @@ std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
           } else {
             offset = rng.next_below(extent - size + 1);  // random re-position
           }
-          ops.push_back(is_write ? Op::write(record->path, offset, Bytes{size})
-                                 : Op::read(record->path, offset, Bytes{size}));
+          ops.push_back(is_write ? Op::write(file, offset, Bytes{size})
+                                 : Op::read(file, offset, Bytes{size}));
           cursor = offset + size;
         }
       };
@@ -76,19 +78,19 @@ std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
       // (outputs are produced, then verified/consumed).
       emit_phase(/*is_write=*/true);
       emit_phase(/*is_write=*/false);
-      ops.push_back(Op::close(record->path));
+      ops.push_back(Op::close(file));
       // Metadata ops beyond open/close are replayed as stats (the profile
       // does not retain their exact kinds).
       const std::uint64_t open_close =
           std::min<std::uint64_t>(record->metadata_ops, record->opens + record->closes);
       for (std::uint64_t m = open_close; m < record->metadata_ops; ++m) {
-        ops.push_back(Op::stat(record->path));
+        ops.push_back(Op::stat(file));
       }
     }
     per_rank.push_back(std::move(ops));
   }
   if (per_rank.empty()) per_rank.emplace_back();
-  return std::make_unique<VectorWorkload>("from-profile", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("from-profile", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

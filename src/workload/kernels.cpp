@@ -23,14 +23,21 @@ std::unique_ptr<Workload> ior_like(const IorConfig& config) {
     throw std::invalid_argument("ior_like: block_size must be a multiple of transfer_size");
   }
   const std::uint64_t transfers = config.block_size / config.transfer_size;
+  const std::uint64_t per_iteration = (config.write_phase ? transfers + 5 : 0) +
+                                      (config.read_phase ? transfers + 3 : 0) + 1;
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.ranks));
-  const std::string shared = config.directory + "/testfile";
+  PathTable paths;
+  const FileId directory = paths.intern(config.directory);
+  const FileId shared =
+      config.file_per_process ? 0 : paths.intern(config.directory + "/testfile");
   for (std::int32_t r = 0; r < config.ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
-    if (r == 0) ops.push_back(Op::mkdir(config.directory));
+    ops.reserve(2 + per_iteration * static_cast<std::uint64_t>(config.iterations));
+    if (r == 0) ops.push_back(Op::mkdir(directory));
     ops.push_back(Op::barrier());  // directory exists before anyone opens
-    const std::string path =
-        config.file_per_process ? rank_file(config.directory, "testfile", r) : shared;
+    const FileId path =
+        config.file_per_process ? paths.intern(rank_file(config.directory, "testfile", r))
+                                : shared;
     // In shared mode each rank owns a contiguous block at rank * block_size
     // (IOR's segmented layout).
     const std::uint64_t base =
@@ -68,57 +75,61 @@ std::unique_ptr<Workload> ior_like(const IorConfig& config) {
       }
     }
   }
-  return std::make_unique<VectorWorkload>("ior", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("ior", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> mdtest_like(const MdtestConfig& config) {
   if (config.ranks <= 0) throw std::invalid_argument("mdtest_like: ranks must be positive");
+  const std::uint64_t files = config.files_per_rank;
+  const bool write = config.write_per_file > Bytes::zero();
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.ranks));
+  PathTable paths;
+  const FileId top = paths.intern(config.directory);
+  std::vector<FileId> names(files);
   for (std::int32_t r = 0; r < config.ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
-    if (r == 0) ops.push_back(Op::mkdir(config.directory));
+    ops.reserve(6 + files * (write ? 5 : 4));
+    if (r == 0) ops.push_back(Op::mkdir(top));
     ops.push_back(Op::barrier());
     const std::string dir = config.directory + "/rank" + std::to_string(r);
-    ops.push_back(Op::mkdir(dir));
+    ops.push_back(Op::mkdir(paths.intern(dir)));
     // Phase 1: create storm.
-    for (std::uint64_t f = 0; f < config.files_per_rank; ++f) {
-      const std::string path = dir + "/file" + std::to_string(f);
-      ops.push_back(Op::create(path));
-      if (config.write_per_file > Bytes::zero()) {
-        ops.push_back(Op::write(path, 0, config.write_per_file));
-      }
-      ops.push_back(Op::close(path));
+    for (std::uint64_t f = 0; f < files; ++f) {
+      names[f] = paths.intern(dir + "/file" + std::to_string(f));
+      ops.push_back(Op::create(names[f]));
+      if (write) ops.push_back(Op::write(names[f], 0, config.write_per_file));
+      ops.push_back(Op::close(names[f]));
     }
     ops.push_back(Op::barrier());
     // Phase 2: stat storm.
     if (config.do_stat) {
-      for (std::uint64_t f = 0; f < config.files_per_rank; ++f) {
-        ops.push_back(Op::stat(dir + "/file" + std::to_string(f)));
-      }
+      for (const FileId name : names) ops.push_back(Op::stat(name));
       ops.push_back(Op::barrier());
     }
     // Phase 3: unlink storm.
     if (config.do_unlink) {
-      for (std::uint64_t f = 0; f < config.files_per_rank; ++f) {
-        ops.push_back(Op::unlink(dir + "/file" + std::to_string(f)));
-      }
+      for (const FileId name : names) ops.push_back(Op::unlink(name));
       ops.push_back(Op::barrier());
     }
   }
-  return std::make_unique<VectorWorkload>("mdtest", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("mdtest", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> hacc_io_like(const HaccIoConfig& config) {
   if (config.ranks <= 0) throw std::invalid_argument("hacc_io_like: ranks must be positive");
   const Bytes per_rank_bytes{config.particles_per_rank * kHaccParticleBytes};
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.ranks));
-  const std::string shared = config.directory + "/particles";
+  PathTable paths;
+  const FileId directory = paths.intern(config.directory);
+  const FileId shared =
+      config.file_per_process ? 0 : paths.intern(config.directory + "/particles");
   for (std::int32_t r = 0; r < config.ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
-    if (r == 0) ops.push_back(Op::mkdir(config.directory));
+    if (r == 0) ops.push_back(Op::mkdir(directory));
     ops.push_back(Op::barrier());
-    const std::string path =
-        config.file_per_process ? rank_file(config.directory, "particles", r) : shared;
+    const FileId path =
+        config.file_per_process ? paths.intern(rank_file(config.directory, "particles", r))
+                                : shared;
     const std::uint64_t base =
         config.file_per_process ? 0 : static_cast<std::uint64_t>(r) * per_rank_bytes.count();
     if (config.file_per_process || r == 0) {
@@ -134,7 +145,7 @@ std::unique_ptr<Workload> hacc_io_like(const HaccIoConfig& config) {
     ops.push_back(Op::close(path));
     ops.push_back(Op::barrier());
   }
-  return std::make_unique<VectorWorkload>("hacc-io", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("hacc-io", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> btio_like(const BtioConfig& config) {
@@ -151,14 +162,18 @@ std::unique_ptr<Workload> btio_like(const BtioConfig& config) {
   const std::uint64_t plane = n * n * cell;  // one z-plane of the cube
   const std::uint64_t row = n * cell;
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.ranks));
+  PathTable paths;
+  const FileId directory = paths.intern("/btio");
+  const FileId file = paths.intern(config.file);
   for (std::int32_t r = 0; r < config.ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
+    ops.reserve(4 + static_cast<std::uint64_t>(config.time_steps) * (n * cells_per_side + 1));
     if (r == 0) {
-      ops.push_back(Op::mkdir("/btio"));
-      ops.push_back(Op::create(config.file));
+      ops.push_back(Op::mkdir(directory));
+      ops.push_back(Op::create(file));
     }
     ops.push_back(Op::barrier());
-    if (r != 0) ops.push_back(Op::open(config.file));
+    if (r != 0) ops.push_back(Op::open(file));
     // Rank (rx, ry) owns rows [ry*cps, (ry+1)*cps) x cols [rx*cps, ...).
     const std::uint64_t rx = static_cast<std::uint64_t>(r % side);
     const std::uint64_t ry = static_cast<std::uint64_t>(r / side);
@@ -170,15 +185,15 @@ std::unique_ptr<Workload> btio_like(const BtioConfig& config) {
         for (std::uint64_t y = ry * cells_per_side; y < (ry + 1) * cells_per_side; ++y) {
           const std::uint64_t offset =
               snapshot_base + z * plane + y * row + rx * cells_per_side * cell;
-          ops.push_back(Op::write(config.file, offset, Bytes{cells_per_side * cell}));
+          ops.push_back(Op::write(file, offset, Bytes{cells_per_side * cell}));
         }
       }
       ops.push_back(Op::barrier());
     }
-    if (r == 0) ops.push_back(Op::fsync(config.file));
-    ops.push_back(Op::close(config.file));
+    if (r == 0) ops.push_back(Op::fsync(file));
+    ops.push_back(Op::close(file));
   }
-  return std::make_unique<VectorWorkload>("btio", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("btio", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> checkpoint_restart(const CheckpointConfig& config) {
@@ -189,17 +204,19 @@ std::unique_ptr<Workload> checkpoint_restart(const CheckpointConfig& config) {
   }
   const std::uint64_t transfers = config.checkpoint_per_rank / config.transfer_size;
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.ranks));
+  PathTable paths;
+  const FileId directory = paths.intern(config.directory);
   for (std::int32_t r = 0; r < config.ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
-    if (r == 0) ops.push_back(Op::mkdir(config.directory));
+    ops.reserve(2 + static_cast<std::uint64_t>(config.checkpoints) * (transfers + 7));
+    if (r == 0) ops.push_back(Op::mkdir(directory));
     ops.push_back(Op::barrier());
     for (std::int32_t c = 0; c < config.checkpoints; ++c) {
       ops.push_back(Op::compute(config.compute_phase));
       ops.push_back(Op::barrier());  // bulk-synchronous: everyone dumps at once
-      const std::string path =
-          config.file_per_process
-              ? config.directory + "/ckpt" + std::to_string(c) + "." + std::to_string(r)
-              : config.directory + "/ckpt" + std::to_string(c);
+      const std::string stem = config.directory + "/ckpt" + std::to_string(c);
+      const FileId path =
+          paths.intern(config.file_per_process ? stem + "." + std::to_string(r) : stem);
       const std::uint64_t base =
           config.file_per_process
               ? 0
@@ -220,7 +237,7 @@ std::unique_ptr<Workload> checkpoint_restart(const CheckpointConfig& config) {
       ops.push_back(Op::barrier());
     }
   }
-  return std::make_unique<VectorWorkload>("checkpoint", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("checkpoint", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

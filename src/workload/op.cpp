@@ -24,16 +24,17 @@ namespace {
 
 class VectorStream final : public RankStream {
  public:
-  explicit VectorStream(const std::vector<Op>& ops) : ops_(ops) {}
+  explicit VectorStream(const std::vector<Op>& ops)
+      : next_(ops.data()), end_(ops.data() + ops.size()) {}
 
   std::optional<Op> next() override {
-    if (index_ >= ops_.size()) return std::nullopt;
-    return ops_[index_++];
+    if (next_ == end_) return std::nullopt;
+    return *next_++;
   }
 
  private:
-  const std::vector<Op>& ops_;
-  std::size_t index_ = 0;
+  const Op* next_;
+  const Op* end_;
 };
 
 }  // namespace

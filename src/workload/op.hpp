@@ -12,8 +12,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/path_table.hpp"
 #include "common/types.hpp"
 
 namespace pio::workload {
@@ -36,32 +38,38 @@ enum class OpKind : std::uint8_t {
 [[nodiscard]] const char* to_string(OpKind kind);
 
 /// One workload operation. Interpretation of fields depends on `kind`:
-/// data ops use path/offset/size; kCompute uses `think_time`; kBarrier uses
-/// nothing.
+/// data ops use file/offset/size; kCompute uses `think_time`; kBarrier uses
+/// nothing. `file` is an id in the owning workload's path table
+/// (`Workload::paths()`); ops that touch no file name id 0, the empty path.
 struct Op {
   OpKind kind = OpKind::kCompute;
-  std::string path;
+  FileId file = 0;
   std::uint64_t offset = 0;
   Bytes size = Bytes::zero();
   SimTime think_time = SimTime::zero();
 
-  static Op create(std::string path) { return Op{OpKind::kCreate, std::move(path), 0, {}, {}}; }
-  static Op open(std::string path) { return Op{OpKind::kOpen, std::move(path), 0, {}, {}}; }
-  static Op close(std::string path) { return Op{OpKind::kClose, std::move(path), 0, {}, {}}; }
-  static Op read(std::string path, std::uint64_t offset, Bytes size) {
-    return Op{OpKind::kRead, std::move(path), offset, size, {}};
+  static Op create(FileId file) { return Op{OpKind::kCreate, file, 0, {}, {}}; }
+  static Op open(FileId file) { return Op{OpKind::kOpen, file, 0, {}, {}}; }
+  static Op close(FileId file) { return Op{OpKind::kClose, file, 0, {}, {}}; }
+  static Op read(FileId file, std::uint64_t offset, Bytes size) {
+    return Op{OpKind::kRead, file, offset, size, {}};
   }
-  static Op write(std::string path, std::uint64_t offset, Bytes size) {
-    return Op{OpKind::kWrite, std::move(path), offset, size, {}};
+  static Op write(FileId file, std::uint64_t offset, Bytes size) {
+    return Op{OpKind::kWrite, file, offset, size, {}};
   }
-  static Op stat(std::string path) { return Op{OpKind::kStat, std::move(path), 0, {}, {}}; }
-  static Op mkdir(std::string path) { return Op{OpKind::kMkdir, std::move(path), 0, {}, {}}; }
-  static Op unlink(std::string path) { return Op{OpKind::kUnlink, std::move(path), 0, {}, {}}; }
-  static Op readdir(std::string path) { return Op{OpKind::kReaddir, std::move(path), 0, {}, {}}; }
-  static Op fsync(std::string path) { return Op{OpKind::kFsync, std::move(path), 0, {}, {}}; }
-  static Op compute(SimTime t) { return Op{OpKind::kCompute, {}, 0, {}, t}; }
-  static Op barrier() { return Op{OpKind::kBarrier, {}, 0, {}, {}}; }
+  static Op stat(FileId file) { return Op{OpKind::kStat, file, 0, {}, {}}; }
+  static Op mkdir(FileId file) { return Op{OpKind::kMkdir, file, 0, {}, {}}; }
+  static Op unlink(FileId file) { return Op{OpKind::kUnlink, file, 0, {}, {}}; }
+  static Op readdir(FileId file) { return Op{OpKind::kReaddir, file, 0, {}, {}}; }
+  static Op fsync(FileId file) { return Op{OpKind::kFsync, file, 0, {}, {}}; }
+  static Op compute(SimTime t) { return Op{OpKind::kCompute, 0, 0, {}, t}; }
+  static Op barrier() { return Op{OpKind::kBarrier, 0, 0, {}, {}}; }
 };
+
+// Streams hand ops out by value and the driver holds one per rank: an op
+// must stay a plain record that copies without touching the heap.
+static_assert(std::is_trivially_copyable_v<Op>);
+static_assert(sizeof(Op) <= 32);
 
 /// Lazy per-rank op stream.
 class RankStream {
@@ -80,24 +88,27 @@ class Workload {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual std::int32_t ranks() const = 0;
   [[nodiscard]] virtual std::unique_ptr<RankStream> stream(std::int32_t rank) const = 0;
+  /// The files the streams' ops name, by id.
+  [[nodiscard]] virtual const PathTable& paths() const = 0;
+  [[nodiscard]] const std::string& path(FileId file) const { return paths().path(file); }
 };
 
-/// Fully materialized workload (used by trace replay and the DSL expander).
+/// Fully materialized workload (the kernels, the DSL expander, trace replay).
 class VectorWorkload final : public Workload {
  public:
-  VectorWorkload(std::string name, std::vector<std::vector<Op>> per_rank)
-      : name_(std::move(name)), per_rank_(std::move(per_rank)) {}
+  VectorWorkload(std::string name, PathTable paths, std::vector<std::vector<Op>> per_rank)
+      : name_(std::move(name)), paths_(std::move(paths)), per_rank_(std::move(per_rank)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::int32_t ranks() const override {
     return static_cast<std::int32_t>(per_rank_.size());
   }
   [[nodiscard]] std::unique_ptr<RankStream> stream(std::int32_t rank) const override;
-
-  [[nodiscard]] const std::vector<std::vector<Op>>& ops() const { return per_rank_; }
+  [[nodiscard]] const PathTable& paths() const override { return paths_; }
 
  private:
   std::string name_;
+  PathTable paths_;
   std::vector<std::vector<Op>> per_rank_;
 };
 

@@ -25,15 +25,16 @@ std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
   }
   const std::uint64_t transactions = config.file_size / config.transaction_size;
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.workers));
+  PathTable paths;
+  const FileId top = paths.intern(config.directory);
 
   for (std::int32_t w = 0; w < config.workers; ++w) {
     auto& ops = per_rank[static_cast<std::size_t>(w)];
-    if (w == 0) ops.push_back(Op::mkdir(config.directory));
+    if (w == 0) ops.push_back(Op::mkdir(top));
     ops.push_back(Op::barrier());
     for (std::int32_t stage = 0; stage < config.stages; ++stage) {
-      if (w == 0) {
-        ops.push_back(Op::mkdir(config.directory + "/stage" + std::to_string(stage)));
-      }
+      const FileId stage_dir = paths.intern(config.directory + "/stage" + std::to_string(stage));
+      if (w == 0) ops.push_back(Op::mkdir(stage_dir));
       ops.push_back(Op::barrier());
       // Tasks of this stage are distributed round-robin over workers.
       for (std::int32_t task = w; task < config.tasks_per_stage; task += config.workers) {
@@ -41,7 +42,7 @@ std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
         // DAG edge is task -> same-index task of the previous stage.
         if (stage > 0) {
           for (std::int32_t f = 0; f < config.files_per_task; ++f) {
-            const std::string input = task_file(config, stage - 1, task, f);
+            const FileId input = paths.intern(task_file(config, stage - 1, task, f));
             // Readiness polling: the engine stats the file repeatedly.
             for (std::int32_t p = 0; p < config.stat_polls_per_input; ++p) {
               ops.push_back(Op::stat(input));
@@ -57,7 +58,7 @@ std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
         ops.push_back(Op::compute(config.compute_per_task));
         // Output side: many small files, written in small transactions.
         for (std::int32_t f = 0; f < config.files_per_task; ++f) {
-          const std::string output = task_file(config, stage, task, f);
+          const FileId output = paths.intern(task_file(config, stage, task, f));
           ops.push_back(Op::create(output));
           for (std::uint64_t t = 0; t < transactions; ++t) {
             ops.push_back(Op::write(output, t * config.transaction_size.count(),
@@ -67,12 +68,12 @@ std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
         }
         // Completion marker: engines list the stage directory to track
         // progress.
-        ops.push_back(Op::readdir(config.directory + "/stage" + std::to_string(stage)));
+        ops.push_back(Op::readdir(stage_dir));
       }
       ops.push_back(Op::barrier());  // stage boundary
     }
   }
-  return std::make_unique<VectorWorkload>("workflow", std::move(per_rank));
+  return std::make_unique<VectorWorkload>("workflow", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

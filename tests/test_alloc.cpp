@@ -7,12 +7,14 @@
 // std::function and the engine's Task store them inline. This file replaces
 // the global operator new with a counting one that counts only inside a
 // test's window (Engine::run here), and bounds the allocations per engine
-// event on two
-// shapes: the 64-rank N-to-1 checkpoint (write then read one shared file)
-// and a 64-rank x 16-file mdtest with 4 KiB writes. What remains is pool
-// growth to peak and the workload streams' own op strings. A third case
-// bounds what an attached trace::ServerStatsCollector adds on the mdtest
-// shape: its window maps, not a per-op record.
+// event on three shapes: perfbench's ckpt-n1 N-to-1 checkpoint (write then
+// read one shared file) at 2,048 and at 64 ranks, and a 64-rank x 16-file
+// mdtest with 4 KiB writes. Ops name files by id (a trivially copyable
+// workload::Op), so what remains is pools and heaps growing to peak, plus
+// the MDS namespace's own entries on mdtest. A further case bounds what an
+// attached trace::ServerStatsCollector adds on the mdtest shape: its window
+// maps, not a per-op record. Building the 64-rank checkpoint workload is
+// bounded too: one allocation per rank, not per op.
 //
 // The pioevald wire path is bounded the same way, per frame: serving a
 // fully cached campaign (pump plus take_output) and feeding its submit.
@@ -67,8 +69,14 @@ void operator delete(void* p, std::size_t /*bytes*/) noexcept { std::free(p); }
 namespace pio {
 namespace {
 
-/// Upper bound on heap allocations per engine event.
-constexpr double kMaxAllocationsPerEvent = 0.2;
+/// Upper bound on heap allocations per engine event on the mdtest shape
+/// (3,517 for 102,510 events: 0.034).
+constexpr double kMaxAllocationsPerEvent = 0.05;
+/// Upper bounds on the checkpoint shapes, per event at 2,048 and 64 ranks.
+constexpr double kMaxCheckpointAllocationsPerEvent = 0.005;
+constexpr double kMaxSmallCheckpointAllocationsPerEvent = 0.04;
+/// Upper bound on the allocations that build the 64-rank checkpoint.
+constexpr std::uint64_t kMaxCheckpointGenerationAllocations = 76;
 /// Upper bound on the allocations per event an attached collector adds.
 constexpr double kMaxObserverAllocationsPerEvent = 0.01;
 
@@ -109,21 +117,53 @@ Counted count_run(const workload::Workload& workload, std::uint64_t seed,
   return Counted{g_allocations, engine.events_executed()};
 }
 
-TEST(AllocPerEvent, CheckpointN1Shape) {
+/// The N-to-1 checkpoint of perfbench's ckpt-n1 at `ranks` ranks: 2 x 1 MiB
+/// per rank into one shared file, written then read back.
+std::unique_ptr<workload::Workload> checkpoint_shape(std::int32_t ranks) {
   workload::IorConfig ior;
-  ior.ranks = 64;
+  ior.ranks = ranks;
   ior.block_size = Bytes::from_mib(2);
   ior.transfer_size = Bytes::from_mib(1);
   ior.file_per_process = false;
   ior.write_phase = true;
   ior.read_phase = true;
   ior.directory = "/ckpt-alloc";
-  const auto workload = workload::ior_like(ior);
+  return workload::ior_like(ior);
+}
+
+// At ckpt-n1's full 2,048 ranks (409,793 events) the run allocates 1,006
+// times, all of it pools and heaps growing to peak: 0.0025 per event.
+TEST(AllocPerEvent, CheckpointN1Shape) {
+  const auto workload = checkpoint_shape(2048);
   const Counted c = count_run(*workload, 1);
   RecordProperty("allocations", std::to_string(c.allocations));
   RecordProperty("events", std::to_string(c.events));
-  EXPECT_LT(c.per_event(), kMaxAllocationsPerEvent)
+  EXPECT_LT(c.per_event(), kMaxCheckpointAllocationsPerEvent)
       << c.allocations << " allocations for " << c.events << " events";
+}
+
+// The same shape at 64 ranks: 386 allocations for 13,013 events, the
+// growth to peak with few events to spread it over.
+TEST(AllocPerEvent, CheckpointN1SmallShape) {
+  const auto workload = checkpoint_shape(64);
+  const Counted c = count_run(*workload, 1);
+  RecordProperty("allocations", std::to_string(c.allocations));
+  RecordProperty("events", std::to_string(c.events));
+  EXPECT_LT(c.per_event(), kMaxSmallCheckpointAllocationsPerEvent)
+      << c.allocations << " allocations for " << c.events << " events";
+}
+
+// Building a workload allocates per rank, not per op: the 64-rank
+// checkpoint's 833 ops take one vector per rank plus the workload's own
+// few (the rank list, the path table, the object).
+TEST(AllocPerWorkload, CheckpointGenerationIsPerRank) {
+  g_allocations = 0;
+  g_counting = true;
+  const auto workload = checkpoint_shape(64);
+  g_counting = false;
+  RecordProperty("allocations", std::to_string(g_allocations));
+  EXPECT_LE(g_allocations, kMaxCheckpointGenerationAllocations);
+  EXPECT_EQ(workload::footprint(*workload).ops, 833U);
 }
 
 std::unique_ptr<workload::Workload> mdtest_shape() {

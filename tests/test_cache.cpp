@@ -606,8 +606,9 @@ TEST(ClientCacheTierTest, WritebackRetriesThroughOstOutagePreserveC1) {
   // forces write-back into an OST that is down for the first 50 ms. C1: the
   // tier retries until recovery — no acknowledged byte is ever dropped.
   std::vector<std::vector<workload::Op>> ops(2);
+  PathTable paths;
   for (std::int32_t r = 0; r < 2; ++r) {
-    const std::string path = "/ckpt-" + std::to_string(r);
+    const FileId path = paths.intern("/ckpt-" + std::to_string(r));
     ops[static_cast<std::size_t>(r)].push_back(workload::Op::create(path));
     for (std::uint64_t p = 0; p < 4; ++p) {
       ops[static_cast<std::size_t>(r)].push_back(workload::Op::write(path, p * kPage, 64_KiB));
@@ -615,7 +616,7 @@ TEST(ClientCacheTierTest, WritebackRetriesThroughOstOutagePreserveC1) {
     ops[static_cast<std::size_t>(r)].push_back(workload::Op::fsync(path));
     ops[static_cast<std::size_t>(r)].push_back(workload::Op::close(path));
   }
-  const workload::VectorWorkload checkpoint{"ckpt", std::move(ops)};
+  const workload::VectorWorkload checkpoint{"ckpt", std::move(paths), std::move(ops)};
 
   sim::Engine engine{3};
   pfs::PfsConfig pfs_config;

@@ -103,7 +103,7 @@ void expect_same_as_barrier_loop(CampaignConfig config,
 /// Two IOR geometries, a shuffled DLIO epoch and an idle workload.
 struct Sweep {
   std::unique_ptr<workload::Workload> ior_a, ior_b, dlio;
-  workload::VectorWorkload idle{"idle", std::vector<std::vector<workload::Op>>(2)};
+  workload::VectorWorkload idle{"idle", {}, std::vector<std::vector<workload::Op>>(2)};
 
   Sweep() {
     workload::IorConfig ior;

@@ -341,16 +341,16 @@ TEST(ClusterProtocol, WriteInsideDetectionWindowFailsThenRecovers) {
   std::optional<pfs::MetaResult> created;
   std::optional<pfs::IoResult> healthy, windowed;
   engine.schedule_at(SimTime::zero(), [&] {
-    model.meta(0, pfs::MetaOp::kCreate, "/f",
+    model.meta(0, pfs::MetaOp::kCreate, model.mds().intern("/f"),
                [&](pfs::MetaResult r) { created = r; }, layout);
   });
   engine.schedule_at(ms(5.0), [&] {
-    model.io(0, "/f", layout, 0, Bytes::from_kib(128), true,
+    model.io(0, model.mds().intern("/f"), layout, 0, Bytes::from_kib(128), true,
              [&](pfs::IoResult r) { healthy = r; });
   });
   engine.schedule_at(ms(55.0), [&] {
-    model.io(0, "/f", layout, Bytes::from_kib(128).count(), Bytes::from_kib(128), true,
-             [&](pfs::IoResult r) { windowed = r; });
+    model.io(0, model.mds().intern("/f"), layout, Bytes::from_kib(128).count(),
+             Bytes::from_kib(128), true, [&](pfs::IoResult r) { windowed = r; });
   });
   engine.run();
   engine.assert_drained();
@@ -392,16 +392,17 @@ TEST(ClusterProtocol, StaleReadAfterJoinBouncesRefreshesAndSucceeds) {
   std::optional<pfs::IoResult> wrote;
   std::vector<pfs::IoResult> reads;
   engine.schedule_at(SimTime::zero(), [&] {
-    model.meta(0, pfs::MetaOp::kCreate, "/data", [](pfs::MetaResult) {}, layout);
+    model.meta(0, pfs::MetaOp::kCreate, model.mds().intern("/data"), [](pfs::MetaResult) {},
+               layout);
   });
   engine.schedule_at(ms(5.0), [&] {
-    model.io(0, "/data", layout, 0, Bytes::from_kib(512), true,
+    model.io(0, model.mds().intern("/data"), layout, 0, Bytes::from_kib(512), true,
              [&](pfs::IoResult r) { wrote = r; });
   });
   engine.schedule_at(ms(100.0), [&] {
     for (std::uint64_t stripe = 0; stripe < 8; ++stripe) {
-      model.io(0, "/data", layout, stripe * Bytes::from_kib(64).count(), Bytes::from_kib(64),
-               false, [&](pfs::IoResult r) { reads.push_back(r); });
+      model.io(0, model.mds().intern("/data"), layout, stripe * Bytes::from_kib(64).count(),
+               Bytes::from_kib(64), false, [&](pfs::IoResult r) { reads.push_back(r); });
     }
   });
   engine.run();
@@ -449,20 +450,21 @@ TEST(ClusterMigration, HrwVolumeMatchesPlacementDiffAndBeatsRoundRobin) {
     std::vector<pfs::IoResult> writes, reads;
     engine.schedule_at(SimTime::zero(), [&] {
       for (const auto& path : paths) {
-        model.meta(0, pfs::MetaOp::kCreate, path, [](pfs::MetaResult) {}, layout);
+        model.meta(0, pfs::MetaOp::kCreate, model.mds().intern(path), [](pfs::MetaResult) {},
+                   layout);
       }
     });
     engine.schedule_at(ms(5.0), [&] {
       for (const auto& path : paths) {
-        model.io(0, path, layout, 0, Bytes::from_kib(256), true,
+        model.io(0, model.mds().intern(path), layout, 0, Bytes::from_kib(256), true,
                  [&](pfs::IoResult r) { writes.push_back(r); });
       }
     });
     engine.schedule_at(ms(350.0), [&] {
       for (const auto& path : paths) {
         for (std::uint64_t stripe = 0; stripe < 4; ++stripe) {
-          model.io(0, path, layout, stripe * Bytes::from_kib(64).count(), Bytes::from_kib(64),
-                   false, [&](pfs::IoResult r) { reads.push_back(r); });
+          model.io(0, model.mds().intern(path), layout, stripe * Bytes::from_kib(64).count(),
+                   Bytes::from_kib(64), false, [&](pfs::IoResult r) { reads.push_back(r); });
         }
       }
     });
@@ -516,20 +518,20 @@ TEST(ClusterF4, AckedDataReadableAcrossJoinDrainCrashDecommission) {
   std::vector<pfs::IoResult> writes, reads;
   engine.schedule_at(SimTime::zero(), [&] {
     for (const auto& path : paths) {
-      model.meta(0, pfs::MetaOp::kCreate, path, [](pfs::MetaResult) {}, layout);
+      model.meta(0, pfs::MetaOp::kCreate, model.mds().intern(path), [](pfs::MetaResult) {}, layout);
     }
   });
   engine.schedule_at(ms(5.0), [&] {
     for (const auto& path : paths) {
-      model.io(0, path, layout, 0, Bytes::from_kib(256), true,
+      model.io(0, model.mds().intern(path), layout, 0, Bytes::from_kib(256), true,
                [&](pfs::IoResult r) { writes.push_back(r); });
     }
   });
   engine.schedule_at(ms(350.0), [&] {
     for (const auto& path : paths) {
       for (std::uint64_t stripe = 0; stripe < 4; ++stripe) {
-        model.io(0, path, layout, stripe * Bytes::from_kib(64).count(), Bytes::from_kib(64),
-                 false, [&](pfs::IoResult r) { reads.push_back(r); });
+        model.io(0, model.mds().intern(path), layout, stripe * Bytes::from_kib(64).count(),
+                 Bytes::from_kib(64), false, [&](pfs::IoResult r) { reads.push_back(r); });
       }
     }
   });

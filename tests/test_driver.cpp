@@ -121,7 +121,7 @@ TEST(ExecutionDrivenTest, MismatchedBarriersAreDiagnosed) {
   std::vector<std::vector<workload::Op>> ops(2);
   ops[0].push_back(workload::Op::barrier());
   ops[0].push_back(workload::Op::compute(1_ms));
-  const workload::VectorWorkload w{"asym", std::move(ops)};
+  const workload::VectorWorkload w{"asym", {}, std::move(ops)};
   sim::Engine engine;
   pfs::PfsModel model{engine, small_pfs()};
   ExecutionDrivenSimulator sim{engine, model};

@@ -148,7 +148,7 @@ TEST(DurabilityValidationTest, IoRejectsReplicatedLayoutWithoutTracking) {
   pfs::PfsModel model{engine, config};
   pfs::StripeLayout replicated{1_MiB, 1, 0, 2};
   EXPECT_THROW(
-      model.io(0, "/f", replicated, 0, 1_MiB, true, [](pfs::IoResult) {}),
+      model.io(0, model.mds().intern("/f"), replicated, 0, 1_MiB, true, [](pfs::IoResult) {}),
       std::invalid_argument);
 }
 
@@ -171,7 +171,7 @@ pfs::PfsConfig durable_pfs(std::uint32_t osts, std::uint32_t replicas) {
 /// Schedule a create at `t` (layout comes from the MDS default).
 void create_at(pfs::PfsModel& model, SimTime t, const std::string& path) {
   model.engine().schedule_at(t, [&model, path] {
-    model.meta(0, pfs::MetaOp::kCreate, path, [](pfs::MetaResult r) {
+    model.meta(0, pfs::MetaOp::kCreate, model.mds().intern(path), [](pfs::MetaResult r) {
       if (!r.ok()) throw std::runtime_error("test create failed");
     });
   });
@@ -181,9 +181,9 @@ void create_at(pfs::PfsModel& model, SimTime t, const std::string& path) {
 void io_at(pfs::PfsModel& model, SimTime t, const std::string& path, std::uint64_t offset,
            Bytes size, bool is_write, pfs::IoResult& out) {
   model.engine().schedule_at(t, [&model, &out, path, offset, size, is_write] {
-    const auto* inode = model.mds().find_inode(path);
+    const auto* inode = model.mds().find_inode(model.mds().intern(path));
     ASSERT_NE(inode, nullptr);
-    model.io(0, path, inode->layout, offset, size, is_write,
+    model.io(0, model.mds().intern(path), inode->layout, offset, size, is_write,
              [&out](pfs::IoResult r) { out = r; });
   });
 }
@@ -387,7 +387,7 @@ TEST(MdsStandbyTest, StandbyBoundsTheOutageToDetectionPlusReplay) {
   mds.set_fault_timeline(&timeline);
   // Build up a journal before the crash.
   for (int i = 0; i < 10; ++i) {
-    mds.request(pfs::MetaOp::kCreate, "/f" + std::to_string(i), [](pfs::MetaResult) {});
+    mds.request(pfs::MetaOp::kCreate, mds.intern("/f" + std::to_string(i)), [](pfs::MetaResult) {});
   }
   engine.run();
   EXPECT_EQ(mds.journal_entries(), 10u);
@@ -397,7 +397,7 @@ TEST(MdsStandbyTest, StandbyBoundsTheOutageToDetectionPlusReplay) {
   pfs::MetaResult result;
   SimTime completed = SimTime::zero();
   engine.schedule_at(ms(101), [&] {
-    mds.request(pfs::MetaOp::kStat, "/f0", [&](pfs::MetaResult r) {
+    mds.request(pfs::MetaOp::kStat, mds.intern("/f0"), [&](pfs::MetaResult r) {
       result = std::move(r);
       completed = engine.now();
     });
@@ -424,7 +424,8 @@ TEST(MdsStandbyTest, ReplayCostGrowsWithJournalSize) {
     const fault::Timeline timeline{plan.events};
     mds.set_fault_timeline(&timeline);
     for (int i = 0; i < creates; ++i) {
-      mds.request(pfs::MetaOp::kCreate, "/f" + std::to_string(i), [](pfs::MetaResult) {});
+      mds.request(pfs::MetaOp::kCreate, mds.intern("/f" + std::to_string(i)),
+                  [](pfs::MetaResult) {});
     }
     engine.run();
     return mds.standby_ready(SimTime::from_sec(2.0));
@@ -445,7 +446,7 @@ TEST(MdsStandbyTest, InterruptedMutationIsReplayedNotLost) {
   mds.set_fault_timeline(&timeline);
   pfs::MetaResult result;
   SimTime completed = SimTime::zero();
-  mds.request(pfs::MetaOp::kCreate, "/f", [&](pfs::MetaResult r) {
+  mds.request(pfs::MetaOp::kCreate, mds.intern("/f"), [&](pfs::MetaResult r) {
     result = std::move(r);
     completed = engine.now();
   });
@@ -453,7 +454,7 @@ TEST(MdsStandbyTest, InterruptedMutationIsReplayedNotLost) {
   // Without a standby this op fails with kUnavailable at recovery (see
   // MdsFaultTest); with one, the RPC is replayed and succeeds at takeover.
   EXPECT_TRUE(result.ok());
-  EXPECT_NE(mds.find_inode("/f"), nullptr);
+  EXPECT_NE(mds.find_inode(mds.intern("/f")), nullptr);
   EXPECT_GE(completed, SimTime::from_us(100.0) + ms(5));
   EXPECT_LT(completed, SimTime::from_sec(1.0));
   EXPECT_EQ(mds.stats().failover_stalls, 1u);

@@ -297,7 +297,7 @@ pfs::PfsConfig tiny_pfs(std::uint32_t osts) {
 pfs::MetaResult sync_meta(pfs::PfsModel& model, pfs::ClientId c, pfs::MetaOp op,
                           const std::string& path) {
   pfs::MetaResult out;
-  model.meta(c, op, path, [&](pfs::MetaResult r) { out = std::move(r); });
+  model.meta(c, op, model.mds().intern(path), [&](pfs::MetaResult r) { out = std::move(r); });
   model.engine().run();
   return out;
 }
@@ -306,7 +306,8 @@ pfs::IoResult sync_io(pfs::PfsModel& model, pfs::ClientId c, const std::string& 
                       const pfs::StripeLayout& layout, std::uint64_t offset, Bytes size,
                       bool is_write) {
   pfs::IoResult out;
-  model.io(c, path, layout, offset, size, is_write, [&](pfs::IoResult r) { out = r; });
+  model.io(c, model.mds().intern(path), layout, offset, size, is_write,
+           [&](pfs::IoResult r) { out = r; });
   model.engine().run();
   return out;
 }
@@ -406,11 +407,12 @@ TEST(MdsFaultTest, RequestDuringDownReturnsUnavailable) {
   const Timeline timeline{plan.events};
   mds.set_fault_timeline(&timeline);
   pfs::MetaResult result;
-  mds.request(pfs::MetaOp::kCreate, "/f", [&](pfs::MetaResult r) { result = std::move(r); });
+  mds.request(pfs::MetaOp::kCreate, mds.intern("/f"),
+              [&](pfs::MetaResult r) { result = std::move(r); });
   engine.run();
   EXPECT_EQ(result.status, pfs::MetaStatus::kUnavailable);
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(mds.find_inode("/f"), nullptr);  // mutation was not applied
+  EXPECT_EQ(mds.find_inode(mds.intern("/f")), nullptr);  // mutation was not applied
   EXPECT_EQ(mds.stats().errors, 1u);
 }
 
@@ -422,7 +424,8 @@ TEST(MdsFaultTest, SlowdownStretchesServiceCost) {
   const Timeline timeline{plan.events};
   mds.set_fault_timeline(&timeline);
   SimTime completed = SimTime::zero();
-  mds.request(pfs::MetaOp::kStat, "/", [&](pfs::MetaResult) { completed = engine.now(); });
+  mds.request(pfs::MetaOp::kStat, mds.intern("/"),
+              [&](pfs::MetaResult) { completed = engine.now(); });
   engine.run();
   // stat_cost is 40us; the storm makes it 400us.
   EXPECT_EQ(completed, SimTime::from_us(400.0));
@@ -438,14 +441,14 @@ TEST(MdsFaultTest, InServiceRequestInterruptedByCrashDefersToRecovery) {
   mds.set_fault_timeline(&timeline);
   pfs::MetaResult result;
   SimTime completed = SimTime::zero();
-  mds.request(pfs::MetaOp::kCreate, "/f", [&](pfs::MetaResult r) {
+  mds.request(pfs::MetaOp::kCreate, mds.intern("/f"), [&](pfs::MetaResult r) {
     result = std::move(r);
     completed = engine.now();
   });
   engine.run();
   EXPECT_EQ(result.status, pfs::MetaStatus::kUnavailable);
   EXPECT_EQ(completed, ms(50));              // failure surfaces at recovery (F1)
-  EXPECT_EQ(mds.find_inode("/f"), nullptr);  // the create was lost, not applied
+  EXPECT_EQ(mds.find_inode(mds.intern("/f")), nullptr);  // the create was lost, not applied
 }
 
 // --------------------------------------------------------------- net faults
@@ -612,7 +615,7 @@ TEST(FaultQuiescenceTest, DrainedFaultedRunLeavesEveryPoolEmpty) {
 TEST(FaultQuiescenceTest, LiveRecordFailsTheAudit) {
   sim::Engine engine;
   pfs::PfsModel model{engine, tiny_pfs(1)};
-  model.meta(0, pfs::MetaOp::kCreate, "/f", [](const pfs::MetaResult&) {});
+  model.meta(0, pfs::MetaOp::kCreate, model.mds().intern("/f"), [](const pfs::MetaResult&) {});
   engine.run(SimTime::from_ns(1));  // the request is still on the wire
   EXPECT_GT(model.compute_fabric().messages_in_flight(), 0u);
   EXPECT_THROW(model.assert_quiescent(), std::logic_error);

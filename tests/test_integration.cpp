@@ -254,28 +254,29 @@ TEST(FaultInjectionTest, MeasuredRunnerSurvivesAndReportsFaults) {
   runtime.run([&](par::Comm& comm) {
     trace::TracingBackend backend{flaky, profiler, clock, comm.rank()};
     auto stream = w->stream(comm.rank());
-    std::map<std::string, vfs::Fd> fds;
+    std::map<FileId, vfs::Fd> fds;
     std::vector<std::byte> buf;
     while (auto op = stream->next()) {
       using K = workload::OpKind;
+      const std::string& path = w->path(op->file);
       switch (op->kind) {
         case K::kCreate:
         case K::kOpen: {
-          auto fd = backend.open(op->path,
+          auto fd = backend.open(path,
                                  {vfs::OpenMode::kReadWrite, op->kind == K::kCreate, false});
-          if (fd.ok()) fds[op->path] = fd.value();
+          if (fd.ok()) fds[op->file] = fd.value();
           else ++failed;
           break;
         }
         case K::kClose:
-          if (auto it = fds.find(op->path); it != fds.end()) {
+          if (auto it = fds.find(op->file); it != fds.end()) {
             backend.close(it->second);
             fds.erase(it);
           }
           break;
         case K::kRead:
         case K::kWrite: {
-          const auto it = fds.find(op->path);
+          const auto it = fds.find(op->file);
           if (it == fds.end()) {
             ++failed;
             break;
@@ -288,7 +289,7 @@ TEST(FaultInjectionTest, MeasuredRunnerSurvivesAndReportsFaults) {
           break;
         }
         case K::kMkdir:
-          (void)backend.mkdir(op->path);
+          (void)backend.mkdir(path);
           break;
         case K::kBarrier: comm.barrier(); break;
         default: break;

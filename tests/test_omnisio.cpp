@@ -14,6 +14,10 @@ namespace {
 using namespace pio::literals;
 using workload::Op;
 
+// The files the predictor tests name (ids in a workload's path table).
+constexpr FileId kF = 1;
+constexpr FileId kX = 2;
+
 TEST(NextOpPredictorTest, LearnsASimpleLoop) {
   predict::NextOpPredictor predictor;
   // A perfectly regular stream: write, write, fsync, repeated.
@@ -23,14 +27,14 @@ TEST(NextOpPredictorTest, LearnsASimpleLoop) {
   for (int cycle = 0; cycle < 50; ++cycle) {
     const bool warm = cycle >= 10;
     for (int i = 0; i < 2; ++i) {
-      const bool hit = predictor.observe(Op::write("/f", offset, 1_MiB));
+      const bool hit = predictor.observe(Op::write(kF, offset, 1_MiB));
       offset += (1_MiB).count();
       if (warm) {
         ++late_total;
         late_hits += hit ? 1 : 0;
       }
     }
-    const bool hit = predictor.observe(Op::fsync("/f"));
+    const bool hit = predictor.observe(Op::fsync(kF));
     if (warm) {
       ++late_total;
       late_hits += hit ? 1 : 0;
@@ -45,12 +49,12 @@ TEST(NextOpPredictorTest, LearnsASimpleLoop) {
 TEST(NextOpPredictorTest, PredictsResolvedNextOp) {
   predict::NextOpPredictor predictor;
   for (int i = 0; i < 20; ++i) {
-    (void)predictor.observe(Op::write("/f", static_cast<std::uint64_t>(i) << 20, 1_MiB));
+    (void)predictor.observe(Op::write(kF, static_cast<std::uint64_t>(i) << 20, 1_MiB));
   }
   const auto next = predictor.predict_next();
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->kind, workload::OpKind::kWrite);
-  EXPECT_EQ(next->path, "/f");
+  EXPECT_EQ(next->file, kF);
   EXPECT_EQ(next->size, 1_MiB);
   // The predicted offset continues the sequential cursor.
   EXPECT_EQ(next->offset, 20ull << 20);
@@ -59,7 +63,7 @@ TEST(NextOpPredictorTest, PredictsResolvedNextOp) {
 TEST(NextOpPredictorTest, NoPredictionBeforeData) {
   predict::NextOpPredictor predictor;
   EXPECT_FALSE(predictor.predict_next().has_value());
-  EXPECT_FALSE(predictor.observe(Op::stat("/x")));  // first op: no prediction
+  EXPECT_FALSE(predictor.observe(Op::stat(kX)));  // first op: no prediction
   EXPECT_EQ(predictor.accuracy(), 0.0);
 }
 

@@ -351,7 +351,8 @@ TEST(MdsAdmissionTest, MetadataStormIsBouncedAndAccountsExactly) {
   pfs::PfsModel model{engine, config};
   std::uint64_t ok = 0, overloaded = 0;
   for (int i = 0; i < 16; ++i) {
-    model.meta(0, pfs::MetaOp::kCreate, "/f" + std::to_string(i), [&](pfs::MetaResult r) {
+    const FileId file = model.mds().intern("/f" + std::to_string(i));
+    model.meta(0, pfs::MetaOp::kCreate, file, [&](pfs::MetaResult r) {
       if (r.ok()) {
         ++ok;
       } else {
@@ -382,7 +383,8 @@ TEST(MdsAdmissionTest, CodelShedDropsAtThreadGrant) {
   pfs::PfsModel model{engine, config};
   std::uint64_t ok = 0, overloaded = 0;
   for (int i = 0; i < 16; ++i) {
-    model.meta(0, pfs::MetaOp::kCreate, "/f" + std::to_string(i), [&](pfs::MetaResult r) {
+    const FileId file = model.mds().intern("/f" + std::to_string(i));
+    model.meta(0, pfs::MetaOp::kCreate, file, [&](pfs::MetaResult r) {
       r.ok() ? ++ok : ++overloaded;
     });
   }
@@ -402,7 +404,7 @@ TEST(MdsAdmissionTest, CodelShedDropsAtThreadGrant) {
 pfs::MetaResult sync_meta(pfs::PfsModel& model, pfs::ClientId c, pfs::MetaOp op,
                           const std::string& path) {
   pfs::MetaResult out;
-  model.meta(c, op, path, [&](pfs::MetaResult r) { out = std::move(r); });
+  model.meta(c, op, model.mds().intern(path), [&](pfs::MetaResult r) { out = std::move(r); });
   model.engine().run();
   return out;
 }
@@ -411,7 +413,8 @@ pfs::IoResult sync_io(pfs::PfsModel& model, pfs::ClientId c, const std::string& 
                       const pfs::StripeLayout& layout, std::uint64_t offset, Bytes size,
                       bool is_write) {
   pfs::IoResult out;
-  model.io(c, path, layout, offset, size, is_write, [&](pfs::IoResult r) { out = r; });
+  model.io(c, model.mds().intern(path), layout, offset, size, is_write,
+           [&](pfs::IoResult r) { out = r; });
   model.engine().run();
   return out;
 }
@@ -430,8 +433,8 @@ TEST(OverloadEndToEndTest, RejectedOpsRetryAfterTheHintAndSucceed) {
   std::uint64_t ok = 0;
   std::vector<pfs::IoResult> results(8);
   for (int i = 0; i < 8; ++i) {
-    model.io(0, "/f", created.inode->layout, static_cast<std::uint64_t>(i) << 20, 1_MiB,
-             true, [&results, &ok, i](pfs::IoResult r) {
+    model.io(0, model.mds().intern("/f"), created.inode->layout,
+             static_cast<std::uint64_t>(i) << 20, 1_MiB, true, [&results, &ok, i](pfs::IoResult r) {
                results[static_cast<std::size_t>(i)] = r;
                if (r.ok) ++ok;
              });

@@ -179,7 +179,7 @@ class MdsTest : public ::testing::Test {
   MetaResult request(MetaOp op, const std::string& path,
                      std::optional<StripeLayout> layout = std::nullopt) {
     MetaResult out;
-    mds_.request(op, path, [&](MetaResult r) { out = std::move(r); }, layout);
+    mds_.request(op, mds_.intern(path), [&](MetaResult r) { out = std::move(r); }, layout);
     engine_.run();
     return out;
   }
@@ -227,7 +227,8 @@ TEST_F(MdsTest, ConcurrencyIsBoundedByThreads) {
   std::vector<std::int64_t> times;
   (void)request(MetaOp::kCreate, "/f");
   for (int i = 0; i < 8; ++i) {
-    mds_.request(MetaOp::kStat, "/f", [&](MetaResult) { times.push_back(engine_.now().ns()); });
+    mds_.request(MetaOp::kStat, mds_.intern("/f"),
+                 [&](MetaResult) { times.push_back(engine_.now().ns()); });
   }
   engine_.run();
   ASSERT_EQ(times.size(), 8u);
@@ -317,7 +318,7 @@ class PfsModelTest : public ::testing::Test {
 
   MetaResult meta(PfsModel& model, ClientId c, MetaOp op, const std::string& path) {
     MetaResult out;
-    model.meta(c, op, path, [&](MetaResult r) { out = std::move(r); });
+    model.meta(c, op, model.mds().intern(path), [&](MetaResult r) { out = std::move(r); });
     model.engine().run();
     return out;
   }
@@ -325,7 +326,8 @@ class PfsModelTest : public ::testing::Test {
   IoResult io(PfsModel& model, ClientId c, const std::string& path, const StripeLayout& layout,
               std::uint64_t offset, Bytes size, bool is_write) {
     IoResult out;
-    model.io(c, path, layout, offset, size, is_write, [&](IoResult r) { out = r; });
+    model.io(c, model.mds().intern(path), layout, offset, size, is_write,
+             [&](IoResult r) { out = r; });
     model.engine().run();
     return out;
   }
@@ -348,7 +350,7 @@ TEST_F(PfsModelTest, WriteThenReadCompletesAndLandsOnOsts) {
   const auto read = io(model, 1, "/data", layout, 0, 8_MiB, false);
   EXPECT_TRUE(read.ok);
   // MDS saw the size grow.
-  EXPECT_EQ(model.mds().find_inode("/data")->size, 8_MiB);
+  EXPECT_EQ(model.mds().find_inode(model.mds().intern("/data"))->size, 8_MiB);
 }
 
 TEST_F(PfsModelTest, StripingSpreadsLoadAcrossOsts) {
@@ -400,8 +402,9 @@ TEST_F(PfsModelTest, DeterministicAcrossRuns) {
     (void)meta(model, 0, MetaOp::kCreate, "/d");
     std::vector<std::int64_t> latencies;
     for (int i = 0; i < 8; ++i) {
-      model.io(static_cast<ClientId>(i % 4), "/d", model.mds().config().default_layout,
-               static_cast<std::uint64_t>(i) << 20, 1_MiB, true,
+      model.io(static_cast<ClientId>(i % 4), model.mds().intern("/d"),
+               model.mds().config().default_layout, static_cast<std::uint64_t>(i) << 20, 1_MiB,
+               true,
                [&](IoResult r) { latencies.push_back(r.latency().ns()); });
     }
     e.run();
@@ -433,7 +436,8 @@ TEST_F(PfsModelTest, FailedIoLatencyIsWellDefined) {
   IoResult result;
   // Issue at a nonzero sim time so an accidental completed=0 would underflow.
   e.schedule_after(SimTime::from_ms(5.0), [&] {
-    model.io(0, "/missing", StripeLayout{}, 0, 1_MiB, false, [&](IoResult r) { result = r; });
+    model.io(0, model.mds().intern("/missing"), StripeLayout{}, 0, 1_MiB, false,
+             [&](IoResult r) { result = r; });
   });
   e.run();
   EXPECT_FALSE(result.ok);

@@ -148,7 +148,7 @@ TEST_P(CompressionTest, LosslessRoundTripOnKernels) {
       const Op& a = original_ops[r][i];
       const Op& b = restored_ops[r][i];
       ASSERT_EQ(a.kind, b.kind) << r << ":" << i;
-      ASSERT_EQ(a.path, b.path) << r << ":" << i;
+      ASSERT_EQ(w->path(a.file), restored->path(b.file)) << r << ":" << i;
       ASSERT_EQ(a.offset, b.offset) << r << ":" << i;
       ASSERT_EQ(a.size, b.size) << r << ":" << i;
       ASSERT_EQ(a.think_time, b.think_time) << r << ":" << i;
@@ -202,7 +202,7 @@ TEST(ExtrapolationTest, AffineWorkloadExtrapolates) {
   const auto projected = model->generate(16);
   EXPECT_EQ(projected->ranks(), 16);
   const auto ops = workload::materialize(*projected);
-  EXPECT_EQ(ops[15][0].path, "/out/f.15");
+  EXPECT_EQ(projected->path(ops[15][0].file), "/out/f.15");
   EXPECT_EQ(ops[15][0].kind, OpKind::kCreate);
   EXPECT_EQ(ops[15][3].offset, (2_MiB).count());
   // Volume scales linearly with rank count.
@@ -239,10 +239,11 @@ TEST(ExtrapolationTest, NonAffinePatternIsDiagnosed) {
 
 TEST(ExtrapolationTest, AsymmetricStructureIsDiagnosed) {
   std::vector<std::vector<Op>> ops(2);
+  PathTable paths;
   ops[0].push_back(Op::barrier());
   ops[1].push_back(Op::barrier());
-  ops[1].push_back(Op::stat("/extra"));
-  const workload::VectorWorkload w{"asym", std::move(ops)};
+  ops[1].push_back(Op::stat(paths.intern("/extra")));
+  const workload::VectorWorkload w{"asym", std::move(paths), std::move(ops)};
   ExtrapolationError error;
   EXPECT_FALSE(ExtrapolationModel::fit(w, &error).has_value());
   EXPECT_NE(error.reason.find("op count"), std::string::npos);

@@ -147,7 +147,7 @@ TEST(DlioTest, EveryEpochVisitsEverySampleExactlyOnce) {
     while (auto op = stream->next()) {
       if (op->kind == OpKind::kRead) {
         ASSERT_LT(epoch, epochs.size());
-        epochs[epoch].emplace(op->path, op->offset);
+        epochs[epoch].emplace(w->path(op->file), op->offset);
         read_in_epoch = true;
       }
       // The prep barrier precedes any reads; every later barrier ends an
@@ -204,7 +204,7 @@ TEST(DlioTest, StreamsAreReplayable) {
     for (std::size_t i = 0; i < a[r].size(); ++i) {
       EXPECT_EQ(a[r][i].kind, b[r][i].kind);
       EXPECT_EQ(a[r][i].offset, b[r][i].offset);
-      EXPECT_EQ(a[r][i].path, b[r][i].path);
+      EXPECT_EQ(a[r][i].file, b[r][i].file);
     }
   }
 }
@@ -216,17 +216,18 @@ TEST(DlioTest, ReadsAreSmallAndRandom) {
   config.samples_per_file = 128;
   config.sample_size = 128_KiB;
   config.include_preparation = false;
-  auto stream = dlio_like(config)->stream(0);
+  const auto w = dlio_like(config);
+  auto stream = w->stream(0);
   std::size_t reads = 0;
   std::size_t non_consecutive = 0;
-  std::map<std::string, std::uint64_t> cursor;
+  std::map<FileId, std::uint64_t> cursor;
   while (auto op = stream->next()) {
     if (op->kind != OpKind::kRead) continue;
     ++reads;
     EXPECT_EQ(op->size, 128_KiB);
-    const auto it = cursor.find(op->path);
+    const auto it = cursor.find(op->file);
     if (it != cursor.end() && op->offset != it->second) ++non_consecutive;
-    cursor[op->path] = op->offset + op->size.count();
+    cursor[op->file] = op->offset + op->size.count();
   }
   EXPECT_EQ(reads, 512u);
   // Shuffled access: the vast majority of reads are non-consecutive.
@@ -311,7 +312,7 @@ TEST(DslTest, ExpandsPerRankPrograms) {
   ASSERT_EQ(r1.size(), 8u);
   EXPECT_EQ(r1[0].kind, OpKind::kMkdir);
   EXPECT_EQ(r1[2].kind, OpKind::kCreate);
-  EXPECT_EQ(r1[2].path, "/out/f.1");
+  EXPECT_EQ(w->path(r1[2].file), "/out/f.1");
   EXPECT_EQ(r1[3].kind, OpKind::kWrite);
   EXPECT_EQ(r1[3].offset, 0u);
   EXPECT_EQ(r1[3].size, 64_KiB);
@@ -466,7 +467,9 @@ TEST(FromProfileTest, SequentialityIsApproximatelyPreserved) {
 }
 
 TEST(OpTest, FactoryHelpers) {
-  EXPECT_EQ(Op::read("/f", 5, Bytes{10}).kind, OpKind::kRead);
+  EXPECT_EQ(Op::read(1, 5, Bytes{10}).kind, OpKind::kRead);
+  EXPECT_EQ(Op::read(1, 5, Bytes{10}).file, 1u);
+  EXPECT_EQ(Op::barrier().file, 0u);
   EXPECT_EQ(Op::barrier().kind, OpKind::kBarrier);
   EXPECT_EQ(Op::compute(5_ms).think_time, 5_ms);
   EXPECT_STREQ(to_string(OpKind::kUnlink), "unlink");
