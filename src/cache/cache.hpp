@@ -112,8 +112,10 @@ struct CacheStats : CacheCounters {
   CacheStats& operator+=(const CacheStats& other);
 };
 
-/// Cache activity event: the kind of a cache-layer obs::Span, which feeds
-/// the hit-rate time series of trace::ServerStatsCollector.
+/// Cache activity event: the kind of a cache-layer obs::Span, which
+/// trace::ServerStatsCollector counts per window by the kind's value (the
+/// hit-rate time series). Spans are per op while most CacheStats rows are
+/// per page, so the cache's integrations count their rows by hand.
 enum class CacheEventKind : std::uint8_t {
   kHit,            ///< an op served (partly) from cache; bytes = hit bytes
   kMiss,           ///< an op that fetched from the backend; bytes = miss bytes
@@ -121,6 +123,7 @@ enum class CacheEventKind : std::uint8_t {
   kPrefetchIssue,  ///< speculative pages requested; bytes = prefetched bytes
   kWriteback,      ///< dirty bytes written through; bytes = flushed bytes
   kAbsorbedWrite,  ///< a write acknowledged from the cache; bytes = op bytes
+  kCount,          ///< the number of kinds; not a kind
 };
 
 }  // namespace pio::cache

@@ -38,14 +38,13 @@ pfs::ClientId ClientCacheTier::client_of(std::int32_t rank) const {
   return static_cast<pfs::ClientId>(rank) % model_.config().clients;
 }
 
-std::uint64_t ClientCacheTier::file_id(const std::string& path,
-                                       const pfs::StripeLayout& layout) {
-  const auto [it, inserted] = ids_.try_emplace(path, next_file_id_);
-  if (inserted) {
-    metas_.emplace(next_file_id_, FileMeta{model_.mds().intern(path), layout});
-    ++next_file_id_;
-  }
-  return it->second;
+void ClientCacheTier::see(FileId file, const pfs::StripeLayout& layout) {
+  if (file >= layouts_.size()) layouts_.resize(std::size_t{file} + 1);
+  if (!layouts_[file]) layouts_[file] = layout;
+}
+
+const pfs::StripeLayout& ClientCacheTier::layout_of(std::uint64_t file) const {
+  return layouts_.at(file).value();  // every cached page's file was seen first
 }
 
 bool ClientCacheTier::can_insert(const PageCache& cache, std::uint64_t capacity) {
@@ -87,16 +86,14 @@ struct IoLatch {
 
 }  // namespace
 
-void ClientCacheTier::read(std::int32_t rank, const std::string& path,
-                           const pfs::StripeLayout& layout, std::uint64_t offset, Bytes size,
-                           IoDone on_done) {
+void ClientCacheTier::read(std::int32_t rank, FileId file, const pfs::StripeLayout& layout,
+                           std::uint64_t offset, Bytes size, IoDone on_done) {
   if (size == Bytes::zero()) {
     engine_.schedule_after(SimTime::zero(),
                            [on_done] { on_done(true, Bytes::zero()); });
     return;
   }
-  const std::uint64_t fid = file_id(path, layout);
-  const FileId file = metas_.at(fid).file;
+  see(file, layout);
   const std::size_t sidx = slot_index(rank);
   Slot& slot = *slots_[sidx];
   const std::uint64_t psz = config_.page_size.count();
@@ -113,7 +110,7 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
   for (std::uint64_t p = first; p <= last; ++p) {
     const std::uint64_t lo = std::max(offset, p * psz);
     const std::uint64_t hi = std::min(offset + size.count(), (p + 1) * psz);
-    const PageKey key{fid, p};
+    const PageKey key{file, p};
     note_access(slot, key);
     if (slot.cache.lookup(key, engine_.now()) != nullptr) {
       hit += Bytes{hi - lo};
@@ -145,11 +142,11 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
     // relative to the request — that cost is the point of measuring it).
     model_.io(client, file, layout, run.first_page * psz, Bytes{run.pages * psz},
               /*is_write=*/false,
-              [this, sidx, fid, run, rank, latch](pfs::IoResult result) {
+              [this, sidx, file, run, rank, latch](pfs::IoResult result) {
                 if (result.ok) {
                   Slot& s = *slots_[sidx];
                   for (std::uint64_t i = 0; i < run.pages; ++i) {
-                    const PageKey key{fid, run.first_page + i};
+                    const PageKey key{file, run.first_page + i};
                     if (s.cache.contains(key)) continue;
                     if (!can_insert(s.cache, config_.capacity_pages)) break;
                     Page& page = s.cache.insert(key, engine_.now());
@@ -162,14 +159,14 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
   }
 
   if (config_.prefetch == PrefetchMode::kSequential) {
-    auto& next = slot.next_offset[fid];
+    auto& next = slot.next_offset[file];
     const bool sequential = offset == next;
     next = offset + size.count();
     if (sequential) {
       std::uint64_t pf_first = 0;
       std::uint64_t pf_count = 0;
       for (std::uint32_t ahead = 1; ahead <= config_.readahead_pages; ++ahead) {
-        const PageKey key{fid, last + ahead};
+        const PageKey key{file, last + ahead};
         if (slot.cache.contains(key)) continue;
         if (!can_insert(slot.cache, config_.capacity_pages)) break;
         if (pf_count == 0) pf_first = key.page;
@@ -181,14 +178,14 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
         record(CacheEventKind::kPrefetchIssue, rank, Bytes{pf_count * psz});
         model_.io(client, file, layout, pf_first * psz, Bytes{pf_count * psz},
                   /*is_write=*/false,
-                  [this, sidx, fid, pf_first, pf_count, rank](pfs::IoResult result) {
+                  [this, sidx, file, pf_first, pf_count, rank](pfs::IoResult result) {
                     if (!result.ok) {
                       slots_[sidx]->cache.stats_mut().cache_prefetch_wasted += pf_count;
                       return;  // speculation: failures are not retried
                     }
                     Slot& s = *slots_[sidx];
                     for (std::uint64_t i = 0; i < pf_count; ++i) {
-                      const PageKey key{fid, pf_first + i};
+                      const PageKey key{file, pf_first + i};
                       if (s.cache.contains(key) ||
                           !can_insert(s.cache, config_.capacity_pages)) {
                         ++s.cache.stats_mut().cache_prefetch_wasted;
@@ -205,16 +202,14 @@ void ClientCacheTier::read(std::int32_t rank, const std::string& path,
   }
 }
 
-void ClientCacheTier::write(std::int32_t rank, const std::string& path,
-                            const pfs::StripeLayout& layout, std::uint64_t offset, Bytes size,
-                            IoDone on_done) {
+void ClientCacheTier::write(std::int32_t rank, FileId file, const pfs::StripeLayout& layout,
+                            std::uint64_t offset, Bytes size, IoDone on_done) {
   if (size == Bytes::zero()) {
     engine_.schedule_after(SimTime::zero(),
                            [on_done] { on_done(true, Bytes::zero()); });
     return;
   }
-  const std::uint64_t fid = file_id(path, layout);
-  const FileId file = metas_.at(fid).file;
+  see(file, layout);
   const std::size_t sidx = slot_index(rank);
   Slot& slot = *slots_[sidx];
   const std::uint64_t psz = config_.page_size.count();
@@ -236,12 +231,12 @@ void ClientCacheTier::write(std::int32_t rank, const std::string& path,
     // Write-through: the op costs the full simulated path; pages the cache
     // already holds are refreshed in place so later reads stay coherent.
     model_.io(client_of(rank), file, layout, offset, size, /*is_write=*/true,
-              [this, sidx, fid, first, last, offset, size, rank, psz,
+              [this, sidx, file, first, last, offset, size, rank, psz,
                on_done](pfs::IoResult result) {
                 if (result.ok) {
                   Slot& s = *slots_[sidx];
                   for (std::uint64_t p = first; p <= last; ++p) {
-                    Page* page = s.cache.peek(PageKey{fid, p});
+                    Page* page = s.cache.peek(PageKey{file, p});
                     if (page == nullptr) continue;
                     const std::uint64_t hi = std::min(offset + size.count(), (p + 1) * psz);
                     page->valid_bytes = std::max(page->valid_bytes, hi - p * psz);
@@ -255,7 +250,7 @@ void ClientCacheTier::write(std::int32_t rank, const std::string& path,
   }
 
   for (std::uint64_t p = first; p <= last; ++p) {
-    const PageKey key{fid, p};
+    const PageKey key{file, p};
     note_access(slot, key);
     const std::uint64_t hi = std::min(offset + size.count(), (p + 1) * psz);
     Page& page = slot.cache.insert(key, engine_.now());  // resident or fresh
@@ -288,17 +283,11 @@ void ClientCacheTier::settle_page(std::size_t slot_idx, PageKey key,
                            });
     return;
   }
-  const auto meta = metas_.find(key.file);
-  if (meta == metas_.end()) {  // cannot happen: dirty pages come from write()
-    slot.cache.mark_clean(key);
-    on_clean();
-    return;
-  }
   slot.inflight.insert(key);
   const Bytes bytes{page->valid_bytes};
   const std::uint64_t version = page->version;
   const std::int32_t owner = page->owner;
-  model_.io(client_of(owner), meta->second.file, meta->second.layout,
+  model_.io(client_of(owner), static_cast<FileId>(key.file), layout_of(key.file),
             key.page * config_.page_size.count(), bytes, /*is_write=*/true,
             [this, slot_idx, key, bytes, version, owner,
              on_clean = std::move(on_clean)](pfs::IoResult result) {
@@ -336,14 +325,11 @@ void ClientCacheTier::pump_writebacks(std::size_t slot_idx) {
   }
 }
 
-void ClientCacheTier::flush_path(std::int32_t rank, const std::string& path,
-                                 std::function<void()> on_done) {
-  const auto id_it = ids_.find(path);
-  if (id_it == ids_.end()) {
+void ClientCacheTier::flush_path(std::int32_t rank, FileId file, std::function<void()> on_done) {
+  if (file >= layouts_.size() || !layouts_[file]) {  // never cached: nothing to flush
     engine_.schedule_after(SimTime::zero(), std::move(on_done));
     return;
   }
-  const std::uint64_t fid = id_it->second;
   ++slots_[slot_index(rank)]->cache.stats_mut().flushes;
   auto latch = std::make_shared<std::size_t>(1);
   auto arm = [latch, on_done = std::move(on_done)] {
@@ -352,7 +338,7 @@ void ClientCacheTier::flush_path(std::int32_t rank, const std::string& path,
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     Slot& slot = *slots_[s];
     for (const PageKey& key : slot.cache.oldest_dirty(slot.cache.dirty_count())) {
-      if (key.file != fid) continue;
+      if (key.file != file) continue;
       ++*latch;
       settle_page(s, key, arm);
     }
@@ -360,12 +346,10 @@ void ClientCacheTier::flush_path(std::int32_t rank, const std::string& path,
   engine_.schedule_after(SimTime::zero(), arm);  // resolves the initial count
 }
 
-void ClientCacheTier::invalidate_path(const std::string& path) {
-  const auto id_it = ids_.find(path);
-  if (id_it == ids_.end()) return;
+void ClientCacheTier::invalidate_path(FileId file) {
   for (auto& slot : slots_) {
-    slot->cache.erase_file(id_it->second);
-    slot->next_offset.erase(id_it->second);
+    slot->cache.erase_file(file);
+    slot->next_offset.erase(file);
   }
 }
 
@@ -409,13 +393,11 @@ void ClientCacheTier::warm_next(std::size_t slot_idx) {
       slot.warm_queue.clear();  // no room: stop warming, don't thrash
       return;
     }
-    const auto meta = metas_.find(key.file);
-    if (meta == metas_.end()) continue;
     const std::int32_t rank = static_cast<std::int32_t>(slot_idx);
     ++slot.warm_inflight;
     ++slot.cache.stats_mut().cache_prefetch_issued;
     record(CacheEventKind::kPrefetchIssue, rank, config_.page_size);
-    model_.io(client_of(rank), meta->second.file, meta->second.layout,
+    model_.io(client_of(rank), static_cast<FileId>(key.file), layout_of(key.file),
               key.page * config_.page_size.count(), config_.page_size,
               /*is_write=*/false, [this, slot_idx, key, rank](pfs::IoResult result) {
                 Slot& s = *slots_[slot_idx];

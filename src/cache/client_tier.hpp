@@ -32,8 +32,8 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -60,21 +60,21 @@ class ClientCacheTier {
 
   /// Read through the cache: resident pages cost node-local time, missing
   /// page runs fetch through the PFS model and populate the cache.
-  void read(std::int32_t rank, const std::string& path, const pfs::StripeLayout& layout,
+  void read(std::int32_t rank, FileId file, const pfs::StripeLayout& layout,
             std::uint64_t offset, Bytes size, IoDone on_done);
 
   /// Write through the cache: absorbed into dirty pages under write-back
   /// (hit_bytes = absorbed bytes), else written through (hit_bytes = 0).
-  void write(std::int32_t rank, const std::string& path, const pfs::StripeLayout& layout,
+  void write(std::int32_t rank, FileId file, const pfs::StripeLayout& layout,
              std::uint64_t offset, Bytes size, IoDone on_done);
 
-  /// Write-back barrier for one path (fsync/close semantics): completes only
-  /// after every dirty page of the path has landed, retrying failed
+  /// Write-back barrier for one file (fsync/close semantics): completes only
+  /// after every dirty page of the file has landed, retrying failed
   /// write-backs after writeback_retry (C1: never drop, always retry).
-  void flush_path(std::int32_t rank, const std::string& path, std::function<void()> on_done);
+  void flush_path(std::int32_t rank, FileId file, std::function<void()> on_done);
 
-  /// Drop every cached page of a path, dirty included (unlink discards).
-  void invalidate_path(const std::string& path);
+  /// Drop every cached page of a file, dirty included (unlink discards).
+  void invalidate_path(FileId file);
 
   /// Start draining every remaining dirty page (end-of-run quiescence; the
   /// engine run that follows completes the write-backs, retries included).
@@ -110,13 +110,11 @@ class ClientCacheTier {
     std::map<std::uint64_t, std::uint64_t> next_offset;  ///< sequential detector
   };
 
-  struct FileMeta {
-    FileId file;  ///< the model's id for the path
-    pfs::StripeLayout layout;
-  };
-
   [[nodiscard]] std::size_t slot_index(std::int32_t rank) const;
-  [[nodiscard]] std::uint64_t file_id(const std::string& path, const pfs::StripeLayout& layout);
+  /// Keep the layout the tier first sees for `file`: write-back and epoch
+  /// warming address the file through it.
+  void see(FileId file, const pfs::StripeLayout& layout);
+  [[nodiscard]] const pfs::StripeLayout& layout_of(std::uint64_t file) const;
   [[nodiscard]] pfs::ClientId client_of(std::int32_t rank) const;
   /// True when an insert can find a free slot or a clean victim.
   [[nodiscard]] static bool can_insert(const PageCache& cache, std::uint64_t capacity);
@@ -137,9 +135,7 @@ class ClientCacheTier {
   pfs::PfsModel& model_;
   CacheConfig config_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::map<std::string, std::uint64_t> ids_;
-  std::map<std::uint64_t, FileMeta> metas_;
-  std::uint64_t next_file_id_ = 1;
+  std::vector<std::optional<pfs::StripeLayout>> layouts_;  ///< by the model's FileId
   std::uint64_t epochs_ = 0;
 };
 

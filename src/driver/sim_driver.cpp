@@ -195,11 +195,10 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank) {
         const auto done = [this, rank](bool ok, Bytes hit_bytes) {
           cached_done(rank, ok, hit_bytes);
         };
-        const std::string& path = paths_->path(op.file);
         if (is_write) {
-          tier_->write(rank, path, layouts_[op.file], op.offset, op.size, done);
+          tier_->write(rank, files_[op.file], layouts_[op.file], op.offset, op.size, done);
         } else {
-          tier_->read(rank, path, layouts_[op.file], op.offset, op.size, done);
+          tier_->read(rank, files_[op.file], layouts_[op.file], op.offset, op.size, done);
         }
         return;
       }
@@ -216,12 +215,12 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank) {
     case K::kClose:
     case K::kFsync: {
       if (tier_ != nullptr && op.kind == K::kUnlink) {
-        tier_->invalidate_path(paths_->path(op.file));
+        tier_->invalidate_path(files_[op.file]);
       }
       if (tier_ != nullptr && (op.kind == K::kFsync || op.kind == K::kClose)) {
         // Write-back barrier: the commit RPC is issued only once every dirty
         // page of the file has landed (C1: flush-on-close/fsync).
-        tier_->flush_path(rank, paths_->path(op.file), [this, rank] { issue_meta(rank); });
+        tier_->flush_path(rank, files_[op.file], [this, rank] { issue_meta(rank); });
         return;
       }
       issue_meta(rank);

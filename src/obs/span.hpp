@@ -7,7 +7,10 @@
 // one sink its engine holds (sim::Engine::set_span_sink), as Recorder keeps
 // one record format across the HDF5, MPI-IO and POSIX layers. A span holds
 // only what a consumer reads; a point event has start == end. Emitting
-// with no sink set costs one branch.
+// with no sink set costs one branch. A span is not a counter: each layer
+// bumps its own stats where it emits (a client resilience event through
+// PfsModel::note and the pfs::kResilienceKinds table), and a sink counts
+// client and cache spans per kind by the kind's value.
 #pragma once
 
 #include <cstdint>

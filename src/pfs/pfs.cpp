@@ -367,8 +367,7 @@ OstIndex PfsModel::route_chunk(OstIndex home, SimTime now) {
   for (std::uint32_t k = 1; k < config_.osts; ++k) {
     const OstIndex candidate = (home + k) % config_.osts;
     if (!timeline_.down({fault::ComponentKind::kOst, candidate}, now)) {
-      ++res_stats_.failovers;
-      emit_resilience(ResilienceEventKind::kFailover);
+      note(ResilienceEventKind::kFailover);
       return candidate;
     }
   }
@@ -426,9 +425,8 @@ void PfsModel::monitor_heard(OstIndex ost) {
                                                [this, ost] { heartbeat_deadline(ost); });
   }
   if (map_.state(ost) == OstState::kDown) {
-    ++res_stats_.up_detections;
     map_.set_state(ost, OstState::kUp);
-    emit_resilience(ResilienceEventKind::kDetectedUp, ost);
+    note(ResilienceEventKind::kDetectedUp, ost);
     publish_epoch();
   }
 }
@@ -437,9 +435,8 @@ void PfsModel::heartbeat_deadline(OstIndex ost) {
   hb_deadline_[ost] = 0;
   const OstState state = map_.state(ost);
   if (state != OstState::kUp && state != OstState::kDraining) return;
-  ++res_stats_.down_detections;
   map_.set_state(ost, OstState::kDown);
-  emit_resilience(ResilienceEventKind::kDetectedDown, ost);
+  note(ResilienceEventKind::kDetectedDown, ost);
   publish_epoch();
 }
 
@@ -622,8 +619,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
       }
       if (serve != kNoOst) {
         if (tracked && serve != targets.front()) {
-          ++res_stats_.degraded_reads;
-          emit_resilience(ResilienceEventKind::kDegradedRead, serve, chunk.length);
+          note(ResilienceEventKind::kDegradedRead, serve, chunk.length);
         }
         plan_.push_back(Shipment{serve, flo, chunk.length, flo, fhi});
       } else if (first_serving != kNoOst) {
@@ -679,10 +675,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
       }
     }
     if (serve != kNone) {
-      if (serve_r != 0) {
-        ++res_stats_.degraded_reads;
-        emit_resilience(ResilienceEventKind::kDegradedRead, serve, chunk.length);
-      }
+      if (serve_r != 0) note(ResilienceEventKind::kDegradedRead, serve, chunk.length);
       plan_.push_back(Shipment{serve, chunk.object_offset, chunk.length, flo, fhi});
     } else if (first_up != kNone) {
       // Some replica is up but none holds current data: the device read
@@ -742,10 +735,7 @@ void PfsModel::backend_io(std::uint32_t ion, std::uint64_t file, const StripeLay
         });
         continue;
       }
-      if (gate.probe) {
-        ++res_stats_.breaker_probes;
-        emit_resilience(ResilienceEventKind::kBreakerProbe, planned.target);
-      }
+      if (gate.probe) note(ResilienceEventKind::kBreakerProbe, planned.target);
     }
     // A write ships its data to the OST and a small ack (or error) returns;
     // a read sends a small request and the data (or a short error) returns.
@@ -811,7 +801,8 @@ void PfsModel::fanout_deliver(sim::Handle f) {
   if (done) done(ok, error, retry_after);
 }
 
-void PfsModel::emit_resilience(ResilienceEventKind kind, std::uint32_t ost, Bytes bytes) {
+void PfsModel::note(ResilienceEventKind kind, std::uint32_t ost, Bytes bytes) {
+  ++(res_stats_.*kResilienceKinds[static_cast<std::size_t>(kind)].row);
   const SimTime now = engine_.now();
   engine_.emit({.layer = obs::Layer::kClient, .kind = static_cast<std::uint8_t>(kind),
                 .component = ost, .start = now, .end = now, .bytes = bytes});
@@ -821,15 +812,11 @@ void PfsModel::breaker_note(OstIndex ost, bool ok) {
   if (!config_.retry.breaker) return;
   CircuitBreaker& breaker = breakers_[ost];
   if (ok) {
-    if (breaker.record_success()) {
-      ++res_stats_.breaker_closes;
-      emit_resilience(ResilienceEventKind::kBreakerClose, ost);
-    }
+    if (breaker.record_success()) note(ResilienceEventKind::kBreakerClose, ost);
     return;
   }
   if (breaker.record_failure(engine_.now(), breaker_rng_)) {
-    ++res_stats_.breaker_opens;
-    emit_resilience(ResilienceEventKind::kBreakerOpen, ost);
+    note(ResilienceEventKind::kBreakerOpen, ost);
   }
 }
 
@@ -888,8 +875,7 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
   // End-to-end deadline: once the op's budget is spent, retrying is work
   // nobody is waiting for — settle now whatever the per-attempt error was.
   if (deadline > SimTime::zero() && engine_.now() >= deadline) {
-    ++res_stats_.deadline_giveups;
-    emit_resilience(ResilienceEventKind::kDeadlineGiveUp);
+    note(ResilienceEventKind::kDeadlineGiveUp);
     settle(op, false, IoError::kDeadlineExceeded);
     return;
   }
@@ -898,15 +884,11 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
     // same outdated epoch. Refresh the client's map (a real round trip to
     // the monitor) and retry immediately once the new epoch lands.
     if (attempt < retry.max_attempts) {
-      ++res_stats_.stale_map_retries;
-      emit_resilience(ResilienceEventKind::kStaleMapRetry);
+      note(ResilienceEventKind::kStaleMapRetry);
       refresh_map(op);
       return;
     }
-    if (retry.retries_enabled()) {
-      ++res_stats_.giveups;
-      emit_resilience(ResilienceEventKind::kGiveUp);
-    }
+    if (retry.retries_enabled()) note(ResilienceEventKind::kGiveUp);
     settle(op, false, error);
     return;
   }
@@ -917,8 +899,7 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
     if (ops_[op].retry_after > delay) delay = ops_[op].retry_after;
     // A retry that cannot even start before the deadline gives up now.
     if (deadline > SimTime::zero() && engine_.now() + delay >= deadline) {
-      ++res_stats_.deadline_giveups;
-      emit_resilience(ResilienceEventKind::kDeadlineGiveUp);
+      note(ResilienceEventKind::kDeadlineGiveUp);
       settle(op, false, IoError::kDeadlineExceeded);
       return;
     }
@@ -926,22 +907,17 @@ void PfsModel::attempt_finished(sim::Handle op, bool ok, IoError error) {
     // error — under overload this is what caps retry amplification (F5b).
     if (retry.retry_budget) {
       if (!budget_.try_spend()) {
-        ++res_stats_.budget_denied;
-        emit_resilience(ResilienceEventKind::kBudgetExhausted);
+        note(ResilienceEventKind::kBudgetExhausted);
         settle(op, false, error);
         return;
       }
       ++res_stats_.budget_spent;
     }
-    ++res_stats_.retries;
-    emit_resilience(ResilienceEventKind::kRetry);
+    note(ResilienceEventKind::kRetry);
     engine_.schedule_after(delay, [this, op] { start_attempt(op); });
     return;
   }
-  if (retry.retries_enabled()) {
-    ++res_stats_.giveups;
-    emit_resilience(ResilienceEventKind::kGiveUp);
-  }
+  if (retry.retries_enabled()) note(ResilienceEventKind::kGiveUp);
   settle(op, false, error);
 }
 
@@ -950,8 +926,7 @@ void PfsModel::start_attempt(sim::Handle op) {
   // A retry can land here past the deadline without crossing the backoff
   // path's check (stale-map refresh round trips take real time).
   if (o.deadline > SimTime::zero() && o.attempt > 0 && engine_.now() >= o.deadline) {
-    ++res_stats_.deadline_giveups;
-    emit_resilience(ResilienceEventKind::kDeadlineGiveUp);
+    note(ResilienceEventKind::kDeadlineGiveUp);
     settle(op, false, IoError::kDeadlineExceeded);
     return;
   }
@@ -989,10 +964,9 @@ void PfsModel::attempt_timeout(sim::Handle a) {
   // Abandon the attempt: whatever it still has in flight will drain
   // through the model as counted orphans (invariant F2).
   at.settled = true;
-  ++res_stats_.timeouts;
   ++abandoned_in_flight_;
   const sim::Handle op = at.op;
-  emit_resilience(ResilienceEventKind::kTimeout);
+  note(ResilienceEventKind::kTimeout);
   attempt_finished(op, false, IoError::kTimeout);
 }
 
@@ -1157,8 +1131,7 @@ void PfsModel::start_rebuild(OstIndex ost, bool migration) {
   if (rb.queue.empty()) return;  // recovered owing nothing: no rebuild
   rb.active = true;
   rb.started = engine_.now();
-  ++res_stats_.rebuilds_started;
-  emit_resilience(ResilienceEventKind::kRebuildStart, ost, rb.total);
+  note(ResilienceEventKind::kRebuildStart, ost, rb.total);
   run_rebuild_piece(ost);
 }
 
@@ -1268,8 +1241,7 @@ void PfsModel::run_rebuild_piece(OstIndex ost) {
 void PfsModel::finish_rebuild(OstIndex ost) {
   RebuildState& rb = *rebuild_.at(ost);
   rb.active = false;
-  ++res_stats_.rebuilds_completed;
-  emit_resilience(ResilienceEventKind::kRebuildDone, ost, rb.done);
+  note(ResilienceEventKind::kRebuildDone, ost, rb.done);
 }
 
 PfsModel::DurabilityReport PfsModel::durability_report() const {

@@ -312,10 +312,10 @@ class PfsModel {
   void fanout_deliver(sim::Handle f);
   /// Meta-call stages after the MDS replied.
   void meta_replied(sim::Handle m, MetaResult result);
-  /// Emit a client-layer span: `ost` and `bytes` for degraded-read,
-  /// detection, breaker and rebuild events.
-  void emit_resilience(ResilienceEventKind kind, std::uint32_t ost = 0,
-                       Bytes bytes = Bytes::zero());
+  /// Bump the ResilienceStats row kResilienceKinds names for `kind`, then
+  /// emit its client-layer span (`ost` and `bytes` for degraded-read,
+  /// detection, breaker and rebuild events; the bytes reach the span only).
+  void note(ResilienceEventKind kind, std::uint32_t ost = 0, Bytes bytes = Bytes::zero());
   /// Feed one shipment outcome to `ost`'s circuit breaker (no-op unless
   /// RetryPolicy::breaker); counts and emits open/close transitions.
   void breaker_note(OstIndex ost, bool ok);

@@ -31,24 +31,8 @@ const char* to_string(AdmissionPolicy policy) {
 }
 
 const char* to_string(ResilienceEventKind kind) {
-  switch (kind) {
-    case ResilienceEventKind::kRetry: return "retry";
-    case ResilienceEventKind::kTimeout: return "timeout";
-    case ResilienceEventKind::kGiveUp: return "giveup";
-    case ResilienceEventKind::kFailover: return "failover";
-    case ResilienceEventKind::kDegradedRead: return "degraded-read";
-    case ResilienceEventKind::kRebuildStart: return "rebuild-start";
-    case ResilienceEventKind::kRebuildDone: return "rebuild-done";
-    case ResilienceEventKind::kStaleMapRetry: return "stale-map-retry";
-    case ResilienceEventKind::kDetectedDown: return "detected-down";
-    case ResilienceEventKind::kDetectedUp: return "detected-up";
-    case ResilienceEventKind::kBudgetExhausted: return "budget-exhausted";
-    case ResilienceEventKind::kBreakerOpen: return "breaker-open";
-    case ResilienceEventKind::kBreakerProbe: return "breaker-probe";
-    case ResilienceEventKind::kBreakerClose: return "breaker-close";
-    case ResilienceEventKind::kDeadlineGiveUp: return "deadline-giveup";
-  }
-  return "?";
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kResilienceKinds) ? kResilienceKinds[k].name : "?";
 }
 
 SimTime backoff_delay(const RetryPolicy& policy, std::uint32_t attempt, Rng& rng) {

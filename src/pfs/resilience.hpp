@@ -3,12 +3,15 @@
 // Real I/O middleware does not surface every server hiccup to the
 // application: clients retry with capped exponential backoff, time out
 // stuck requests, and (when the layout allows) route around dead OSTs.
-// This header defines the policy knobs and counters; the mechanics live in
+// This header defines the policy knobs, the counters and the event kinds,
+// each kind declared once in kResilienceKinds; the mechanics live in
 // PfsModel::io. All jitter draws from a seeded engine substream so fault
 // campaigns replay byte-identically (piolint D1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "common/rng.hpp"
 #include "common/seed_streams.hpp"
@@ -235,29 +238,6 @@ class CircuitBreaker {
 /// waits ~base_backoff). Always returns a non-negative time.
 [[nodiscard]] SimTime backoff_delay(const RetryPolicy& policy, std::uint32_t attempt, Rng& rng);
 
-/// Client-side resilience / durability event: the kind of a client-layer
-/// obs::Span. kDegradedRead and the rebuild pair distinguish *masked*
-/// failures (a replica absorbed the fault) from real ones.
-enum class ResilienceEventKind : std::uint8_t {
-  kRetry,
-  kTimeout,
-  kGiveUp,
-  kFailover,
-  kDegradedRead,  ///< read served by a non-primary replica (primary down/stale)
-  kRebuildStart,  ///< a recovered OST began resyncing missed chunks
-  kRebuildDone,   ///< the resync drained (bytes = total re-copied)
-  kStaleMapRetry, ///< a kStaleMap rejection triggered a map refresh + retry
-  kDetectedDown,  ///< the monitor declared an OST down (heartbeat grace expired)
-  kDetectedUp,    ///< the monitor saw a heartbeat from a down OST again
-  kBudgetExhausted, ///< a retry was denied by the token-bucket retry budget
-  kBreakerOpen,     ///< a per-server circuit breaker opened (or re-opened)
-  kBreakerProbe,    ///< a half-open breaker admitted its single probe
-  kBreakerClose,    ///< a probe succeeded and the breaker closed
-  kDeadlineGiveUp,  ///< the op's end-to-end deadline expired across attempts
-};
-
-[[nodiscard]] const char* to_string(ResilienceEventKind kind);
-
 /// The client-layer rows of a run's counter table (driver::RunCounters):
 /// declared here, counted by PfsModel, and inherited by the run's result.
 struct ClientCounters {
@@ -299,5 +279,57 @@ struct ResilienceStats : ClientCounters {
   std::uint64_t breaker_closes = 0;    ///< half-open probes that closed a breaker
   std::uint64_t breaker_probes = 0;    ///< half-open probes admitted
 };
+
+/// Client-side resilience / durability event: the kind of a client-layer
+/// obs::Span. kDegradedRead and the rebuild pair distinguish *masked*
+/// failures (a replica absorbed the fault) from real ones. A new kind is one
+/// value here, its row in kResilienceKinds and its ResilienceStats field.
+enum class ResilienceEventKind : std::uint8_t {
+  kRetry,
+  kTimeout,
+  kGiveUp,
+  kFailover,
+  kDegradedRead,  ///< read served by a non-primary replica (primary down/stale)
+  kRebuildStart,  ///< a recovered OST began resyncing missed chunks
+  kRebuildDone,   ///< the resync drained (bytes = total re-copied)
+  kStaleMapRetry, ///< a kStaleMap rejection triggered a map refresh + retry
+  kDetectedDown,  ///< the monitor declared an OST down (heartbeat grace expired)
+  kDetectedUp,    ///< the monitor saw a heartbeat from a down OST again
+  kBudgetExhausted, ///< a retry was denied by the token-bucket retry budget
+  kBreakerOpen,     ///< a per-server circuit breaker opened (or re-opened)
+  kBreakerProbe,    ///< a half-open breaker admitted its single probe
+  kBreakerClose,    ///< a probe succeeded and the breaker closed
+  kDeadlineGiveUp,  ///< the op's end-to-end deadline expired across attempts
+  kCount,           ///< the number of kinds; not a kind
+};
+
+/// What one ResilienceEventKind is: the ResilienceStats row PfsModel::note
+/// bumps for it, and its name.
+struct ResilienceKindRow {
+  std::uint64_t ResilienceStats::*row;
+  const char* name;
+};
+
+/// One row per ResilienceEventKind, in enum order.
+inline constexpr ResilienceKindRow kResilienceKinds[] = {
+    {&ResilienceStats::retries, "retry"},
+    {&ResilienceStats::timeouts, "timeout"},
+    {&ResilienceStats::giveups, "giveup"},
+    {&ResilienceStats::failovers, "failover"},
+    {&ResilienceStats::degraded_reads, "degraded-read"},
+    {&ResilienceStats::rebuilds_started, "rebuild-start"},
+    {&ResilienceStats::rebuilds_completed, "rebuild-done"},
+    {&ResilienceStats::stale_map_retries, "stale-map-retry"},
+    {&ResilienceStats::down_detections, "detected-down"},
+    {&ResilienceStats::up_detections, "detected-up"},
+    {&ResilienceStats::budget_denied, "budget-exhausted"},
+    {&ResilienceStats::breaker_opens, "breaker-open"},
+    {&ResilienceStats::breaker_probes, "breaker-probe"},
+    {&ResilienceStats::breaker_closes, "breaker-close"},
+    {&ResilienceStats::deadline_giveups, "deadline-giveup"},
+};
+static_assert(std::size(kResilienceKinds) == static_cast<std::size_t>(ResilienceEventKind::kCount));
+
+[[nodiscard]] const char* to_string(ResilienceEventKind kind);
 
 }  // namespace pio::pfs

@@ -3,10 +3,21 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "cache/cache.hpp"
-#include "pfs/resilience.hpp"
-
 namespace pio::trace {
+
+namespace {
+
+/// Count `span` and its bytes under its kind in `series`' window.
+template <typename Kind>
+void fold(std::map<std::uint64_t, KindSample<Kind>>& series, std::uint64_t window,
+          const obs::Span& span) {
+  auto& sample = series[window];
+  sample.window = window;
+  ++sample.count.at(span.kind);
+  sample.bytes.at(span.kind) += span.bytes;
+}
+
+}  // namespace
 
 ServerStatsCollector::ServerStatsCollector(SimTime window) : window_(window) {
   if (window <= SimTime::zero()) {
@@ -44,63 +55,16 @@ void ServerStatsCollector::on_span(const obs::Span& span) {
       sample.total_latency += span.end - span.start;
       break;
     }
-    case obs::Layer::kClient: on_client_span(span, window); break;
-    case obs::Layer::kCache: on_cache_span(span, window); break;
-  }
-}
-
-void ServerStatsCollector::on_client_span(const obs::Span& span, std::uint64_t window) {
-  auto& sample = resilience_series_[window];
-  sample.window = window;
-  const auto kind = static_cast<pfs::ResilienceEventKind>(span.kind);
-  switch (kind) {
-    case pfs::ResilienceEventKind::kRetry: ++sample.retries; break;
-    case pfs::ResilienceEventKind::kTimeout: ++sample.timeouts; break;
-    case pfs::ResilienceEventKind::kGiveUp: ++sample.giveups; break;
-    case pfs::ResilienceEventKind::kFailover: ++sample.failovers; break;
-    case pfs::ResilienceEventKind::kDegradedRead: ++sample.degraded_reads; break;
-    case pfs::ResilienceEventKind::kStaleMapRetry: ++sample.stale_map_retries; break;
-    case pfs::ResilienceEventKind::kDetectedDown: ++sample.down_detections; break;
-    case pfs::ResilienceEventKind::kDetectedUp: ++sample.up_detections; break;
-    case pfs::ResilienceEventKind::kBudgetExhausted: ++sample.budget_exhaustions; break;
-    case pfs::ResilienceEventKind::kBreakerOpen: ++sample.breaker_opens; break;
-    case pfs::ResilienceEventKind::kBreakerProbe: ++sample.breaker_probes; break;
-    case pfs::ResilienceEventKind::kBreakerClose: ++sample.breaker_closes; break;
-    case pfs::ResilienceEventKind::kDeadlineGiveUp: ++sample.deadline_giveups; break;
-    case pfs::ResilienceEventKind::kRebuildStart:
-    case pfs::ResilienceEventKind::kRebuildDone: {
-      auto& rebuild = rebuild_series_[span.component][window];
-      rebuild.window = window;
-      if (kind == pfs::ResilienceEventKind::kRebuildStart) {
-        ++rebuild.started;
-      } else {
-        ++rebuild.completed;
-        rebuild.rebuilt += span.bytes;
+    case obs::Layer::kClient: {
+      fold(resilience_series_, window, span);
+      const auto kind = static_cast<pfs::ResilienceEventKind>(span.kind);
+      if (kind == pfs::ResilienceEventKind::kRebuildStart ||
+          kind == pfs::ResilienceEventKind::kRebuildDone) {
+        fold(rebuild_series_[span.component], window, span);
       }
       break;
     }
-  }
-}
-
-void ServerStatsCollector::on_cache_span(const obs::Span& span, std::uint64_t window) {
-  auto& sample = cache_series_[window];
-  sample.window = window;
-  switch (static_cast<cache::CacheEventKind>(span.kind)) {
-    case cache::CacheEventKind::kHit:
-      ++sample.hit_events;
-      sample.hit_bytes += span.bytes;
-      break;
-    case cache::CacheEventKind::kMiss:
-      ++sample.miss_events;
-      sample.miss_bytes += span.bytes;
-      break;
-    case cache::CacheEventKind::kEviction: ++sample.evictions; break;
-    case cache::CacheEventKind::kPrefetchIssue: ++sample.prefetch_issues; break;
-    case cache::CacheEventKind::kWriteback:
-      ++sample.writebacks;
-      sample.writeback_bytes += span.bytes;
-      break;
-    case cache::CacheEventKind::kAbsorbedWrite: ++sample.absorbed_writes; break;
+    case obs::Layer::kCache: fold(cache_series_, window, span); break;
   }
 }
 

@@ -651,9 +651,9 @@ TEST(ClientCacheTierTest, ObserverFeedsServerStatsCacheSeries) {
   Bytes hit_bytes = Bytes::zero();
   for (const auto& [window, sample] : collector.cache_series()) {
     EXPECT_EQ(window, sample.window);
-    hit_events += sample.hit_events;
-    absorbed += sample.absorbed_writes;
-    hit_bytes += sample.hit_bytes;
+    hit_events += sample.count_of(cache::CacheEventKind::kHit);
+    absorbed += sample.count_of(cache::CacheEventKind::kAbsorbedWrite);
+    hit_bytes += sample.bytes_of(cache::CacheEventKind::kHit);
   }
   EXPECT_GT(hit_events, 0u);
   EXPECT_EQ(hit_bytes, run.result.cache_hit_bytes);

@@ -492,16 +492,16 @@ TEST(DurabilityMonitoringTest, CollectorBinsDegradedReadsAndRebuilds) {
   EXPECT_TRUE(read.ok);
   std::uint64_t degraded = 0;
   for (const auto& [window, sample] : collector.resilience_series()) {
-    degraded += sample.degraded_reads;
+    degraded += sample.count_of(pfs::ResilienceEventKind::kDegradedRead);
   }
   EXPECT_GE(degraded, 1u);
   ASSERT_TRUE(collector.rebuild_series().contains(1));
   std::uint64_t started = 0, completed = 0;
   Bytes rebuilt = Bytes::zero();
   for (const auto& [window, sample] : collector.rebuild_series().at(1)) {
-    started += sample.started;
-    completed += sample.completed;
-    rebuilt += sample.rebuilt;
+    started += sample.count_of(pfs::ResilienceEventKind::kRebuildStart);
+    completed += sample.count_of(pfs::ResilienceEventKind::kRebuildDone);
+    rebuilt += sample.bytes_of(pfs::ResilienceEventKind::kRebuildDone);
   }
   EXPECT_EQ(started, 1u);
   EXPECT_EQ(completed, 1u);

@@ -525,8 +525,8 @@ TEST(FaultMonitoringTest, ServerStatsSeeFailedOpsAndResilienceEvents) {
   EXPECT_GE(server_failed, 2u);  // one rejection per attempt
   std::uint64_t retries = 0, giveups = 0;
   for (const auto& [window, sample] : collector.resilience_series()) {
-    retries += sample.retries;
-    giveups += sample.giveups;
+    retries += sample.count_of(pfs::ResilienceEventKind::kRetry);
+    giveups += sample.count_of(pfs::ResilienceEventKind::kGiveUp);
   }
   EXPECT_EQ(retries, 1u);
   EXPECT_EQ(giveups, 1u);

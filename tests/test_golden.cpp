@@ -22,13 +22,17 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "common/fnv.hpp"
 #include "driver/sim_driver.hpp"
 #include "eval/campaign.hpp"
@@ -115,9 +119,10 @@ struct RunCase {
 /// and write-back passes), with the end-of-run audits. Returns the fold of
 /// the result's digest plus the engine's event count. A non-null
 /// `collector` observes the run; a non-null `ost_sheds` receives the ops
-/// the OSTs shed.
+/// the OSTs shed, and a non-null `res_stats` the model's resilience rows.
 std::uint64_t run_folded(const RunCase& run, trace::ServerStatsCollector* collector = nullptr,
-                         std::uint64_t* ost_sheds = nullptr) {
+                         std::uint64_t* ost_sheds = nullptr,
+                         pfs::ResilienceStats* res_stats = nullptr) {
   sim::Engine engine{7};
   pfs::PfsModel model{engine, run.system};
   driver::ExecutionDrivenSimulator sim{engine, model, run.run_config};
@@ -132,6 +137,7 @@ std::uint64_t run_folded(const RunCase& run, trace::ServerStatsCollector* collec
       *ost_sheds += model.ost(i).stats().shed_ops;
     }
   }
+  if (res_stats != nullptr) *res_stats = model.resilience_stats();
   Fnv64 h;
   h.mix(driver::digest(result));
   h.mix(engine.events_executed());
@@ -163,13 +169,16 @@ std::uint64_t series_digest(const trace::ServerStatsCollector& c) {
     mix_server(series);
   }
   mix_server(c.mds_series());
+  using RK = pfs::ResilienceEventKind;
+  using CK = cache::CacheEventKind;
   h.mix(c.resilience_series().size());
   for (const auto& [window, s] : c.resilience_series()) {
-    for (const std::uint64_t v :
-         {window, s.window, s.retries, s.timeouts, s.giveups, s.failovers, s.degraded_reads,
-          s.stale_map_retries, s.down_detections, s.up_detections, s.budget_exhaustions,
-          s.breaker_opens, s.breaker_probes, s.breaker_closes, s.deadline_giveups}) {
-      h.mix(v);
+    h.mix(window);
+    h.mix(s.window);
+    // Every kind in enum order but the rebuild pair, which has its own series.
+    for (std::size_t k = 0; k < s.count.size(); ++k) {
+      const auto kind = static_cast<RK>(k);
+      if (kind != RK::kRebuildStart && kind != RK::kRebuildDone) h.mix(s.count[k]);
     }
   }
   h.mix(c.rebuild_series().size());
@@ -177,19 +186,19 @@ std::uint64_t series_digest(const trace::ServerStatsCollector& c) {
     h.mix(ost);
     h.mix(series.size());
     for (const auto& [window, s] : series) {
-      for (const std::uint64_t v : {window, s.window, s.started, s.completed, s.rebuilt.count()}) {
+      for (const std::uint64_t v :
+           {window, s.window, s.count_of(RK::kRebuildStart), s.count_of(RK::kRebuildDone),
+            s.bytes_of(RK::kRebuildDone).count()}) {
         h.mix(v);
       }
     }
   }
   h.mix(c.cache_series().size());
   for (const auto& [window, s] : c.cache_series()) {
-    for (const std::uint64_t v :
-         {window, s.window, s.hit_events, s.miss_events, s.evictions, s.prefetch_issues,
-          s.writebacks, s.absorbed_writes, s.hit_bytes.count(), s.miss_bytes.count(),
-          s.writeback_bytes.count()}) {
-      h.mix(v);
-    }
+    h.mix(window);
+    h.mix(s.window);
+    for (const std::uint64_t n : s.count) h.mix(n);
+    for (const CK kind : {CK::kHit, CK::kMiss, CK::kWriteback}) h.mix(s.bytes_of(kind).count());
   }
   const auto imbalance = c.ost_imbalance();
   h.mix(imbalance.size());
@@ -209,11 +218,10 @@ trace::ServerStatsCollector observed(std::string_view config, const RunCase& run
   return collector;
 }
 
-/// Sum of `field` over a collector's resilience windows.
-std::uint64_t total(const trace::ResilienceSeries& series,
-                    std::uint64_t trace::ResilienceSample::*field) {
+/// Count of `kind` summed over a collector's resilience windows.
+std::uint64_t total(const trace::ResilienceSeries& series, pfs::ResilienceEventKind kind) {
   std::uint64_t sum = 0;
-  for (const auto& [window, sample] : series) sum += sample.*field;
+  for (const auto& [window, sample] : series) sum += sample.count_of(kind);
   return sum;
 }
 
@@ -372,8 +380,8 @@ TEST(GoldenSeries, Plain) {
 
 TEST(GoldenSeries, FaultPlan) {
   const auto c = observed("fault_plan", fault_plan());
-  EXPECT_GT(total(c.resilience_series(), &trace::ResilienceSample::retries), 0u);
-  EXPECT_GT(total(c.resilience_series(), &trace::ResilienceSample::failovers), 0u);
+  EXPECT_GT(total(c.resilience_series(), pfs::ResilienceEventKind::kRetry), 0u);
+  EXPECT_GT(total(c.resilience_series(), pfs::ResilienceEventKind::kFailover), 0u);
 }
 
 TEST(GoldenSeries, DurabilityR2Rebuild) {
@@ -383,13 +391,40 @@ TEST(GoldenSeries, DurabilityR2Rebuild) {
 
 TEST(GoldenSeries, ClusterChurn) {
   const auto c = observed("cluster_churn", cluster_churn());
-  EXPECT_GT(total(c.resilience_series(), &trace::ResilienceSample::down_detections), 0u);
-  EXPECT_GT(total(c.resilience_series(), &trace::ResilienceSample::up_detections), 0u);
+  EXPECT_GT(total(c.resilience_series(), pfs::ResilienceEventKind::kDetectedDown), 0u);
+  EXPECT_GT(total(c.resilience_series(), pfs::ResilienceEventKind::kDetectedUp), 0u);
 }
 
 TEST(GoldenSeries, OverloadControl) {
   const auto c = observed("overload_control", overload_control());
-  EXPECT_GT(total(c.resilience_series(), &trace::ResilienceSample::breaker_opens), 0u);
+  EXPECT_GT(total(c.resilience_series(), pfs::ResilienceEventKind::kBreakerOpen), 0u);
+}
+
+// The kind table is the one place a resilience event is declared: each
+// kind's spans, summed over the collector's windows, equal the stats row the
+// table names for it, on every config that fires resilience events.
+TEST(GoldenSeries, ResilienceWindowsSumToKindTableRows) {
+  for (std::size_t i = 0; i < std::size(pfs::kResilienceKinds); ++i) {
+    for (std::size_t j = i + 1; j < std::size(pfs::kResilienceKinds); ++j) {
+      EXPECT_NE(pfs::kResilienceKinds[i].row, pfs::kResilienceKinds[j].row)
+          << pfs::kResilienceKinds[i].name << " and " << pfs::kResilienceKinds[j].name;
+    }
+  }
+  const std::pair<std::string_view, RunCase> runs[] = {
+      {"fault_plan", fault_plan()},
+      {"durability_r2_rebuild", durability_r2_rebuild()},
+      {"cluster_churn", cluster_churn()},
+      {"overload_control", overload_control()}};
+  for (const auto& [config, run] : runs) {
+    trace::ServerStatsCollector collector{SimTime::from_ms(1.0)};
+    pfs::ResilienceStats stats;
+    expect_golden(config, run_folded(run, &collector, nullptr, &stats));
+    for (std::size_t k = 0; k < std::size(pfs::kResilienceKinds); ++k) {
+      const auto kind = static_cast<pfs::ResilienceEventKind>(k);
+      EXPECT_EQ(total(collector.resilience_series(), kind), stats.*pfs::kResilienceKinds[k].row)
+          << config << ": " << pfs::to_string(kind);
+    }
+  }
 }
 
 TEST(GoldenSeries, OstShed) {
