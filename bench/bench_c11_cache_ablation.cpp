@@ -105,7 +105,7 @@ CrashRun run_crash_writeback() {
     rank_ops.push_back(workload::Op::fsync(path));
     rank_ops.push_back(workload::Op::close(path));
   }
-  const workload::VectorWorkload checkpoint{"ckpt", std::move(paths), std::move(ops)};
+  const workload::Workload checkpoint{"ckpt", std::move(paths), std::move(ops)};
 
   sim::Engine engine{1};
   pfs::PfsConfig pfs_config;

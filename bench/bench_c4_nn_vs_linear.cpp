@@ -49,7 +49,7 @@ std::unique_ptr<workload::Workload> access_pattern(std::uint64_t size, double ra
     cursor = offset + size;
   }
   sequence.push_back(workload::Op::close(data));
-  return std::make_unique<workload::VectorWorkload>(
+  return std::make_unique<workload::Workload>(
       "pattern", std::move(paths), std::vector<std::vector<workload::Op>>{std::move(sequence)});
 }
 

@@ -78,18 +78,17 @@ int main() {
     const auto compressed = replay::CompressedWorkload::compress(*c.workload);
     const auto restored = compressed.decompress();
     // Losslessness: byte-identical op streams.
-    const auto a = workload::materialize(*c.workload);
-    const auto b = workload::materialize(*restored);
-    bool lossless = a.size() == b.size();
-    for (std::size_t r = 0; lossless && r < a.size(); ++r) {
-      if (a[r].size() != b[r].size()) {
+    bool lossless = c.workload->ranks() == restored->ranks();
+    for (std::int32_t r = 0; lossless && r < c.workload->ranks(); ++r) {
+      const auto a = c.workload->ops(r);
+      const auto b = restored->ops(r);
+      if (a.size() != b.size()) {
         lossless = false;
         break;
       }
-      for (std::size_t i = 0; i < a[r].size(); ++i) {
-        if (a[r][i].kind != b[r][i].kind ||
-            c.workload->path(a[r][i].file) != restored->path(b[r][i].file) ||
-            a[r][i].offset != b[r][i].offset || a[r][i].size != b[r][i].size) {
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].kind != b[i].kind || c.workload->path(a[i].file) != restored->path(b[i].file) ||
+            a[i].offset != b[i].offset || a[i].size != b[i].size) {
           lossless = false;
           break;
         }

@@ -32,7 +32,7 @@ CbOutcome run_btio_through_mio(std::uint32_t cb_nodes) {
   vfs::LocalBackend backend{fs};
   constexpr int kRanks = 16;
   const workload::BtioConfig bt{kRanks, 64, Bytes{40}, 1, "/btio/solution"};
-  const auto ops = workload::materialize(*workload::btio_like(bt));
+  const auto kernel = workload::btio_like(bt);
   std::atomic<std::uint64_t> writes{0};
   std::atomic<std::uint64_t> bytes{0};
   par::Runtime runtime{kRanks};
@@ -46,7 +46,7 @@ CbOutcome run_btio_through_mio(std::uint32_t cb_nodes) {
     // Gather this rank's write extents from the kernel's op stream.
     std::vector<mio::Extent> extents;
     std::vector<std::byte> payload;
-    for (const auto& op : ops[static_cast<std::size_t>(comm.rank())]) {
+    for (const auto& op : kernel->ops(comm.rank())) {
       if (op.kind != workload::OpKind::kWrite) continue;
       extents.push_back(mio::Extent{op.offset, op.size});
       payload.resize(payload.size() + op.size.count());
@@ -73,7 +73,7 @@ SimTime simulated_write_time(std::uint64_t op_count, Bytes total) {
     seq.push_back(workload::Op::write(out, (i * 7919) % total.count(), op_size));
   }
   seq.push_back(workload::Op::close(out));
-  const workload::VectorWorkload w{"cb-sim", std::move(paths), std::move(per_rank)};
+  const workload::Workload w{"cb-sim", std::move(paths), std::move(per_rank)};
   const auto result = bench::simulate(bench::reference_testbed(pfs::DiskKind::kHdd), w);
   return result.write_time;
 }

@@ -36,29 +36,28 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
   runtime.run([&](par::Comm& comm) {
     const std::int32_t rank = comm.rank();
     trace::TracingBackend backend{shared_backend, out, clock, rank};
-    auto stream = workload.stream(rank);
     std::map<FileId, vfs::Fd> open_fds;
     std::vector<std::byte> buffer;
-    while (auto op = stream->next()) {
+    for (const workload::Op& op : workload.ops(rank)) {
       using K = workload::OpKind;
       ++ops;
       bool ok = true;
-      const std::string& path = workload.path(op->file);
-      switch (op->kind) {
+      const std::string& path = workload.path(op.file);
+      switch (op.kind) {
         case K::kCreate: {
           auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, true, true});
           ok = fd.ok();
-          if (ok) open_fds[op->file] = fd.value();
+          if (ok) open_fds[op.file] = fd.value();
           break;
         }
         case K::kOpen: {
           auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, false, false});
           ok = fd.ok();
-          if (ok) open_fds[op->file] = fd.value();
+          if (ok) open_fds[op.file] = fd.value();
           break;
         }
         case K::kClose: {
-          const auto it = open_fds.find(op->file);
+          const auto it = open_fds.find(op.file);
           if (it == open_fds.end()) {
             ok = false;
             break;
@@ -69,7 +68,7 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
         }
         case K::kRead:
         case K::kWrite: {
-          auto it = open_fds.find(op->file);
+          auto it = open_fds.find(op.file);
           if (it == open_fds.end()) {
             // Implicit open (profile-generated workloads may elide opens).
             auto fd = backend.open(path, {vfs::OpenMode::kReadWrite, true, false});
@@ -77,21 +76,21 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
               ok = false;
               break;
             }
-            it = open_fds.emplace(op->file, fd.value()).first;
+            it = open_fds.emplace(op.file, fd.value()).first;
           }
-          const auto size = static_cast<std::size_t>(op->size.count());
+          const auto size = static_cast<std::size_t>(op.size.count());
           if (buffer.size() < size) buffer.resize(size);
-          if (op->kind == K::kWrite) {
+          if (op.kind == K::kWrite) {
             // Deterministic pattern: function of offset so read-back
             // verification in tests is possible.
             for (std::size_t i = 0; i < size; ++i) {
-              buffer[i] = static_cast<std::byte>((op->offset + i) & 0xFF);
+              buffer[i] = static_cast<std::byte>((op.offset + i) & 0xFF);
             }
-            auto r = backend.pwrite(it->second, std::span{buffer.data(), size}, op->offset);
+            auto r = backend.pwrite(it->second, std::span{buffer.data(), size}, op.offset);
             ok = r.ok() && r.value() == size;
             if (r.ok()) bytes_written += r.value();
           } else {
-            auto r = backend.pread(it->second, std::span{buffer.data(), size}, op->offset);
+            auto r = backend.pread(it->second, std::span{buffer.data(), size}, op.offset);
             ok = r.ok();
             if (r.ok()) bytes_read += r.value();
           }
@@ -106,7 +105,7 @@ MeasuredRunResult run_measured(vfs::FileSystem& fs, const workload::Workload& wo
         case K::kUnlink: ok = backend.remove(path) == vfs::FsStatus::kOk; break;
         case K::kReaddir: ok = backend.readdir(path).ok(); break;
         case K::kFsync: {
-          const auto it = open_fds.find(op->file);
+          const auto it = open_fds.find(op.file);
           ok = it != open_fds.end() && backend.fsync(it->second) == vfs::FsStatus::kOk;
           break;
         }

@@ -1,5 +1,6 @@
 #include "driver/sim_driver.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -83,7 +84,9 @@ void ExecutionDrivenSimulator::begin_impl(const workload::Workload& workload,
   counters_before_ = model_counters();
   start_time_ = engine_.now();
   for (std::size_t r = 0; r < n; ++r) {
-    ranks_[r].stream = workload.stream(static_cast<std::int32_t>(r));
+    const std::span<const workload::Op> ops = workload.ops(static_cast<std::int32_t>(r));
+    ranks_[r].op = ops.data();
+    ranks_[r].end = ops.data() + ops.size();
     // Stagger nothing: all ranks start together, like an MPI job after
     // MPI_Init.
     engine_.schedule_after(SimTime::zero(),
@@ -151,8 +154,7 @@ RunCounters ExecutionDrivenSimulator::model_counters() const {
 
 void ExecutionDrivenSimulator::advance(std::int32_t rank) {
   auto& state = ranks_[static_cast<std::size_t>(rank)];
-  auto op = state.stream->next();
-  if (!op) {
+  if (state.op == state.end) {
     state.done = true;
     state.finish = engine_.now();
     --active_ranks_;
@@ -168,14 +170,13 @@ void ExecutionDrivenSimulator::advance(std::int32_t rank) {
     }
     return;
   }
-  state.op = *op;
   issue(rank);
 }
 
 void ExecutionDrivenSimulator::issue(std::int32_t rank) {
   using K = workload::OpKind;
   RankState& state = ranks_[static_cast<std::size_t>(rank)];
-  const workload::Op& op = state.op;
+  const workload::Op& op = *state.op;
   state.start = engine_.now();
   switch (op.kind) {
     case K::kCompute: {
@@ -231,7 +232,7 @@ void ExecutionDrivenSimulator::issue(std::int32_t rank) {
 
 void ExecutionDrivenSimulator::issue_meta(std::int32_t rank) {
   using K = workload::OpKind;
-  const workload::Op& op = ranks_[static_cast<std::size_t>(rank)].op;
+  const workload::Op& op = *ranks_[static_cast<std::size_t>(rank)].op;
   pfs::MetaOp meta_op;
   switch (op.kind) {
     case K::kCreate: meta_op = pfs::MetaOp::kCreate; break;
@@ -254,7 +255,7 @@ void ExecutionDrivenSimulator::issue_meta(std::int32_t rank) {
 
 void ExecutionDrivenSimulator::meta_done(std::int32_t rank, const pfs::MetaResult& result) {
   using K = workload::OpKind;
-  const workload::Op& op = ranks_[static_cast<std::size_t>(rank)].op;
+  const workload::Op& op = *ranks_[static_cast<std::size_t>(rank)].op;
   // Re-creating an existing file behaves like O_CREAT without O_EXCL, and
   // mkdir like mkdir -p: success. (The measured path applies the same
   // tolerance.)
@@ -272,11 +273,11 @@ void ExecutionDrivenSimulator::cached_done(std::int32_t rank, bool ok, Bytes hit
     // kPosix, so these are purely additive.
     trace::TraceEvent e;
     e.layer = trace::Layer::kCache;
-    e.op = state.op.kind == workload::OpKind::kWrite ? trace::OpKind::kWrite
-                                                     : trace::OpKind::kRead;
+    e.op = state.op->kind == workload::OpKind::kWrite ? trace::OpKind::kWrite
+                                                      : trace::OpKind::kRead;
     e.rank = rank;
-    e.path = paths_->path(state.op.file);
-    e.offset = state.op.offset;
+    e.path = paths_->path(state.op->file);
+    e.offset = state.op->offset;
     e.size = hit_bytes.count();
     e.start = state.start;
     e.end = engine_.now();
@@ -287,8 +288,8 @@ void ExecutionDrivenSimulator::cached_done(std::int32_t rank, bool ok, Bytes hit
 }
 
 void ExecutionDrivenSimulator::complete_op(std::int32_t rank, bool ok) {
-  const RankState& state = ranks_[static_cast<std::size_t>(rank)];
-  const workload::Op& op = state.op;
+  RankState& state = ranks_[static_cast<std::size_t>(rank)];
+  const workload::Op& op = *state.op;
   const SimTime start = state.start;
   const SimTime end = engine_.now();
   ++result_.ops;
@@ -326,6 +327,7 @@ void ExecutionDrivenSimulator::complete_op(std::int32_t rank, bool ok) {
     e.ok = ok;
     sink_->record(e);
   }
+  ++state.op;
   advance(rank);
 }
 
@@ -339,7 +341,6 @@ void ExecutionDrivenSimulator::release_barrier() {
     if (!state.at_barrier) continue;
     state.at_barrier = false;
     // The barrier completes as a plain barrier op, timed from its arrival.
-    state.op = workload::Op::barrier();
     const auto rank = static_cast<std::int32_t>(r);
     engine_.schedule_after(SimTime::zero(), [this, rank] { complete_op(rank, true); });
   }

@@ -3,9 +3,9 @@
 // §IV.C.3: "the execution-driven simulation model is similar to trace-driven
 // simulation except that the application under study and the simulation are
 // interleaved, i.e., the workload produce and workload consume event streams
-// are interleaved." The ExecutionDrivenSimulator pulls each rank's next
-// operation only when its previous one completes inside the DES — no trace
-// is ever materialized. Trace-driven simulation (§IV.C.2) is the same
+// are interleaved." The ExecutionDrivenSimulator issues each rank's next
+// operation only when its previous one completes inside the DES, walking
+// the rank's ops in place. Trace-driven simulation (§IV.C.2) is the same
 // machinery fed by a workload reconstructed from a recorded trace (see
 // pio::replay::workload_from_trace).
 #pragma once
@@ -103,7 +103,8 @@ class ExecutionDrivenSimulator {
   /// `collect` finalizes and returns the result (throwing the same stall
   /// diagnostic as `run` if ranks never finished).
   /// `run` itself is unaffected by this API — identical event sequence,
-  /// identical digests.
+  /// identical digests. The ranks read `workload`'s ops in place, so it
+  /// must outlive the run, up to `collect`.
   void begin(const workload::Workload& workload, trace::Sink* sink = nullptr);
 
   /// Finalize and return the result of a `begin`-driven run (`run` ends
@@ -114,12 +115,14 @@ class ExecutionDrivenSimulator {
   [[nodiscard]] const cache::ClientCacheTier* cache_tier() const { return tier_.get(); }
 
  private:
-  /// A rank has at most one op in flight: the op and its issue time live
-  /// here, so the stage callbacks capture only the rank.
+  /// A rank has at most one op in flight: a cursor to it and its issue time
+  /// live here, so the stage callbacks capture only the rank.
   struct RankState {
-    std::unique_ptr<workload::RankStream> stream;
-    workload::Op op;                ///< the op in flight (or the barrier waited on)
-    SimTime start = SimTime::zero();  ///< when `op` was issued
+    /// The op in flight (or the barrier waited on), in the workload's own
+    /// table; `end` once the rank is done.
+    const workload::Op* op = nullptr;
+    const workload::Op* end = nullptr;
+    SimTime start = SimTime::zero();  ///< when `*op` was issued
     bool done = false;
     bool at_barrier = false;
     SimTime finish = SimTime::zero();
@@ -132,6 +135,7 @@ class ExecutionDrivenSimulator {
   /// RunCounters a run reports the deltas of.
   [[nodiscard]] RunCounters model_counters() const;
 
+  /// Issue the rank's current op, or finish the rank when none is left.
   void advance(std::int32_t rank);
   /// Issue the rank's op; it completes through complete_op.
   void issue(std::int32_t rank);

@@ -105,11 +105,10 @@ PredictionTrajectory evaluate_predictability(const workload::Workload& workload,
   if (window == 0) throw std::invalid_argument("evaluate_predictability: zero window");
   NextOpPredictor predictor;
   PredictionTrajectory trajectory;
-  auto stream = workload.stream(rank);
   std::size_t in_window = 0;
   std::size_t window_hits = 0;
-  while (auto op = stream->next()) {
-    const bool hit = predictor.observe(*op);
+  for (const workload::Op& op : workload.ops(rank)) {
+    const bool hit = predictor.observe(op);
     if (predictor.observed_ops() == 1) continue;  // no prediction possible yet
     ++in_window;
     if (hit) ++window_hits;

@@ -95,22 +95,21 @@ CompressedWorkload CompressedWorkload::compress(const workload::Workload& worklo
   std::map<OpToken, std::uint32_t> token_ids;
 
   for (std::int32_t r = 0; r < workload.ranks(); ++r) {
-    auto stream = workload.stream(r);
     std::vector<std::uint32_t> symbols;
     // Per-file running cursor for delta tokenization.
     std::unordered_map<std::uint32_t, std::uint64_t> cursor;
-    while (auto op = stream->next()) {
+    for (const Op& op : workload.ops(r)) {
       ++out.original_ops_;
       OpToken token;
-      token.kind = op->kind;
-      token.path_id = op->file;
-      token.size = op->size.count();
-      token.think_ns = op->think_time.ns();
-      if (op->kind == OpKind::kRead || op->kind == OpKind::kWrite) {
+      token.kind = op.kind;
+      token.path_id = op.file;
+      token.size = op.size.count();
+      token.think_ns = op.think_time.ns();
+      if (op.kind == OpKind::kRead || op.kind == OpKind::kWrite) {
         const std::uint64_t cur = cursor[token.path_id];
-        token.offset_delta = static_cast<std::int64_t>(op->offset) -
+        token.offset_delta = static_cast<std::int64_t>(op.offset) -
                              static_cast<std::int64_t>(cur);
-        cursor[token.path_id] = op->offset + op->size.count();
+        cursor[token.path_id] = op.offset + op.size.count();
       }
       const auto [it, inserted] =
           token_ids.emplace(token, static_cast<std::uint32_t>(out.tokens_.size()));
@@ -148,8 +147,8 @@ std::unique_ptr<workload::Workload> CompressedWorkload::decompress() const {
     }
     per_rank.push_back(std::move(ops));
   }
-  return std::make_unique<workload::VectorWorkload>(name_ + "-decompressed", paths_,
-                                                    std::move(per_rank));
+  return std::make_unique<workload::Workload>(name_ + "-decompressed", paths_,
+                                              std::move(per_rank));
 }
 
 double CompressedWorkload::compression_ratio() const {

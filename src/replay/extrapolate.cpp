@@ -1,6 +1,7 @@
 #include "replay/extrapolate.hpp"
 
 #include <cctype>
+#include <span>
 #include <stdexcept>
 
 namespace pio::replay {
@@ -53,7 +54,8 @@ std::optional<ExtrapolationModel> ExtrapolationModel::fit(const workload::Worklo
     return std::nullopt;
   };
   if (captured.ranks() < 2) return fail(0, "need at least 2 captured ranks");
-  const auto ops = workload::materialize(captured);
+  std::vector<std::span<const Op>> ops;
+  for (std::int32_t r = 0; r < captured.ranks(); ++r) ops.push_back(captured.ops(r));
   for (std::size_t r = 1; r < ops.size(); ++r) {
     if (ops[r].size() != ops[0].size()) {
       return fail(0, "rank " + std::to_string(r) + " has a different op count");
@@ -119,8 +121,8 @@ std::unique_ptr<workload::Workload> ExtrapolationModel::generate(std::int32_t ra
       ops.push_back(op);
     }
   }
-  return std::make_unique<workload::VectorWorkload>(name_ + "-x" + std::to_string(ranks),
-                                                    std::move(paths), std::move(per_rank));
+  return std::make_unique<workload::Workload>(name_ + "-x" + std::to_string(ranks),
+                                              std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::replay

@@ -83,8 +83,7 @@ std::unique_ptr<workload::Workload> workload_from_trace(const trace::Trace& trac
       case trace::OpKind::kOther: break;
     }
   }
-  return std::make_unique<workload::VectorWorkload>("replay", std::move(paths),
-                                                    std::move(per_rank));
+  return std::make_unique<workload::Workload>("replay", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::replay

@@ -26,7 +26,7 @@ struct TraceReplayConfig {
   trace::Layer layer = trace::Layer::kPosix;
 };
 
-/// Convert a recorded trace into a materialized workload.
+/// Convert a recorded trace into a workload.
 [[nodiscard]] std::unique_ptr<workload::Workload> workload_from_trace(
     const trace::Trace& trace, const TraceReplayConfig& config = {});
 

@@ -347,6 +347,9 @@ template <class M>
   if (s.stages == 0 || s.stages > kMaxStages) return "stages out of range";
   if (s.tasks_per_stage == 0 || s.tasks_per_stage > kMaxTasks) return "tasks_per_stage out of range";
   if (s.files_per_task == 0 || s.files_per_task > kMaxTasks) return "files_per_task out of range";
+  // The fields multiply: in range one by one, a spec can still ask a pool
+  // task for billions of ops.
+  if (max_ops(s) > kMaxOpsPerWorkload) return "workload expands past the op limit";
   return nullptr;
 }
 
@@ -457,6 +460,52 @@ std::unique_ptr<workload::Workload> make_workload(const WorkloadSpec& spec) {
       c.transfer_size = Bytes::from_kib(spec.transfer_kib);
       c.read_phase = spec.read_phase;
       return workload::ior_like(c);
+    }
+  }
+}
+
+std::uint64_t max_ops(const WorkloadSpec& spec) {
+  // Every count is at most 2^20 and ranks at most 2^12, so no product here
+  // comes near 2^64. Settings make_workload leaves alone are read from the
+  // generators' own defaults.
+  const std::uint64_t ranks = spec.ranks;
+  switch (spec.kind) {
+    case WorkloadKind::kDlio: {
+      // Rank 0 prepares the dataset (mkdir, then create, write, close per
+      // shard). Every rank opens all shards after a barrier, reads its
+      // share with at most one compute before each read, ends each epoch
+      // at a barrier and closes all shards.
+      const workload::DlioConfig defaults;
+      const std::uint64_t shards =
+          spec.samples / spec.samples_per_file + (spec.samples % spec.samples_per_file != 0);
+      const std::uint64_t share = (spec.samples + ranks - 1) / ranks;
+      const auto epochs = static_cast<std::uint64_t>(std::max(defaults.epochs, 0));
+      return 1 + 3 * shards + ranks * (1 + 2 * shards + epochs * (2 * share + 1));
+    }
+    case WorkloadKind::kWorkflow: {
+      // Worker 0 makes the top and every stage directory; each worker waits
+      // at one barrier first and two per stage. A task reads each input
+      // (polls, open, its transactions, close), computes, writes each output
+      // (create, its transactions, close) and lists the stage directory.
+      const workload::WorkflowConfig defaults;
+      const std::uint64_t transactions = defaults.file_size / defaults.transaction_size;
+      const std::uint64_t per_file =
+          static_cast<std::uint64_t>(defaults.stat_polls_per_input) + 4 + 2 * transactions;
+      const std::uint64_t per_task = 2 + std::uint64_t{spec.files_per_task} * per_file;
+      return 1 + ranks +
+             std::uint64_t{spec.stages} *
+                 (1 + 2 * ranks + std::uint64_t{spec.tasks_per_stage} * per_task);
+    }
+    case WorkloadKind::kIor:
+    default: {
+      // ior_like's own per-rank count: mkdir and a barrier, then per
+      // iteration a write phase, the optional read phase and a compute.
+      const workload::IorConfig defaults;
+      const std::uint64_t transfers = spec.block_kib / spec.transfer_kib;
+      const std::uint64_t per_iteration = (defaults.write_phase ? transfers + 5 : 0) +
+                                          (spec.read_phase ? transfers + 3 : 0) + 1;
+      return ranks * (2 + per_iteration * static_cast<std::uint64_t>(
+                                              std::max(defaults.iterations, 0)));
     }
   }
 }

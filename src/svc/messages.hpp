@@ -44,6 +44,9 @@ inline constexpr std::uint16_t kProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 16;
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 inline constexpr std::size_t kMaxWorkloadsPerCampaign = 1024;
+/// Most ops one workload spec may expand to (32 MiB of ops); `validate`
+/// refuses a spec whose `max_ops` is larger.
+inline constexpr std::uint64_t kMaxOpsPerWorkload = 1u << 20;
 
 enum class MsgType : std::uint16_t {
   kSubmitCampaign = 1,  ///< client → server: one CampaignSpec
@@ -137,6 +140,11 @@ struct CampaignSpec {
 /// Build the eval-layer view of a spec system pair. `threads` stays 0: the
 /// service owns the pool; evaluate_point never fans out.
 [[nodiscard]] eval::CampaignConfig to_campaign_config(const CampaignSpec& spec);
+
+/// An upper bound on the ops `make_workload(spec)` builds, in closed form
+/// from the spec's fields: nothing is built. Defined for a spec whose
+/// fields are in range (`validate` checks them before it calls this).
+[[nodiscard]] std::uint64_t max_ops(const WorkloadSpec& spec);
 
 /// Instantiate workload `index` of the spec (fresh object per call: pool
 /// tasks never share generator state).

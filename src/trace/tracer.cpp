@@ -1,14 +1,17 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <functional>
 #include <istream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/codec.hpp"
 #include "common/record_io.hpp"
@@ -110,17 +113,17 @@ void Trace::write_jsonl(std::ostream& out) const {
 
 namespace {
 
-Layer layer_from(const std::string& s) {
+std::optional<Layer> layer_from(std::string_view s) {
   if (s == "app") return Layer::kApp;
   if (s == "hdf5") return Layer::kHdf5;
   if (s == "mpiio") return Layer::kMpiIo;
   if (s == "posix") return Layer::kPosix;
   if (s == "cache") return Layer::kCache;
-  throw std::invalid_argument("unknown layer: " + s);
+  return std::nullopt;
 }
 
-OpKind op_from(const std::string& s) {
-  static const std::map<std::string, OpKind> table{
+std::optional<OpKind> op_from(std::string_view s) {
+  static const std::map<std::string, OpKind, std::less<>> table{
       {"open", OpKind::kOpen},       {"close", OpKind::kClose},
       {"read", OpKind::kRead},       {"write", OpKind::kWrite},
       {"stat", OpKind::kStat},       {"mkdir", OpKind::kMkdir},
@@ -129,95 +132,181 @@ OpKind op_from(const std::string& s) {
       {"other", OpKind::kOther},
   };
   const auto it = table.find(s);
-  if (it == table.end()) throw std::invalid_argument("unknown op: " + s);
+  if (it == table.end()) return std::nullopt;
   return it->second;
 }
 
-// Minimal JSON value scanner sufficient for the flat objects we emit.
-std::map<std::string, std::string> parse_flat_json(const std::string& line) {
-  std::map<std::string, std::string> out;
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  auto parse_string = [&]() -> std::string {
-    std::string s;
-    ++i;  // opening quote
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        ++i;
-        switch (line[i]) {
-          case 'n': s += '\n'; break;
-          case 'r': s += '\r'; break;
-          case 't': s += '\t'; break;
-          case 'u':
-            // \uXXXX: we only emit control characters this way; decode the
-            // low byte.
-            if (i + 4 < line.size()) {
-              s += static_cast<char>(std::stoi(line.substr(i + 1, 4), nullptr, 16));
-              i += 4;
-            }
-            break;
-          default: s += line[i];
-        }
-      } else {
-        s += line[i];
-      }
-      ++i;
-    }
-    ++i;  // closing quote
-    return s;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') throw std::invalid_argument("bad json line");
-  ++i;
-  for (;;) {
-    skip_ws();
-    if (i < line.size() && line[i] == '}') break;
-    if (i >= line.size() || line[i] != '"') throw std::invalid_argument("bad json key");
-    const std::string key = parse_string();
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') throw std::invalid_argument("bad json separator");
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      value = parse_string();
-    } else {
-      while (i < line.size() && line[i] != ',' && line[i] != '}') value += line[i++];
-    }
-    out[key] = value;
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
+/// A value of a flat JSON object: a string's decoded contents, or a bare
+/// token (a number, true, false) as written.
+struct JsonValue {
+  std::string text;
+  bool quoted = false;
+};
+using JsonObject = std::map<std::string, JsonValue, std::less<>>;
+
+bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Decode the JSON string that opens at `line[i]` into `out`, leaving `i`
+/// past its closing quote. Returns why the string is malformed, or nullptr.
+/// A \u escape takes exactly four hex digits and names one byte: the writer
+/// escapes control bytes this way and writes every other byte as it is.
+const char* scan_string(std::string_view line, std::size_t& i, std::string& out) {
+  ++i;  // opening quote
+  while (i < line.size()) {
+    const char c = line[i++];
+    if (c == '"') return nullptr;
+    if (c != '\\') {
+      out += c;
       continue;
     }
-    if (i < line.size() && line[i] == '}') break;
+    if (i == line.size()) break;
+    switch (line[i++]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        if (line.size() - i < 4) return "short \\u escape";
+        unsigned code = 0;
+        const char* digits = line.data() + i;
+        const auto [end, ec] = std::from_chars(digits, digits + 4, code, 16);
+        if (ec != std::errc{} || end != digits + 4) return "bad \\u escape";
+        if (code > 0xFF) return "\\u escape past one byte";
+        out += static_cast<char>(code);
+        i += 4;
+        break;
+      }
+      default: return "unknown escape";
+    }
   }
-  return out;
+  return "unterminated string";
+}
+
+/// Parse one line as a flat JSON object with string and bare values, and
+/// nothing but spaces after it. Returns why the line is malformed, or nullptr.
+const char* parse_flat_json(std::string_view line, JsonObject& out) {
+  std::size_t i = 0;
+  const auto skip_space = [&] {
+    while (i < line.size() && is_space(line[i])) ++i;
+  };
+  skip_space();
+  if (i == line.size() || line[i] != '{') return "expected '{'";
+  ++i;
+  skip_space();
+  if (i < line.size() && line[i] == '}') {
+    ++i;
+  } else {
+    for (;;) {
+      skip_space();
+      if (i == line.size() || line[i] != '"') return "expected a key";
+      std::string key;
+      if (const char* why = scan_string(line, i, key)) return why;
+      skip_space();
+      if (i == line.size() || line[i] != ':') return "expected ':'";
+      ++i;
+      skip_space();
+      JsonValue value;
+      if (i < line.size() && line[i] == '"') {
+        value.quoted = true;
+        if (const char* why = scan_string(line, i, value.text)) return why;
+      } else {
+        const std::size_t start = i;
+        while (i < line.size() && line[i] != ',' && line[i] != '}' && !is_space(line[i])) ++i;
+        if (i == start) return "missing value";
+        value.text = line.substr(start, i - start);
+      }
+      if (!out.emplace(std::move(key), std::move(value)).second) return "duplicate key";
+      skip_space();
+      if (i < line.size() && line[i] == ',') {
+        ++i;
+        continue;
+      }
+      if (i < line.size() && line[i] == '}') {
+        ++i;
+        break;
+      }
+      return "expected ',' or '}'";
+    }
+  }
+  skip_space();
+  return i == line.size() ? nullptr : "bytes after the object";
+}
+
+/// A bare integer read whole into `T`: no sign on an unsigned type, no '+',
+/// no trailing bytes, no overflow.
+template <class T>
+bool parse_integer(const JsonValue& v, T& out) {
+  if (v.quoted) return false;
+  const char* first = v.text.data();
+  const char* last = first + v.text.size();
+  const auto [end, ec] = std::from_chars(first, last, out);
+  return ec == std::errc{} && end == last;
 }
 
 }  // namespace
 
-Trace Trace::read_jsonl(std::istream& in) {
+Result<Trace> Trace::try_read_jsonl(std::istream& in) {
   Trace trace;
   std::string line;
+  std::uint64_t number = 0;
   while (std::getline(in, line)) {
+    ++number;
     if (line.empty()) continue;
-    const auto obj = parse_flat_json(line);
+    const auto fail = [&](std::string_view why) {
+      return Error{1, "Trace::read_jsonl: line " + std::to_string(number) + ": " +
+                          std::string(why)};
+    };
+    JsonObject obj;
+    if (const char* why = parse_flat_json(line, obj)) return fail(why);
+    const auto field = [&](std::string_view key) -> const JsonValue* {
+      const auto it = obj.find(key);
+      return it == obj.end() ? nullptr : &it->second;
+    };
+    const JsonValue* layer = field("layer");
+    const JsonValue* op = field("op");
+    const JsonValue* rank = field("rank");
+    const JsonValue* path = field("path");
+    const JsonValue* offset = field("offset");
+    const JsonValue* size = field("size");
+    const JsonValue* start = field("start_ns");
+    const JsonValue* end = field("end_ns");
+    const JsonValue* ok = field("ok");
+    if (!layer || !op || !rank || !path || !offset || !size || !start || !end || !ok) {
+      return fail("missing field");
+    }
     TraceEvent e;
-    e.layer = layer_from(obj.at("layer"));
-    e.op = op_from(obj.at("op"));
-    e.rank = static_cast<std::int32_t>(std::stol(obj.at("rank")));
-    e.path = obj.at("path");
-    e.offset = std::stoull(obj.at("offset"));
-    e.size = std::stoull(obj.at("size"));
-    e.start = SimTime::from_ns(std::stoll(obj.at("start_ns")));
-    e.end = SimTime::from_ns(std::stoll(obj.at("end_ns")));
-    e.ok = obj.at("ok") == "true";
+    const auto layer_value = layer->quoted ? layer_from(layer->text) : std::nullopt;
+    if (!layer_value) return fail("bad layer");
+    e.layer = *layer_value;
+    const auto op_value = op->quoted ? op_from(op->text) : std::nullopt;
+    if (!op_value) return fail("bad op");
+    e.op = *op_value;
+    if (!parse_integer(*rank, e.rank)) return fail("bad rank");
+    if (!path->quoted) return fail("bad path");
+    e.path = path->text;
+    if (!parse_integer(*offset, e.offset)) return fail("bad offset");
+    if (!parse_integer(*size, e.size)) return fail("bad size");
+    std::int64_t start_ns = 0;
+    std::int64_t end_ns = 0;
+    if (!parse_integer(*start, start_ns)) return fail("bad start_ns");
+    if (!parse_integer(*end, end_ns)) return fail("bad end_ns");
+    e.start = SimTime::from_ns(start_ns);
+    e.end = SimTime::from_ns(end_ns);
+    if (ok->quoted || (ok->text != "true" && ok->text != "false")) return fail("bad ok");
+    e.ok = ok->text == "true";
     trace.append(std::move(e));
   }
   return trace;
+}
+
+Trace Trace::read_jsonl(std::istream& in) {
+  auto result = try_read_jsonl(in);
+  if (!result.ok()) throw std::runtime_error(result.error().message);
+  return std::move(result.value());
 }
 
 // ------------------------------------------------------------------ binary

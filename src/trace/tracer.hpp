@@ -61,6 +61,17 @@ class Trace {
   void write_jsonl(std::ostream& out) const;
   [[nodiscard]] static Trace read_jsonl(std::istream& in);
 
+  /// Non-throwing variant of read_jsonl for untrusted inputs. Each line
+  /// must be one flat object holding all nine event fields (other keys are
+  /// ignored, a repeated key is an Error), with nothing after it. Strings
+  /// take the escapes JSON defines, and a \u escape four hex digits naming
+  /// one byte. Integers are read whole into the field's own type: a sign
+  /// on an unsigned field, a trailing byte or an overflow is an Error, and
+  /// so is an unknown layer or op or an `ok` other than true or false.
+  /// Empty lines are skipped. read_jsonl wraps this and throws
+  /// std::runtime_error with the same message.
+  [[nodiscard]] static Result<Trace> try_read_jsonl(std::istream& in);
+
   /// Compact little-endian binary (path table + fixed 48-byte records,
   /// DESIGN.md §15) vs ~160 bytes/event for JSONL.
   void write_binary(std::ostream& out) const;

@@ -1,193 +1,101 @@
 #include "workload/dlio.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace pio::workload {
 
-namespace {
-
-/// Lazy per-rank stream over shuffled epochs. The shuffled order is derived
-/// deterministically from (seed, epoch), so every rank — and every re-stream
-/// of the same workload — sees the same global order.
-class DlioStream final : public RankStream {
- public:
-  /// Shard i is file `directory + 1 + i` of the workload's path table.
-  DlioStream(const DlioConfig& config, FileId directory, std::int32_t rank)
-      : config_(config), directory_(directory), rank_(rank) {}
-
-  std::optional<Op> next() override {
-    for (;;) {
-      switch (phase_) {
-        case Phase::kPrep: {
-          if (!config_.include_preparation || rank_ != 0) {
-            phase_ = Phase::kPrepBarrier;
-            continue;
-          }
-          const std::uint64_t shards = shard_count();
-          // Sub-steps per shard: mkdir (once), create, write, close.
-          if (prep_step_ == 0) {
-            ++prep_step_;
-            return Op::mkdir(directory_);
-          }
-          const std::uint64_t shard = (prep_step_ - 1) / 3;
-          const std::uint64_t sub = (prep_step_ - 1) % 3;
-          if (shard >= shards) {
-            phase_ = Phase::kPrepBarrier;
-            continue;
-          }
-          ++prep_step_;
-          const FileId path = shard_file(shard);
-          if (sub == 0) return Op::create(path);
-          if (sub == 1) {
-            return Op::write(path, 0, Bytes{samples_in_shard(shard) * config_.sample_size.count()});
-          }
-          return Op::close(path);
-        }
-        case Phase::kPrepBarrier:
-          phase_ = Phase::kOpenShards;
-          return Op::barrier();
-        case Phase::kOpenShards: {
-          // Every rank opens all shards once (the framework's file handles).
-          if (open_index_ >= shard_count()) {
-            phase_ = Phase::kTrain;
-            begin_epoch();
-            continue;
-          }
-          return Op::open(shard_file(open_index_++));
-        }
-        case Phase::kTrain: {
-          if (epoch_ >= config_.epochs) {
-            phase_ = Phase::kCloseShards;
-            continue;
-          }
-          if (cursor_ >= my_samples_.size()) {
-            // End of this rank's epoch portion.
-            ++epoch_;
-            if (epoch_ >= config_.epochs) {
-              phase_ = Phase::kEpochBarrier;
-              continue;
-            }
-            begin_epoch();
-            phase_ = Phase::kEpochBarrier;
-            continue;
-          }
-          // Emit compute after each full batch.
-          if (in_batch_ == config_.batch_size) {
-            in_batch_ = 0;
-            return Op::compute(config_.compute_per_batch);
-          }
-          const std::uint64_t sample = my_samples_[cursor_++];
-          ++in_batch_;
-          const std::uint64_t shard = sample / config_.samples_per_file;
-          const std::uint64_t within = sample % config_.samples_per_file;
-          return Op::read(shard_file(shard), within * config_.sample_size.count(),
-                          config_.sample_size);
-        }
-        case Phase::kEpochBarrier:
-          phase_ = epoch_ >= config_.epochs ? Phase::kCloseShards : Phase::kTrain;
-          return Op::barrier();
-        case Phase::kCloseShards: {
-          if (close_index_ >= shard_count()) {
-            phase_ = Phase::kDone;
-            continue;
-          }
-          return Op::close(shard_file(close_index_++));
-        }
-        case Phase::kDone:
-          return std::nullopt;
-      }
-    }
+std::unique_ptr<Workload> dlio_like(const DlioConfig& config) {
+  if (config.ranks <= 0) throw std::invalid_argument("dlio_like: ranks must be positive");
+  if (config.samples == 0 || config.samples_per_file == 0 || config.batch_size == 0) {
+    throw std::invalid_argument("dlio_like: samples, samples_per_file, batch_size must be > 0");
   }
+  const std::uint64_t shards =
+      (config.samples + config.samples_per_file - 1) / config.samples_per_file;
+  const auto ranks = static_cast<std::uint64_t>(config.ranks);
+  const auto epochs = static_cast<std::uint64_t>(std::max(config.epochs, 0));
 
- private:
-  enum class Phase {
-    kPrep,
-    kPrepBarrier,
-    kOpenShards,
-    kTrain,
-    kEpochBarrier,
-    kCloseShards,
-    kDone
+  // Shard i is file `directory + 1 + i` of the path table.
+  PathTable paths;
+  const FileId directory = paths.intern(config.directory);
+  for (std::uint64_t i = 0; i < shards; ++i) {
+    paths.intern(config.directory + "/shard" + std::to_string(i) + ".data");
+  }
+  const auto shard_file = [&](std::uint64_t shard) {
+    return directory + 1 + static_cast<FileId>(shard);
   };
 
-  [[nodiscard]] FileId shard_file(std::uint64_t shard) const {
-    return directory_ + 1 + static_cast<FileId>(shard);
+  std::vector<std::vector<Op>> per_rank(ranks);
+  for (std::uint64_t r = 0; r < ranks; ++r) {
+    const std::uint64_t share = (config.samples - std::min(r, config.samples) + ranks - 1) / ranks;
+    const std::uint64_t computes = share == 0 ? 0 : (share - 1) / config.batch_size;
+    const bool prep = config.include_preparation && r == 0;
+    per_rank[r].reserve((prep ? 1 + 3 * shards : 0) + 1 + 2 * shards +
+                        epochs * (share + computes + 1));
   }
 
-  [[nodiscard]] std::uint64_t shard_count() const {
-    return (config_.samples + config_.samples_per_file - 1) / config_.samples_per_file;
+  // Dataset preparation: rank 0 writes every shard.
+  if (config.include_preparation) {
+    std::vector<Op>& ops = per_rank[0];
+    ops.push_back(Op::mkdir(directory));
+    for (std::uint64_t shard = 0; shard < shards; ++shard) {
+      const std::uint64_t samples_in_shard = std::min(
+          config.samples_per_file, config.samples - shard * config.samples_per_file);
+      ops.push_back(Op::create(shard_file(shard)));
+      ops.push_back(Op::write(shard_file(shard), 0,
+                              Bytes{samples_in_shard * config.sample_size.count()}));
+      ops.push_back(Op::close(shard_file(shard)));
+    }
+  }
+  // Every rank opens all shards once (the framework's file handles).
+  for (std::vector<Op>& ops : per_rank) {
+    ops.push_back(Op::barrier());
+    for (std::uint64_t shard = 0; shard < shards; ++shard) {
+      ops.push_back(Op::open(shard_file(shard)));
+    }
   }
 
-  [[nodiscard]] std::uint64_t samples_in_shard(std::uint64_t shard) const {
-    const std::uint64_t start = shard * config_.samples_per_file;
-    return std::min(config_.samples_per_file, config_.samples - start);
-  }
-
-  void begin_epoch() {
-    // Global shuffled order for this epoch, identical on every rank; each
-    // rank takes a strided slice (sample i goes to rank i % ranks), which is
-    // how distributed samplers shard a common permutation.
-    std::vector<std::uint64_t> order(config_.samples);
-    for (std::uint64_t i = 0; i < config_.samples; ++i) order[i] = i;
-    if (config_.shuffle) {
-      Rng rng{config_.seed, std::uint64_t{0xD110} + static_cast<std::uint64_t>(epoch_)};
+  // Each epoch draws one global order from (seed, epoch); each rank takes a
+  // strided slice (sample i goes to rank i % ranks), which is how
+  // distributed samplers shard a common permutation. A compute step follows
+  // every full batch that has another read after it, and a barrier closes
+  // the epoch.
+  std::vector<std::uint64_t> order(config.samples);
+  for (std::uint64_t epoch = 0; epoch < epochs; ++epoch) {
+    std::iota(order.begin(), order.end(), std::uint64_t{0});
+    if (config.shuffle) {
+      Rng rng{config.seed, std::uint64_t{0xD110} + epoch};
       rng.shuffle(order);
     }
-    my_samples_.clear();
-    for (std::uint64_t i = static_cast<std::uint64_t>(rank_); i < order.size();
-         i += static_cast<std::uint64_t>(config_.ranks)) {
-      my_samples_.push_back(order[i]);
-    }
-    cursor_ = 0;
-    in_batch_ = 0;
-  }
-
-  DlioConfig config_;
-  FileId directory_;
-  std::int32_t rank_;
-  Phase phase_ = Phase::kPrep;
-  std::uint64_t prep_step_ = 0;
-  std::uint64_t open_index_ = 0;
-  std::uint64_t close_index_ = 0;
-  std::int32_t epoch_ = 0;
-  std::vector<std::uint64_t> my_samples_;
-  std::size_t cursor_ = 0;
-  std::uint64_t in_batch_ = 0;
-};
-
-class DlioWorkload final : public Workload {
- public:
-  explicit DlioWorkload(const DlioConfig& config) : config_(config) {
-    if (config.ranks <= 0) throw std::invalid_argument("dlio_like: ranks must be positive");
-    if (config.samples == 0 || config.samples_per_file == 0 || config.batch_size == 0) {
-      throw std::invalid_argument("dlio_like: samples, samples_per_file, batch_size must be > 0");
-    }
-    directory_ = paths_.intern(config.directory);
-    for (std::uint64_t i = 0; i * config.samples_per_file < config.samples; ++i) {
-      paths_.intern(config.directory + "/shard" + std::to_string(i) + ".data");
+    for (std::uint64_t r = 0; r < ranks; ++r) {
+      std::vector<Op>& ops = per_rank[r];
+      std::uint64_t in_batch = 0;
+      for (std::uint64_t i = r; i < config.samples; i += ranks) {
+        if (in_batch == config.batch_size) {
+          ops.push_back(Op::compute(config.compute_per_batch));
+          in_batch = 0;
+        }
+        ++in_batch;
+        const std::uint64_t sample = order[i];
+        ops.push_back(Op::read(shard_file(sample / config.samples_per_file),
+                               sample % config.samples_per_file * config.sample_size.count(),
+                               config.sample_size));
+      }
+      ops.push_back(Op::barrier());
     }
   }
 
-  [[nodiscard]] std::string name() const override { return "dlio"; }
-  [[nodiscard]] std::int32_t ranks() const override { return config_.ranks; }
-  [[nodiscard]] std::unique_ptr<RankStream> stream(std::int32_t rank) const override {
-    return std::make_unique<DlioStream>(config_, directory_, rank);
+  for (std::vector<Op>& ops : per_rank) {
+    for (std::uint64_t shard = 0; shard < shards; ++shard) {
+      ops.push_back(Op::close(shard_file(shard)));
+    }
   }
-  [[nodiscard]] const PathTable& paths() const override { return paths_; }
-
- private:
-  DlioConfig config_;
-  PathTable paths_;
-  FileId directory_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<Workload> dlio_like(const DlioConfig& config) {
-  return std::make_unique<DlioWorkload>(config);
+  return std::make_unique<Workload>("dlio", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

@@ -9,8 +9,8 @@
 // into files; each epoch visits every sample once in a globally shuffled
 // order, partitioned across ranks into minibatches; every sample access is
 // a small read at a random file offset, followed by a compute step per
-// batch. Streams are lazy — an epoch over a large dataset never needs to be
-// materialized.
+// batch. The order depends only on (seed, epoch), so the generator draws
+// each epoch's permutation once and builds every rank's ops up front.
 #pragma once
 
 #include <memory>

@@ -524,7 +524,7 @@ std::unique_ptr<Workload> parse_dsl(std::string_view source) {
     rank = r;
     expand(program.stmts, env, paths, per_rank[static_cast<std::size_t>(r)], steps);
   }
-  return std::make_unique<VectorWorkload>(program.name, std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>(program.name, std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,6 +30,25 @@ std::uint64_t sample_size(const Log2Histogram& hist, Rng& rng) {
   return hist.max();
 }
 
+/// Every proper ancestor directory of the profiled paths (the root aside),
+/// shallowest first and each once, in order of first appearance.
+std::vector<std::string> ancestor_directories(const trace::Profile& profile) {
+  std::vector<std::string> dirs;
+  std::set<std::string> seen;
+  for (const auto& record : profile.records()) {
+    const std::string& path = record.path;
+    for (std::size_t slash = path.find('/', 1); slash != std::string::npos;
+         slash = path.find('/', slash + 1)) {
+      std::string dir = path.substr(0, slash);
+      if (seen.insert(dir).second) dirs.push_back(std::move(dir));
+    }
+  }
+  std::stable_sort(dirs.begin(), dirs.end(), [](const std::string& a, const std::string& b) {
+    return std::count(a.begin(), a.end(), '/') < std::count(b.begin(), b.end(), '/');
+  });
+  return dirs;
+}
+
 }  // namespace
 
 std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
@@ -39,9 +60,19 @@ std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
   std::vector<std::vector<Op>> per_rank;
   per_rank.reserve(by_rank.size());
   PathTable paths;
+  // A profile keeps no directory creations (a mkdir record replays as an
+  // open and a stat below), so rank 0 first recreates the directories the
+  // profiled files live in and every rank waits for it at one barrier.
+  const std::vector<std::string> dirs = ancestor_directories(profile);
   std::uint64_t stream_id = 0;
   for (const auto& [rank, records] : by_rank) {
     std::vector<Op> ops;
+    if (!dirs.empty()) {
+      if (per_rank.empty()) {
+        for (const std::string& dir : dirs) ops.push_back(Op::mkdir(paths.intern(dir)));
+      }
+      ops.push_back(Op::barrier());
+    }
     Rng rng{config.seed, 0xC4A7ULL + stream_id++};
     for (const auto* record : records) {
       if (record->path.empty()) continue;
@@ -90,7 +121,7 @@ std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
     per_rank.push_back(std::move(ops));
   }
   if (per_rank.empty()) per_rank.emplace_back();
-  return std::make_unique<VectorWorkload>("from-profile", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("from-profile", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

@@ -75,7 +75,7 @@ std::unique_ptr<Workload> ior_like(const IorConfig& config) {
       }
     }
   }
-  return std::make_unique<VectorWorkload>("ior", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("ior", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> mdtest_like(const MdtestConfig& config) {
@@ -112,7 +112,7 @@ std::unique_ptr<Workload> mdtest_like(const MdtestConfig& config) {
       ops.push_back(Op::barrier());
     }
   }
-  return std::make_unique<VectorWorkload>("mdtest", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("mdtest", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> hacc_io_like(const HaccIoConfig& config) {
@@ -145,7 +145,7 @@ std::unique_ptr<Workload> hacc_io_like(const HaccIoConfig& config) {
     ops.push_back(Op::close(path));
     ops.push_back(Op::barrier());
   }
-  return std::make_unique<VectorWorkload>("hacc-io", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("hacc-io", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> btio_like(const BtioConfig& config) {
@@ -193,7 +193,7 @@ std::unique_ptr<Workload> btio_like(const BtioConfig& config) {
     if (r == 0) ops.push_back(Op::fsync(file));
     ops.push_back(Op::close(file));
   }
-  return std::make_unique<VectorWorkload>("btio", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("btio", std::move(paths), std::move(per_rank));
 }
 
 std::unique_ptr<Workload> checkpoint_restart(const CheckpointConfig& config) {
@@ -237,7 +237,7 @@ std::unique_ptr<Workload> checkpoint_restart(const CheckpointConfig& config) {
       ops.push_back(Op::barrier());
     }
   }
-  return std::make_unique<VectorWorkload>("checkpoint", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("checkpoint", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

@@ -1,16 +1,18 @@
-// PIOEval workload: the operation/stream model (§IV.A.1, §IV.B.4).
+// PIOEval workload: the operation model (§IV.A.1, §IV.B.4).
 //
 // Every workload source — benchmark kernels, the synthetic I/O DSL, trace
-// replay, characterization sampling — produces the same thing: one lazy
-// stream of Ops per rank. Lazy streams are what make execution-driven
-// simulation (§IV.C.3) possible: the driver pulls the next op only when the
-// previous one completes, interleaving "workload produce" and "workload
-// consume" exactly as the paper describes.
+// replay, characterization sampling — produces the same thing: one sequence
+// of Ops per rank, built up front. Execution-driven simulation (§IV.C.3)
+// interleaves "workload produce" and "workload consume" by issuing each
+// rank's next op only when its previous one completes; no generator reads
+// simulated state, so building the sequences first changes nothing the
+// driver sees.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -66,54 +68,52 @@ struct Op {
   static Op barrier() { return Op{OpKind::kBarrier, 0, 0, {}, {}}; }
 };
 
-// Streams hand ops out by value and the driver holds one per rank: an op
+// The driver reads ops in place and every table holds them by value: an op
 // must stay a plain record that copies without touching the heap.
 static_assert(std::is_trivially_copyable_v<Op>);
 static_assert(sizeof(Op) <= 32);
 
-/// Lazy per-rank op stream.
-class RankStream {
+/// A cursor over one rank's ops. Kept for perfbench's `drain_ops`, which
+/// drains each rank through `Workload::stream`; the library reads
+/// `Workload::ops(rank)` directly.
+class RankStream final {
  public:
-  virtual ~RankStream() = default;
+  explicit RankStream(std::span<const Op> ops) : ops_(ops) {}
   /// Next op, or nullopt when the rank is done.
-  [[nodiscard]] virtual std::optional<Op> next() = 0;
+  [[nodiscard]] std::optional<Op> next() {
+    if (next_ == ops_.size()) return std::nullopt;
+    return ops_[next_++];
+  }
+
+ private:
+  std::span<const Op> ops_;
+  std::size_t next_ = 0;
 };
 
-/// A workload = a name + a number of ranks + a stream factory. Workloads
-/// must be re-streamable: `stream(r)` can be called repeatedly and always
-/// yields the same sequence (determinism requirement).
-class Workload {
+/// A workload: a name, the files its ops name (by id), and each rank's ops
+/// in issue order.
+class Workload final {
  public:
-  virtual ~Workload() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::int32_t ranks() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<RankStream> stream(std::int32_t rank) const = 0;
-  /// The files the streams' ops name, by id.
-  [[nodiscard]] virtual const PathTable& paths() const = 0;
-  [[nodiscard]] const std::string& path(FileId file) const { return paths().path(file); }
-};
-
-/// Fully materialized workload (the kernels, the DSL expander, trace replay).
-class VectorWorkload final : public Workload {
- public:
-  VectorWorkload(std::string name, PathTable paths, std::vector<std::vector<Op>> per_rank)
+  Workload(std::string name, PathTable paths, std::vector<std::vector<Op>> per_rank)
       : name_(std::move(name)), paths_(std::move(paths)), per_rank_(std::move(per_rank)) {}
 
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] std::int32_t ranks() const override {
-    return static_cast<std::int32_t>(per_rank_.size());
+  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] std::int32_t ranks() const { return static_cast<std::int32_t>(per_rank_.size()); }
+  [[nodiscard]] std::span<const Op> ops(std::int32_t rank) const {
+    return per_rank_.at(static_cast<std::size_t>(rank));
   }
-  [[nodiscard]] std::unique_ptr<RankStream> stream(std::int32_t rank) const override;
-  [[nodiscard]] const PathTable& paths() const override { return paths_; }
+  [[nodiscard]] std::unique_ptr<RankStream> stream(std::int32_t rank) const {
+    return std::make_unique<RankStream>(ops(rank));
+  }
+  /// The files the ops name, by id.
+  [[nodiscard]] const PathTable& paths() const { return paths_; }
+  [[nodiscard]] const std::string& path(FileId file) const { return paths_.path(file); }
 
  private:
   std::string name_;
   PathTable paths_;
   std::vector<std::vector<Op>> per_rank_;
 };
-
-/// Drain all streams into vectors (for inspection and tests).
-[[nodiscard]] std::vector<std::vector<Op>> materialize(const Workload& workload);
 
 /// Total bytes a workload would read/write, and op count (dry run).
 struct WorkloadFootprint {

@@ -73,7 +73,7 @@ std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
       ops.push_back(Op::barrier());  // stage boundary
     }
   }
-  return std::make_unique<VectorWorkload>("workflow", std::move(paths), std::move(per_rank));
+  return std::make_unique<Workload>("workflow", std::move(paths), std::move(per_rank));
 }
 
 }  // namespace pio::workload

@@ -14,7 +14,8 @@
 // the MDS namespace's own entries on mdtest. A further case bounds what an
 // attached trace::ServerStatsCollector adds on the mdtest shape: its window
 // maps, not a per-op record. Building the 64-rank checkpoint workload is
-// bounded too: one allocation per rank, not per op.
+// bounded too: one allocation per rank, not per op; and so is starting a
+// 2,048-rank run: per run, not per rank.
 //
 // The pioevald wire path is bounded the same way, per frame: serving a
 // fully cached campaign (pump plus take_output) and feeding its submit.
@@ -77,6 +78,9 @@ constexpr double kMaxCheckpointAllocationsPerEvent = 0.005;
 constexpr double kMaxSmallCheckpointAllocationsPerEvent = 0.04;
 /// Upper bound on the allocations that build the 64-rank checkpoint.
 constexpr std::uint64_t kMaxCheckpointGenerationAllocations = 76;
+/// Upper bound on the allocations `ExecutionDrivenSimulator::begin` makes
+/// for the 2,048-rank checkpoint: per run, not per rank.
+constexpr std::uint64_t kMaxBeginAllocations = 64;
 /// Upper bound on the allocations per event an attached collector adds.
 constexpr double kMaxObserverAllocationsPerEvent = 0.01;
 
@@ -164,6 +168,34 @@ TEST(AllocPerWorkload, CheckpointGenerationIsPerRank) {
   RecordProperty("allocations", std::to_string(g_allocations));
   EXPECT_LE(g_allocations, kMaxCheckpointGenerationAllocations);
   EXPECT_EQ(workload::footprint(*workload).ops, 833U);
+}
+
+// Starting a run walks each rank's ops in place: `begin` at 2,048 ranks
+// sizes the driver's per-rank and per-file tables and schedules every
+// rank's first step, with no object per rank.
+TEST(AllocPerRun, BeginIsPerRunNotPerRank) {
+  const auto workload = checkpoint_shape(2048);
+  pfs::PfsConfig config;
+  config.clients = 16;
+  config.io_nodes = 4;
+  config.osts = 8;
+  config.disk_kind = pfs::DiskKind::kHdd;
+  sim::Engine engine{1};
+  pfs::PfsModel model{engine, config};
+  driver::ExecutionDrivenSimulator sim{engine, model};
+
+  g_allocations = 0;
+  g_counting = true;
+  sim.begin(*workload);
+  g_counting = false;
+  const std::uint64_t begin_allocations = g_allocations;
+
+  engine.run();
+  const driver::SimRunResult result = sim.collect();
+  engine.assert_drained();
+  EXPECT_EQ(result.ops, workload::footprint(*workload).ops);
+  RecordProperty("allocations", std::to_string(begin_allocations));
+  EXPECT_LE(begin_allocations, kMaxBeginAllocations);
 }
 
 std::unique_ptr<workload::Workload> mdtest_shape() {

@@ -616,7 +616,7 @@ TEST(ClientCacheTierTest, WritebackRetriesThroughOstOutagePreserveC1) {
     ops[static_cast<std::size_t>(r)].push_back(workload::Op::fsync(path));
     ops[static_cast<std::size_t>(r)].push_back(workload::Op::close(path));
   }
-  const workload::VectorWorkload checkpoint{"ckpt", std::move(paths), std::move(ops)};
+  const workload::Workload checkpoint{"ckpt", std::move(paths), std::move(ops)};
 
   sim::Engine engine{3};
   pfs::PfsConfig pfs_config;

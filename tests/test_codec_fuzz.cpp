@@ -1,9 +1,9 @@
 // Mutation fuzzer for the untrusted-input decoders (label `fuzz`):
 // Trace::try_read_binary and every svc payload decoder, each against the
 // decoder it replaced (codec_oracle.hpp); and, against their contracts, the
-// svc frame scanner next_frame, the size-string parser parse_bytes, the
-// workload DSL parser parse_dsl and the H5-lite header parser behind
-// H5File::open_all.
+// JSONL trace reader Trace::try_read_jsonl, the svc frame scanner
+// next_frame, the size-string parser parse_bytes, the workload DSL parser
+// parse_dsl and the H5-lite header parser behind H5File::open_all.
 //
 // Each target starts from a corpus the library itself encodes and applies
 // kMutationsPerTarget (20,000) seeded mutations, or PIO_FUZZ_ITERS when that
@@ -280,6 +280,57 @@ TEST(CodecFuzz, TraceBinaryMatchesOracle) {
   }
   expect_both_sides(tally);
   EXPECT_GT(enum_rejections, 0);
+}
+
+// ------------------------------------------------------------------ JSONL
+
+// Trace::try_read_jsonl returns a trace or an Error and never throws, and
+// every trace it accepts writes back to JSONL and reads back equal. The
+// corpus is the trace corpus written as JSONL plus hand lines: every
+// escape, an ignored key, spacing, an empty line.
+TEST(CodecFuzz, TraceJsonlRoundTripsWhatItAccepts) {
+  std::vector<Seed> corpus;
+  for (const Seed& binary : trace_corpus()) {
+    std::stringstream in(std::string(binary.bytes.begin(), binary.bytes.end()));
+    std::stringstream out;
+    trace::Trace::read_binary(in).write_jsonl(out);
+    const std::string text = out.str();
+    corpus.push_back({Bytes8(text.begin(), text.end()), {}});
+  }
+  for (const std::string_view text : {
+           R"({"layer":"app","op":"sync","rank":-1,"path":"\"\\\/\b\f\n\r\t\u001f\u00ff",)"
+           R"("offset":18446744073709551615,"size":0,"start_ns":-9223372036854775808,)"
+           R"("end_ns":9223372036854775807,"ok":true,"note":"x"})",
+           " { \"ok\" : false , \"end_ns\" : 2 , \"start_ns\" : 1 , \"size\" : 3 ,"
+           " \"offset\" : 4 , \"path\" : \"\" , \"rank\" : 5 , \"op\" : \"stat\" ,"
+           " \"layer\" : \"cache\" } \r\n\n",
+       }) {
+    corpus.push_back({Bytes8(text.begin(), text.end()), {}});
+  }
+  Rng rng{kFuzzSeed, 14};
+  Tally tally;
+  for (int i = 0; i < mutations(); ++i) {
+    const Bytes8 input = mutate(rng, corpus);
+    std::stringstream in(std::string(input.begin(), input.end()));
+    try {
+      const auto result = trace::Trace::try_read_jsonl(in);
+      if (!result.ok()) {
+        ++tally.rejected;
+        continue;
+      }
+      ++tally.accepted;
+      std::stringstream written;
+      result.value().write_jsonl(written);
+      const auto back = trace::Trace::try_read_jsonl(written);
+      ASSERT_TRUE(back.ok()) << "mutation " << i << " wrote back unreadable ("
+                             << back.error().message << ") from " << hex_prefix(input);
+      ASSERT_TRUE(same_events(result.value(), back.value()))
+          << "mutation " << i << " read back differently from " << hex_prefix(input);
+    } catch (const std::exception& e) {
+      FAIL() << "mutation " << i << " threw \"" << e.what() << "\" on " << hex_prefix(input);
+    }
+  }
+  expect_both_sides(tally);
 }
 
 // -------------------------------------------------------------------- svc

@@ -253,38 +253,37 @@ TEST(FaultInjectionTest, MeasuredRunnerSurvivesAndReportsFaults) {
   std::atomic<std::uint64_t> failed{0};
   runtime.run([&](par::Comm& comm) {
     trace::TracingBackend backend{flaky, profiler, clock, comm.rank()};
-    auto stream = w->stream(comm.rank());
     std::map<FileId, vfs::Fd> fds;
     std::vector<std::byte> buf;
-    while (auto op = stream->next()) {
+    for (const workload::Op& op : w->ops(comm.rank())) {
       using K = workload::OpKind;
-      const std::string& path = w->path(op->file);
-      switch (op->kind) {
+      const std::string& path = w->path(op.file);
+      switch (op.kind) {
         case K::kCreate:
         case K::kOpen: {
           auto fd = backend.open(path,
-                                 {vfs::OpenMode::kReadWrite, op->kind == K::kCreate, false});
-          if (fd.ok()) fds[op->file] = fd.value();
+                                 {vfs::OpenMode::kReadWrite, op.kind == K::kCreate, false});
+          if (fd.ok()) fds[op.file] = fd.value();
           else ++failed;
           break;
         }
         case K::kClose:
-          if (auto it = fds.find(op->file); it != fds.end()) {
+          if (auto it = fds.find(op.file); it != fds.end()) {
             backend.close(it->second);
             fds.erase(it);
           }
           break;
         case K::kRead:
         case K::kWrite: {
-          const auto it = fds.find(op->file);
+          const auto it = fds.find(op.file);
           if (it == fds.end()) {
             ++failed;
             break;
           }
-          buf.resize(static_cast<std::size_t>(op->size.count()));
-          const bool ok = op->kind == K::kWrite
-                              ? backend.pwrite(it->second, buf, op->offset).ok()
-                              : backend.pread(it->second, buf, op->offset).ok();
+          buf.resize(static_cast<std::size_t>(op.size.count()));
+          const bool ok = op.kind == K::kWrite
+                              ? backend.pwrite(it->second, buf, op.offset).ok()
+                              : backend.pread(it->second, buf, op.offset).ok();
           if (!ok) ++failed;
           break;
         }

@@ -7,9 +7,11 @@
 #include "replay/extrapolate.hpp"
 #include "replay/fidelity.hpp"
 #include "replay/trace_workload.hpp"
+#include "trace/profiler.hpp"
 #include "trace/tracer.hpp"
 #include "workload/dlio.hpp"
 #include "workload/dsl.hpp"
+#include "workload/from_profile.hpp"
 #include "workload/kernels.hpp"
 
 namespace pio::replay {
@@ -94,13 +96,40 @@ TEST(TraceWorkloadTest, FirstOpenBecomesCreate) {
   event(trace::OpKind::kOpen, 0, "/f", 0);
   event(trace::OpKind::kOpen, 1, "/f", 10);
   const auto w = workload_from_trace(trace);
-  const auto ops = workload::materialize(*w);
-  ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0][0].kind, OpKind::kCreate);
-  EXPECT_EQ(ops[1][0].kind, OpKind::kOpen);
+  ASSERT_EQ(w->ranks(), 2);
+  EXPECT_EQ(w->ops(0)[0].kind, OpKind::kCreate);
+  EXPECT_EQ(w->ops(1)[0].kind, OpKind::kOpen);
 }
 
 class CompressionTest : public ::testing::TestWithParam<int> {};
+
+TEST(ProfileWorkloadTest, ReplayUnderDirectoriesFailsNoOp) {
+  // A profile records files but not the mkdirs before them: the synthesized
+  // workload must recreate /job and /job/out before creating files there.
+  const auto app = workload::parse_dsl(R"(
+    name "nested"
+    ranks 4
+    mkdir "/job"
+    barrier
+    mkdir "/job/out.{rank}"
+    create "/job/out.{rank}/data"
+    loop t 4 {
+      write "/job/out.{rank}/data" at t * 256KiB size 256KiB
+    }
+    read "/job/out.{rank}/data" at 0 size 256KiB
+    close "/job/out.{rank}/data"
+  )");
+  trace::Profiler profiler;
+  const auto original = simulate(*app, &profiler);
+  ASSERT_EQ(original.failed_ops, 0u);
+
+  const auto synthesized =
+      workload::workload_from_profile(profiler.snapshot(), workload::FromProfileConfig{});
+  const auto result = simulate(*synthesized, nullptr, 2);
+  EXPECT_GT(result.data_ops, 0u);
+  EXPECT_EQ(result.failed_ops, 0u);
+  EXPECT_GT(result.bytes_written.count(), 0u);
+}
 
 TEST_P(CompressionTest, LosslessRoundTripOnKernels) {
   std::unique_ptr<workload::Workload> w;
@@ -139,14 +168,14 @@ TEST_P(CompressionTest, LosslessRoundTripOnKernels) {
   }
   const auto compressed = CompressedWorkload::compress(*w);
   const auto restored = compressed.decompress();
-  const auto original_ops = workload::materialize(*w);
-  const auto restored_ops = workload::materialize(*restored);
-  ASSERT_EQ(original_ops.size(), restored_ops.size());
-  for (std::size_t r = 0; r < original_ops.size(); ++r) {
-    ASSERT_EQ(original_ops[r].size(), restored_ops[r].size()) << "rank " << r;
-    for (std::size_t i = 0; i < original_ops[r].size(); ++i) {
-      const Op& a = original_ops[r][i];
-      const Op& b = restored_ops[r][i];
+  ASSERT_EQ(w->ranks(), restored->ranks());
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
+    const auto original_ops = w->ops(r);
+    const auto restored_ops = restored->ops(r);
+    ASSERT_EQ(original_ops.size(), restored_ops.size()) << "rank " << r;
+    for (std::size_t i = 0; i < original_ops.size(); ++i) {
+      const Op& a = original_ops[i];
+      const Op& b = restored_ops[i];
       ASSERT_EQ(a.kind, b.kind) << r << ":" << i;
       ASSERT_EQ(w->path(a.file), restored->path(b.file)) << r << ":" << i;
       ASSERT_EQ(a.offset, b.offset) << r << ":" << i;
@@ -201,10 +230,10 @@ TEST(ExtrapolationTest, AffineWorkloadExtrapolates) {
   ASSERT_TRUE(model.has_value()) << error.reason;
   const auto projected = model->generate(16);
   EXPECT_EQ(projected->ranks(), 16);
-  const auto ops = workload::materialize(*projected);
-  EXPECT_EQ(projected->path(ops[15][0].file), "/out/f.15");
-  EXPECT_EQ(ops[15][0].kind, OpKind::kCreate);
-  EXPECT_EQ(ops[15][3].offset, (2_MiB).count());
+  const auto ops = projected->ops(15);
+  EXPECT_EQ(projected->path(ops[0].file), "/out/f.15");
+  EXPECT_EQ(ops[0].kind, OpKind::kCreate);
+  EXPECT_EQ(ops[3].offset, (2_MiB).count());
   // Volume scales linearly with rank count.
   const auto fp = workload::footprint(*projected);
   EXPECT_EQ(fp.bytes_written, 16 * 8_MiB);
@@ -220,8 +249,8 @@ TEST(ExtrapolationTest, SharedOffsetsExtrapolateAffinely) {
   )");
   const auto model = ExtrapolationModel::fit(*captured);
   ASSERT_TRUE(model.has_value());
-  const auto ops = workload::materialize(*model->generate(8));
-  EXPECT_EQ(ops[7][1].offset, (28_MiB).count());
+  const auto projected = model->generate(8);
+  EXPECT_EQ(projected->ops(7)[1].offset, (28_MiB).count());
 }
 
 TEST(ExtrapolationTest, NonAffinePatternIsDiagnosed) {
@@ -243,7 +272,7 @@ TEST(ExtrapolationTest, AsymmetricStructureIsDiagnosed) {
   ops[0].push_back(Op::barrier());
   ops[1].push_back(Op::barrier());
   ops[1].push_back(Op::stat(paths.intern("/extra")));
-  const workload::VectorWorkload w{"asym", std::move(paths), std::move(ops)};
+  const workload::Workload w{"asym", std::move(paths), std::move(ops)};
   ExtrapolationError error;
   EXPECT_FALSE(ExtrapolationModel::fit(w, &error).has_value());
   EXPECT_NE(error.reason.find("op count"), std::string::npos);

@@ -417,6 +417,93 @@ TEST(ServiceProtocol, SemanticallyInvalidSpecIsLimitExceeded) {
   evald.audit_quiescent();
 }
 
+// Each field in range, the product not: every one of these would build
+// billions of ops (or interned files) inside a pool task. Checked through
+// validate only; nothing is built.
+TEST(ServiceLimits, SpecsThatExpandPastTheOpLimitAreRefused) {
+  svc::CampaignSpec spec = make_spec(1);
+  svc::WorkloadSpec& w = spec.workloads[0];
+  ASSERT_EQ(svc::validate(spec), nullptr);
+
+  w.ranks = 4096;  // IOR: 2^20 one-KiB transfers per rank, about 4.3e9 ops
+  w.block_kib = 1u << 20;
+  w.transfer_kib = 1;
+  EXPECT_STREQ(svc::validate(spec), "workload expands past the op limit");
+
+  w = svc::WorkloadSpec{};  // DLIO: every rank opens and closes 2^20 shards
+  w.kind = svc::WorkloadKind::kDlio;
+  w.ranks = 4096;
+  w.samples = 1u << 20;
+  w.samples_per_file = 1;
+  EXPECT_STREQ(svc::validate(spec), "workload expands past the op limit");
+
+  w = svc::WorkloadSpec{};  // workflow: about 1.1e9 files
+  w.kind = svc::WorkloadKind::kWorkflow;
+  w.ranks = 4096;
+  w.stages = 64;
+  w.tasks_per_stage = 4096;
+  w.files_per_task = 4096;
+  EXPECT_STREQ(svc::validate(spec), "workload expands past the op limit");
+}
+
+// max_ops is an upper bound on what make_workload builds: checked over a
+// sweep of small specs of each kind, on their edges (one rank, more ranks
+// than samples or tasks, one-sample shards, a batch past a rank's share).
+TEST(ServiceLimits, MaxOpsBoundsEveryBuiltWorkload) {
+  std::vector<svc::WorkloadSpec> specs;
+  for (const std::uint32_t ranks : {1u, 2u, 3u, 7u}) {
+    for (const std::uint64_t block : {1u, 4u, 12u}) {
+      for (const std::uint64_t transfer : {1u, 4u}) {
+        if (block % transfer != 0) continue;
+        for (const bool read : {false, true}) {
+          svc::WorkloadSpec w;
+          w.ranks = ranks;
+          w.block_kib = block;
+          w.transfer_kib = transfer;
+          w.read_phase = read;
+          specs.push_back(w);
+        }
+      }
+    }
+    for (const std::uint64_t samples : {1u, 5u, 20u, 33u}) {
+      for (const std::uint64_t per_file : {1u, 4u, 64u}) {
+        for (const std::uint64_t batch : {1u, 3u, 16u}) {
+          if (batch > samples) continue;
+          svc::WorkloadSpec w;
+          w.kind = svc::WorkloadKind::kDlio;
+          w.ranks = ranks;
+          w.samples = samples;
+          w.samples_per_file = per_file;
+          w.batch = batch;
+          specs.push_back(w);
+        }
+      }
+    }
+    for (const std::uint32_t stages : {1u, 3u}) {
+      for (const std::uint32_t tasks : {1u, 2u, 5u}) {
+        for (const std::uint32_t files : {1u, 2u}) {
+          svc::WorkloadSpec w;
+          w.kind = svc::WorkloadKind::kWorkflow;
+          w.ranks = ranks;
+          w.stages = stages;
+          w.tasks_per_stage = tasks;
+          w.files_per_task = files;
+          specs.push_back(w);
+        }
+      }
+    }
+  }
+  svc::CampaignSpec spec = make_spec(1);
+  for (const svc::WorkloadSpec& w : specs) {
+    spec.workloads[0] = w;
+    ASSERT_EQ(svc::validate(spec), nullptr);
+    const std::uint64_t built = workload::footprint(*svc::make_workload(w)).ops;
+    EXPECT_LE(built, svc::max_ops(w))
+        << "kind " << static_cast<int>(w.kind) << ", ranks " << w.ranks;
+    EXPECT_LE(built, svc::kMaxOpsPerWorkload);
+  }
+}
+
 TEST(ServiceProtocol, FinishInsideFrameReportsTruncation) {
   svc::Evald evald{{.threads = 1}};
   const svc::SessionId sid = evald.open_session();

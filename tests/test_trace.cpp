@@ -146,6 +146,65 @@ TEST(TraceSerializationTest, BinaryRoundTripsPathsPast64KiB) {
   expect_traces_equal(t, Trace::read_binary(buffer));
 }
 
+// A .jsonl trace is untrusted input: each bad field is an Error naming it,
+// never a value wrapped, truncated or parsed from a prefix.
+TEST(TraceSerializationTest, JsonlReaderRejectsEachBadField) {
+  const std::string good =
+      R"({"layer":"posix","op":"write","rank":3,"path":"/a\u0001\"b","offset":5,)"
+      R"("size":4096,"start_ns":-10,"end_ns":20,"ok":false,"extra":1.5})";
+  {
+    std::stringstream in(good + "\n\n" + good);
+    const auto result = Trace::try_read_jsonl(in);
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    ASSERT_EQ(result.value().size(), 2u);
+    const TraceEvent& e = result.value().events()[0];
+    EXPECT_EQ(e.rank, 3);
+    EXPECT_EQ(e.path, "/a\x01\"b");
+    EXPECT_EQ(e.start, SimTime::from_ns(-10));
+    EXPECT_FALSE(e.ok);
+  }
+  const auto with = [&](std::string_view from, std::string_view to) {
+    std::string line = good;
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  const std::pair<std::string, std::string_view> bad[] = {
+      {with(R"("rank":3)", R"("rank":4294967297)"), "bad rank"},
+      {with(R"("rank":3)", R"("rank":2147483648)"), "bad rank"},
+      {with(R"("rank":3)", R"("rank":"3")"), "bad rank"},
+      {with(R"("offset":5)", R"("offset":-5)"), "bad offset"},
+      {with(R"("offset":5)", R"("offset":+5)"), "bad offset"},
+      {with(R"("size":4096)", R"("size":"4096xyz")"), "bad size"},
+      {with(R"("size":4096)", R"("size":4096xyz)"), "bad size"},
+      {with(R"("size":4096)", R"("size":18446744073709551616)"), "bad size"},
+      {with(R"("start_ns":-10)", R"("start_ns":9223372036854775808)"), "bad start_ns"},
+      {with(R"("end_ns":20)", R"("end_ns":2.5)"), "bad end_ns"},
+      {with(R"("ok":false)", R"("ok":1)"), "bad ok"},
+      {with(R"("layer":"posix")", R"("layer":"nfs")"), "bad layer"},
+      {with(R"("op":"write")", R"("op":write)"), "bad op"},
+      {with(R"("path":"/a\u0001\"b")", R"("path":7)"), "bad path"},
+      {with(R"(\u0001)", R"(\u01)"), "bad \\u escape"},
+      {with(R"(\u0001)", R"(\u0100)"), "\\u escape past one byte"},
+      {with(R"(\u0001)", R"(\q)"), "unknown escape"},
+      {with(R"("rank":3,)", ""), "missing field"},
+      {with(R"("rank":3)", R"("rank":3,"rank":3)"), "duplicate key"},
+      {with(R"("ok":false)", R"("ok":)"), "missing value"},
+      {good + "x", "bytes after the object"},
+      {good.substr(0, good.size() - 1), "expected ',' or '}'"},
+      {good.substr(0, 40), "unterminated string"},
+      {"[]", "expected '{'"},
+  };
+  for (const auto& [line, why] : bad) {
+    std::stringstream in(good + "\n" + line + "\n");
+    const auto result = Trace::try_read_jsonl(in);
+    ASSERT_FALSE(result.ok()) << line;
+    EXPECT_EQ(result.error().message, "Trace::read_jsonl: line 2: " + std::string(why)) << line;
+    std::stringstream again(line);
+    EXPECT_THROW((void)Trace::read_jsonl(again), std::runtime_error) << line;
+  }
+}
+
 TEST(TraceSerializationTest, BadMagicThrows) {
   std::stringstream buffer;
   buffer << "NOTATRACE";

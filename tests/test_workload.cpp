@@ -39,10 +39,10 @@ TEST(IorTest, SharedFileWritesAreDisjointPerRank) {
   config.block_size = 4_MiB;
   config.transfer_size = 1_MiB;
   config.file_per_process = false;
-  const auto ops = materialize(*ior_like(config));
+  const auto w = ior_like(config);
   std::set<std::uint64_t> offsets;
-  for (const auto& rank_ops : ops) {
-    for (const auto& op : rank_ops) {
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
+    for (const auto& op : w->ops(r)) {
       if (op.kind == OpKind::kWrite) {
         EXPECT_TRUE(offsets.insert(op.offset).second) << "overlapping write at " << op.offset;
       }
@@ -55,11 +55,11 @@ TEST(IorTest, BarrierCountsAreSymmetric) {
   IorConfig config;
   config.ranks = 3;
   config.read_phase = true;
-  const auto ops = materialize(*ior_like(config));
+  const auto w = ior_like(config);
   std::vector<std::size_t> barriers;
-  for (const auto& rank_ops : ops) {
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
     std::size_t count = 0;
-    for (const auto& op : rank_ops) {
+    for (const auto& op : w->ops(r)) {
       if (op.kind == OpKind::kBarrier) ++count;
     }
     barriers.push_back(count);
@@ -105,11 +105,11 @@ TEST(BtioTest, WritesTileTheCubeExactly) {
   config.grid_points = 8;
   config.cell_bytes = Bytes{40};
   config.time_steps = 1;
-  const auto ops = materialize(*btio_like(config));
+  const auto w = btio_like(config);
   std::map<std::uint64_t, std::uint64_t> extents;  // offset -> len
   std::uint64_t total = 0;
-  for (const auto& rank_ops : ops) {
-    for (const auto& op : rank_ops) {
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
+    for (const auto& op : w->ops(r)) {
       if (op.kind != OpKind::kWrite) continue;
       EXPECT_TRUE(extents.emplace(op.offset, op.size.count()).second);
       total += op.size.count();
@@ -141,18 +141,17 @@ TEST(DlioTest, EveryEpochVisitsEverySampleExactlyOnce) {
   // Collect reads per epoch across ranks; epochs are separated by barriers.
   std::vector<std::multiset<std::pair<std::string, std::uint64_t>>> epochs(3);
   for (std::int32_t r = 0; r < config.ranks; ++r) {
-    auto stream = w->stream(r);
     std::size_t epoch = 0;
     bool read_in_epoch = false;
-    while (auto op = stream->next()) {
-      if (op->kind == OpKind::kRead) {
+    for (const Op& op : w->ops(r)) {
+      if (op.kind == OpKind::kRead) {
         ASSERT_LT(epoch, epochs.size());
-        epochs[epoch].emplace(w->path(op->file), op->offset);
+        epochs[epoch].emplace(w->path(op.file), op.offset);
         read_in_epoch = true;
       }
       // The prep barrier precedes any reads; every later barrier ends an
       // epoch for this rank.
-      if (op->kind == OpKind::kBarrier && read_in_epoch) {
+      if (op.kind == OpKind::kBarrier && read_in_epoch) {
         ++epoch;
         read_in_epoch = false;
       }
@@ -176,9 +175,9 @@ TEST(DlioTest, ShuffleChangesOrderButNotSet) {
   auto collect = [&](bool shuffle) {
     config.shuffle = shuffle;
     std::vector<std::uint64_t> offsets;
-    auto stream = dlio_like(config)->stream(0);
-    while (auto op = stream->next()) {
-      if (op->kind == OpKind::kRead) offsets.push_back(op->offset);
+    const auto w = dlio_like(config);
+    for (const Op& op : w->ops(0)) {
+      if (op.kind == OpKind::kRead) offsets.push_back(op.offset);
     }
     return offsets;
   };
@@ -191,20 +190,23 @@ TEST(DlioTest, ShuffleChangesOrderButNotSet) {
   EXPECT_TRUE(std::is_sorted(sequential.begin(), sequential.end()));
 }
 
+// Two builds of one config give the same ops: the shuffle depends only on
+// (seed, epoch).
 TEST(DlioTest, StreamsAreReplayable) {
   DlioConfig config;
   config.ranks = 2;
   config.samples = 128;
-  const auto w = dlio_like(config);
-  const auto a = materialize(*w);
-  const auto b = materialize(*w);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].size(), b[r].size());
-    for (std::size_t i = 0; i < a[r].size(); ++i) {
-      EXPECT_EQ(a[r][i].kind, b[r][i].kind);
-      EXPECT_EQ(a[r][i].offset, b[r][i].offset);
-      EXPECT_EQ(a[r][i].file, b[r][i].file);
+  const auto wa = dlio_like(config);
+  const auto wb = dlio_like(config);
+  ASSERT_EQ(wa->ranks(), wb->ranks());
+  for (std::int32_t r = 0; r < wa->ranks(); ++r) {
+    const auto a = wa->ops(r);
+    const auto b = wb->ops(r);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].kind, b[i].kind);
+      EXPECT_EQ(a[i].offset, b[i].offset);
+      EXPECT_EQ(a[i].file, b[i].file);
     }
   }
 }
@@ -217,17 +219,16 @@ TEST(DlioTest, ReadsAreSmallAndRandom) {
   config.sample_size = 128_KiB;
   config.include_preparation = false;
   const auto w = dlio_like(config);
-  auto stream = w->stream(0);
   std::size_t reads = 0;
   std::size_t non_consecutive = 0;
   std::map<FileId, std::uint64_t> cursor;
-  while (auto op = stream->next()) {
-    if (op->kind != OpKind::kRead) continue;
+  for (const Op& op : w->ops(0)) {
+    if (op.kind != OpKind::kRead) continue;
     ++reads;
-    EXPECT_EQ(op->size, 128_KiB);
-    const auto it = cursor.find(op->file);
-    if (it != cursor.end() && op->offset != it->second) ++non_consecutive;
-    cursor[op->file] = op->offset + op->size.count();
+    EXPECT_EQ(op.size, 128_KiB);
+    const auto it = cursor.find(op.file);
+    if (it != cursor.end() && op.offset != it->second) ++non_consecutive;
+    cursor[op.file] = op.offset + op.size.count();
   }
   EXPECT_EQ(reads, 512u);
   // Shuffled access: the vast majority of reads are non-consecutive.
@@ -305,10 +306,8 @@ TEST(DslTest, ExpandsPerRankPrograms) {
     close "/out/f.{rank}"
   )");
   EXPECT_EQ(w->name(), "demo");
-  EXPECT_EQ(w->ranks(), 3);
-  const auto ops = materialize(*w);
-  ASSERT_EQ(ops.size(), 3u);
-  const auto& r1 = ops[1];
+  ASSERT_EQ(w->ranks(), 3);
+  const auto r1 = w->ops(1);
   ASSERT_EQ(r1.size(), 8u);
   EXPECT_EQ(r1[0].kind, OpKind::kMkdir);
   EXPECT_EQ(r1[2].kind, OpKind::kCreate);
@@ -326,9 +325,8 @@ TEST(DslTest, ExpressionsAndUnits) {
     ranks 4
     write "/f" at (rank * 2 + 1) * 1KiB size 2KiB + 512
   )");
-  const auto ops = materialize(*w);
-  EXPECT_EQ(ops[3][0].offset, 7u * 1024u);
-  EXPECT_EQ(ops[3][0].size, Bytes{2 * 1024 + 512});
+  EXPECT_EQ(w->ops(3)[0].offset, 7u * 1024u);
+  EXPECT_EQ(w->ops(3)[0].size, Bytes{2 * 1024 + 512});
 }
 
 TEST(DslTest, ErrorsCarryLineNumbers) {
@@ -367,13 +365,14 @@ TEST(DslTest, OverflowAndRunawayExpansionThrowDslError) {
   }
   // The edges still parse: int64 max, int64 min as an intermediate, and a
   // program that spends exactly the 2^20-step expansion budget.
-  const auto ops = materialize(*parse_dsl(
+  const auto edges = parse_dsl(
       "ranks 1\ncompute 9223372036854775807\n"
       "compute (0 - 9223372036854775807 - 1) / (0 - 9223372036854775807 - 1)\n"
-      "loop i 1048573 { }"));
-  ASSERT_EQ(ops[0].size(), 2u);
-  EXPECT_EQ(ops[0][0].think_time, SimTime::max());
-  EXPECT_EQ(ops[0][1].think_time, SimTime::from_ns(1));
+      "loop i 1048573 { }");
+  const auto ops = edges->ops(0);
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0].think_time, SimTime::max());
+  EXPECT_EQ(ops[1].think_time, SimTime::from_ns(1));
 }
 
 // Parsing, evaluation, expansion and teardown recurse once per nesting
@@ -397,9 +396,9 @@ TEST(DslTest, NestingPastTheDepthBoundThrowsDslError) {
   EXPECT_THROW((void)parse_dsl(sum(1025)), DslError);
   EXPECT_THROW((void)parse_dsl(parens(1025)), DslError);
   EXPECT_THROW((void)parse_dsl(loops(1025)), DslError);
-  EXPECT_EQ(materialize(*parse_dsl(sum(1024)))[0][0].think_time, SimTime::from_ns(1024));
-  EXPECT_EQ(materialize(*parse_dsl(parens(1024)))[0][0].think_time, SimTime::from_ns(1));
-  EXPECT_EQ(materialize(*parse_dsl(loops(1024)))[0].size(), 1u);
+  EXPECT_EQ(parse_dsl(sum(1024))->ops(0)[0].think_time, SimTime::from_ns(1024));
+  EXPECT_EQ(parse_dsl(parens(1024))->ops(0)[0].think_time, SimTime::from_ns(1));
+  EXPECT_EQ(parse_dsl(loops(1024))->ops(0).size(), 1u);
 }
 
 TEST(FromProfileTest, RegeneratedWorkloadMatchesOpCountsAndSizes) {
@@ -421,8 +420,8 @@ TEST(FromProfileTest, RegeneratedWorkloadMatchesOpCountsAndSizes) {
   const auto fp = footprint(*w);
   // Same op count; byte volume within the log2 bucket (1-2 MiB per op).
   std::uint64_t writes = 0;
-  for (const auto& rank_ops : materialize(*w)) {
-    for (const auto& op : rank_ops) {
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
+    for (const auto& op : w->ops(r)) {
       if (op.kind == OpKind::kWrite) {
         ++writes;
         EXPECT_GE(op.size.count(), 1u << 20);
@@ -454,8 +453,8 @@ TEST(FromProfileTest, SequentialityIsApproximatelyPreserved) {
   std::uint64_t cursor = 0;
   std::uint64_t sequential = 0;
   std::uint64_t total = 0;
-  for (const auto& rank_ops : materialize(*w)) {
-    for (const auto& op : rank_ops) {
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
+    for (const auto& op : w->ops(r)) {
       if (op.kind != OpKind::kWrite) continue;
       ++total;
       if (op.offset >= cursor) ++sequential;
@@ -473,6 +472,26 @@ TEST(OpTest, FactoryHelpers) {
   EXPECT_EQ(Op::barrier().kind, OpKind::kBarrier);
   EXPECT_EQ(Op::compute(5_ms).think_time, 5_ms);
   EXPECT_STREQ(to_string(OpKind::kUnlink), "unlink");
+}
+
+// A rank's stream hands out exactly its ops, in order, then nothing.
+TEST(OpTest, StreamDrainsTheRankOps) {
+  PathTable paths;
+  const FileId f = paths.intern("/f");
+  const Workload w{"two", std::move(paths),
+                   {{Op::create(f), Op::write(f, 0, Bytes{8}), Op::close(f)}, {}}};
+  for (std::int32_t r = 0; r < w.ranks(); ++r) {
+    const auto stream = w.stream(r);
+    std::size_t i = 0;
+    while (const auto op = stream->next()) {
+      ASSERT_LT(i, w.ops(r).size());
+      EXPECT_EQ(op->kind, w.ops(r)[i].kind);
+      EXPECT_EQ(op->size, w.ops(r)[i].size);
+      ++i;
+    }
+    EXPECT_EQ(i, w.ops(r).size());
+    EXPECT_FALSE(stream->next().has_value());
+  }
 }
 
 }  // namespace

@@ -46,13 +46,12 @@ std::uint64_t stream_digest(const workload::Workload& w) {
   for (std::int32_t r = 0; r < w.ranks(); ++r) {
     h.mix(static_cast<std::uint64_t>(r));
     std::uint64_t ops = 0;
-    const auto stream = w.stream(r);
-    while (const auto op = stream->next()) {
-      h.mix(static_cast<std::uint64_t>(op->kind));
-      h.mix(resolved_path(w, *op));
-      h.mix(op->offset);
-      h.mix(op->size.count());
-      h.mix(static_cast<std::uint64_t>(op->think_time.ns()));
+    for (const workload::Op& op : w.ops(r)) {
+      h.mix(static_cast<std::uint64_t>(op.kind));
+      h.mix(resolved_path(w, op));
+      h.mix(op.offset);
+      h.mix(op.size.count());
+      h.mix(static_cast<std::uint64_t>(op.think_time.ns()));
       ++ops;
     }
     h.mix(ops);
@@ -180,6 +179,37 @@ TEST(WorkloadPin, Dlio) {
   expect_pin("dlio_sequential", *workload::dlio_like(c), 0xc8dbb9276b569742ULL);
 }
 
+TEST(WorkloadPin, DlioEdges) {
+  workload::DlioConfig base;
+  base.ranks = 3;
+  base.samples = 40;
+  base.samples_per_file = 8;
+  base.batch_size = 4;
+  base.epochs = 2;
+  base.seed = 9;
+
+  workload::DlioConfig c = base;  // no training: no epoch barrier
+  c.epochs = 0;
+  expect_pin("dlio_no_epochs", *workload::dlio_like(c), 0x53bdd91907640539ULL);
+  c = base;  // more ranks than samples: some ranks read nothing
+  c.ranks = 7;
+  c.samples = 5;
+  c.samples_per_file = 2;
+  expect_pin("dlio_idle_ranks", *workload::dlio_like(c), 0xd84ad7bca6f4dbbeULL);
+  c = base;  // one batch larger than a rank's share: no compute at all
+  c.ranks = 2;
+  c.samples = 20;
+  c.batch_size = 16;
+  expect_pin("dlio_big_batch", *workload::dlio_like(c), 0x3aa3d11f5e69dd98ULL);
+  c = base;  // a single shard holds the whole dataset
+  c.samples_per_file = 64;
+  expect_pin("dlio_one_shard", *workload::dlio_like(c), 0x7df9062c5d8ee499ULL);
+  c = base;  // each share is whole batches: no compute after the last one
+  c.ranks = 2;
+  c.samples = 32;
+  expect_pin("dlio_whole_batches", *workload::dlio_like(c), 0x32e4dd7536a78d42ULL);
+}
+
 TEST(WorkloadPin, WorkflowDag) {
   workload::WorkflowConfig c;
   c.workers = 3;
@@ -219,7 +249,7 @@ TEST(WorkloadPin, FromProfile) {
   workload::FromProfileConfig c;
   c.seed = 5;
   expect_pin("from_profile", *workload::workload_from_profile(profiler.snapshot(), c),
-             0x8e13fb3774393787ULL);
+             0x8404248c9c27458eULL);
 }
 
 TEST(WorkloadPin, WorkloadFromTrace) {
