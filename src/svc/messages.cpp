@@ -342,7 +342,8 @@ template <class M>
   if (s.block_kib % s.transfer_kib != 0) return "block not a multiple of transfer";
   if (s.samples == 0 || s.samples > kMaxSamples) return "samples out of range";
   if (s.sample_kib == 0 || s.sample_kib > kMaxKib) return "sample_kib out of range";
-  if (s.samples_per_file == 0) return "samples_per_file zero";
+  if (s.samples_per_file == 0 || s.samples_per_file > kMaxSamples)
+    return "samples_per_file out of range";
   if (s.batch == 0 || s.batch > s.samples) return "batch out of range";
   if (s.stages == 0 || s.stages > kMaxStages) return "stages out of range";
   if (s.tasks_per_stage == 0 || s.tasks_per_stage > kMaxTasks) return "tasks_per_stage out of range";
@@ -429,84 +430,60 @@ eval::CampaignConfig to_campaign_config(const CampaignSpec& spec) {
   return config;
 }
 
+namespace {
+
+// The generator configs a spec stands for; make_workload builds from them
+// and max_ops counts them, so both read a spec the same way.
+
+workload::DlioConfig dlio_config(const WorkloadSpec& spec) {
+  workload::DlioConfig c;
+  c.ranks = static_cast<std::int32_t>(spec.ranks);
+  c.samples = spec.samples;
+  c.sample_size = Bytes::from_kib(spec.sample_kib);
+  c.samples_per_file = spec.samples_per_file;
+  c.batch_size = spec.batch;
+  c.shuffle = spec.shuffle;
+  c.seed = spec.workload_seed;
+  c.compute_per_batch = SimTime::zero();
+  return c;
+}
+
+workload::WorkflowConfig workflow_config(const WorkloadSpec& spec) {
+  workload::WorkflowConfig c;
+  c.workers = static_cast<std::int32_t>(spec.ranks);
+  c.stages = static_cast<std::int32_t>(spec.stages);
+  c.tasks_per_stage = static_cast<std::int32_t>(spec.tasks_per_stage);
+  c.files_per_task = static_cast<std::int32_t>(spec.files_per_task);
+  c.compute_per_task = SimTime::zero();
+  return c;
+}
+
+workload::IorConfig ior_config(const WorkloadSpec& spec) {
+  workload::IorConfig c;
+  c.ranks = static_cast<std::int32_t>(spec.ranks);
+  c.block_size = Bytes::from_kib(spec.block_kib);
+  c.transfer_size = Bytes::from_kib(spec.transfer_kib);
+  c.read_phase = spec.read_phase;
+  return c;
+}
+
+}  // namespace
+
 std::unique_ptr<workload::Workload> make_workload(const WorkloadSpec& spec) {
   switch (spec.kind) {
-    case WorkloadKind::kDlio: {
-      workload::DlioConfig c;
-      c.ranks = static_cast<std::int32_t>(spec.ranks);
-      c.samples = spec.samples;
-      c.sample_size = Bytes::from_kib(spec.sample_kib);
-      c.samples_per_file = spec.samples_per_file;
-      c.batch_size = spec.batch;
-      c.shuffle = spec.shuffle;
-      c.seed = spec.workload_seed;
-      c.compute_per_batch = SimTime::zero();
-      return workload::dlio_like(c);
-    }
-    case WorkloadKind::kWorkflow: {
-      workload::WorkflowConfig c;
-      c.workers = static_cast<std::int32_t>(spec.ranks);
-      c.stages = static_cast<std::int32_t>(spec.stages);
-      c.tasks_per_stage = static_cast<std::int32_t>(spec.tasks_per_stage);
-      c.files_per_task = static_cast<std::int32_t>(spec.files_per_task);
-      c.compute_per_task = SimTime::zero();
-      return workload::workflow_dag(c);
-    }
+    case WorkloadKind::kDlio: return workload::dlio_like(dlio_config(spec));
+    case WorkloadKind::kWorkflow: return workload::workflow_dag(workflow_config(spec));
     case WorkloadKind::kIor:
-    default: {
-      workload::IorConfig c;
-      c.ranks = static_cast<std::int32_t>(spec.ranks);
-      c.block_size = Bytes::from_kib(spec.block_kib);
-      c.transfer_size = Bytes::from_kib(spec.transfer_kib);
-      c.read_phase = spec.read_phase;
-      return workload::ior_like(c);
-    }
+    default: return workload::ior_like(ior_config(spec));
   }
 }
 
 std::uint64_t max_ops(const WorkloadSpec& spec) {
-  // Every count is at most 2^20 and ranks at most 2^12, so no product here
-  // comes near 2^64. Settings make_workload leaves alone are read from the
-  // generators' own defaults.
-  const std::uint64_t ranks = spec.ranks;
   switch (spec.kind) {
-    case WorkloadKind::kDlio: {
-      // Rank 0 prepares the dataset (mkdir, then create, write, close per
-      // shard). Every rank opens all shards after a barrier, reads its
-      // share with at most one compute before each read, ends each epoch
-      // at a barrier and closes all shards.
-      const workload::DlioConfig defaults;
-      const std::uint64_t shards =
-          spec.samples / spec.samples_per_file + (spec.samples % spec.samples_per_file != 0);
-      const std::uint64_t share = (spec.samples + ranks - 1) / ranks;
-      const auto epochs = static_cast<std::uint64_t>(std::max(defaults.epochs, 0));
-      return 1 + 3 * shards + ranks * (1 + 2 * shards + epochs * (2 * share + 1));
-    }
-    case WorkloadKind::kWorkflow: {
-      // Worker 0 makes the top and every stage directory; each worker waits
-      // at one barrier first and two per stage. A task reads each input
-      // (polls, open, its transactions, close), computes, writes each output
-      // (create, its transactions, close) and lists the stage directory.
-      const workload::WorkflowConfig defaults;
-      const std::uint64_t transactions = defaults.file_size / defaults.transaction_size;
-      const std::uint64_t per_file =
-          static_cast<std::uint64_t>(defaults.stat_polls_per_input) + 4 + 2 * transactions;
-      const std::uint64_t per_task = 2 + std::uint64_t{spec.files_per_task} * per_file;
-      return 1 + ranks +
-             std::uint64_t{spec.stages} *
-                 (1 + 2 * ranks + std::uint64_t{spec.tasks_per_stage} * per_task);
-    }
+    case WorkloadKind::kDlio: return workload::dlio_op_count(dlio_config(spec));
+    case WorkloadKind::kWorkflow: return workload::workflow_op_count(workflow_config(spec));
     case WorkloadKind::kIor:
-    default: {
-      // ior_like's own per-rank count: mkdir and a barrier, then per
-      // iteration a write phase, the optional read phase and a compute.
-      const workload::IorConfig defaults;
-      const std::uint64_t transfers = spec.block_kib / spec.transfer_kib;
-      const std::uint64_t per_iteration = (defaults.write_phase ? transfers + 5 : 0) +
-                                          (spec.read_phase ? transfers + 3 : 0) + 1;
-      return ranks * (2 + per_iteration * static_cast<std::uint64_t>(
-                                              std::max(defaults.iterations, 0)));
-    }
+    default: return workload::ior_op_count(ior_config(spec));
   }
 }
 

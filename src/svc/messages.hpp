@@ -141,9 +141,9 @@ struct CampaignSpec {
 /// service owns the pool; evaluate_point never fans out.
 [[nodiscard]] eval::CampaignConfig to_campaign_config(const CampaignSpec& spec);
 
-/// An upper bound on the ops `make_workload(spec)` builds, in closed form
-/// from the spec's fields: nothing is built. Defined for a spec whose
-/// fields are in range (`validate` checks them before it calls this).
+/// The number of ops `make_workload(spec)` builds, from the generator's own
+/// closed-form count: nothing is built. Defined for a spec whose fields are
+/// in range (`validate` checks them before it calls this).
 [[nodiscard]] std::uint64_t max_ops(const WorkloadSpec& spec);
 
 /// Instantiate workload `index` of the spec (fresh object per call: pool

@@ -10,15 +10,56 @@
 
 namespace pio::workload {
 
-std::unique_ptr<Workload> dlio_like(const DlioConfig& config) {
+namespace {
+
+void check(const DlioConfig& config) {
   if (config.ranks <= 0) throw std::invalid_argument("dlio_like: ranks must be positive");
   if (config.samples == 0 || config.samples_per_file == 0 || config.batch_size == 0) {
     throw std::invalid_argument("dlio_like: samples, samples_per_file, batch_size must be > 0");
   }
-  const std::uint64_t shards =
-      (config.samples + config.samples_per_file - 1) / config.samples_per_file;
+}
+
+std::uint64_t shard_count(const DlioConfig& config) {
+  return config.samples / config.samples_per_file +
+         (config.samples % config.samples_per_file != 0);
+}
+
+std::uint64_t epoch_count(const DlioConfig& config) {
+  return static_cast<std::uint64_t>(std::max(config.epochs, 0));
+}
+
+/// Rank 0's dataset preparation: mkdir, then create, write, close per shard.
+std::uint64_t preparation_ops(const DlioConfig& config, std::uint64_t shards) {
+  return config.include_preparation ? 1 + 3 * shards : 0;
+}
+
+/// A rank that reads `share` samples an epoch: a barrier and an open per
+/// shard, per epoch its reads, a compute between full batches and a
+/// barrier, then a close per shard.
+std::uint64_t rank_ops(const DlioConfig& config, std::uint64_t shards, std::uint64_t share) {
+  const std::uint64_t computes = share == 0 ? 0 : (share - 1) / config.batch_size;
+  return 1 + 2 * shards + epoch_count(config) * (share + computes + 1);
+}
+
+}  // namespace
+
+std::uint64_t dlio_op_count(const DlioConfig& config) {
+  check(config);
+  // Sample i goes to rank i % ranks, so the first `samples % ranks` ranks
+  // read one sample more than the others.
+  const std::uint64_t shards = shard_count(config);
   const auto ranks = static_cast<std::uint64_t>(config.ranks);
-  const auto epochs = static_cast<std::uint64_t>(std::max(config.epochs, 0));
+  const std::uint64_t share = config.samples / ranks;
+  const std::uint64_t longer = config.samples % ranks;
+  return preparation_ops(config, shards) + longer * rank_ops(config, shards, share + 1) +
+         (ranks - longer) * rank_ops(config, shards, share);
+}
+
+std::unique_ptr<Workload> dlio_like(const DlioConfig& config) {
+  check(config);
+  const std::uint64_t shards = shard_count(config);
+  const auto ranks = static_cast<std::uint64_t>(config.ranks);
+  const std::uint64_t epochs = epoch_count(config);
 
   // Shard i is file `directory + 1 + i` of the path table.
   PathTable paths;
@@ -32,11 +73,9 @@ std::unique_ptr<Workload> dlio_like(const DlioConfig& config) {
 
   std::vector<std::vector<Op>> per_rank(ranks);
   for (std::uint64_t r = 0; r < ranks; ++r) {
-    const std::uint64_t share = (config.samples - std::min(r, config.samples) + ranks - 1) / ranks;
-    const std::uint64_t computes = share == 0 ? 0 : (share - 1) / config.batch_size;
-    const bool prep = config.include_preparation && r == 0;
-    per_rank[r].reserve((prep ? 1 + 3 * shards : 0) + 1 + 2 * shards +
-                        epochs * (share + computes + 1));
+    const std::uint64_t share = config.samples / ranks + (r < config.samples % ranks);
+    per_rank[r].reserve((r == 0 ? preparation_ops(config, shards) : 0) +
+                        rank_ops(config, shards, share));
   }
 
   // Dataset preparation: rank 0 writes every shard.

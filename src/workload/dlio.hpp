@@ -38,4 +38,8 @@ struct DlioConfig {
 /// DLIO-like deep-learning training workload.
 [[nodiscard]] std::unique_ptr<Workload> dlio_like(const DlioConfig& config);
 
+/// The number of ops `dlio_like(config)` builds, over all ranks, in closed
+/// form: nothing is built. Throws what `dlio_like` throws.
+[[nodiscard]] std::uint64_t dlio_op_count(const DlioConfig& config);
+
 }  // namespace pio::workload

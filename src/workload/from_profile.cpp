@@ -31,21 +31,17 @@ std::uint64_t sample_size(const Log2Histogram& hist, Rng& rng) {
 }
 
 /// Every proper ancestor directory of the profiled paths (the root aside),
-/// shallowest first and each once, in order of first appearance.
-std::vector<std::string> ancestor_directories(const trace::Profile& profile) {
-  std::vector<std::string> dirs;
-  std::set<std::string> seen;
+/// each once. A set orders a path before its extensions, so every parent
+/// comes before its children.
+std::set<std::string> ancestor_directories(const trace::Profile& profile) {
+  std::set<std::string> dirs;
   for (const auto& record : profile.records()) {
     const std::string& path = record.path;
     for (std::size_t slash = path.find('/', 1); slash != std::string::npos;
          slash = path.find('/', slash + 1)) {
-      std::string dir = path.substr(0, slash);
-      if (seen.insert(dir).second) dirs.push_back(std::move(dir));
+      dirs.insert(path.substr(0, slash));
     }
   }
-  std::stable_sort(dirs.begin(), dirs.end(), [](const std::string& a, const std::string& b) {
-    return std::count(a.begin(), a.end(), '/') < std::count(b.begin(), b.end(), '/');
-  });
   return dirs;
 }
 
@@ -62,8 +58,9 @@ std::unique_ptr<Workload> workload_from_profile(const trace::Profile& profile,
   PathTable paths;
   // A profile keeps no directory creations (a mkdir record replays as an
   // open and a stat below), so rank 0 first recreates the directories the
-  // profiled files live in and every rank waits for it at one barrier.
-  const std::vector<std::string> dirs = ancestor_directories(profile);
+  // profiled files live in, parents first, and every rank waits for it at
+  // one barrier.
+  const std::set<std::string> dirs = ancestor_directories(profile);
   std::uint64_t stream_id = 0;
   for (const auto& [rank, records] : by_rank) {
     std::vector<Op> ops;

@@ -1,5 +1,6 @@
 #include "workload/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -12,9 +13,8 @@ std::string rank_file(const std::string& directory, const std::string& stem, std
   return directory + "/" + stem + "." + std::to_string(rank);
 }
 
-}  // namespace
 
-std::unique_ptr<Workload> ior_like(const IorConfig& config) {
+void check(const IorConfig& config) {
   if (config.ranks <= 0) throw std::invalid_argument("ior_like: ranks must be positive");
   if (config.transfer_size == Bytes::zero() || config.block_size == Bytes::zero()) {
     throw std::invalid_argument("ior_like: sizes must be positive");
@@ -22,9 +22,32 @@ std::unique_ptr<Workload> ior_like(const IorConfig& config) {
   if (config.block_size % config.transfer_size != Bytes::zero()) {
     throw std::invalid_argument("ior_like: block_size must be a multiple of transfer_size");
   }
+}
+
+/// One rank's ops, rank 0's mkdir aside: a barrier, then per iteration the
+/// write phase (create or open with a barrier, the transfers, fsync, close,
+/// barrier), the read phase (open, the transfers, close, barrier) and,
+/// from the second iteration on, a compute.
+std::uint64_t ior_rank_ops(const IorConfig& config) {
   const std::uint64_t transfers = config.block_size / config.transfer_size;
-  const std::uint64_t per_iteration = (config.write_phase ? transfers + 5 : 0) +
-                                      (config.read_phase ? transfers + 3 : 0) + 1;
+  const auto iterations = static_cast<std::uint64_t>(std::max(config.iterations, 0));
+  const bool computes = config.compute_between_iterations > SimTime::zero();
+  return 1 +
+         iterations * ((config.write_phase ? transfers + 5 : 0) +
+                       (config.read_phase ? transfers + 3 : 0)) +
+         (computes && iterations > 0 ? iterations - 1 : 0);
+}
+
+}  // namespace
+
+std::uint64_t ior_op_count(const IorConfig& config) {
+  check(config);
+  return 1 + static_cast<std::uint64_t>(config.ranks) * ior_rank_ops(config);
+}
+
+std::unique_ptr<Workload> ior_like(const IorConfig& config) {
+  check(config);
+  const std::uint64_t transfers = config.block_size / config.transfer_size;
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.ranks));
   PathTable paths;
   const FileId directory = paths.intern(config.directory);
@@ -32,7 +55,7 @@ std::unique_ptr<Workload> ior_like(const IorConfig& config) {
       config.file_per_process ? 0 : paths.intern(config.directory + "/testfile");
   for (std::int32_t r = 0; r < config.ranks; ++r) {
     auto& ops = per_rank[static_cast<std::size_t>(r)];
-    ops.reserve(2 + per_iteration * static_cast<std::uint64_t>(config.iterations));
+    ops.reserve((r == 0 ? 1 : 0) + ior_rank_ops(config));
     if (r == 0) ops.push_back(Op::mkdir(directory));
     ops.push_back(Op::barrier());  // directory exists before anyone opens
     const FileId path =

@@ -36,6 +36,10 @@ struct IorConfig {
 /// IOR-like synthetic benchmark [76].
 [[nodiscard]] std::unique_ptr<Workload> ior_like(const IorConfig& config);
 
+/// The number of ops `ior_like(config)` builds, over all ranks, in closed
+/// form: nothing is built. Throws what `ior_like` throws.
+[[nodiscard]] std::uint64_t ior_op_count(const IorConfig& config);
+
 struct MdtestConfig {
   std::int32_t ranks = 8;
   std::uint64_t files_per_rank = 64;

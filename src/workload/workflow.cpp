@@ -1,5 +1,6 @@
 #include "workload/workflow.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -13,9 +14,7 @@ std::string task_file(const WorkflowConfig& config, std::int32_t stage, std::int
          ".out" + std::to_string(file);
 }
 
-}  // namespace
-
-std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
+void check(const WorkflowConfig& config) {
   if (config.workers <= 0 || config.stages <= 0 || config.tasks_per_stage <= 0 ||
       config.files_per_task <= 0) {
     throw std::invalid_argument("workflow_dag: counts must be positive");
@@ -23,6 +22,30 @@ std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
   if (config.file_size % config.transaction_size != Bytes::zero()) {
     throw std::invalid_argument("workflow_dag: file_size must be a multiple of transaction_size");
   }
+}
+
+}  // namespace
+
+std::uint64_t workflow_op_count(const WorkflowConfig& config) {
+  check(config);
+  const auto workers = static_cast<std::uint64_t>(config.workers);
+  const auto stages = static_cast<std::uint64_t>(config.stages);
+  const auto tasks = static_cast<std::uint64_t>(config.tasks_per_stage);
+  const auto files = static_cast<std::uint64_t>(config.files_per_task);
+  const auto polls = static_cast<std::uint64_t>(std::max(config.stat_polls_per_input, 0));
+  const std::uint64_t transactions = config.file_size / config.transaction_size;
+  // Worker 0 makes the top and every stage directory; each worker waits at
+  // one barrier first and two per stage. Every task of every stage writes
+  // its outputs (create, the transactions, close) between a compute and a
+  // readdir; from the second stage on it first reads its inputs (the polls,
+  // open, the transactions, close).
+  return 1 + workers + stages * (1 + 2 * workers) +
+         tasks * (stages * (2 + files * (2 + transactions)) +
+                  (stages - 1) * files * (polls + 2 + transactions));
+}
+
+std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config) {
+  check(config);
   const std::uint64_t transactions = config.file_size / config.transaction_size;
   std::vector<std::vector<Op>> per_rank(static_cast<std::size_t>(config.workers));
   PathTable paths;

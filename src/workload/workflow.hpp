@@ -34,4 +34,8 @@ struct WorkflowConfig {
 /// Stage-parallel workflow DAG workload.
 [[nodiscard]] std::unique_ptr<Workload> workflow_dag(const WorkflowConfig& config);
 
+/// The number of ops `workflow_dag(config)` builds, over all workers, in
+/// closed form: nothing is built. Throws what `workflow_dag` throws.
+[[nodiscard]] std::uint64_t workflow_op_count(const WorkflowConfig& config);
+
 }  // namespace pio::workload

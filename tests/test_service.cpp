@@ -446,10 +446,24 @@ TEST(ServiceLimits, SpecsThatExpandPastTheOpLimitAreRefused) {
   EXPECT_STREQ(svc::validate(spec), "workload expands past the op limit");
 }
 
-// max_ops is an upper bound on what make_workload builds: checked over a
-// sweep of small specs of each kind, on their edges (one rank, more ranks
-// than samples or tasks, one-sample shards, a batch past a rank's share).
-TEST(ServiceLimits, MaxOpsBoundsEveryBuiltWorkload) {
+// One shard holds the whole dataset however large samples_per_file is, so
+// the field is bounded like samples: a u64 near 2^64 is refused, not built.
+TEST(ServiceLimits, OversizedSamplesPerFileIsRefused) {
+  svc::CampaignSpec spec = make_spec(1);
+  svc::WorkloadSpec& w = spec.workloads[0];
+  w.kind = svc::WorkloadKind::kDlio;
+  w.samples = 64;
+  w.samples_per_file = UINT64_MAX;
+  EXPECT_STREQ(svc::validate(spec), "samples_per_file out of range");
+  w.samples_per_file = std::uint64_t{1} << 20;  // the largest accepted
+  EXPECT_EQ(svc::validate(spec), nullptr);
+  EXPECT_EQ(workload::footprint(*svc::make_workload(w)).ops, svc::max_ops(w));
+}
+
+// max_ops is what make_workload builds: checked over a sweep of small
+// specs of each kind, on their edges (one rank, more ranks than samples or
+// tasks, one-sample shards, a batch past a rank's share).
+TEST(ServiceLimits, MaxOpsCountsEveryBuiltWorkload) {
   std::vector<svc::WorkloadSpec> specs;
   for (const std::uint32_t ranks : {1u, 2u, 3u, 7u}) {
     for (const std::uint64_t block : {1u, 4u, 12u}) {
@@ -498,7 +512,7 @@ TEST(ServiceLimits, MaxOpsBoundsEveryBuiltWorkload) {
     spec.workloads[0] = w;
     ASSERT_EQ(svc::validate(spec), nullptr);
     const std::uint64_t built = workload::footprint(*svc::make_workload(w)).ops;
-    EXPECT_LE(built, svc::max_ops(w))
+    EXPECT_EQ(built, svc::max_ops(w))
         << "kind " << static_cast<int>(w.kind) << ", ranks " << w.ranks;
     EXPECT_LE(built, svc::kMaxOpsPerWorkload);
   }

@@ -2,6 +2,7 @@
 // mix generator, the DSL, and profile-based generation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -233,6 +234,94 @@ TEST(DlioTest, ReadsAreSmallAndRandom) {
   EXPECT_EQ(reads, 512u);
   // Shuffled access: the vast majority of reads are non-consecutive.
   EXPECT_GT(non_consecutive, reads * 8 / 10);
+}
+
+// A shard past the dataset's size holds all of it: one shard, opened and
+// closed once per rank, and every op names a file of the table (a shard
+// count of (samples + samples_per_file - 1) / samples_per_file wraps to 0
+// here and leaves the reads on an id past the table).
+TEST(DlioTest, OversizedShardHoldsTheWholeDataset) {
+  DlioConfig config;
+  config.ranks = 3;
+  config.samples = 64;
+  config.samples_per_file = UINT64_MAX;
+  config.batch_size = 4;
+  const auto w = dlio_like(config);
+  ASSERT_EQ(w->paths().size(), 3u);  // the empty path, the directory, one shard
+  EXPECT_EQ(w->path(2), "/dataset/shard0.data");
+  std::uint64_t reads = 0;
+  for (std::int32_t r = 0; r < w->ranks(); ++r) {
+    std::uint64_t opens = 0;
+    for (const Op& op : w->ops(r)) {
+      EXPECT_LT(op.file, w->paths().size());
+      opens += op.kind == OpKind::kOpen;
+      reads += op.kind == OpKind::kRead;
+    }
+    EXPECT_EQ(opens, 1u);
+  }
+  EXPECT_EQ(reads, 64u);
+  EXPECT_EQ(footprint(*w).ops, dlio_op_count(config));
+}
+
+// Each generator's closed-form count is exactly what it builds, over
+// configs that reach every term of it.
+TEST(OpCountTest, CountsMatchWhatTheGeneratorsBuild) {
+  for (const std::int32_t ranks : {1, 3, 7}) {
+    for (const std::int32_t iterations : {0, 1, 3}) {
+      for (int flags = 0; flags < 16; ++flags) {
+        IorConfig c;
+        c.ranks = ranks;
+        c.block_size = (flags & 1) != 0 ? 4_MiB : 1_MiB;
+        c.file_per_process = (flags & 2) != 0;
+        c.write_phase = (flags & 4) != 0;
+        c.read_phase = (flags & 8) != 0;
+        c.iterations = iterations;
+        for (const SimTime compute : {SimTime::zero(), SimTime::from_ms(1.0)}) {
+          c.compute_between_iterations = compute;
+          EXPECT_EQ(footprint(*ior_like(c)).ops, ior_op_count(c))
+              << "ior ranks " << ranks << ", iterations " << iterations << ", flags " << flags;
+        }
+      }
+    }
+    for (const std::uint64_t samples : {1u, 5u, 20u}) {
+      for (const std::uint64_t per_file : {std::uint64_t{1}, std::uint64_t{4}, UINT64_MAX}) {
+        for (const std::uint64_t batch : {1u, 3u, 16u}) {
+          for (const std::int32_t epochs : {0, 1, 3}) {
+            for (const bool prep : {false, true}) {
+              DlioConfig c;
+              c.ranks = ranks;
+              c.samples = samples;
+              c.samples_per_file = per_file;
+              c.batch_size = batch;
+              c.epochs = epochs;
+              c.include_preparation = prep;
+              EXPECT_EQ(footprint(*dlio_like(c)).ops, dlio_op_count(c))
+                  << "dlio ranks " << ranks << ", samples " << samples << ", per_file "
+                  << per_file << ", batch " << batch << ", epochs " << epochs;
+            }
+          }
+        }
+      }
+    }
+    for (const std::int32_t stages : {1, 3}) {
+      for (const std::int32_t tasks : {1, 5}) {
+        for (const std::int32_t files : {1, 2}) {
+          for (const std::int32_t polls : {0, 3}) {
+            WorkflowConfig c;
+            c.workers = ranks;
+            c.stages = stages;
+            c.tasks_per_stage = tasks;
+            c.files_per_task = files;
+            c.stat_polls_per_input = polls;
+            c.file_size = 64_KiB;
+            EXPECT_EQ(footprint(*workflow_dag(c)).ops, workflow_op_count(c))
+                << "workflow workers " << ranks << ", stages " << stages << ", tasks "
+                << tasks << ", files " << files << ", polls " << polls;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkflowTest, MetadataIntensiveAndSmallTransactions) {
