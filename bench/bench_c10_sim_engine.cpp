@@ -128,6 +128,36 @@ void BM_Fabric(benchmark::State& state) {
 // 16 messages: the constant cost per message; 256 and 2048: growth with load.
 BENCHMARK(BM_Fabric)->Arg(16)->Arg(256)->Arg(2048);
 
+void BM_FabricIdleChain(benchmark::State& state) {
+  // A closed loop of N 64 KiB messages on a warm 64-endpoint fabric: each
+  // delivery sends the next, so every stage admits onto an idle channel. This
+  // is the campaign-loop shape, where almost every admission finds its
+  // channel idle; the rows above are concurrent storms.
+  struct Loop {
+    net::Fabric* fabric;
+    std::uint64_t left;
+    void next() {
+      if (left == 0) return;
+      --left;
+      fabric->send(static_cast<net::EndpointId>(left % 64),
+                   static_cast<net::EndpointId>((left * 7 + 1) % 64), 64_KiB,
+                   [this] { next(); });
+    }
+  };
+  const auto messages = static_cast<std::uint64_t>(state.range(0));
+  sim::Engine engine;
+  net::Fabric fabric{engine, net::FabricConfig{}, 64};
+  Loop loop{&fabric, 0};
+  for (auto _ : state) {
+    loop.left = messages;
+    loop.next();
+    engine.run();
+    benchmark::DoNotOptimize(fabric.stats().bytes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages) * state.iterations());
+}
+BENCHMARK(BM_FabricIdleChain)->Arg(1024);
+
 void BM_PfsModelEndToEnd(benchmark::State& state) {
   const auto ops = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {

@@ -67,7 +67,14 @@ std::string Log2Histogram::to_string() const {
   const auto [first, last] = nonempty_range();
   for (std::size_t k = first; k <= last && first < kBuckets; ++k) {
     const std::uint64_t lo = k == 0 ? 0 : (1ULL << k);
-    out << "[" << lo << ", " << (1ULL << (k + 1)) << "): " << buckets_[k] << "\n";
+    out << "[" << lo << ", ";
+    // The top bucket's bound, 2^64, is past the range of uint64_t.
+    if (k + 1 < kBuckets) {
+      out << (1ULL << (k + 1));
+    } else {
+      out << "18446744073709551616";
+    }
+    out << "): " << buckets_[k] << "\n";
   }
   return out.str();
 }

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "sim/check.hpp"
@@ -95,11 +96,64 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
-void Engine::fire(const detail::Entry& top) {
+void Engine::arm(Actor& actor, SimTime t, std::uint64_t seq) {
+  if (t < now_) throw std::logic_error("Engine::arm: time is in the past");
+  if (actor.heap_index_ == Actor::kUnarmed) {
+    actors_.emplace_back();
+    place_actor(actors_.size() - 1, t, seq, &actor);
+  } else {
+    place_actor(actor.heap_index_, t, seq, &actor);
+  }
+}
+
+void Engine::disarm(Actor& actor) {
+  const std::uint32_t i = actor.heap_index_;
+  if (i == Actor::kUnarmed) return;
+  actor.heap_index_ = Actor::kUnarmed;
+  const detail::ActorKey last = actors_.back();
+  actors_.pop_back();
+  if (i < actors_.size()) place_actor(i, last.time, last.seq, last.actor);
+}
+
+void Engine::place_actor(std::size_t i, SimTime t, std::uint64_t seq, Actor* actor) {
+  // Up while earlier than the parent, else down while a child is earlier;
+  // every entry that moves records its new index in its actor.
+  const auto before = [t, seq](const detail::ActorKey& other) {
+    return t != other.time ? t < other.time : seq < other.seq;
+  };
+  while (i > 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (!before(actors_[parent])) break;
+    actors_[i] = actors_[parent];
+    actors_[i].actor->heap_index_ = static_cast<std::uint32_t>(i);
+    i = parent;
+  }
+  const std::size_t n = actors_.size();
+  for (;;) {
+    const std::size_t first = i * 4 + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t last = std::min(first + 4, n);
+    for (std::size_t child = first + 1; child < last; ++child) {
+      if (earlier(actors_[child], actors_[best])) best = child;
+    }
+    if (before(actors_[best])) break;
+    actors_[i] = actors_[best];
+    actors_[i].actor->heap_index_ = static_cast<std::uint32_t>(i);
+    i = best;
+  }
+  detail::ActorKey& slot = actors_[i];
+  slot.time = t;
+  slot.seq = seq;
+  slot.actor = actor;
+  actor->heap_index_ = static_cast<std::uint32_t>(i);
+}
+
+void Engine::fire(SimTime t) {
   if constexpr (check::kEnabled) {
     // Semantic per-event check: a time warp must fail on the exact event.
-    if (top.time < now_) {
-      check::fail("monotonic clock", "event at " + std::to_string(top.time.ns()) +
+    if (t < now_) {
+      check::fail("monotonic clock", "event at " + std::to_string(t.ns()) +
                                          "ns behind now=" + std::to_string(now_.ns()) + "ns");
     }
     // Global accounting invariants drift monotonically once corrupted, so
@@ -119,8 +173,25 @@ void Engine::fire(const detail::Entry& top) {
       }
     }
   }
-  now_ = top.time;
+  now_ = t;
   ++executed_;
+}
+
+void Engine::fire_actor() {
+  // Field by field: place_actor stored them one by one, and a whole-key load
+  // would stall on store forwarding.
+  const detail::ActorKey& top = actors_.front();
+  const std::uint64_t seq = top.seq;
+  Actor* const actor = top.actor;
+  fire(top.time);
+  actor->fire();
+  if constexpr (check::kEnabled) {
+    // Nothing can be keyed before the fired event, so an actor that kept its
+    // key would still be on top — and would fire again forever.
+    if (!actors_.empty() && actors_.front().seq == seq) {
+      check::fail("actor re-keyed at fire", "seq " + std::to_string(seq) + " still armed");
+    }
+  }
 }
 
 void Engine::execute_popped(const detail::Entry& top) {
@@ -132,7 +203,7 @@ void Engine::execute_popped(const detail::Entry& top) {
   if (++gens_[slot] == 0) gens_[slot] = 1;  // generation 0 is never issued
   --pending_;
   ++executing_;
-  fire(top);
+  fire(top.time);
   detail::Task& task = task_at(slot);
   try {
     task();
@@ -149,7 +220,7 @@ void Engine::execute_popped(const detail::Entry& top) {
 
 std::uint64_t Engine::run(SimTime until) {
   std::uint64_t n = 0;
-  while (!heap_.empty()) {
+  for (;;) {
     // Skip over cancelled keys to find the true next time (none exist while
     // dead_ == 0, so the common case is one predictable register test).
     if (dead_ != 0 && !armed(heap_.front().id)) {
@@ -157,7 +228,13 @@ std::uint64_t Engine::run(SimTime until) {
       --dead_;
       continue;
     }
-    if (heap_.front().time > until) break;
+    if (!actors_.empty() && (heap_.empty() || earlier(actors_.front(), heap_.front()))) {
+      if (actors_.front().time > until) break;
+      fire_actor();
+      ++n;
+      continue;
+    }
+    if (heap_.empty() || heap_.front().time > until) break;
     // Pull the callable's cache line in while the pop's sift-down works.
     __builtin_prefetch(&task_at(slot_of(heap_.front().id)));
     const detail::Entry top = pop_top();
@@ -167,10 +244,19 @@ std::uint64_t Engine::run(SimTime until) {
   return n;
 }
 
+std::uint64_t Engine::events_pending() const {
+  std::uint64_t n = pending_;
+  for (const detail::ActorKey& key : actors_) n += key.actor->pending_events();
+  return n;
+}
+
 void Engine::assert_drained() const {
-  check::that(pending_ == 0 && live_slots() == 0, "queue drained at campaign end", [this] {
-    return "pending=" + std::to_string(pending_) + " live_slots=" + std::to_string(live_slots());
-  });
+  check::that(pending_ == 0 && live_slots() == 0 && actors_.empty(),
+              "queue drained at campaign end", [this] {
+                return "pending=" + std::to_string(pending_) +
+                       " live_slots=" + std::to_string(live_slots()) +
+                       " armed_actors=" + std::to_string(actors_.size());
+              });
 }
 
 }  // namespace pio::sim

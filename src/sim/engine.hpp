@@ -23,6 +23,13 @@
 // eagerly (its slot is known); the orphaned key is dropped lazily when it
 // surfaces at the top — or via compaction once dead keys outnumber live
 // ones, which bounds heap growth under schedule-then-cancel churn.
+//
+// Beside the Task heap sits a small indexed heap of actor keys: an `Actor`
+// (a fair-share channel) holds its own pending events and lets the engine
+// see only the earliest, as one `{time, seq, actor}` entry that the actor
+// re-keys in place. Its events need no callable, slot or cancel. Both heaps
+// share one sequence counter, so an actor event and a Task event keep the
+// exact (time, seq) order they would have as two Tasks.
 #pragma once
 
 #include <cstddef>
@@ -58,13 +65,53 @@ struct Entry {
   EventId id;
 };
 
-/// The engine's total event order.
-inline bool earlier(const Entry& a, const Entry& b) {
+}  // namespace detail
+
+class Actor;
+
+namespace detail {
+
+/// An armed actor's earliest pending event, keyed like an Entry.
+struct ActorKey {
+  SimTime time;
+  std::uint64_t seq;
+  Actor* actor;
+};
+
+/// The engine's total event order, over Task and actor keys alike.
+template <typename A, typename B>
+inline bool earlier(const A& a, const B& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 }
 
 }  // namespace detail
+
+/// A model object that keeps its own pending events and shows the engine only
+/// the earliest (DESIGN.md §11). It draws each event's sequence number with
+/// `Engine::take_seq()` exactly where a `schedule_at` would, and keeps its key
+/// current with `Engine::arm` / `Engine::disarm`. When the key is reached the
+/// engine calls `fire()`, which runs that one event and, before it returns,
+/// re-keys or disarms the actor. The owner disarms it before destruction.
+class Actor {
+ public:
+  Actor(const Actor&) = delete;
+  Actor& operator=(const Actor&) = delete;
+
+ protected:
+  Actor() = default;
+  ~Actor() = default;
+
+ private:
+  friend class Engine;
+  /// Run the event whose key is armed; re-key or disarm before returning.
+  virtual void fire() = 0;
+  /// Events the actor holds pending; counted in Engine::events_pending().
+  [[nodiscard]] virtual std::uint64_t pending_events() const = 0;
+
+  static constexpr std::uint32_t kUnarmed = ~std::uint32_t{0};
+  std::uint32_t heap_index_ = kUnarmed;  ///< position in the engine's actor heap
+};
 
 /// Deterministic discrete-event scheduler.
 class Engine {
@@ -124,19 +171,31 @@ class Engine {
   /// schedule-far-future-then-cancel cannot grow the heap without bound.
   bool cancel(EventId id);
 
+  /// The sequence number of an actor's new event: drawn from the counter
+  /// that orders Task events, exactly where a `schedule_at` would draw it.
+  std::uint64_t take_seq() { return next_seq_++; }
+
+  /// Key `actor` on its earliest pending event `(t, seq)` (t >= now): inserts
+  /// the key, or re-keys an armed actor in place. Throws on a time in the past.
+  void arm(Actor& actor, SimTime t, std::uint64_t seq);
+
+  /// Remove `actor`'s key; a no-op when it is not armed.
+  void disarm(Actor& actor);
+
   /// Run until the queue drains or simulated time would exceed `until`.
   /// Returns the number of events executed.
   std::uint64_t run(SimTime until = SimTime::max());
 
-  /// Events executed since construction.
+  /// Events executed since construction, Task and actor events alike.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Pending (non-cancelled) events.
-  [[nodiscard]] std::uint64_t events_pending() const { return pending_; }
+  /// Pending (non-cancelled) Task events plus every armed actor's.
+  [[nodiscard]] std::uint64_t events_pending() const;
 
-  /// Campaign-end invariant: every scheduled event fired or was cancelled.
-  /// A non-empty queue at the end of a run means a model leaked events —
-  /// throws via sim::check (no-op when checks are compiled out).
+  /// Campaign-end invariant: every scheduled event fired or was cancelled,
+  /// and no actor is armed. A non-empty queue at the end of a run means a
+  /// model leaked events — throws via sim::check (no-op when checks are
+  /// compiled out).
   void assert_drained() const;
 
   /// Deterministic named random stream; same (seed, id) -> same draws
@@ -203,9 +262,15 @@ class Engine {
   void sift_hole(std::size_t i, detail::Entry sinking);
   /// Erase cancelled keys (their callables died at cancel), keeping order.
   void compact();
-  /// Invariant checks + clock advance for a just-popped entry (its slot
-  /// already counted in executing_). The caller invokes the callable.
-  void fire(const detail::Entry& top);
+  /// Invariant checks + clock advance for an event at `t` that is about to
+  /// run (a popped Task's slot already counted in executing_).
+  void fire(SimTime t);
+  /// Run the earliest actor event; the actor re-keys or disarms itself.
+  void fire_actor();
+  /// Place the key (t, seq, actor) at actor-heap index `i`, moving it up or
+  /// down to its place. Scalar arguments: a key built on the stack and
+  /// reloaded whole would stall on store forwarding.
+  void place_actor(std::size_t i, SimTime t, std::uint64_t seq, Actor* actor);
   /// Run a popped entry's callable *in place* — no move out of its slot.
   /// The slot is invalidated (cancel misses) but stays off the free list
   /// while the handler executes, so a re-arm cannot clobber a running
@@ -232,6 +297,9 @@ class Engine {
   std::vector<std::unique_ptr<detail::Task[]>> task_chunks_;  // slot -> callable
   std::vector<std::uint32_t> gens_;    // per-slot generation; ids embed theirs
   std::vector<std::uint32_t> free_slots_;
+  /// 4-ary min-heap of armed actors' keys, one entry per actor; each actor
+  /// stores its own index.
+  std::vector<detail::ActorKey> actors_;
   std::function<void(const obs::Span&)> span_sink_;
 };
 

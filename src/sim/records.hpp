@@ -66,6 +66,13 @@ class Ring {
     ring_[(head_ + size_) & (ring_.size() - 1)] = value;
     ++size_;
   }
+  /// Append a slot holding stale contents; the caller assigns every field.
+  /// Cheaper than push() on a hot path: a value built whole on the stack and
+  /// copied in is reloaded before its stores retire, and stalls.
+  [[nodiscard]] T& push_slot() {
+    if (size_ == ring_.size()) grow();
+    return ring_[(head_ + size_++) & (ring_.size() - 1)];
+  }
   [[nodiscard]] const T& front() const { return ring_[head_]; }
   T pop() {
     const T value = ring_[head_];
@@ -74,6 +81,7 @@ class Ring {
     return value;
   }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:

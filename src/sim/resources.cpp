@@ -65,6 +65,9 @@ constexpr int kFracBits = 32;  // clock units per ns = 2^kFracBits
 /// Flow capacity an idle channel keeps (768 B of flows).
 constexpr std::size_t kIdleFlowCapacity = 16;
 
+/// Lane capacity an idle channel keeps (512 B of arrivals).
+constexpr std::size_t kIdleLaneCapacity = 16;
+
 /// Heap order: the earliest (tag, seq) on top.
 constexpr auto kLater = [](const auto& a, const auto& b) {
   return a.tag != b.tag ? a.tag > b.tag : a.seq > b.seq;
@@ -89,13 +92,48 @@ FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime l
   units_per_byte_ = std::ldexp(capacity.ns_per_byte(), kFracBits);
 }
 
+FairShareChannel::~FairShareChannel() { engine_.disarm(*this); }
+
 void FairShareChannel::transfer(Bytes size, Handle token) {
-  if (size == Bytes::zero()) {
-    // Latency-only message (e.g. a metadata RPC header).
-    engine_.schedule_after(latency_, [this, token] { on_drained_(token); });
+  const SimTime at = engine_.now() + latency_;
+  const std::uint64_t seq = engine_.take_seq();
+  Arrival& arrival = lane_.push_slot();
+  arrival.at = at;
+  arrival.seq = seq;
+  arrival.size = size;
+  arrival.token = token;
+  // Behind a non-empty lane the head, and so the key, is unchanged.
+  if (lane_.size() == 1 && (live_ == 0 || !completion_first(at, seq))) {
+    engine_.arm(*this, at, seq);
+  }
+}
+
+void FairShareChannel::fire() {
+  if (completion_next()) {
+    complete_due();
     return;
   }
-  engine_.schedule_after(latency_, [this, size, token] { admit(size, token); });
+  const Arrival arrival = lane_.pop();
+  // Like the flows, an emptied lane gives back the storage of a burst:
+  // keeping every lane's peak raised ckpt-n1 peak RSS by about 0.3 MiB.
+  if (lane_.empty() && lane_.capacity() > kIdleLaneCapacity) lane_ = Ring<Arrival>{};
+  if (arrival.size == Bytes::zero()) {
+    // Latency-only message (e.g. a metadata RPC header).
+    rekey();
+    on_drained_(arrival.token);
+    return;
+  }
+  admit(arrival.size, arrival.token);
+}
+
+void FairShareChannel::rekey() {
+  if (completion_next()) {
+    engine_.arm(*this, completion_at_, completion_seq_);
+  } else if (!lane_.empty()) {
+    engine_.arm(*this, lane_.front().at, lane_.front().seq);
+  } else {
+    engine_.disarm(*this);
+  }
 }
 
 void FairShareChannel::admit(Bytes size, Handle token) {
@@ -106,9 +144,24 @@ void FairShareChannel::admit(Bytes size, Handle token) {
   const VirtualTime units = service < 0x1p64
                                 ? VirtualTime{static_cast<std::uint64_t>(service)}
                                 : static_cast<VirtualTime>(service);
-  flows_.push_back(Flow{clock_ + std::max(units, VirtualTime{1}), next_seq_++, size, token});
-  ++live_;
-  std::push_heap(flows_.begin(), flows_.end(), kLater);
+  const VirtualTime tag = clock_ + std::max(units, VirtualTime{1});
+  const std::uint64_t seq = next_seq_++;
+  // std::push_heap's sift-up, with the new flow's fields kept in registers
+  // until its slot is known (reloading a just-built Flow stalls).
+  flows_.emplace_back();
+  std::size_t i = live_++;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    const Flow& above = flows_[parent];
+    if (above.tag != tag ? above.tag < tag : above.seq < seq) break;
+    flows_[i] = above;
+    i = parent;
+  }
+  Flow& flow = flows_[i];
+  flow.tag = tag;
+  flow.seq = seq;
+  flow.size = size;
+  flow.token = token;
   reschedule_completion();
 }
 
@@ -125,11 +178,10 @@ void FairShareChannel::advance_clock() {
 }
 
 void FairShareChannel::reschedule_completion() {
-  if (pending_completion_ != 0) {
-    engine_.cancel(pending_completion_);
-    pending_completion_ = 0;
+  if (live_ == 0) {
+    rekey();
+    return;
   }
-  if (live_ == 0) return;
   // Round up to the next nanosecond: by then the clock has reached the tag.
   // (An admission in the same nanosecond as a due completion can find the
   // top tag already reached; the completion then fires at once.)
@@ -139,17 +191,16 @@ void FairShareChannel::reschedule_completion() {
       (ahead * live_ + ((VirtualTime{1} << kFracBits) - 1)) >> kFracBits;
   check::that(delay_ns <= static_cast<VirtualTime>(SimTime::max().ns()),
               "completion delay fits SimTime");
-  pending_completion_ =
-      engine_.schedule_after(SimTime::from_ns(static_cast<std::int64_t>(delay_ns)), [this] {
-        pending_completion_ = 0;
-        complete_due();
-      });
+  // Re-keyed in place: the superseded completion simply never fires.
+  completion_at_ = engine_.now() + SimTime::from_ns(static_cast<std::int64_t>(delay_ns));
+  completion_seq_ = engine_.take_seq();
+  rekey();
 }
 
 void FairShareChannel::complete_due() {
   advance_clock();
   // Park every flow whose tag has been reached in the vector's tail, then
-  // release them in admission order. Admissions arrive only through engine
+  // release them in admission order. Admissions arrive only through lane
   // events, so the sink calls below cannot grow the heap under the tail.
   while (live_ > 0 && flows_.front().tag <= clock_) {
     std::pop_heap(flows_.begin(), flows_.begin() + static_cast<std::ptrdiff_t>(live_), kLater);

@@ -94,7 +94,13 @@ class FifoServer {
 /// O(log n). The clock is integer fixed point, so completion times are exact
 /// integers; every flow whose tag has been reached is released together, in
 /// admission order.
-class FairShareChannel {
+///
+/// The channel is an engine Actor: transfers in their latency wait in a FIFO
+/// lane (the latency is constant), the next completion is one (time, seq)
+/// pair, and the engine holds one key for the earlier of the two. Each is an
+/// engine event with the (time, seq) it would have as a Task, but costs no
+/// closure, slot or cancel. The engine must outlive the channel.
+class FairShareChannel final : public Actor {
  public:
   /// Virtual time in units of 2^-32 ns of full-capacity service. 64 bits
   /// would overflow after a busy period of ~4.3 s.
@@ -103,6 +109,8 @@ class FairShareChannel {
   /// `on_drained` receives each transfer's token when its last byte drains.
   FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
                    std::function<void(Handle)> on_drained, std::string name = "link");
+  /// Disarms the channel: its pending transfers are dropped unfired.
+  ~FairShareChannel();
 
   /// Start a transfer of `size` for `token`. A zero-size transfer only
   /// models latency: its token reaches the sink after exactly the latency,
@@ -125,6 +133,30 @@ class FairShareChannel {
   };
   static_assert(std::is_trivially_copyable_v<Flow>, "heap sifts copy flows as raw bytes");
 
+  /// A transfer in its latency: an engine event at (at, seq).
+  struct Arrival {
+    SimTime at;
+    std::uint64_t seq;
+    Bytes size;
+    Handle token;
+  };
+  static_assert(std::is_trivially_copyable_v<Arrival>, "arrivals queue by value");
+
+  void fire() override;
+  [[nodiscard]] std::uint64_t pending_events() const override {
+    return lane_.size() + (live_ > 0 ? 1u : 0u);
+  }
+  /// Whether the completion, pending while live_ > 0, precedes the event
+  /// (at, seq).
+  [[nodiscard]] bool completion_first(SimTime at, std::uint64_t seq) const {
+    return completion_at_ != at ? completion_at_ < at : completion_seq_ < seq;
+  }
+  /// Whether the channel's next event is its completion, not a lane arrival.
+  [[nodiscard]] bool completion_next() const {
+    return live_ > 0 && (lane_.empty() || completion_first(lane_.front().at, lane_.front().seq));
+  }
+  /// Key the channel on the earlier of its lane head and its completion.
+  void rekey();
   void admit(Bytes size, Handle token);
   void advance_clock();
   void reschedule_completion();
@@ -143,7 +175,10 @@ class FairShareChannel {
   VirtualTime clock_ = 0;
   std::uint64_t next_seq_ = 0;
   SimTime last_advance_ = SimTime::zero();
-  EventId pending_completion_ = 0;
+  /// The next completion's event key; pending exactly while live_ > 0.
+  SimTime completion_at_ = SimTime::zero();
+  std::uint64_t completion_seq_ = 0;
+  Ring<Arrival> lane_;  ///< transfers in their latency, in (at, seq) order
   Bytes bytes_moved_ = Bytes::zero();
 };
 

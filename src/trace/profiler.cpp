@@ -8,6 +8,16 @@
 
 namespace pio::trace {
 
+namespace {
+
+/// `total += d`, saturating at SimTime::max(): a trace read from a file may
+/// hold events whose durations sum past the range of SimTime.
+void add_time(SimTime& total, SimTime d) {
+  total = d > SimTime::max() - total ? SimTime::max() : total + d;
+}
+
+}  // namespace
+
 void FileRecord::merge(const FileRecord& other) {
   opens += other.opens;
   closes += other.closes;
@@ -17,9 +27,9 @@ void FileRecord::merge(const FileRecord& other) {
   errors += other.errors;
   bytes_read += other.bytes_read;
   bytes_written += other.bytes_written;
-  read_time += other.read_time;
-  write_time += other.write_time;
-  meta_time += other.meta_time;
+  add_time(read_time, other.read_time);
+  add_time(write_time, other.write_time);
+  add_time(meta_time, other.meta_time);
   first_op = std::min(first_op, other.first_op);
   last_op = std::max(last_op, other.last_op);
   read_sizes.merge(other.read_sizes);
@@ -47,9 +57,9 @@ JobSummary Profile::summarize() const {
     s.metadata_ops += r.metadata_ops;
     s.bytes_read += r.bytes_read;
     s.bytes_written += r.bytes_written;
-    s.read_time += r.read_time;
-    s.write_time += r.write_time;
-    s.meta_time += r.meta_time;
+    add_time(s.read_time, r.read_time);
+    add_time(s.write_time, r.write_time);
+    add_time(s.meta_time, r.meta_time);
     s.read_sizes.merge(r.read_sizes);
     s.write_sizes.merge(r.write_sizes);
     first = std::min(first, r.first_op);
@@ -125,7 +135,7 @@ void Profiler::record(const TraceEvent& event) {
     case OpKind::kRead: {
       ++r.reads;
       r.bytes_read += Bytes{event.size};
-      r.read_time += event.duration();
+      add_time(r.read_time, event.duration());
       r.read_sizes.add(event.size);
       if (r.saw_read) {
         if (event.offset == r.last_read_end) {
@@ -150,7 +160,7 @@ void Profiler::record(const TraceEvent& event) {
     case OpKind::kWrite: {
       ++r.writes;
       r.bytes_written += Bytes{event.size};
-      r.write_time += event.duration();
+      add_time(r.write_time, event.duration());
       r.write_sizes.add(event.size);
       if (r.saw_write) {
         if (event.offset == r.last_write_end) {
@@ -173,17 +183,17 @@ void Profiler::record(const TraceEvent& event) {
     case OpKind::kOpen:
       ++r.opens;
       ++r.metadata_ops;
-      r.meta_time += event.duration();
+      add_time(r.meta_time, event.duration());
       break;
     case OpKind::kClose:
       ++r.closes;
       ++r.metadata_ops;
-      r.meta_time += event.duration();
+      add_time(r.meta_time, event.duration());
       break;
     default:
       if (is_metadata_op(event.op)) {
         ++r.metadata_ops;
-        r.meta_time += event.duration();
+        add_time(r.meta_time, event.duration());
       }
       break;
   }

@@ -294,6 +294,10 @@ Result<Trace> Trace::try_read_jsonl(std::istream& in) {
     std::int64_t end_ns = 0;
     if (!parse_integer(*start, start_ns)) return fail("bad start_ns");
     if (!parse_integer(*end, end_ns)) return fail("bad end_ns");
+    // Simulated time starts at zero and an event ends no earlier than it
+    // starts; span() and the profile stats subtract these times.
+    if (start_ns < 0) return fail("negative start_ns");
+    if (end_ns < start_ns) return fail("end_ns before start_ns");
     e.start = SimTime::from_ns(start_ns);
     e.end = SimTime::from_ns(end_ns);
     if (ok->quoted || (ok->text != "true" && ok->text != "false")) return fail("bad ok");
@@ -403,6 +407,8 @@ Result<Trace> Trace::try_read_binary(std::istream& in) {
     if (path_id >= paths.size()) return fail("event references unknown path id");
     if (layer > static_cast<std::uint8_t>(Layer::kCache)) return fail("event has unknown layer");
     if (op > static_cast<std::uint8_t>(OpKind::kOther)) return fail("event has unknown op kind");
+    if (e.start < SimTime::zero()) return fail("event has negative start time");
+    if (e.end < e.start) return fail("event ends before its start time");
     e.layer = static_cast<Layer>(layer);
     e.op = static_cast<OpKind>(op);
     e.path = paths[path_id];

@@ -23,6 +23,13 @@
 // pin the completion re-armed before the sinks run, the exact-tie release
 // order, the clock reset on idle, and a busy period long enough to need the
 // 128-bit arithmetic.
+//
+// The token channel is an engine actor whose lane arrivals and completions
+// are not Tasks, while the closure channel schedules a Task for each. The
+// mixed storms below put plain Task events at the very nanoseconds of
+// channel arrivals and completions, on two chained channels, and require
+// the same log of every fired event from both: equal (time, seq) keys must
+// order an actor event against a Task exactly as two Tasks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -314,6 +321,127 @@ TEST(FairShareChannelDiff, TokenChannelMatchesClosureChannel) {
     expect_identical(with_zero_size(storm, seed),
                      "small zero-size storm " + std::to_string(seed));
   }
+}
+
+/// One fired event of a mixed storm, in firing order.
+struct Fired {
+  char kind;  ///< 't' transfer handler, 'a'/'b' release on link a/b, 'p' probe Task
+  std::uint64_t id;
+  std::int64_t ns;
+  bool operator==(const Fired&) const = default;
+};
+
+struct MixedRun {
+  std::vector<Fired> log;
+  std::uint64_t events = 0;  ///< engine events executed
+};
+
+/// `storm` on link a, which forwards about a quarter of its releases to a
+/// slower link b with a different latency; b sends some back to a once.
+/// Plain Task probes land on the same nanoseconds as channel events:
+///  - each transfer handler schedules one probe at its arrival time before
+///    the transfer and one after it, so they bracket the arrival's seq;
+///  - about a quarter of releases schedule a probe at the same instant;
+///  - `probes` (the release times of an earlier run) are scheduled before
+///    anything else, so each lands on a completion with the lowest seq.
+/// Probes only log, so they never change what the channels do.
+template <typename Channel>
+MixedRun run_mixed(const Storm& storm, std::uint64_t seed, const std::vector<SimTime>& probes) {
+  Engine engine;
+  MixedRun run;
+  const auto flows = static_cast<Handle>(storm.size.size());
+  const auto probe = [&run, &engine](std::uint64_t id) {
+    // piolint: allow(C2) — engine.run() drains before run and engine leave scope.
+    return [&run, &engine, id] { run.log.push_back(Fired{'p', id, engine.now().ns()}); };
+  };
+  Channel* a_link = nullptr;
+  Channel* b_link = nullptr;
+  // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+  Channel a{engine, storm.capacity, storm.latency, [&](Handle h) {
+              run.log.push_back(Fired{'a', h, engine.now().ns()});
+              Rng rng{seed, 2 * std::uint64_t{h} + 1};
+              const std::uint64_t pick = rng.next_below(4);
+              if (pick == 0) b_link->transfer(Bytes{rng.next_below((256_KiB).count())}, h);
+              if (pick == 1) engine.schedule_at(engine.now(), probe(2'000'000 + h));
+            }};
+  // piolint: allow(C2) — as above.
+  Channel b{engine, Bandwidth{storm.capacity.bytes_per_sec() / 2}, storm.latency + 1_us,
+            [&](Handle h) {
+              run.log.push_back(Fired{'b', h, engine.now().ns()});
+              Rng rng{seed, 2 * std::uint64_t{h} + 2};
+              if (h < flows && rng.chance(0.5)) {
+                a_link->transfer(Bytes{rng.next_below((64_KiB).count())}, h + flows);
+              } else if (rng.chance(0.5)) {
+                engine.schedule_at(engine.now(), probe(3'000'000 + h));
+              }
+            }};
+  a_link = &a;
+  b_link = &b;
+  for (std::size_t k = 0; k < probes.size(); ++k) engine.schedule_at(probes[k], probe(k));
+  for (Handle i = 0; i < flows; ++i) {
+    // piolint: allow(C2) — engine.run() drains before the captures leave scope.
+    engine.schedule_at(storm.arrival[i], [&, i] {
+      run.log.push_back(Fired{'t', i, engine.now().ns()});
+      engine.schedule_after(storm.latency, probe(1'000'000 + 2 * std::uint64_t{i}));
+      a.transfer(storm.size[i], i);
+      engine.schedule_after(storm.latency, probe(1'000'001 + 2 * std::uint64_t{i}));
+    });
+  }
+  engine.run();
+  engine.assert_drained();
+  EXPECT_EQ(a.active_flows() + b.active_flows(), 0u);
+  run.events = engine.events_executed();
+  return run;
+}
+
+/// The actor channel and the Task-based closure channel must fire every
+/// event of a mixed storm in the same order. Returns how many log neighbours
+/// share a nanosecond but differ in kind: the ties the storm exercised.
+std::size_t expect_same_mixed_log(const Storm& storm, std::uint64_t seed,
+                                  const std::string& label) {
+  const MixedRun pilot = run_mixed<ClosureChannel>(storm, seed, {});
+  std::vector<SimTime> probes;
+  for (const Fired& f : pilot.log) {
+    if (f.kind == 'a' || f.kind == 'b') probes.push_back(SimTime::from_ns(f.ns));
+  }
+  const MixedRun fresh = run_mixed<FairShareChannel>(storm, seed, probes);
+  const MixedRun old = run_mixed<ClosureChannel>(storm, seed, probes);
+  EXPECT_EQ(fresh.events, old.events) << label;
+  EXPECT_EQ(fresh.log.size(), old.log.size()) << label;
+  for (std::size_t k = 0; k < std::min(fresh.log.size(), old.log.size()); ++k) {
+    if (fresh.log[k] == old.log[k]) continue;
+    ADD_FAILURE() << label << ": event " << k << " is " << fresh.log[k].kind << fresh.log[k].id
+                  << "@" << fresh.log[k].ns << ", closure channel fired " << old.log[k].kind
+                  << old.log[k].id << "@" << old.log[k].ns;
+    break;
+  }
+  std::size_t ties = 0;
+  for (std::size_t k = 1; k < fresh.log.size(); ++k) {
+    ties += fresh.log[k].ns == fresh.log[k - 1].ns && fresh.log[k].kind != fresh.log[k - 1].kind;
+  }
+  return ties;
+}
+
+TEST(FairShareChannelDiff, ActorEventsInterleaveWithTasksLikeTasks) {
+  std::size_t ties = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const Storm storm = make_storm(seed, 64, 512);
+    ties += expect_same_mixed_log(storm, seed, "mixed storm " + std::to_string(seed));
+    ties += expect_same_mixed_log(with_zero_size(storm, seed), seed,
+                                  "mixed zero-size storm " + std::to_string(seed));
+    if (HasFailure()) return;
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Storm storm = make_storm(seed, 2, 32);
+    ties += expect_same_mixed_log(storm, seed, "small mixed storm " + std::to_string(seed));
+    ties += expect_same_mixed_log(with_zero_size(storm, seed), seed,
+                                  "small mixed zero-size storm " + std::to_string(seed));
+    if (HasFailure()) return;
+  }
+  // Every probe shares a nanosecond with a channel event, so the ties
+  // number in the tens of thousands; a handful would mean the probes missed.
+  EXPECT_GT(ties, 10'000u);
+  std::cout << "mixed storms: " << ties << " same-ns neighbours of different kinds\n";
 }
 
 /// Flow 0 (1000 B) drains at 2000 ns and its sink schedules an event 2000 ns

@@ -10,9 +10,12 @@
 // is set (the sanitizer CI leg runs 100,000): bit flips, truncations,
 // splices of two corpus entries, and overwrites of a length or count field
 // with a hostile value. Both decoders see every mutant; they must accept exactly
-// the same inputs and decode equal values. The one sanctioned difference:
-// the trace decoder rejects layer and op bytes outside their enums, which
-// the oracle cast straight into events. The seed is a constant, so a
+// the same inputs and decode equal values. The sanctioned differences: the
+// trace decoder rejects layer and op bytes outside their enums, which the
+// oracle cast straight into events, and events with a negative start or an
+// end before the start, which the oracle let through. Every trace either
+// reader accepts also has its span and profile stats computed (an overflow
+// there is a sanitizer report). The seed is a constant, so a
 // failure reproduces bit for bit; a crash or sanitizer report is a bug in
 // the decoder under test.
 #include <algorithm>
@@ -37,6 +40,7 @@
 #include "h5/h5.hpp"
 #include "par/comm.hpp"
 #include "svc/messages.hpp"
+#include "trace/profiler.hpp"
 #include "trace/tracer.hpp"
 #include "vfs/backend.hpp"
 #include "vfs/file_system.hpp"
@@ -201,7 +205,7 @@ std::vector<Seed> trace_corpus() {
   trace::Trace mixed;
   mixed.append(event(Layer::kApp, OpKind::kOpen, 3, "/data/a", 0, 0, 10, 20, true));
   mixed.append(event(Layer::kHdf5, OpKind::kWrite, -1, "", 1ULL << 40, 4096, 30, 45, false));
-  mixed.append(event(Layer::kCache, OpKind::kOther, 7, "/x \"q\"\n", 5, 6, -8, 9, true));
+  mixed.append(event(Layer::kCache, OpKind::kOther, 7, "/x \"q\"\n", 5, 6, 8, 9, true));
   mixed.append(event(Layer::kMpiIo, OpKind::kRead, 2, "/data/a", 99, 1 << 20, 50, 60, true));
   corpus.push_back(trace_seed(mixed));
   // Draws land in locals first: argument evaluation order is unspecified.
@@ -236,6 +240,28 @@ bool same_events(const trace::Trace& a, const trace::Trace& b) {
   return true;
 }
 
+bool has_bad_times(const trace::Trace& t) {
+  for (const auto& e : t.events()) {
+    if (e.start < SimTime::zero() || e.end < e.start) return true;
+  }
+  return false;
+}
+
+/// The stats a tool computes from a trace read off disk: the span, the byte
+/// totals and, per layer, the profile's summary, per-file view and report.
+void compute_stats(const trace::Trace& t) {
+  std::uint64_t sink = static_cast<std::uint64_t>(t.span().ns());
+  sink += t.bytes_read().count() + t.bytes_written().count();
+  for (std::uint8_t layer = 0; layer <= static_cast<std::uint8_t>(trace::Layer::kCache); ++layer) {
+    trace::Profiler profiler{static_cast<trace::Layer>(layer)};
+    for (const auto& e : t.events()) profiler.record(e);
+    const trace::Profile profile = profiler.snapshot();
+    sink += static_cast<std::uint64_t>(profile.summarize().span.ns());
+    sink += profile.by_file().size() + profile.report().size();
+  }
+  EXPECT_GE(t.span(), SimTime::zero()) << sink;
+}
+
 bool has_out_of_range_enum(const trace::Trace& t) {
   for (const auto& e : t.events()) {
     if (static_cast<std::uint8_t>(e.layer) > static_cast<std::uint8_t>(trace::Layer::kCache) ||
@@ -251,6 +277,7 @@ TEST(CodecFuzz, TraceBinaryMatchesOracle) {
   Rng rng{kFuzzSeed, 0};
   Tally tally;
   int enum_rejections = 0;
+  int time_rejections = 0;
   for (int i = 0; i < mutations(); ++i) {
     const Bytes8 input = mutate(rng, corpus);
     const std::string text(input.begin(), input.end());
@@ -258,11 +285,15 @@ TEST(CodecFuzz, TraceBinaryMatchesOracle) {
     std::stringstream library_in(text);
     const auto expected = trace::oracle::try_read_binary(oracle_in);
     const auto actual = trace::Trace::try_read_binary(library_in);
-    if (expected.ok() && !actual.ok() && has_out_of_range_enum(expected.value())) {
-      // The sanctioned difference: an enum byte the oracle let through.
-      ASSERT_NE(actual.error().message.find("unknown"), std::string::npos)
-          << actual.error().message << " on " << hex_prefix(input);
-      ++enum_rejections;
+    if (expected.ok() && !actual.ok() &&
+        (has_out_of_range_enum(expected.value()) || has_bad_times(expected.value()))) {
+      // The sanctioned differences: an enum byte or an event time the
+      // oracle let through. The first bad event names which.
+      const std::string& why = actual.error().message;
+      const bool enum_byte = why.find("unknown") != std::string::npos;
+      ASSERT_TRUE(enum_byte || why.find("time") != std::string::npos)
+          << why << " on " << hex_prefix(input);
+      ++(enum_byte ? enum_rejections : time_rejections);
       ++tally.rejected;
       continue;
     }
@@ -277,9 +308,11 @@ TEST(CodecFuzz, TraceBinaryMatchesOracle) {
     ++tally.accepted;
     ASSERT_TRUE(same_events(actual.value(), expected.value()))
         << "mutation " << i << " decoded differently: " << hex_prefix(input);
+    compute_stats(actual.value());
   }
   expect_both_sides(tally);
   EXPECT_GT(enum_rejections, 0);
+  EXPECT_GT(time_rejections, 0);
 }
 
 // ------------------------------------------------------------------ JSONL
@@ -299,7 +332,7 @@ TEST(CodecFuzz, TraceJsonlRoundTripsWhatItAccepts) {
   }
   for (const std::string_view text : {
            R"({"layer":"app","op":"sync","rank":-1,"path":"\"\\\/\b\f\n\r\t\u001f\u00ff",)"
-           R"("offset":18446744073709551615,"size":0,"start_ns":-9223372036854775808,)"
+           R"("offset":18446744073709551615,"size":0,"start_ns":0,)"
            R"("end_ns":9223372036854775807,"ok":true,"note":"x"})",
            " { \"ok\" : false , \"end_ns\" : 2 , \"start_ns\" : 1 , \"size\" : 3 ,"
            " \"offset\" : 4 , \"path\" : \"\" , \"rank\" : 5 , \"op\" : \"stat\" ,"
@@ -319,6 +352,7 @@ TEST(CodecFuzz, TraceJsonlRoundTripsWhatItAccepts) {
         continue;
       }
       ++tally.accepted;
+      compute_stats(result.value());
       std::stringstream written;
       result.value().write_jsonl(written);
       const auto back = trace::Trace::try_read_jsonl(written);

@@ -2,8 +2,10 @@
 // record I/O.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "common/format.hpp"
 #include "common/histogram.hpp"
@@ -166,6 +168,15 @@ TEST(Log2HistogramTest, QuantileBucketFloor) {
   for (int i = 0; i < 10; ++i) h.add(1 << 20);
   EXPECT_EQ(h.quantile_bucket_floor(0.5), 4u);
   EXPECT_EQ(h.quantile_bucket_floor(0.99), 1u << 20);
+}
+
+TEST(Log2HistogramTest, TopBucketPrintsItsBound) {
+  Log2Histogram h;
+  h.add(3);
+  h.add(UINT64_MAX);
+  const std::string text = h.to_string();
+  EXPECT_TRUE(text.starts_with("[2, 4): 1\n")) << text;
+  EXPECT_TRUE(text.ends_with("\n[9223372036854775808, 18446744073709551616): 1\n")) << text;
 }
 
 TEST(LinearHistogramTest, BinningAndClamping) {

@@ -5,6 +5,7 @@
 // cannot outlive their frame; library code gets no such exemption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -297,6 +298,160 @@ TEST(FairShareChannelTest, EmptySinkIsRejected) {
   Engine e;
   EXPECT_THROW((FairShareChannel{e, Bandwidth::from_gib_per_sec(1.0), 0_us, {}}),
                std::invalid_argument);
+}
+
+/// A test actor with any number of pending events, each logged by name
+/// when it fires. Keyed, like a channel, on its earliest event.
+class ListActor final : public Actor {
+ public:
+  ListActor(Engine& engine, std::vector<std::string>& log, std::string name)
+      : engine_(engine), log_(log), name_(std::move(name)) {}
+  ~ListActor() { engine_.disarm(*this); }
+
+  /// Add an event at `t`; its seq is drawn now, as schedule_at would.
+  void add(SimTime t) {
+    events_.push_back({t, engine_.take_seq()});
+    std::sort(events_.begin(), events_.end());
+    rekey();
+  }
+  /// Move the single pending event to `t`, re-keyed in place with a new seq.
+  void move_to(SimTime t) {
+    events_.assign(1, {t, engine_.take_seq()});
+    rekey();
+  }
+
+ private:
+  void fire() override {
+    log_.push_back(name_ + "@" + std::to_string(engine_.now().ns()));
+    events_.erase(events_.begin());
+    rekey();
+  }
+  [[nodiscard]] std::uint64_t pending_events() const override { return events_.size(); }
+  void rekey() {
+    if (events_.empty()) {
+      engine_.disarm(*this);
+    } else {
+      engine_.arm(*this, events_.front().first, events_.front().second);
+    }
+  }
+
+  Engine& engine_;
+  std::vector<std::string>& log_;
+  std::string name_;
+  std::vector<std::pair<SimTime, std::uint64_t>> events_;  ///< sorted (time, seq)
+};
+
+TEST(EngineActorTest, ActorAndTaskKeysInterleaveBySeqAtEqualTimes) {
+  Engine e;
+  std::vector<std::string> log;
+  ListActor x{e, log, "x"};
+  ListActor y{e, log, "y"};
+  const auto task = [&](std::string name) {
+    return [&log, &e, name] { log.push_back(name + "@" + std::to_string(e.now().ns())); };
+  };
+  e.schedule_at(5_us, task("t1"));
+  x.add(5_us);
+  e.schedule_at(5_us, task("t2"));
+  y.add(5_us);
+  x.add(5_us);
+  e.schedule_at(5_us, task("t3"));
+  y.add(1_us);
+  EXPECT_EQ(e.events_pending(), 7u);
+  EXPECT_EQ(e.run(), 7u);
+  const std::vector<std::string> expected{"y@1000",  "t1@5000", "x@5000", "t2@5000",
+                                          "y@5000",  "x@5000", "t3@5000"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(e.events_executed(), 7u);
+  EXPECT_EQ(e.events_pending(), 0u);
+  e.assert_drained();
+}
+
+TEST(EngineActorTest, ReKeyingLaterAndEarlierBothWork) {
+  Engine e;
+  std::vector<std::string> log;
+  std::vector<std::unique_ptr<ListActor>> actors;
+  for (int i = 0; i < 12; ++i) {
+    std::string name = "a";
+    name += std::to_string(i);
+    actors.push_back(std::make_unique<ListActor>(e, log, name));
+    actors.back()->add(SimTime::from_us(10.0 * (i + 1)));
+  }
+  actors[0]->move_to(1000_us);  // the top, re-keyed behind everything
+  actors[11]->move_to(5_us);    // the last, re-keyed ahead of everything
+  actors[6]->move_to(35_us);    // a middle one, earlier
+  actors[3]->move_to(75_us);    // and one later
+  e.run();
+  const std::vector<std::string> expected{
+      "a11@5000",  "a1@20000",  "a2@30000",  "a6@35000",  "a4@50000",  "a5@60000",
+      "a3@75000",  "a7@80000",  "a8@90000",  "a9@100000", "a10@110000", "a0@1000000"};
+  EXPECT_EQ(log, expected);
+  e.assert_drained();
+}
+
+TEST(EngineActorTest, ArmingIntoThePastThrows) {
+  Engine e;
+  std::vector<std::string> log;
+  ListActor x{e, log, "x"};
+  e.schedule_at(10_us, [] {});
+  e.run();
+  EXPECT_THROW(x.add(5_us), std::logic_error);
+}
+
+TEST(FairShareChannelTest, RunUntilLeavesArmedChannelsPendingAndCounted) {
+  Engine e;
+  std::vector<Handle> drained;
+  // 1 MiB at 1 GiB/s drains in 976,563 ns, after 10 us of latency.
+  FairShareChannel link{e, Bandwidth::from_gib_per_sec(1.0), 10_us,
+                        [&](Handle h) { drained.push_back(h); }};
+  FairShareChannel idle{e, Bandwidth::from_gib_per_sec(1.0), 10_us, [](Handle) {}};
+  link.transfer(1_MiB, 1);
+  link.transfer(Bytes::zero(), 2);
+  EXPECT_EQ(e.run(5_us), 0u);
+  EXPECT_EQ(e.events_pending(), 2u);  // both in the lane
+  EXPECT_EQ(e.run(10_us), 2u);        // admitted, and the zero-size one drained
+  EXPECT_EQ(drained, std::vector<Handle>{2});
+  EXPECT_EQ(link.active_flows(), 1u);
+  EXPECT_EQ(e.events_pending(), 1u);  // the completion
+  EXPECT_EQ(e.run(100_us), 0u);
+  EXPECT_EQ(e.events_pending(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(drained, (std::vector<Handle>{2, 1}));
+  EXPECT_EQ(e.now(), SimTime::from_ns(986'563));
+  EXPECT_EQ(e.events_pending(), 0u);
+  e.assert_drained();
+}
+
+TEST(FairShareChannelTest, AssertDrainedThrowsWhileALaneHoldsAnArrival) {
+  if (!check::kEnabled) GTEST_SKIP() << "checks compiled out";
+  Engine e;
+  FairShareChannel link{e, Bandwidth::from_gib_per_sec(1.0), 10_us, [](Handle) {}};
+  link.transfer(Bytes::zero(), 0);
+  EXPECT_THROW(e.assert_drained(), std::logic_error);
+  e.run();
+  e.assert_drained();
+}
+
+TEST(FairShareChannelTest, DestroyingAnArmedChannelDisarmsIt) {
+  Engine e;
+  int drained = 0;
+  {
+    FairShareChannel in_lane{e, Bandwidth::from_gib_per_sec(1.0), 10_us,
+                             [&](Handle) { ++drained; }};
+    in_lane.transfer(1_MiB, 0);
+    EXPECT_EQ(e.events_pending(), 1u);
+  }
+  EXPECT_EQ(e.events_pending(), 0u);
+  {
+    FairShareChannel in_flight{e, Bandwidth::from_gib_per_sec(1.0), 0_us,
+                               [&](Handle) { ++drained; }};
+    in_flight.transfer(1_MiB, 0);
+    EXPECT_EQ(e.run(SimTime::zero()), 1u);
+    EXPECT_EQ(in_flight.active_flows(), 1u);
+  }
+  EXPECT_EQ(e.events_pending(), 0u);
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_EQ(drained, 0);
+  e.assert_drained();
 }
 
 TEST(TokenPoolTest, GrantsFifo) {

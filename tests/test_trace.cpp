@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
@@ -151,7 +153,7 @@ TEST(TraceSerializationTest, BinaryRoundTripsPathsPast64KiB) {
 TEST(TraceSerializationTest, JsonlReaderRejectsEachBadField) {
   const std::string good =
       R"({"layer":"posix","op":"write","rank":3,"path":"/a\u0001\"b","offset":5,)"
-      R"("size":4096,"start_ns":-10,"end_ns":20,"ok":false,"extra":1.5})";
+      R"("size":4096,"start_ns":10,"end_ns":20,"ok":false,"extra":1.5})";
   {
     std::stringstream in(good + "\n\n" + good);
     const auto result = Trace::try_read_jsonl(in);
@@ -160,7 +162,7 @@ TEST(TraceSerializationTest, JsonlReaderRejectsEachBadField) {
     const TraceEvent& e = result.value().events()[0];
     EXPECT_EQ(e.rank, 3);
     EXPECT_EQ(e.path, "/a\x01\"b");
-    EXPECT_EQ(e.start, SimTime::from_ns(-10));
+    EXPECT_EQ(e.start, SimTime::from_ns(10));
     EXPECT_FALSE(e.ok);
   }
   const auto with = [&](std::string_view from, std::string_view to) {
@@ -178,7 +180,9 @@ TEST(TraceSerializationTest, JsonlReaderRejectsEachBadField) {
       {with(R"("size":4096)", R"("size":"4096xyz")"), "bad size"},
       {with(R"("size":4096)", R"("size":4096xyz)"), "bad size"},
       {with(R"("size":4096)", R"("size":18446744073709551616)"), "bad size"},
-      {with(R"("start_ns":-10)", R"("start_ns":9223372036854775808)"), "bad start_ns"},
+      {with(R"("start_ns":10)", R"("start_ns":9223372036854775808)"), "bad start_ns"},
+      {with(R"("start_ns":10)", R"("start_ns":-1)"), "negative start_ns"},
+      {with(R"("end_ns":20)", R"("end_ns":9)"), "end_ns before start_ns"},
       {with(R"("end_ns":20)", R"("end_ns":2.5)"), "bad end_ns"},
       {with(R"("ok":false)", R"("ok":1)"), "bad ok"},
       {with(R"("layer":"posix")", R"("layer":"nfs")"), "bad layer"},
@@ -202,6 +206,39 @@ TEST(TraceSerializationTest, JsonlReaderRejectsEachBadField) {
     EXPECT_EQ(result.error().message, "Trace::read_jsonl: line 2: " + std::string(why)) << line;
     std::stringstream again(line);
     EXPECT_THROW((void)Trace::read_jsonl(again), std::runtime_error) << line;
+  }
+}
+
+// Times at the ends of the i64 range: subtracting them overflowed span()
+// ("span: -1 ns" from pio-trace stats). The reader refuses the first line.
+TEST(TraceSerializationTest, JsonlReaderRefusesTimesThatOverflowTheSpan) {
+  std::stringstream in(
+      R"({"layer":"posix","op":"read","rank":0,"path":"/a","offset":0,"size":1,)"
+      R"("start_ns":-9223372036854775808,"end_ns":0,"ok":true})"
+      "\n"
+      R"({"layer":"posix","op":"read","rank":0,"path":"/a","offset":0,"size":1,)"
+      R"("start_ns":0,"end_ns":9223372036854775807,"ok":true})"
+      "\n");
+  const auto result = Trace::try_read_jsonl(in);
+  ASSERT_FALSE(result.ok()) << "span " << result.value().span().ns() << " ns";
+  EXPECT_EQ(result.error().message, "Trace::read_jsonl: line 1: negative start_ns");
+}
+
+TEST(TraceSerializationTest, BinaryReaderRefusesNegativeAndReversedTimes) {
+  for (const auto& [start, end, why] :
+       {std::tuple{-1, 5, "event has negative start time"},
+        std::tuple{7, 6, "event ends before its start time"}}) {
+    Trace t;
+    TraceEvent e;
+    e.path = "/a";
+    e.start = SimTime::from_ns(start);
+    e.end = SimTime::from_ns(end);
+    t.append(e);
+    std::stringstream buffer;
+    t.write_binary(buffer);
+    const auto result = Trace::try_read_binary(buffer);
+    ASSERT_FALSE(result.ok()) << why;
+    EXPECT_EQ(result.error().message, std::string("Trace::read_binary: ") + why);
   }
 }
 
